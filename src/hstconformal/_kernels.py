@@ -7,10 +7,10 @@ entry points go through ``ACTIVE``.
 
 Guarantees relied on by the rest of the package:
 
-* The RNG-consuming kernels (``poisson_draw``, ``poisson_vector``,
-  ``simulate_counts``) run the identical draw algorithm on both paths and
-  consume uniforms from the caller's ``np.random.Generator`` in the same
-  order, so simulated counts are bit-identical regardless of path.
+* The RNG-consuming kernels (``poisson_draw``, ``simulate_counts``) run the
+  identical draw algorithm on both paths and consume uniforms from the
+  caller's ``np.random.Generator`` in the same order, so simulated counts are
+  bit-identical regardless of path.
 * The dense kernels (excitation recursions, likelihood, gradients) agree
   across paths to floating-point roundoff; each path is individually
   deterministic.
@@ -71,14 +71,6 @@ def build_loop_kernels(jit):
                 k * lnlam - lam - math.lgamma(k + 1.0)
             ):
                 return k
-
-    @jit
-    def poisson_vector(gen, lams):
-        n = lams.shape[0]
-        out = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            out[i] = poisson_draw(gen, lams[i])
-        return out
 
     @jit
     def excitation_series(counts, beta):
@@ -161,7 +153,7 @@ def build_loop_kernels(jit):
         return ll, dmu, dA, dbeta, dcap
 
     @jit
-    def simulate_counts(gen, mu, A, beta, cap, floor, g0, n0, base_mult, horizon):
+    def simulate_counts(gen, mu, A, beta, cap, floor, g0, n0, horizon):
         # Recursive forward simulation: each bin's draw is appended to the
         # running excitation state before the next bin is simulated.
         n = mu.shape[0]
@@ -175,7 +167,7 @@ def build_loop_kernels(jit):
                 gamma = floor
             excit = np.dot(A, g)
             for i in range(n):
-                lam = gamma * (mu[i] * base_mult[h, i] + excit[i])
+                lam = gamma * (mu[i] + excit[i])
                 out[h, i] = poisson_draw(gen, lam)
             for i in range(n):
                 g[i] = decay * (g[i] + beta * out[h, i])
@@ -184,7 +176,6 @@ def build_loop_kernels(jit):
 
     return SimpleNamespace(
         poisson_draw=poisson_draw,
-        poisson_vector=poisson_vector,
         excitation_series=excitation_series,
         excitation_beta_series=excitation_beta_series,
         loglik_value=loglik_value,
@@ -264,7 +255,6 @@ _LOOP_PURE = build_loop_kernels(lambda f: f)
 
 PURE = SimpleNamespace(
     poisson_draw=_LOOP_PURE.poisson_draw,
-    poisson_vector=_LOOP_PURE.poisson_vector,
     excitation_series=_excitation_series_np,
     excitation_beta_series=_excitation_beta_series_np,
     loglik_value=_loglik_value_np,

@@ -52,7 +52,6 @@ class RunConfig:
     # input/output paths
     events: str | None = None
     topology: str | None = None
-    covariates: str | None = None
     panel: str | None = None
     out: str = "."
     # synthesis
@@ -75,7 +74,6 @@ class RunConfig:
     test_len: int | None = None
     horizon: int | None = None
     seed: int = 0
-    threads: int = 1
     fit_cap: bool = True
     refit_each_step: bool = False
 
@@ -93,12 +91,12 @@ class RunConfig:
 
 
 _FIELD_TYPES = {
-    "events": str, "topology": str, "covariates": str, "panel": str, "out": str,
+    "events": str, "topology": str, "panel": str, "out": str,
     "n": int, "m": int, "T": int, "preset": str, "cap": _parse_cap,
     "start": str, "end": str, "bin_length": str,
     "alpha": float, "K": int, "epochs": int, "learning_rate": float,
     "quantile_method": str, "qr_window": int, "t0": int, "test_len": int,
-    "horizon": int, "seed": int, "threads": int,
+    "horizon": int, "seed": int,
     "fit_cap": _parse_bool, "refit_each_step": _parse_bool,
 }
 
@@ -136,8 +134,6 @@ def _build_config(args) -> RunConfig:
         raise PreconditionError(f"alpha must lie in (0, 1), got {cfg.alpha}")
     if cfg.K < 1:
         raise PreconditionError("K must be >= 1")
-    if cfg.threads < 1:
-        raise PreconditionError("threads must be >= 1")
     return cfg
 
 
@@ -169,12 +165,6 @@ def _load_inputs(cfg: RunConfig):
         panel = _data.ingest_events(cfg.events, topo, cfg.bin_length, cfg.start, cfg.end)
     else:
         raise PreconditionError("either a panel document or an events file is required")
-    if cfg.covariates is not None:
-        Z = _data.ingest_covariates(cfg.covariates, topo, panel.bin_start_times)
-        panel = _data.CountPanel(
-            Y=panel.Y, bin_start_times=panel.bin_start_times,
-            bin_length=panel.bin_length, Z=Z, circuit_ids=panel.circuit_ids,
-        )
     return topo, panel
 
 
@@ -207,22 +197,17 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def _write_interval_tables(cfg: RunConfig, forecast, topo):
-    rows_c = [
-        (cid, forecast.t, forecast.lower[i], forecast.lower_clamped[i],
-         forecast.upper[i], forecast.upper[i] - forecast.lower[i])
-        for i, cid in enumerate(topo.circuit_ids)
-    ]
-    rows_s = [
-        (sid, forecast.t, forecast.sub_lower[j], max(forecast.sub_lower[j], 0.0),
-         forecast.sub_upper[j], forecast.sub_upper[j] - forecast.sub_lower[j])
-        for j, sid in enumerate(topo.substation_ids)
-    ]
-    for name, rows in (("circuit_intervals.csv", rows_c),
-                       ("substation_intervals.csv", rows_s)):
-        with open(_outpath(cfg, name), "w", encoding="utf-8", newline="") as fh:
+    lines = {"circuit": [], "substation": []}
+    for kind, uid, _, lo, lo_c, up in forecast.unit_bounds(topo.circuit_ids,
+                                                           topo.substation_ids):
+        lines[kind].append(
+            f"{uid},{forecast.t},{_fmt(lo)},{_fmt(lo_c)},{_fmt(up)},{_fmt(up - lo)}\n"
+        )
+    for kind, rows in lines.items():
+        with open(_outpath(cfg, f"{kind}_intervals.csv"), "w", encoding="utf-8",
+                  newline="") as fh:
             fh.write("id,bin,lower_raw,lower_clamped,upper,width\n")
-            for rid, t, lo, loc, up, w in rows:
-                fh.write(f"{rid},{t},{_fmt(lo)},{_fmt(loc)},{_fmt(up)},{_fmt(w)}\n")
+            fh.writelines(rows)
 
 
 def cmd_run(cfg: RunConfig) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -111,13 +111,22 @@ class IntervalForecast:
         object.__setattr__(self, "sub_upper", sup)
 
     @property
-    def lower_clamped(self) -> np.ndarray:
-        """Reported view: circuit lower bounds clamped at 0."""
-        return np.maximum(self.lower, 0.0)
-
-    @property
     def width(self) -> np.ndarray:
         return self.upper - self.lower
+
+    def unit_bounds(self, circuit_ids, substation_ids):
+        """Yield (kind, id, index, lower_raw, lower_clamped, upper) floats.
+
+        One row per circuit, then one per substation: the reported view that
+        every interval table writer prints, with lower bounds clamped at 0.
+        """
+        for kind, ids, lower, upper in (
+            ("circuit", circuit_ids, self.lower, self.upper),
+            ("substation", substation_ids, self.sub_lower, self.sub_upper),
+        ):
+            for j, uid in enumerate(ids):
+                lo = float(lower[j])
+                yield kind, uid, j, lo, max(lo, 0.0), float(upper[j])
 
 
 def training_scale(train_counts) -> np.ndarray:
@@ -149,12 +158,9 @@ def nonconformity_score(y_t, scenarios, S_row, scale) -> float:
 def score_bin(y_t, scenarios, topo: NetworkTopology, scale) -> np.ndarray:
     """All-circuit scores for one bin; constant within each substation."""
     samples = np.asarray(getattr(scenarios, "samples", scenarios), dtype=np.float64)
-    y = np.asarray(y_t, dtype=np.float64)
-    s = np.asarray(scale, dtype=np.float64)
     out = np.empty(topo.n)
     for idx in topo.members:
-        errs = np.abs(y[idx][None, :] - samples[:, idx]) / s[idx][None, :]
-        out[idx] = errs.max(axis=1).min()
+        out[idx] = nonconformity_score(y_t, samples, idx, scale)
     return out
 
 
@@ -178,12 +184,10 @@ def calibrate(panel, model: _hawkes.HawkesModel, topo: NetworkTopology, cal_bins
             "training bins"
         )
     scale = training_scale(Y[:b0])
-    mult = _hawkes._base_mult(model, getattr(panel, "Z", None))
     scores = np.empty((model.n, b1 - b0))
     for t in range(b0, b1):
         scen = _hawkes.simulate_bin(
             model, Y[:t], t=t, K=K, seed=_rng.derive(seed, "cal", t),
-            base_mult_row=None if mult is None else mult[t],
         )
         scores[:, t - b0] = score_bin(Y[t], scen, topo, scale)
     return ScoreSet(scores=scores, scale=scale, alpha=alpha)
@@ -303,8 +307,6 @@ class PipelineSettings:
     epochs: int = 1000
     learning_rate: float = 0.01
     fit_cap: bool = True
-    floor: float = 0.0
-    same_substation_only: bool = False
     refit_each_step: bool = False
 
     def __post_init__(self):
@@ -324,8 +326,6 @@ class PipelineSettings:
             learning_rate=self.learning_rate,
             seed=seed,
             fit_cap=self.fit_cap,
-            floor=self.floor,
-            same_substation_only=self.same_substation_only,
         )
 
 
@@ -404,22 +404,10 @@ def hst_conformal_pipeline(panel, topo: NetworkTopology, t0: int,
     T = Y.shape[0]
     model, scores = _prepare(panel, topo, t0, settings, seed)
     qest = _quantile_for(scores, settings)
-    mult = _hawkes._base_mult(model, getattr(panel, "Z", None))
     scen = _hawkes.simulate_bin(
         model, Y, t=T, K=settings.K, seed=_rng.derive(seed, "target"),
-        base_mult_row=None if mult is None else mult[-1],
     )
     forecast = build_interval(scen, qest, scores.scale, topo, settings.alpha, t=T)
-    meta = None
-    if model.meta is not None:
-        meta = {
-            "epochs_run": model.meta.epochs_run,
-            "loglik_init": model.meta.loglik_init,
-            "loglik_final": model.meta.loglik_final,
-            "converged": model.meta.converged,
-            "seed": model.meta.seed,
-            "n_train_bins": model.meta.n_train_bins,
-        }
     audit = AuditRecord(
         t0=t0,
         alpha=settings.alpha,
@@ -433,6 +421,6 @@ def hst_conformal_pipeline(panel, topo: NetworkTopology, t0: int,
         quantiles=qest.q,
         target_bin=T,
         target_scenarios=np.asarray(scen.samples),
-        model_meta=meta,
+        model_meta=None if model.meta is None else asdict(model.meta),
     )
     return forecast, audit

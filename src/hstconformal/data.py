@@ -69,7 +69,6 @@ class CountPanel:
     Y: np.ndarray
     bin_start_times: tuple
     bin_length: str = "6M"
-    Z: np.ndarray | None = None
     circuit_ids: tuple | None = None
 
     def __post_init__(self):
@@ -94,20 +93,11 @@ class CountPanel:
                 raise DataValidationError(
                     f"bin starts must advance by exactly {self.bin_length}: {a} -> {b}"
                 )
-        Z = self.Z
-        if Z is not None:
-            Z = np.asarray(Z, dtype=np.float64)
-            if Z.ndim != 3 or Z.shape[:2] != (T, n):
-                raise DataValidationError(
-                    f"covariates must be (bins, circuits, p) = ({T}, {n}, p)"
-                )
-            Z.flags.writeable = False
         if self.circuit_ids is not None and len(self.circuit_ids) != n:
             raise DataValidationError("circuit_ids length must match circuit count")
         Y.flags.writeable = False
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "bin_start_times", times)
-        object.__setattr__(self, "Z", Z)
         if self.circuit_ids is not None:
             object.__setattr__(self, "circuit_ids", tuple(self.circuit_ids))
 
@@ -127,7 +117,6 @@ class CountPanel:
             Y=self.Y[start:stop],
             bin_start_times=self.bin_start_times[start:stop],
             bin_length=self.bin_length,
-            Z=None if self.Z is None else self.Z[start:stop],
             circuit_ids=self.circuit_ids,
         )
 
@@ -138,20 +127,19 @@ class CountPanel:
             "bin_start_times": [t.isoformat() for t in self.bin_start_times],
             "circuit_ids": None if self.circuit_ids is None else list(self.circuit_ids),
             "counts": self.Y.tolist(),
-            "covariates": None if self.Z is None else self.Z.tolist(),
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CountPanel":
         if doc.get("format") != _PANEL_FORMAT:
             raise DataValidationError(f"unsupported panel format {doc.get('format')!r}")
+        if doc.get("covariates") is not None:
+            raise DataValidationError("panel has covariates; the model has no covariate term")
         cids = doc.get("circuit_ids")
-        cov = doc.get("covariates")
         return cls(
             Y=np.array(doc["counts"], dtype=np.int64),
             bin_start_times=tuple(doc["bin_start_times"]),
             bin_length=doc["bin_length"],
-            Z=None if cov is None else np.array(cov, dtype=np.float64),
             circuit_ids=None if cids is None else tuple(cids),
         )
 
@@ -294,46 +282,6 @@ def write_events(panel: CountPanel, path):
                     writer.writerow([cid, stamp])
 
 
-def ingest_covariates(cov_file, topo: NetworkTopology, bin_start_times) -> np.ndarray:
-    """Load a bin-level covariate CSV (circuit_id,bin_start,cov_1..cov_p).
-
-    Missing (circuit, bin) rows are zero-filled; rows must land exactly on
-    the panel's bin grid.
-    """
-    times = {(_parse_date(t, "bin start")): k for k, t in enumerate(bin_start_times)}
-    index = {cid: i for i, cid in enumerate(topo.circuit_ids)}
-    with open(cov_file, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 3 or header[0].strip() != "circuit_id" \
-                or header[1].strip() != "bin_start":
-            raise DataValidationError(
-                f"{cov_file}: expected header circuit_id,bin_start,cov_1.."
-            )
-        p = len(header) - 2
-        Z = np.zeros((len(times), topo.n, p))
-        for ln, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != p + 2:
-                raise DataValidationError(f"{cov_file}:{ln}: expected {p + 2} columns")
-            cid = row[0].strip()
-            i = index.get(cid)
-            if i is None:
-                raise DataValidationError(f"{cov_file}:{ln}: unknown circuit id {cid!r}")
-            d = _parse_date(row[1].strip(), f"bin start at {cov_file}:{ln}")
-            t = times.get(d)
-            if t is None:
-                raise DataValidationError(f"{cov_file}:{ln}: {d} is not on the bin grid")
-            try:
-                Z[t, i] = [float(c) for c in row[2:]]
-            except ValueError:
-                raise DataValidationError(
-                    f"{cov_file}:{ln}: non-numeric covariate value"
-                ) from None
-    return Z
-
-
 # ---------------------------------------------------------------------------
 # Synthetic generation.
 
@@ -391,7 +339,7 @@ def generate_synthetic(n: int, m: int, T: int, model: _hawkes.HawkesModel | None
         truth = model
     truth = _hawkes.HawkesModel(
         mu=truth.mu, A=truth.A, beta=truth.beta, sat=truth.sat,
-        cov_coef=truth.cov_coef, circuit_ids=topo.circuit_ids, meta=truth.meta,
+        circuit_ids=topo.circuit_ids, meta=truth.meta,
     )
     Y = _hawkes.simulate_trajectory(
         truth, None, horizon=T, K=1, seed=_rng.derive(seed, "synth", "panel")

@@ -95,10 +95,8 @@ def rolling_evaluate(panel: CountPanel, topo: NetworkTopology, spec: SplitSpec,
                 settings.fit_config(_rng.derive(seed, "fit", t)),
             )
         qest = _quantile_for(scores, settings)
-        mult = _hawkes._base_mult(model, panel.Z)
         scen = _hawkes.simulate_bin(
             model, Y[:t], t=t, K=settings.K, seed=_rng.derive(seed, "cal", t),
-            base_mult_row=None if mult is None else mult[t],
         )
         iv = build_interval(scen, qest, scale, topo, settings.alpha, t=t)
         hits, shits = coverage_counts(iv, Y[t], topo)
@@ -152,7 +150,6 @@ def _restrict_panel(panel: CountPanel, keep: np.ndarray) -> CountPanel:
         Y=panel.Y[:, keep],
         bin_start_times=panel.bin_start_times,
         bin_length=panel.bin_length,
-        Z=None if panel.Z is None else panel.Z[:, keep],
         circuit_ids=None if ids is None else tuple(ids[i] for i in keep),
     )
 
@@ -214,11 +211,8 @@ def horizon_forecast(panel: CountPanel, topo: NetworkTopology, t0: int,
     qest = _quantile_for(scores, settings)
     margin = qest.q * scores.scale
 
-    mult = _hawkes._base_mult(model, panel.Z)
-    base_mult = None if mult is None else np.tile(mult[-1], (horizon, 1))
     traj = _hawkes.simulate_trajectory(
-        model, Y, horizon=horizon, K=settings.K,
-        seed=_rng.derive(seed, "target"), base_mult=base_mult,
+        model, Y, horizon=horizon, K=settings.K, seed=_rng.derive(seed, "target"),
     )  # (K, H, n)
 
     steps = tuple(
@@ -276,22 +270,15 @@ def write_cells_csv(report: EvalReport, path):
              "width", "covered"]
         )
         for step, t in enumerate(report.bins):
-            f = report.forecasts[step]
-            clamped = f.lower_clamped
-            for i, cid in enumerate(report.circuit_ids):
+            truth = {"circuit": report.truth[step], "substation": report.sub_truth[step]}
+            hits = {"circuit": report.circuit_hits[step],
+                    "substation": report.sub_hits[step]}
+            rows = report.forecasts[step].unit_bounds(report.circuit_ids,
+                                                      report.substation_ids)
+            for kind, uid, j, lo, lo_c, up in rows:
                 writer.writerow([
-                    "circuit", cid, t, int(report.truth[step, i]),
-                    repr(float(f.lower[i])), repr(float(clamped[i])),
-                    repr(float(f.upper[i])), repr(float(f.upper[i] - f.lower[i])),
-                    int(report.circuit_hits[step, i]),
-                ])
-            for j, sid in enumerate(report.substation_ids):
-                writer.writerow([
-                    "substation", sid, t, int(report.sub_truth[step, j]),
-                    repr(float(f.sub_lower[j])), repr(float(max(f.sub_lower[j], 0.0))),
-                    repr(float(f.sub_upper[j])),
-                    repr(float(f.sub_upper[j] - f.sub_lower[j])),
-                    int(report.sub_hits[step, j]),
+                    kind, uid, t, int(truth[kind][j]), repr(lo), repr(lo_c),
+                    repr(up), repr(up - lo), int(hits[kind][j]),
                 ])
 
 
@@ -304,20 +291,11 @@ def write_forecast_csv(hf: HorizonForecast, topo: NetworkTopology, path):
              "cum_lower", "cum_upper"]
         )
         for h, f in enumerate(hf.steps):
-            clamped = f.lower_clamped
-            for i, cid in enumerate(topo.circuit_ids):
+            cum_lower = {"circuit": hf.cum_lower[h], "substation": hf.cum_sub_lower[h]}
+            cum_upper = {"circuit": hf.cum_upper[h], "substation": hf.cum_sub_upper[h]}
+            rows = f.unit_bounds(topo.circuit_ids, topo.substation_ids)
+            for kind, uid, j, lo, lo_c, up in rows:
                 writer.writerow([
-                    "circuit", cid, h, hf.start_bin + h,
-                    repr(float(f.lower[i])), repr(float(clamped[i])),
-                    repr(float(f.upper[i])),
-                    repr(float(hf.cum_lower[h, i])), repr(float(hf.cum_upper[h, i])),
-                ])
-            for j, sid in enumerate(topo.substation_ids):
-                writer.writerow([
-                    "substation", sid, h, hf.start_bin + h,
-                    repr(float(f.sub_lower[j])),
-                    repr(float(max(f.sub_lower[j], 0.0))),
-                    repr(float(f.sub_upper[j])),
-                    repr(float(hf.cum_sub_lower[h, j])),
-                    repr(float(hf.cum_sub_upper[h, j])),
+                    kind, uid, h, hf.start_bin + h, repr(lo), repr(lo_c), repr(up),
+                    repr(float(cum_lower[kind][j])), repr(float(cum_upper[kind][j])),
                 ])

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -118,7 +118,6 @@ class HawkesModel:
     A: np.ndarray
     beta: float
     sat: SaturationParams = field(default_factory=SaturationParams)
-    cov_coef: np.ndarray | None = None
     circuit_ids: tuple | None = None
     meta: FitMeta | None = None
 
@@ -136,12 +135,6 @@ class HawkesModel:
             raise PreconditionError("beta must be positive")
         if self.circuit_ids is not None and len(self.circuit_ids) != n:
             raise PreconditionError("circuit_ids length must match mu")
-        cc = self.cov_coef
-        if cc is not None:
-            cc = np.ascontiguousarray(cc, dtype=np.float64)
-            if cc.ndim != 1:
-                raise PreconditionError("cov_coef must be a vector")
-            cc.flags.writeable = False
         rowsum = float(A.sum(axis=1).max()) if n else 0.0
         # an event adds beta * e^(-beta * d) to the excitation at lag d, so
         # its expected offspring count is the row sum times the summed mass
@@ -158,7 +151,6 @@ class HawkesModel:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "cov_coef", cc)
 
     @property
     def n(self) -> int:
@@ -168,16 +160,6 @@ class HawkesModel:
 
     def to_dict(self) -> dict:
         cap = self.sat.cap
-        meta = None
-        if self.meta is not None:
-            meta = {
-                "epochs_run": self.meta.epochs_run,
-                "loglik_init": self.meta.loglik_init,
-                "loglik_final": self.meta.loglik_final,
-                "converged": self.meta.converged,
-                "seed": self.meta.seed,
-                "n_train_bins": self.meta.n_train_bins,
-            }
         return {
             "format": _MODEL_FORMAT,
             "gamma_form": _GAMMA_FORM,
@@ -188,8 +170,7 @@ class HawkesModel:
             "beta": self.beta,
             "cap": "inf" if math.isinf(cap) else cap,
             "floor": self.sat.floor,
-            "cov_coef": None if self.cov_coef is None else self.cov_coef.tolist(),
-            "meta": meta,
+            "meta": None if self.meta is None else asdict(self.meta),
         }
 
     @classmethod
@@ -200,19 +181,19 @@ class HawkesModel:
             raise DataValidationError(
                 f"unsupported saturation form {doc.get('gamma_form')!r}"
             )
+        if doc.get("cov_coef") is not None:
+            raise DataValidationError("model has cov_coef; the model has no covariate term")
         cap = doc["cap"]
         cap = math.inf if cap == "inf" else float(cap)
         meta = None
         if doc.get("meta") is not None:
             meta = FitMeta(**doc["meta"])
         cids = doc.get("circuit_ids")
-        cc = doc.get("cov_coef")
         return cls(
             mu=np.array(doc["mu"], dtype=np.float64),
             A=np.array(doc["A"], dtype=np.float64),
             beta=float(doc["beta"]),
             sat=SaturationParams(cap=cap, floor=float(doc["floor"])),
-            cov_coef=None if cc is None else np.array(cc, dtype=np.float64),
             circuit_ids=None if cids is None else tuple(cids),
             meta=meta,
         )
@@ -263,17 +244,6 @@ def _gamma_series(bin_totals: np.ndarray, cap: float, floor: float):
         dgam = np.where(raw > floor, before / (cap * cap), 0.0)
     return gamma, dgam
 
-def _base_mult(model: HawkesModel, Z) -> np.ndarray | None:
-    """Per-bin multiplicative modulation of mu from covariates, if enabled."""
-    if model.cov_coef is None:
-        return None
-    if Z is None:
-        raise PreconditionError("model has covariate coefficients but no covariates given")
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.ndim != 3 or Z.shape[2] != model.cov_coef.shape[0]:
-        raise PreconditionError("covariates must be (bins, circuits, p) matching cov_coef")
-    return np.exp(Z @ model.cov_coef)
-
 def _normalize_bins(bins, T: int):
     if bins is None:
         return 0, T
@@ -288,7 +258,7 @@ def _normalize_bins(bins, T: int):
     return b0, b1
 
 
-def intensity(model: HawkesModel, history, base_mult_row=None) -> np.ndarray:
+def intensity(model: HawkesModel, history) -> np.ndarray:
     """Intensity vector for the bin immediately after ``history``.
 
     ``history`` holds counts for all earlier bins, one row per bin; an empty
@@ -297,20 +267,7 @@ def intensity(model: HawkesModel, history, base_mult_row=None) -> np.ndarray:
     h = _history_array(history, model.n)
     G = ACTIVE.excitation_series(h, model.beta)[-1]
     gamma = max(model.sat.floor, 1.0 - float(h.sum()) / model.sat.cap)
-    base = model.mu if base_mult_row is None else model.mu * base_mult_row
-    return gamma * (base + model.A @ G)
-
-
-def _loglik_with_cov(counts, G, gamma, mu, A, mult, b0, b1):
-    # Covariate-modulated variant kept off the kernel hot path.
-    Y = counts[b0:b1]
-    base = mu[None, :] * mult[b0:b1] + G[b0:b1] @ A.T
-    lam = gamma[b0:b1, None] * base
-    if np.any((lam <= 0.0) & (Y > 0.0)):
-        return -np.inf
-    pos = lam > 0.0
-    safe = np.where(pos, lam, 1.0)
-    return float(np.sum(np.where(Y > 0.0, Y * np.log(safe), 0.0) - lam))
+    return gamma * (model.mu + model.A @ G)
 
 
 def log_likelihood(model: HawkesModel, panel, bins=None) -> float:
@@ -326,9 +283,6 @@ def log_likelihood(model: HawkesModel, panel, bins=None) -> float:
     counts = Y.astype(np.float64)
     G = ACTIVE.excitation_series(counts, model.beta)
     gamma, _ = _gamma_series(counts.sum(axis=1), model.sat.cap, model.sat.floor)
-    mult = _base_mult(model, getattr(panel, "Z", None))
-    if mult is not None:
-        return _loglik_with_cov(counts, G, gamma, model.mu, model.A, mult, b0, b1)
     return float(ACTIVE.loglik_value(counts, G, gamma, model.mu, model.A, b0, b1))
 
 
@@ -343,21 +297,24 @@ class GradientResult:
     d_cap: float
 
 
-def _grads_raw(model: HawkesModel, counts: np.ndarray, b0: int, b1: int):
-    G = ACTIVE.excitation_series(counts, model.beta)
-    H = ACTIVE.excitation_beta_series(counts, model.beta, G)
-    gamma, dgam = _gamma_series(counts.sum(axis=1), model.sat.cap, model.sat.floor)
-    return ACTIVE.loglik_grads(counts, G, H, gamma, dgam, model.mu, model.A, b0, b1)
+def _objective(counts: np.ndarray, mu, A, beta: float, cap: float, floor: float,
+               b0: int, b1: int):
+    """Log likelihood of bins [b0, b1) and its unconstrained gradient.
 
-
-def _to_unconstrained_grads(model: HawkesModel, dmu, dA, dbeta, dcap):
+    Returns ``(ll, (g_mu, g_A, g_beta, g_cap))``, or ``(ll, None)`` when ll
+    is not finite.  The one objective behind ``fit`` and
+    ``log_likelihood_gradient``.
+    """
+    G = ACTIVE.excitation_series(counts, beta)
+    H = ACTIVE.excitation_beta_series(counts, beta, G)
+    gamma, dgam = _gamma_series(counts.sum(axis=1), cap, floor)
+    ll, dmu, dA, dbeta, dcap = ACTIVE.loglik_grads(counts, G, H, gamma, dgam, mu, A, b0, b1)
+    if not math.isfinite(ll):
+        return float(ll), None
     # mu, A, cap use an exponential map; beta a softplus map, whose derivative
     # expressed through the constrained value is 1 - exp(-beta).
-    g_mu = dmu * model.mu
-    g_A = dA * model.A
-    g_beta = dbeta * (1.0 - math.exp(-model.beta))
-    g_cap = 0.0 if math.isinf(model.sat.cap) else dcap * model.sat.cap
-    return g_mu, g_A, g_beta, g_cap
+    g_cap = 0.0 if math.isinf(cap) else dcap * cap
+    return float(ll), (dmu * mu, dA * A, dbeta * (1.0 - math.exp(-beta)), g_cap)
 
 
 def log_likelihood_gradient(model: HawkesModel, panel, bins=None) -> GradientResult:
@@ -369,15 +326,13 @@ def log_likelihood_gradient(model: HawkesModel, panel, bins=None) -> GradientRes
     Y = _panel_counts(panel)
     if Y.shape[1] != model.n:
         raise PreconditionError(f"panel has {Y.shape[1]} circuits, model has {model.n}")
-    if model.cov_coef is not None:
-        raise PreconditionError("gradients do not support the covariate channel")
     b0, b1 = _normalize_bins(bins, Y.shape[0])
-    counts = Y.astype(np.float64)
-    ll, dmu, dA, dbeta, dcap = _grads_raw(model, counts, b0, b1)
-    if not math.isfinite(ll):
+    ll, grad = _objective(Y.astype(np.float64), model.mu, model.A, model.beta,
+                          model.sat.cap, model.sat.floor, b0, b1)
+    if grad is None:
         raise NumericalError("log likelihood is not finite at this parameter point")
-    g_mu, g_A, g_beta, g_cap = _to_unconstrained_grads(model, dmu, dA, dbeta, dcap)
-    return GradientResult(float(ll), g_mu, g_A, float(g_beta), float(g_cap))
+    g_mu, g_A, g_beta, g_cap = grad
+    return GradientResult(ll, g_mu, g_A, float(g_beta), float(g_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +390,8 @@ def fit(panel, topo, cfg: FitConfig = FitConfig()) -> HawkesModel:
     seeded +/-10% perturbation.  The returned model is the best point seen,
     so its likelihood never falls below the initialization value.  Steps
     that land on a non-finite likelihood are retried with halved length.
+    Each trial point costs one objective evaluation: its gradient is taken
+    together with its likelihood and drives the next step once accepted.
     """
     Y = _panel_counts(panel)
     T, n = Y.shape
@@ -466,25 +423,12 @@ def fit(panel, topo, cfg: FitConfig = FitConfig()) -> HawkesModel:
     u = packer.pack(np.log(mu0), np.log(A0), _softplus_inv(float(beta0)),
                     math.log(cap0) if cfg.fit_cap else 0.0)
 
-    def evaluate(uvec, want_grads: bool):
+    def evaluate(uvec):
         mu, A, beta, cap = packer.unpack(uvec, cap0)
-        G = ACTIVE.excitation_series(counts, beta)
-        gamma, dgam = _gamma_series(counts.sum(axis=1), cap, cfg.floor)
-        if not want_grads:
-            return float(ACTIVE.loglik_value(counts, G, gamma, mu, A, 0, T)), None
-        H = ACTIVE.excitation_beta_series(counts, beta, G)
-        ll, dmu, dA, dbeta, dcap = ACTIVE.loglik_grads(
-            counts, G, H, gamma, dgam, mu, A, 0, T
-        )
-        if not math.isfinite(ll):
-            return float(ll), None
-        g_mu = dmu * mu
-        g_A = dA * A
-        g_beta = dbeta * (1.0 - math.exp(-beta))
-        g_cap = dcap * cap if cfg.fit_cap else 0.0
-        return float(ll), packer.pack_grads(g_mu, g_A, g_beta, g_cap)
+        ll, grad = _objective(counts, mu, A, beta, cap, cfg.floor, 0, T)
+        return ll, None if grad is None else packer.pack_grads(*grad)
 
-    ll, grads = evaluate(u, True)
+    ll, grads = evaluate(u)
     if not math.isfinite(ll):
         raise NumericalError("likelihood not finite at initialization")
     ll_init = ll
@@ -505,8 +449,8 @@ def fit(panel, topo, cfg: FitConfig = FitConfig()) -> HawkesModel:
         scale = 1.0
         for _ in range(_MAX_HALVINGS):
             u_try = u + scale * delta
-            ll_try, _ = evaluate(u_try, False)
-            if math.isfinite(ll_try):
+            ll, grads = evaluate(u_try)
+            if math.isfinite(ll):
                 break
             scale *= 0.5
         else:
@@ -516,10 +460,6 @@ def fit(panel, topo, cfg: FitConfig = FitConfig()) -> HawkesModel:
         u = u_try
         epochs_run = k
 
-        ll, grads = evaluate(u, True)
-        if not math.isfinite(ll):
-            # grads evaluation re-checks the same point; keep the invariant
-            raise NumericalError(f"likelihood became non-finite at epoch {k}")
         if ll > best_ll:
             best_ll, best_u = ll, u.copy()
         if abs(ll - ll_prev) <= cfg.convergence_tol * (1.0 + abs(ll_prev)):
@@ -549,63 +489,38 @@ def fit(panel, topo, cfg: FitConfig = FitConfig()) -> HawkesModel:
 # ---------------------------------------------------------------------------
 # Simulation.
 
-def _sim_inputs(model: HawkesModel, history, horizon: int, base_mult):
-    h = _history_array(history, model.n)
-    g0 = ACTIVE.excitation_series(h, model.beta)[-1]
-    n0 = float(h.sum())
-    if base_mult is None:
-        bm = np.ones((horizon, model.n))
-    else:
-        bm = np.asarray(base_mult, dtype=np.float64)
-        if bm.shape != (horizon, model.n):
-            raise PreconditionError(
-                f"base_mult must be ({horizon}, {model.n}), got {bm.shape}"
-            )
-    return g0, n0, bm
-
-
-def simulate_bin(model: HawkesModel, history, t=None, K: int = 10, seed: int = 0,
-                 base_mult_row=None) -> ScenarioSet:
+def simulate_bin(model: HawkesModel, history, t=None, K: int = 10,
+                 seed: int = 0) -> ScenarioSet:
     """K independent joint count draws for the bin after ``history``.
 
-    Each sample uses its own derived generator (seed, sample index), so the
-    collection order is deterministic and samples could run in parallel.
+    The first step of ``simulate_trajectory`` with the same seed; ``t``
+    defaults to the number of history bins.
     """
-    if K < 1:
-        raise PreconditionError("need K >= 1")
     h = _history_array(history, model.n)
-    if t is None:
-        t = h.shape[0]
-    bm = None if base_mult_row is None else np.asarray(base_mult_row, float)[None, :]
-    g0, n0, bm = _sim_inputs(model, h, 1, bm)
-    out = np.empty((K, model.n), dtype=np.int64)
-    for k in range(K):
-        gen = _rng.generator(seed, k)
-        out[k] = ACTIVE.simulate_counts(
-            gen, model.mu, model.A, model.beta, model.sat.cap, model.sat.floor,
-            g0, n0, bm, 1,
-        )[0]
-    return ScenarioSet(samples=out, t=int(t))
+    traj = simulate_trajectory(model, h, horizon=1, K=K, seed=seed)
+    return ScenarioSet(samples=traj[:, 0, :], t=h.shape[0] if t is None else int(t))
 
 
 def simulate_trajectory(model: HawkesModel, history, horizon: int, K: int = 10,
-                        seed: int = 0, base_mult=None) -> np.ndarray:
+                        seed: int = 0) -> np.ndarray:
     """K recursive trajectories of shape (horizon, n).
 
-    Each trajectory extends its own simulated history bin by bin; trajectory
-    k draws from the derived generator (seed, k), matching ``simulate_bin``
-    exactly at horizon 1.
+    Each trajectory extends its own simulated history bin by bin.  Trajectory
+    k draws from its own derived generator (seed, k), so the collection
+    order is deterministic and trajectories could run in parallel.
     """
     if horizon < 1:
         raise PreconditionError("need horizon >= 1")
     if K < 1:
         raise PreconditionError("need K >= 1")
-    g0, n0, bm = _sim_inputs(model, history, horizon, base_mult)
+    h = _history_array(history, model.n)
+    g0 = ACTIVE.excitation_series(h, model.beta)[-1]
+    n0 = float(h.sum())
     out = np.empty((K, horizon, model.n), dtype=np.int64)
     for k in range(K):
         gen = _rng.generator(seed, k)
         out[k] = ACTIVE.simulate_counts(
             gen, model.mu, model.A, model.beta, model.sat.cap, model.sat.floor,
-            g0, n0, bm, horizon,
+            g0, n0, horizon,
         )
     return out

@@ -84,10 +84,6 @@ class NetworkTopology:
         S = self.C @ self.C.T
         return np.minimum(S, 1)
 
-    def group(self, i: int) -> np.ndarray:
-        """Indices of all circuits in circuit i's substation (includes i)."""
-        return self.members[self.substation_of[i]]
-
     def aggregate(self, v) -> np.ndarray:
         """Cᵀ·v along the last axis: substation j gets the sum of its members.
 
@@ -143,21 +139,6 @@ class NetworkTopology:
         return cls(circuit_ids=circuit_ids, substation_ids=tuple(order), C=C)
 
     @classmethod
-    def build(cls, circuit_ids, substation_ids, C, strict: bool = False) -> "NetworkTopology":
-        """Construct with the empty-substation check escalated to an error.
-
-        The default constructor only warns on substations with no circuits;
-        pass strict=True to reject them instead.
-        """
-        C = np.asarray(C, dtype=np.int64)
-        if strict and C.ndim == 2:
-            empty = np.flatnonzero(C.sum(axis=0) == 0)
-            if empty.size:
-                names = [str(substation_ids[j]) for j in empty]
-                raise DataValidationError(f"substations with no circuits: {names}")
-        return cls(circuit_ids=tuple(circuit_ids), substation_ids=tuple(substation_ids), C=C)
-
-    @classmethod
     def from_csv(cls, path) -> "NetworkTopology":
         """Load a two-column mapping file with header circuit_id,substation_id."""
         with open(path, newline="", encoding="utf-8") as fh:
@@ -196,14 +177,3 @@ class NetworkTopology:
             for i, cid in enumerate(self.circuit_ids):
                 writer.writerow([cid, self.substation_ids[sub[i]]])
 
-
-def shared_membership(topo: NetworkTopology) -> np.ndarray:
-    return topo.shared_membership()
-
-
-def aggregate(topo: NetworkTopology, v) -> np.ndarray:
-    return topo.aggregate(v)
-
-
-def subsample_circuits(topo: NetworkTopology, keep) -> NetworkTopology:
-    return topo.subsample(keep)

@@ -212,6 +212,33 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     assert code == 3
 
 
+def test_covariates_and_threads_are_rejected(tmp_path, capsys):
+    # the model has no covariate term and the package runs on one thread
+    _synth(tmp_path, capsys, n=4, m=2, T=20)
+    base = ["run", "--topology", str(tmp_path / "topology.csv"),
+            "--t0", "11", "--out", str(tmp_path / "fc")]
+    with_panel = base + ["--panel", str(tmp_path / "panel.json")]
+    for flag, value in (("--threads", "8"), ("--covariates", "cov.csv")):
+        with pytest.raises(SystemExit) as exc:
+            main(with_panel + [flag, value])
+        assert exc.value.code == 2
+        capsys.readouterr()
+    cfg = tmp_path / "old.yaml"
+    for key in ("threads", "covariates"):
+        cfg.write_text(f"{key}: 8\n")
+        code, _, err = _run(with_panel + ["--config", str(cfg)], capsys)
+        assert code == 2 and key in err
+
+    # a panel document that carries covariates is invalid data
+    doc = json.loads((tmp_path / "panel.json").read_text())
+    assert "covariates" not in doc
+    doc["covariates"] = [[[1.0]] * 4] * 20
+    bad = tmp_path / "cov_panel.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = _run(base + ["--panel", str(bad)], capsys)
+    assert code == 3 and "covariates" in err
+
+
 def test_missing_required_keys_are_usage_errors(tmp_path, capsys):
     code, _, err = _run(["synth", "--n", "4", "--m", "2"], capsys)
     assert code == 2 and "T" in err

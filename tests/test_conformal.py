@@ -242,8 +242,9 @@ def test_interval_clamp_is_reporting_only():
     q = QuantileEstimate(q=np.array([2.0]), method="empirical")
     f = build_interval(scen, q, np.ones(1), topo, alpha=0.05)
     assert f.lower[0] == -2.0
-    assert f.lower_clamped[0] == 0.0
-    assert f.upper[0] == 3.0
+    rows = list(f.unit_bounds(("c0",), ("s0",)))
+    assert rows == [("circuit", "c0", 0, -2.0, 0.0, 3.0),
+                    ("substation", "s0", 0, -2.0, 0.0, 3.0)]
 
 
 def test_interval_rejects_inverted_bounds():

@@ -12,7 +12,6 @@ from hstconformal import (
     PreconditionError,
     SplitSpec,
     generate_synthetic,
-    ingest_covariates,
     ingest_events,
     make_bin_grid,
     split,
@@ -229,34 +228,16 @@ def test_event_round_trip_is_exact(tmp_path):
     assert back.bin_start_times == panel.bin_start_times
 
 
-# -- covariates ------------------------------------------------------------------
+# -- covariates (the model has none) ---------------------------------------------
 
-def test_covariates_zero_fill_and_placement(tmp_path):
-    topo = _topo2()
-    grid = make_bin_grid("2020-01-01", 3, "6M")
-    p = tmp_path / "cov.csv"
-    p.write_text(
-        "circuit_id,bin_start,cov_temp,cov_load\n"
-        "ca,2020-07-01,1.5,-2.0\n"
-        "cb,2021-01-01,0.25,4.0\n"
-    )
-    Z = ingest_covariates(p, topo, grid)
-    assert Z.shape == (3, 2, 2)
-    assert Z[1, 0].tolist() == [1.5, -2.0]
-    assert Z[2, 1].tolist() == [0.25, 4.0]
-    assert Z.sum() == 1.5 - 2.0 + 0.25 + 4.0
-
-
-def test_covariates_reject_off_grid_and_unknown(tmp_path):
-    topo = _topo2()
-    grid = make_bin_grid("2020-01-01", 3, "6M")
-    p = tmp_path / "cov.csv"
-    p.write_text("circuit_id,bin_start,cov_x\nca,2020-05-01,1.0\n")
-    with pytest.raises(DataValidationError, match="grid"):
-        ingest_covariates(p, topo, grid)
-    p.write_text("circuit_id,bin_start,cov_x\nzz,2020-07-01,1.0\n")
-    with pytest.raises(DataValidationError, match="zz"):
-        ingest_covariates(p, topo, grid)
+def test_panel_json_rejects_covariates():
+    panel, _, _ = generate_synthetic(3, 1, 4, seed=1)
+    doc = panel.to_dict()
+    assert "covariates" not in doc
+    back = CountPanel.from_dict(dict(doc, covariates=None))
+    assert np.array_equal(back.Y, panel.Y)
+    with pytest.raises(DataValidationError, match="covariates"):
+        CountPanel.from_dict(dict(doc, covariates=[[[1.5]] * 3] * 4))
 
 
 # -- synthetic generation ----------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hstconformal import (
+    DataValidationError,
     FitConfig,
     HawkesModel,
     NumericalError,
@@ -18,6 +19,7 @@ from hstconformal import (
     simulate_bin,
     simulate_trajectory,
 )
+from hstconformal import _kernels
 from hstconformal.hawkes import _softplus, _softplus_inv
 
 
@@ -72,12 +74,6 @@ def test_intensity_monotone_in_history_counts():
         h2[-1] += 1
         hi = intensity(m, h2)
         assert np.all(hi >= lo - 1e-12)
-
-
-def test_intensity_scales_with_covariate_multiplier():
-    m = _model([0.5, 1.0], np.zeros((2, 2)))
-    lam = intensity(m, None, base_mult_row=np.array([2.0, 0.5]))
-    assert np.allclose(lam, [1.0, 0.5])
 
 
 # -- likelihood --------------------------------------------------------------
@@ -225,13 +221,6 @@ def test_gradient_raises_where_likelihood_not_finite():
         log_likelihood_gradient(m, np.array([[2]]))
 
 
-def test_gradient_rejects_covariate_channel():
-    m = HawkesModel(mu=np.array([1.0]), A=np.zeros((1, 1)), beta=1.0,
-                    cov_coef=np.array([0.5]))
-    with pytest.raises(PreconditionError):
-        log_likelihood_gradient(m, np.zeros((3, 1), dtype=int))
-
-
 def test_gradient_cap_is_zero_when_cap_infinite():
     m = _model([1.0], [[0.1]])
     g = log_likelihood_gradient(m, np.array([[1], [2], [0]]))
@@ -286,6 +275,23 @@ def test_fit_same_substation_mask_zeroes_cross_group_coupling():
     S = topo.shared_membership()
     assert np.all(m.A[S == 0] == 0.0)
     assert np.any(m.A[S == 1] > 0.0)
+
+
+def test_fit_evaluates_the_objective_once_per_epoch(monkeypatch):
+    # each trial point gets its likelihood and gradient in one evaluation, and
+    # the gradient is reused for the next step once the point is accepted
+    calls = {"loglik_grads": 0, "loglik_value": 0}
+    for name in calls:
+        def counted(*args, _name=name, _orig=getattr(_kernels.ACTIVE, name)):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(_kernels.ACTIVE, name, counted)
+    panel, topo, _ = generate_synthetic(4, 2, 60, seed=8)
+    epochs = 25
+    m = fit(panel, topo, FitConfig(epochs=epochs, seed=5))
+    # every epoch ran and none halved its step, else there would be more calls
+    assert m.meta.epochs_run == epochs and not m.meta.converged
+    assert calls == {"loglik_grads": epochs + 1, "loglik_value": 0}
 
 
 def test_fit_rejects_tiny_panels():
@@ -379,6 +385,14 @@ def test_model_save_load_round_trip_is_value_exact(tmp_path):
     p2 = tmp_path / "inf.json"
     inf_model.save(p2)
     assert math.isinf(HawkesModel.load(p2).sat.cap)
+
+
+def test_model_json_rejects_cov_coef():
+    doc = _model([1.0], [[0.0]]).to_dict()
+    assert "cov_coef" not in doc
+    assert HawkesModel.from_dict(dict(doc, cov_coef=None)).n == 1
+    with pytest.raises(DataValidationError, match="cov_coef"):
+        HawkesModel.from_dict(dict(doc, cov_coef=[0.5]))
 
 
 def test_explosive_parameters_warn():

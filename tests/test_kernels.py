@@ -76,11 +76,10 @@ def test_simulate_counts_bit_identical_across_paths():
         A = rng.uniform(0.0, 0.5 / n, size=(n, n))
         beta = 1.0
         g0 = rng.uniform(0.0, 1.0, size=n)
-        base = np.ones((6, n))
         gj = np.random.Generator(np.random.PCG64(trial))
         gp = np.random.Generator(np.random.PCG64(trial))
-        yj = K.JIT.simulate_counts(gj, mu, A, beta, np.inf, 0.0, g0, 0.0, base, 6)
-        yp = K.PURE.simulate_counts(gp, mu, A, beta, np.inf, 0.0, g0, 0.0, base, 6)
+        yj = K.JIT.simulate_counts(gj, mu, A, beta, np.inf, 0.0, g0, 0.0, 6)
+        yp = K.PURE.simulate_counts(gp, mu, A, beta, np.inf, 0.0, g0, 0.0, 6)
         assert np.array_equal(yj, yp)
         assert gj.random() == gp.random()
 
