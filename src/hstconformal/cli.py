@@ -123,8 +123,12 @@ def _build_config(args) -> RunConfig:
         for key, value in raw.items():
             if key not in _FIELD_TYPES:
                 raise PreconditionError(f"unknown config key {key!r}")
-            if value is not None:
+            if value is None:
+                continue
+            try:
                 values[key] = _FIELD_TYPES[key](value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+                raise PreconditionError(f"config key {key!r}: {exc}") from None
     for key in _FIELD_TYPES:
         override = getattr(args, key, None)
         if override is not None:
@@ -281,8 +285,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        # argparse exits 2 on a usage error and 0 after --help
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         cfg = _build_config(args)
         return _COMMANDS[args.command](cfg)

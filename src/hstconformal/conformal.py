@@ -1,14 +1,14 @@
 """Substation-aware conformal calibration and hierarchical intervals.
 
-One calibration score per circuit per bin: the smallest (over K scenarios)
-substation maximum error, i.e. the largest standardized absolute residual
-among the circuits sharing that circuit's substation.  Scores are constant
-across members of a substation by construction.
+One calibration score per substation per bin: the smallest (over K
+scenarios) substation maximum error, i.e. the largest standardized absolute
+residual among the substation's circuits.  Scores and quantiles are
+substation rows; `to_circuits` is the one place they reach the circuits.
 
-Intervals de-standardize the calibrated quantile per circuit and wrap the
-scenario min/max envelope; substation bounds aggregate the RAW circuit
-bounds so the Cᵀ relationship is exact.  The nonnegativity clamp on lower
-bounds exists only in the reported view.
+Intervals de-standardize each substation quantile by the circuit's own scale
+and wrap the scenario min/max envelope; substation bounds aggregate the RAW
+circuit bounds so the Cᵀ relationship is exact.  The nonnegativity clamp on
+lower bounds exists only in the reported view.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ _QUANTILE_METHODS = ("empirical", "qr")
 
 @dataclass(frozen=True, eq=False)
 class ScoreSet:
-    """Per-circuit calibration score sequences in time order."""
+    """Per-substation score sequences in time order (``topo.substation_ids`` rows)."""
 
-    scores: np.ndarray  # (n, n_cal)
+    scores: np.ndarray  # (m, n_cal)
     scale: np.ndarray  # (n,)
     alpha: float
 
@@ -40,9 +40,7 @@ class ScoreSet:
         s = np.ascontiguousarray(self.scores, dtype=np.float64)
         sc = np.ascontiguousarray(self.scale, dtype=np.float64)
         if s.ndim != 2:
-            raise PreconditionError("scores must be (circuits, calibration bins)")
-        if sc.shape != (s.shape[0],):
-            raise PreconditionError("one scale entry per circuit required")
+            raise PreconditionError("scores must be (substations, calibration bins)")
         if not np.isfinite(s).all() or (s < 0).any():
             raise PreconditionError("scores must be finite and nonnegative")
         if (sc < 1.0).any():
@@ -56,21 +54,22 @@ class ScoreSet:
 
     @property
     def n(self) -> int:
-        return self.scores.shape[0]
+        return self.scores.shape[0]  # rows: one per substation
 
     @property
     def n_cal(self) -> int:
         return self.scores.shape[1]
 
     def extend(self, new_scores) -> "ScoreSet":
-        """Append one bin's score column (time order preserved)."""
-        col = np.asarray(new_scores, dtype=np.float64).reshape(self.n, 1)
-        return ScoreSet(np.hstack([self.scores, col]), self.scale, self.alpha)
+        """Append one bin's (m,) score column (time order preserved)."""
+        return ScoreSet(np.column_stack([self.scores, new_scores]), self.scale, self.alpha)
 
 
 @dataclass(frozen=True, eq=False)
 class QuantileEstimate:
-    q: np.ndarray  # (n,)
+    """One calibrated quantile per substation."""
+
+    q: np.ndarray  # (m,)
     method: str
 
     def __post_init__(self):
@@ -156,12 +155,9 @@ def nonconformity_score(y_t, scenarios, S_row, scale) -> float:
 
 
 def score_bin(y_t, scenarios, topo: NetworkTopology, scale) -> np.ndarray:
-    """All-circuit scores for one bin; constant within each substation."""
+    """One bin's (m,) scores, one per substation in ``topo.substation_ids`` order."""
     samples = np.asarray(getattr(scenarios, "samples", scenarios), dtype=np.float64)
-    out = np.empty(topo.n)
-    for idx in topo.members:
-        out[idx] = nonconformity_score(y_t, samples, idx, scale)
-    return out
+    return np.array([nonconformity_score(y_t, samples, idx, scale) for idx in topo.members])
 
 
 def calibrate(panel, model: _hawkes.HawkesModel, topo: NetworkTopology, cal_bins,
@@ -178,13 +174,16 @@ def calibrate(panel, model: _hawkes.HawkesModel, topo: NetworkTopology, cal_bins
         raise PreconditionError(f"panel has {Y.shape[1]} circuits, model has {model.n}")
     if topo.n != model.n:
         raise PreconditionError("topology and model disagree on circuit count")
+    empty = [sid for sid, idx in zip(topo.substation_ids, topo.members) if idx.size == 0]
+    if empty:
+        raise PreconditionError(f"cannot score substations with no circuits: {empty}")
     if model.meta is not None and b0 < model.meta.n_train_bins:
         raise PreconditionError(
             f"calibration bins [{b0}, {b1}) overlap the {model.meta.n_train_bins} "
             "training bins"
         )
     scale = training_scale(Y[:b0])
-    scores = np.empty((model.n, b1 - b0))
+    scores = np.empty((topo.m, b1 - b0))
     for t in range(b0, b1):
         scen = _hawkes.simulate_bin(
             model, Y[:t], t=t, K=K, seed=_rng.derive(seed, "cal", t),
@@ -204,7 +203,7 @@ def _conformal_rank(alpha: float, n_cal: int) -> int:
 def empirical_quantile(scores: ScoreSet) -> QuantileEstimate:
     """Split-conformal empirical quantile at rank ceil((1-alpha)(n_cal+1))."""
     if scores.n_cal < 1:
-        raise PreconditionError("need at least one calibration score per circuit")
+        raise PreconditionError("need at least one calibration score per substation")
     rank = _conformal_rank(scores.alpha, scores.n_cal)
     q = np.sort(scores.scores, axis=1)[:, rank - 1]
     return QuantileEstimate(q=q, method="empirical")
@@ -242,7 +241,7 @@ def _pinball_fit(D, y, tau, tol=1e-6, max_iter=2000, lr=0.02):
 def qr_quantile(scores: ScoreSet, window: int = 10) -> QuantileEstimate:
     """Conditional quantile by linear pinball regression on recent scores.
 
-    Per circuit, each sliding window of `window` scores predicts the next
+    Per substation, each sliding window of `window` scores predicts the next
     score at level 1-alpha; the fitted model is evaluated on the most recent
     window.  Negative predictions are clamped to 0.
     """
@@ -251,14 +250,12 @@ def qr_quantile(scores: ScoreSet, window: int = 10) -> QuantileEstimate:
     if scores.n_cal < window + 1:
         raise PreconditionError(
             f"quantile regression needs at least window+1={window + 1} scores per "
-            f"circuit, have {scores.n_cal}; use empirical_quantile instead"
+            f"substation, have {scores.n_cal}; use empirical_quantile instead"
         )
     tau = 1.0 - scores.alpha
-    n, n_cal = scores.n, scores.n_cal
-    q = np.empty(n)
-    for i in range(n):
-        seq = scores.scores[i]
-        nwin = n_cal - window
+    nwin = scores.n_cal - window
+    q = np.empty(scores.n)
+    for i, seq in enumerate(scores.scores):
         X = np.lib.stride_tricks.sliding_window_view(seq, window)[:nwin]
         y = seq[window:]
         mean = X.mean(axis=0)
@@ -271,16 +268,21 @@ def qr_quantile(scores: ScoreSet, window: int = 10) -> QuantileEstimate:
     return QuantileEstimate(q=q, method="quantile_regression")
 
 
+def to_circuits(rows, topo: NetworkTopology, scale=1.0) -> np.ndarray:
+    """Substation rows as circuit rows times scale: margin = substation q * own scale."""
+    return np.asarray(rows)[topo.substation_of] * scale
+
+
 def build_interval(scenarios, q: QuantileEstimate, scale, topo: NetworkTopology,
                    alpha: float, t=None) -> IntervalForecast:
-    """Scenario min/max envelope widened by the de-standardized quantile."""
+    """Scenario min/max envelope widened by (m,) quantiles times (n,) circuit scales."""
     samples = np.asarray(getattr(scenarios, "samples", scenarios), dtype=np.float64)
     if samples.ndim != 2 or samples.shape[1] != topo.n:
         raise PreconditionError("scenarios must be (K, n) matching the topology")
     s = np.asarray(scale, dtype=np.float64)
-    if q.q.shape != (topo.n,) or s.shape != (topo.n,):
-        raise PreconditionError("quantile/scale length must match circuit count")
-    margin = q.q * s
+    if q.q.shape != (topo.m,) or s.shape != (topo.n,):
+        raise PreconditionError("need one quantile per substation and one scale per circuit")
+    margin = to_circuits(q.q, topo, s)
     lower = samples.min(axis=0) - margin
     upper = samples.max(axis=0) + margin
     if t is None:
@@ -417,8 +419,8 @@ def hst_conformal_pipeline(panel, topo: NetworkTopology, t0: int,
         circuit_ids=getattr(panel, "circuit_ids", None) or
         (model.circuit_ids if model.circuit_ids else None),
         scale=scores.scale,
-        scores=scores.scores,
-        quantiles=qest.q,
+        scores=to_circuits(scores.scores, topo),
+        quantiles=to_circuits(qest.q, topo),
         target_bin=T,
         target_scenarios=np.asarray(scen.samples),
         model_meta=None if model.meta is None else asdict(model.meta),

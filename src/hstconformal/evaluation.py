@@ -23,6 +23,7 @@ from .conformal import (
     _quantile_for,
     build_interval,
     score_bin,
+    to_circuits,
 )
 from .data import CountPanel, SplitSpec
 from .errors import PreconditionError
@@ -209,7 +210,7 @@ def horizon_forecast(panel: CountPanel, topo: NetworkTopology, t0: int,
     T = panel.T
     model, scores = _prepare(panel, topo, t0, settings, seed)
     qest = _quantile_for(scores, settings)
-    margin = qest.q * scores.scale
+    margin = to_circuits(qest.q, topo, scores.scale)
 
     traj = _hawkes.simulate_trajectory(
         model, Y, horizon=horizon, K=settings.K, seed=_rng.derive(seed, "target"),

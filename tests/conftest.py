@@ -1,6 +1,16 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from hstconformal import PipelineSettings, generate_synthetic
+
+# pyproject's pythonpath puts src/ on this process's path only; the tests that
+# start `python -m hstconformal.cli` or `python -c` need it in PYTHONPATH too
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 @pytest.fixture(scope="session")

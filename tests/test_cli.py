@@ -4,7 +4,6 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 from hstconformal.cli import main
 
@@ -211,6 +210,18 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     code, _, err = _run(["synth", "--config", str(cfg)], capsys)
     assert code == 3
 
+    # a config value of the wrong type is a usage error naming the key
+    for text, key in (("alpha: abc\n", "alpha"), ("fit_cap: maybe\n", "fit_cap")):
+        cfg.write_text(text)
+        code, _, err = _run(["synth", "--config", str(cfg)], capsys)
+        assert code == 2 and f"config key '{key}'" in err
+
+    # argparse usage errors return 2 instead of raising SystemExit; --help is 0
+    code, _, err = _run(["synth", "--bogus", "1"], capsys)
+    assert code == 2 and "--bogus" in err
+    code, out, _ = _run(["synth", "--help"], capsys)
+    assert code == 0 and "--config" in out
+
 
 def test_covariates_and_threads_are_rejected(tmp_path, capsys):
     # the model has no covariate term and the package runs on one thread
@@ -219,10 +230,8 @@ def test_covariates_and_threads_are_rejected(tmp_path, capsys):
             "--t0", "11", "--out", str(tmp_path / "fc")]
     with_panel = base + ["--panel", str(tmp_path / "panel.json")]
     for flag, value in (("--threads", "8"), ("--covariates", "cov.csv")):
-        with pytest.raises(SystemExit) as exc:
-            main(with_panel + [flag, value])
-        assert exc.value.code == 2
-        capsys.readouterr()
+        code, _, err = _run(with_panel + [flag, value], capsys)
+        assert code == 2 and flag in err
     cfg = tmp_path / "old.yaml"
     for key in ("threads", "covariates"):
         cfg.write_text(f"{key}: 8\n")

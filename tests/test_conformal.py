@@ -24,6 +24,7 @@ from hstconformal import (
     simulate_bin,
     training_scale,
 )
+from hstconformal import conformal as _conformal
 from hstconformal import rng as _rng
 from hstconformal.hawkes import FitConfig, HawkesModel
 
@@ -124,9 +125,11 @@ def test_score_bin_constant_within_substation():
     scen = rng.integers(0, 12, size=(4, 5))
     s = rng.uniform(1.0, 2.0, size=5)
     out = score_bin(y, scen, topo, s)
-    for idx in topo.members:
-        assert np.all(out[idx] == out[idx[0]])
-        assert out[idx[0]] == nonconformity_score(y, scen, idx, s)
+    assert out.shape == (topo.m,)
+    per_circuit = _conformal.to_circuits(out, topo)
+    for j, idx in enumerate(topo.members):
+        assert np.all(per_circuit[idx] == out[j])
+        assert out[j] == nonconformity_score(y, scen, idx, s)
 
 
 def test_training_scale_clamps_at_one():
@@ -219,7 +222,7 @@ def test_interval_hand_example():
 def test_interval_degenerate_single_scenario_zero_quantile():
     topo = _topo([0, 0])
     scen = np.array([[3, 7]])
-    q = QuantileEstimate(q=np.zeros(2), method="empirical")
+    q = QuantileEstimate(q=np.zeros(1), method="empirical")
     f = build_interval(scen, q, np.ones(2), topo, alpha=0.05)
     assert np.array_equal(f.lower, [3.0, 7.0])
     assert np.array_equal(f.upper, [3.0, 7.0])
@@ -229,11 +232,24 @@ def test_interval_degenerate_single_scenario_zero_quantile():
 def test_interval_substation_rows_are_member_sums():
     topo = _topo([0, 0, 1])
     scen = np.array([[1, 2, 3], [4, 0, 5]])
-    q = QuantileEstimate(q=np.array([1.0, 2.0, 0.5]), method="empirical")
+    q = QuantileEstimate(q=np.array([1.5, 0.5]), method="empirical")
     s = np.array([1.0, 2.0, 1.0])
     f = build_interval(scen, q, s, topo, alpha=0.05)
+    assert np.array_equal(f.lower, [1.0 - 1.5, 0.0 - 3.0, 3.0 - 0.5])
     assert np.allclose(f.sub_lower, [f.lower[0] + f.lower[1], f.lower[2]])
     assert np.allclose(f.sub_upper, [f.upper[0] + f.upper[1], f.upper[2]])
+
+
+def test_interval_needs_one_quantile_per_substation():
+    topo = _topo([0, 0, 1])
+    scen = np.array([[1, 2, 3]])
+    per_circuit = QuantileEstimate(q=np.ones(3), method="empirical")
+    with pytest.raises(PreconditionError, match="one quantile per substation"):
+        build_interval(scen, per_circuit, np.ones(3), topo, alpha=0.05)
+    per_substation = QuantileEstimate(q=np.ones(2), method="empirical")
+    with pytest.raises(PreconditionError, match="one scale per circuit"):
+        build_interval(scen, per_substation, np.ones(2), topo, alpha=0.05)
+    assert build_interval(scen, per_substation, np.ones(3), topo, alpha=0.05).t == 0
 
 
 def test_interval_clamp_is_reporting_only():
@@ -265,10 +281,22 @@ def test_calibrate_zero_model_scores_standardized_group_max():
     ss = calibrate(Y, model, topo, (2, 4), K=3, seed=0)
     # zero model simulates all-zero scenarios; scale is 1 everywhere here
     assert ss.n_cal == 2
+    assert ss.scores.shape == (topo.m, 2)
     assert np.all(ss.scale == np.maximum(1.0, Y[:2].std(axis=0)))
-    assert ss.scores[0, 0] == 5.0 and ss.scores[1, 0] == 5.0  # max(2, 5)
-    assert ss.scores[2, 0] == 1.0
-    assert ss.scores[2, 1] == 4.0
+    assert ss.scores[0, 0] == 5.0  # max(2, 5) over substation s0
+    assert ss.scores[1, 0] == 1.0
+    assert ss.scores[1, 1] == 4.0
+
+
+def test_calibrate_names_empty_substations():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        topo = NetworkTopology(("a", "b"), ("s0", "s1", "s2"),
+                               np.array([[1, 0, 0], [0, 0, 1]]))
+    model = HawkesModel(mu=np.zeros(2), A=np.zeros((2, 2)), beta=1.0)
+    Y = np.array([[0, 0], [1, 0], [2, 5]])
+    with pytest.raises(PreconditionError, match=r"no circuits: \['s1'\]"):
+        calibrate(Y, model, topo, (2, 3), K=2, seed=0)
 
 
 def test_calibrate_matches_manual_recount(small_triple):
@@ -289,6 +317,33 @@ def test_calibrate_rejects_overlap_with_training(small_triple):
     model = fit(panel.rows(0, 40), topo, FitConfig(epochs=30, seed=0))
     with pytest.raises(PreconditionError, match="overlap"):
         calibrate(panel, model, topo, (30, 50), K=3, seed=0)
+
+
+def test_quantiles_fit_once_per_substation_and_match_per_circuit_rows(monkeypatch):
+    # each substation's score row is fitted once, and broadcasting the
+    # substation quantiles reproduces quantiles computed on one row per circuit
+    panel, topo, _ = generate_synthetic(8, 3, 60, seed=4)
+    model = fit(panel.rows(0, 20), topo, FitConfig(epochs=40, seed=0))
+    ss = calibrate(panel, model, topo, (20, 60), K=5, seed=1)
+    assert ss.scores.shape == (3, 40)
+    per_circuit = ScoreSet(scores=_conformal.to_circuits(ss.scores, topo),
+                           scale=ss.scale, alpha=ss.alpha)
+    assert per_circuit.n == 8
+    for quantile in (empirical_quantile, qr_quantile):
+        assert np.array_equal(_conformal.to_circuits(quantile(ss).q, topo),
+                              quantile(per_circuit).q)
+
+    fits = []
+    qr_calls = []
+    pinball_fit, qr = _conformal._pinball_fit, _conformal.qr_quantile
+    monkeypatch.setattr(_conformal, "_pinball_fit",
+                        lambda *a, **k: fits.append(1) or pinball_fit(*a, **k))
+    monkeypatch.setattr(_conformal, "qr_quantile",
+                        lambda *a, **k: qr_calls.append(1) or qr(*a, **k))
+    settings = PipelineSettings(quantile_method="qr", epochs=40)
+    hst_conformal_pipeline(panel, topo, t0=21, settings=settings, seed=0)
+    assert len(qr_calls) == 1
+    assert len(fits) == topo.m * len(qr_calls)
 
 
 def test_score_set_extend_appends_column():
