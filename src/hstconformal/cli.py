@@ -21,7 +21,9 @@ import yaml
 from . import conformal as _conformal
 from . import data as _data
 from . import evaluation as _evaluation
-from .errors import DataValidationError, HstcError, NumericalError, PreconditionError
+from .errors import (
+    DataValidationError, HstcError, NumericalError, PreconditionError, read_text,
+)
 from .topology import NetworkTopology
 
 
@@ -58,7 +60,6 @@ class RunConfig:
     n: int | None = None
     m: int | None = None
     T: int | None = None
-    preset: str = "small"
     cap: float = math.inf
     start: str = "2020-01-01"
     end: str | None = None
@@ -92,7 +93,7 @@ class RunConfig:
 
 _FIELD_TYPES = {
     "events": str, "topology": str, "panel": str, "out": str,
-    "n": int, "m": int, "T": int, "preset": str, "cap": _parse_cap,
+    "n": int, "m": int, "T": int, "cap": _parse_cap,
     "start": str, "end": str, "bin_length": str,
     "alpha": float, "K": int, "epochs": int, "learning_rate": float,
     "quantile_method": str, "qr_window": int, "t0": int, "test_len": int,
@@ -101,10 +102,20 @@ _FIELD_TYPES = {
 }
 
 
+def _config_value(key, value):
+    # YAML gives typed scalars that int() and float() would silently truncate
+    # or coerce; a flag's text goes through the converter unchecked
+    conv = _FIELD_TYPES[key]
+    if conv in (int, float, _parse_cap) and isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    if conv is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return conv(value)
+
+
 def _load_config_file(path) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+        doc = yaml.safe_load(read_text(path))
     except OSError as exc:
         raise PreconditionError(f"cannot read config {path}: {exc}") from None
     except yaml.YAMLError as exc:
@@ -126,7 +137,7 @@ def _build_config(args) -> RunConfig:
             if value is None:
                 continue
             try:
-                values[key] = _FIELD_TYPES[key](value)
+                values[key] = _config_value(key, value)
             except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
                 raise PreconditionError(f"config key {key!r}: {exc}") from None
     for key in _FIELD_TYPES:
@@ -190,7 +201,7 @@ def cmd_synth(cfg: RunConfig) -> int:
     _require(cfg, "n", "m", "T")
     panel, topo, truth = _staged(
         "synthesize", _data.generate_synthetic,
-        cfg.n, cfg.m, cfg.T, seed=cfg.seed, preset=cfg.preset, cap=cfg.cap,
+        cfg.n, cfg.m, cfg.T, seed=cfg.seed, cap=cfg.cap,
         start=cfg.start, bin_length=cfg.bin_length,
     )
     _staged("write outputs", panel.save, _outpath(cfg, "panel.json"))

@@ -67,17 +67,18 @@ class ScoreSet:
 
 @dataclass(frozen=True, eq=False)
 class QuantileEstimate:
-    """One calibrated quantile per substation."""
+    """One calibrated quantile per substation, in ``topo.substation_ids`` order.
+
+    The estimator that produced it is the caller's choice
+    (``PipelineSettings.quantile_method``, recorded in ``AuditRecord``).
+    """
 
     q: np.ndarray  # (m,)
-    method: str
 
     def __post_init__(self):
         q = np.ascontiguousarray(self.q, dtype=np.float64)
         if q.ndim != 1 or (q < 0).any():
             raise PreconditionError("quantiles must be a nonnegative vector")
-        if self.method not in ("empirical", "quantile_regression"):
-            raise PreconditionError(f"unknown quantile method tag {self.method!r}")
         q.flags.writeable = False
         object.__setattr__(self, "q", q)
 
@@ -185,9 +186,7 @@ def calibrate(panel, model: _hawkes.HawkesModel, topo: NetworkTopology, cal_bins
     scale = training_scale(Y[:b0])
     scores = np.empty((topo.m, b1 - b0))
     for t in range(b0, b1):
-        scen = _hawkes.simulate_bin(
-            model, Y[:t], t=t, K=K, seed=_rng.derive(seed, "cal", t),
-        )
+        scen = _hawkes.simulate_bin(model, Y[:t], K=K, seed=_rng.derive(seed, "cal", t))
         scores[:, t - b0] = score_bin(Y[t], scen, topo, scale)
     return ScoreSet(scores=scores, scale=scale, alpha=alpha)
 
@@ -206,7 +205,7 @@ def empirical_quantile(scores: ScoreSet) -> QuantileEstimate:
         raise PreconditionError("need at least one calibration score per substation")
     rank = _conformal_rank(scores.alpha, scores.n_cal)
     q = np.sort(scores.scores, axis=1)[:, rank - 1]
-    return QuantileEstimate(q=q, method="empirical")
+    return QuantileEstimate(q=q)
 
 
 def _pinball_loss(theta, D, y, tau):
@@ -265,7 +264,7 @@ def qr_quantile(scores: ScoreSet, window: int = 10) -> QuantileEstimate:
         theta = _pinball_fit(D, y, tau)
         x_last = (seq[-window:] - mean) / std
         q[i] = max(0.0, float(x_last @ theta[:-1] + theta[-1]))
-    return QuantileEstimate(q=q, method="quantile_regression")
+    return QuantileEstimate(q=q)
 
 
 def to_circuits(rows, topo: NetworkTopology, scale=1.0) -> np.ndarray:
@@ -406,9 +405,7 @@ def hst_conformal_pipeline(panel, topo: NetworkTopology, t0: int,
     T = Y.shape[0]
     model, scores = _prepare(panel, topo, t0, settings, seed)
     qest = _quantile_for(scores, settings)
-    scen = _hawkes.simulate_bin(
-        model, Y, t=T, K=settings.K, seed=_rng.derive(seed, "target"),
-    )
+    scen = _hawkes.simulate_bin(model, Y, K=settings.K, seed=_rng.derive(seed, "target"))
     forecast = build_interval(scen, qest, scores.scale, topo, settings.alpha, t=T)
     audit = AuditRecord(
         t0=t0,

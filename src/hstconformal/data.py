@@ -8,6 +8,7 @@ An event exactly on a boundary belongs to the later bin.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 import warnings
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import hawkes as _hawkes
 from . import rng as _rng
-from .errors import DataValidationError, PreconditionError
+from .errors import DataValidationError, PreconditionError, read_text
 from .topology import NetworkTopology
 
 _PANEL_FORMAT = "hstconformal-panel-v1"
@@ -131,15 +132,29 @@ class CountPanel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CountPanel":
+        if not isinstance(doc, dict):
+            raise DataValidationError("panel document must be a JSON object")
         if doc.get("format") != _PANEL_FORMAT:
             raise DataValidationError(f"unsupported panel format {doc.get('format')!r}")
         if doc.get("covariates") is not None:
             raise DataValidationError("panel has covariates; the model has no covariate term")
-        cids = doc.get("circuit_ids")
+        times, cids = doc.get("bin_start_times"), doc.get("circuit_ids")
+        if not isinstance(times, list):
+            raise DataValidationError("bin_start_times must be a list of dates")
+        if cids is not None and not isinstance(cids, list):
+            raise DataValidationError("circuit_ids must be a list")
+        try:
+            Y = np.array(doc.get("counts"))
+        except ValueError:  # ragged rows
+            Y = None
+        # integral floats go on to the constructor's check; a missing key,
+        # ragged rows, strings, nulls and booleans stop here
+        if Y is None or Y.dtype.kind not in "iuf":
+            raise DataValidationError("counts must be a rectangular matrix of integers")
         return cls(
-            Y=np.array(doc["counts"], dtype=np.int64),
-            bin_start_times=tuple(doc["bin_start_times"]),
-            bin_length=doc["bin_length"],
+            Y=Y,
+            bin_start_times=tuple(times),
+            bin_length=doc.get("bin_length"),
             circuit_ids=None if cids is None else tuple(cids),
         )
 
@@ -150,8 +165,16 @@ class CountPanel:
 
     @classmethod
     def load(cls, path) -> "CountPanel":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            doc = json.loads(read_text(path))
+        except json.JSONDecodeError as exc:
+            raise DataValidationError(
+                f"{path}:{exc.lineno}: not a JSON document: {exc.msg}"
+            ) from None
+        try:
+            return cls.from_dict(doc)
+        except DataValidationError as exc:
+            raise DataValidationError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -190,6 +213,10 @@ def _parse_timestamp(text: str, where: str):
         ts = datetime.fromisoformat(text.strip())
     except ValueError:
         raise DataValidationError(f"{where}: unparseable timestamp {text!r}") from None
+    if ts.tzinfo is not None:
+        raise DataValidationError(
+            f"{where}: timestamp {text!r} has a UTC offset; bins are on local dates"
+        )
     return ts
 
 
@@ -221,7 +248,7 @@ def ingest_events(events_file, topo: NetworkTopology, bin_length: str = "6M",
 
     unknown = set()
     dropped = 0
-    with open(events_file, newline="", encoding="utf-8") as fh:
+    with io.StringIO(read_text(events_file), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -285,12 +312,6 @@ def write_events(panel: CountPanel, path):
 # ---------------------------------------------------------------------------
 # Synthetic generation.
 
-_PRESETS = {
-    # mu range, uniform A scaled to this row sum over beta, beta
-    "small": {"mu_low": 0.2, "mu_high": 1.0, "row_sum": 0.5, "beta": 1.0},
-}
-
-
 def _synthetic_topology(n: int, m: int, gen) -> NetworkTopology:
     # round-robin assignment keeps every substation nonempty; the shuffle
     # decorrelates circuit index from substation
@@ -304,27 +325,25 @@ def _synthetic_topology(n: int, m: int, gen) -> NetworkTopology:
     )
 
 
-def _preset_model(preset: str, n: int, cap: float, floor: float, gen) -> _hawkes.HawkesModel:
-    if preset not in _PRESETS:
-        raise PreconditionError(f"unknown preset {preset!r}; have {sorted(_PRESETS)}")
-    p = _PRESETS[preset]
-    beta = p["beta"]
-    mu = gen.uniform(p["mu_low"], p["mu_high"], n)
+def _truth_model(n: int, cap: float, gen) -> _hawkes.HawkesModel:
+    # mu uniform on [0.2, 1); A uniform, each row scaled to sum 0.5 / beta;
+    # beta 1; saturation floor 0
+    beta = 1.0
+    mu = gen.uniform(0.2, 1.0, n)
     A = gen.uniform(0.0, 1.0, (n, n))
-    A *= (p["row_sum"] / beta) / A.sum(axis=1, keepdims=True)
-    return _hawkes.HawkesModel(
-        mu=mu, A=A, beta=beta,
-        sat=_hawkes.SaturationParams(cap=cap, floor=floor),
-    )
+    A *= (0.5 / beta) / A.sum(axis=1, keepdims=True)
+    return _hawkes.HawkesModel(mu=mu, A=A, beta=beta, sat=_hawkes.SaturationParams(cap=cap))
 
 
 def generate_synthetic(n: int, m: int, T: int, model: _hawkes.HawkesModel | None = None,
-                       seed: int = 0, preset: str = "small", cap: float = np.inf,
-                       floor: float = 0.0, start="2020-01-01", bin_length: str = "6M"):
+                       seed: int = 0, cap: float = np.inf, start="2020-01-01",
+                       bin_length: str = "6M"):
     """Random topology + ground-truth model + simulated panel.
 
-    Returns (panel, topology, truth model); deterministic given seed.  Pass
-    ``model`` to simulate from a fixed ground truth instead of the preset.
+    Returns (panel, topology, truth model); deterministic given seed.  The
+    default truth draws mu uniform on [0.2, 1), a uniform A with row sums
+    0.5, beta 1 and the given ``cap``; pass ``model`` to simulate from a
+    fixed ground truth instead.
     """
     if m < 1 or n < m:
         raise PreconditionError(f"need n >= m >= 1, got n={n}, m={m}")
@@ -332,7 +351,7 @@ def generate_synthetic(n: int, m: int, T: int, model: _hawkes.HawkesModel | None
         raise PreconditionError(f"need T >= 2 bins, got {T}")
     topo = _synthetic_topology(n, m, _rng.generator(seed, "synth", "topo"))
     if model is None:
-        truth = _preset_model(preset, n, cap, floor, _rng.generator(seed, "synth", "truth"))
+        truth = _truth_model(n, cap, _rng.generator(seed, "synth", "truth"))
     else:
         if model.n != n:
             raise PreconditionError(f"supplied model has n={model.n}, requested n={n}")

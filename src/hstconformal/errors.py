@@ -1,4 +1,7 @@
-"""Exception hierarchy, mapped to CLI exit codes by cli.main."""
+"""Exception hierarchy, mapped to CLI exit codes by cli.main.
+
+``read_text`` reads input files so that undecodable bytes are a data error.
+"""
 
 
 class HstcError(Exception):
@@ -15,3 +18,17 @@ class DataValidationError(HstcError):
 
 class NumericalError(HstcError):
     """A numerical procedure could not make progress (exit code 4)."""
+
+
+def read_text(path) -> str:
+    """The file's contents decoded as UTF-8.
+
+    Undecodable bytes raise DataValidationError naming the file and the line.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataValidationError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None

@@ -96,9 +96,8 @@ def rolling_evaluate(panel: CountPanel, topo: NetworkTopology, spec: SplitSpec,
                 settings.fit_config(_rng.derive(seed, "fit", t)),
             )
         qest = _quantile_for(scores, settings)
-        scen = _hawkes.simulate_bin(
-            model, Y[:t], t=t, K=settings.K, seed=_rng.derive(seed, "cal", t),
-        )
+        scen = _hawkes.simulate_bin(model, Y[:t], K=settings.K,
+                                    seed=_rng.derive(seed, "cal", t))
         iv = build_interval(scen, qest, scale, topo, settings.alpha, t=t)
         hits, shits = coverage_counts(iv, Y[t], topo)
 

@@ -36,6 +36,7 @@ _ADAM_B1 = 0.9
 _ADAM_B2 = 0.999
 _ADAM_EPS = 1e-8
 _MAX_HALVINGS = 60
+_CONVERGENCE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -54,23 +55,18 @@ class SaturationParams:
 
 @dataclass(frozen=True)
 class FitConfig:
+    """Adam epoch budget and step size, fit seed, and whether to fit the cap."""
+
     epochs: int = 1000
     learning_rate: float = 0.01
     seed: int = 0
-    convergence_tol: float = 1e-8
     fit_cap: bool = True
-    floor: float = 0.0
-    same_substation_only: bool = False
 
     def __post_init__(self):
         if self.epochs < 1:
             raise PreconditionError("epochs must be >= 1")
         if not self.learning_rate > 0:
             raise PreconditionError("learning_rate must be positive")
-        if self.convergence_tol < 0:
-            raise PreconditionError("convergence_tol must be nonnegative")
-        if not (0.0 <= self.floor < 1.0):
-            raise PreconditionError("floor must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -349,10 +345,9 @@ def _softplus_inv(x: float) -> float:
 class _Packer:
     """Flat packing of unconstrained parameters for the optimizer."""
 
-    def __init__(self, n: int, fit_cap: bool, mask: np.ndarray | None):
+    def __init__(self, n: int, fit_cap: bool):
         self.n = n
         self.fit_cap = fit_cap
-        self.mask = mask
 
     def pack(self, u_mu, u_A, u_beta, u_cap):
         parts = [u_mu, u_A.ravel(), [u_beta]]
@@ -368,30 +363,24 @@ class _Packer:
         cap = math.exp(float(u[n + n * n + 1])) if self.fit_cap else cap_fixed
         mu = np.exp(u_mu)
         A = np.exp(u_A)
-        if self.mask is not None:
-            A = A * self.mask
         beta = _softplus(u_beta)
         return mu, A, beta, cap
-
-    def pack_grads(self, g_mu, g_A, g_beta, g_cap):
-        if self.mask is not None:
-            g_A = g_A * self.mask
-        parts = [g_mu, g_A.ravel(), [g_beta]]
-        if self.fit_cap:
-            parts.append([g_cap])
-        return np.concatenate(parts)
 
 
 def fit(panel, topo, cfg: FitConfig = FitConfig()) -> HawkesModel:
     """Maximize the likelihood by adaptive-moment gradient ascent.
 
-    Parameters are optimized in unconstrained space (exponential map for mu,
-    A, cap; softplus for beta) from a scale-aware initialization with a
-    seeded +/-10% perturbation.  The returned model is the best point seen,
-    so its likelihood never falls below the initialization value.  Steps
-    that land on a non-finite likelihood are retried with halved length.
+    Fits mu, the full coupling matrix A, beta and, with ``cfg.fit_cap``,
+    the cap; the saturation floor is 0.  Parameters are optimized in
+    unconstrained space (exponential map for mu, A, cap; softplus for beta)
+    from a scale-aware initialization with a seeded +/-10% perturbation.
+    The returned model is the best point seen, so its likelihood never
+    falls below the initialization value.  Steps that land on a non-finite
+    likelihood are retried with halved length.
     Each trial point costs one objective evaluation: its gradient is taken
     together with its likelihood and drives the next step once accepted.
+    The fit stops early once the likelihood changes by at most
+    ``_CONVERGENCE_TOL`` relative to the previous epoch.
     """
     Y = _panel_counts(panel)
     T, n = Y.shape
@@ -413,20 +402,14 @@ def fit(panel, topo, cfg: FitConfig = FitConfig()) -> HawkesModel:
     # finite cap would bake a spurious downward trend into every intensity
     cap0 = max(2.0 * total, 1.0) * perturb() if cfg.fit_cap else math.inf
 
-    mask = None
-    if cfg.same_substation_only:
-        if topo is None:
-            raise PreconditionError("same_substation_only requires a topology")
-        mask = topo.shared_membership().astype(np.float64)
-
-    packer = _Packer(n, cfg.fit_cap, mask)
+    packer = _Packer(n, cfg.fit_cap)
     u = packer.pack(np.log(mu0), np.log(A0), _softplus_inv(float(beta0)),
                     math.log(cap0) if cfg.fit_cap else 0.0)
 
     def evaluate(uvec):
         mu, A, beta, cap = packer.unpack(uvec, cap0)
-        ll, grad = _objective(counts, mu, A, beta, cap, cfg.floor, 0, T)
-        return ll, None if grad is None else packer.pack_grads(*grad)
+        ll, grad = _objective(counts, mu, A, beta, cap, 0.0, 0, T)
+        return ll, None if grad is None else packer.pack(*grad)
 
     ll, grads = evaluate(u)
     if not math.isfinite(ll):
@@ -462,7 +445,7 @@ def fit(panel, topo, cfg: FitConfig = FitConfig()) -> HawkesModel:
 
         if ll > best_ll:
             best_ll, best_u = ll, u.copy()
-        if abs(ll - ll_prev) <= cfg.convergence_tol * (1.0 + abs(ll_prev)):
+        if abs(ll - ll_prev) <= _CONVERGENCE_TOL * (1.0 + abs(ll_prev)):
             converged = True
             break
         ll_prev = ll
@@ -480,7 +463,7 @@ def fit(panel, topo, cfg: FitConfig = FitConfig()) -> HawkesModel:
         mu=mu,
         A=A,
         beta=beta,
-        sat=SaturationParams(cap=cap, floor=cfg.floor),
+        sat=SaturationParams(cap=cap),
         circuit_ids=None if topo is None else tuple(topo.circuit_ids),
         meta=meta,
     )
@@ -489,16 +472,15 @@ def fit(panel, topo, cfg: FitConfig = FitConfig()) -> HawkesModel:
 # ---------------------------------------------------------------------------
 # Simulation.
 
-def simulate_bin(model: HawkesModel, history, t=None, K: int = 10,
-                 seed: int = 0) -> ScenarioSet:
+def simulate_bin(model: HawkesModel, history, K: int = 10, seed: int = 0) -> ScenarioSet:
     """K independent joint count draws for the bin after ``history``.
 
-    The first step of ``simulate_trajectory`` with the same seed; ``t``
-    defaults to the number of history bins.
+    The first step of ``simulate_trajectory`` with the same seed; the
+    returned ``t`` is the number of history bins, the index of the drawn bin.
     """
     h = _history_array(history, model.n)
     traj = simulate_trajectory(model, h, horizon=1, K=K, seed=seed)
-    return ScenarioSet(samples=traj[:, 0, :], t=h.shape[0] if t is None else int(t))
+    return ScenarioSet(samples=traj[:, 0, :], t=h.shape[0])
 
 
 def simulate_trajectory(model: HawkesModel, history, horizon: int, K: int = 10,

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DataValidationError
+from .errors import DataValidationError, read_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,11 +80,6 @@ class NetworkTopology:
         sub = self.substation_of
         return tuple(np.flatnonzero(sub == j) for j in range(self.m))
 
-    def shared_membership(self) -> np.ndarray:
-        """S = C·Cᵀ clamped to {0,1}: s_ii' = 1 iff i, i' share a substation."""
-        S = self.C @ self.C.T
-        return np.minimum(S, 1)
-
     def aggregate(self, v) -> np.ndarray:
         """Cᵀ·v along the last axis: substation j gets the sum of its members.
 
@@ -141,7 +137,7 @@ class NetworkTopology:
     @classmethod
     def from_csv(cls, path) -> "NetworkTopology":
         """Load a two-column mapping file with header circuit_id,substation_id."""
-        with open(path, newline="", encoding="utf-8") as fh:
+        with io.StringIO(read_text(path), newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

@@ -210,11 +210,58 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     code, _, err = _run(["synth", "--config", str(cfg)], capsys)
     assert code == 3
 
-    # a config value of the wrong type is a usage error naming the key
-    for text, key in (("alpha: abc\n", "alpha"), ("fit_cap: maybe\n", "fit_cap")):
+    # a config value of the wrong type is a usage error naming the key; YAML
+    # numbers are not truncated and booleans are not numbers
+    for text, key in (("alpha: abc\n", "alpha"), ("fit_cap: maybe\n", "fit_cap"),
+                      ("n: 4.7\nm: 2\nT: 20\n", "n"), ("n: 4\nm: true\nT: 20\n", "m"),
+                      ("K: 2.9\n", "K"), ("learning_rate: true\n", "learning_rate"),
+                      ("cap: false\n", "cap")):
         cfg.write_text(text)
         code, _, err = _run(["synth", "--config", str(cfg)], capsys)
         assert code == 2 and f"config key '{key}'" in err
+    cfg.write_text("n: 4.0\nm: 2\nT: 20\n")
+    code, out, _ = _run(["synth", "--config", str(cfg), "--out", str(tmp_path / "w")], capsys)
+    assert code == 0 and out.startswith("synth: n=4 m=2 T=20")
+
+    # malformed input files are data errors naming the file (and the line
+    # for events), not tracebacks
+    good = json.loads((tmp_path / "panel.json").read_text())
+    ragged = dict(good, counts=[[1, 2], [3]])
+    stringy = dict(good, counts=[["a"] * 4] * 20)
+    fractional = dict(good, counts=[[1.5] * 4] * 20)
+    no_counts = {k: v for k, v in good.items() if k != "counts"}
+    no_times = {k: v for k, v in good.items() if k != "bin_start_times"}
+    not_utf8 = b"\xff\xfe\x00bad"
+    cases = [  # (flag, file content, location the message must name)
+        ("--panel", b"{not json", ":1"),
+        ("--panel", b"[1, 2]", ""),
+        ("--panel", json.dumps(no_counts).encode(), ""),
+        ("--panel", json.dumps(no_times).encode(), ""),
+        ("--panel", json.dumps(dict(good, circuit_ids=5)).encode(), ""),
+        ("--panel", json.dumps(ragged).encode(), ""),
+        ("--panel", json.dumps(stringy).encode(), ""),
+        ("--panel", json.dumps(fractional).encode(), ""),
+        ("--panel", not_utf8, ":1"),
+        ("--topology", b"circuit_id,substation_id\nc000,s\xe9\n", ":2"),
+        ("--events", b"circuit_id,timestamp\nc000,2020-03-01\nc001,\xff\n", ":3"),
+        ("--events", b"circuit_id,timestamp\nc000,2020-03-01T00:00:00+00:00\n", ":2"),
+        ("--config", not_utf8, ":1"),
+    ]
+    for i, (flag, content, where) in enumerate(cases):
+        path = tmp_path / f"malformed_{i}"
+        path.write_bytes(content)
+        if flag == "--config":
+            argv = ["synth", "--config", str(path)]
+        else:
+            files = {"--panel": str(tmp_path / "panel.json"),
+                     "--topology": str(tmp_path / "topology.csv"), flag: str(path)}
+            if flag == "--events":
+                files.pop("--panel")
+                files["--end"] = "2030-01-01"
+            argv = ["run", *[x for kv in files.items() for x in kv],
+                    "--t0", "11", "--out", str(tmp_path / "o")]
+        code, _, err = _run(argv, capsys)
+        assert code == 3 and "data validation" in err and f"{path}{where}" in err, (i, err)
 
     # argparse usage errors return 2 instead of raising SystemExit; --help is 0
     code, _, err = _run(["synth", "--bogus", "1"], capsys)
@@ -224,17 +271,19 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
 
 
 def test_covariates_and_threads_are_rejected(tmp_path, capsys):
-    # the model has no covariate term and the package runs on one thread
+    # the model has no covariate term, the package runs on one thread and the
+    # synthetic generator has one truth model, not a choice of presets
     _synth(tmp_path, capsys, n=4, m=2, T=20)
     base = ["run", "--topology", str(tmp_path / "topology.csv"),
             "--t0", "11", "--out", str(tmp_path / "fc")]
     with_panel = base + ["--panel", str(tmp_path / "panel.json")]
-    for flag, value in (("--threads", "8"), ("--covariates", "cov.csv")):
-        code, _, err = _run(with_panel + [flag, value], capsys)
-        assert code == 2 and flag in err
+    removed = (("threads", "8"), ("covariates", "cov.csv"), ("preset", "small"))
+    for key, value in removed:
+        code, _, err = _run(with_panel + [f"--{key}", value], capsys)
+        assert code == 2 and f"--{key}" in err
     cfg = tmp_path / "old.yaml"
-    for key in ("threads", "covariates"):
-        cfg.write_text(f"{key}: 8\n")
+    for key, value in removed:
+        cfg.write_text(f"{key}: {value}\n")
         code, _, err = _run(with_panel + ["--config", str(cfg)], capsys)
         assert code == 2 and key in err
 

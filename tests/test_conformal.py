@@ -164,7 +164,6 @@ def test_empirical_quantile_matches_sort_oracle():
         rank = min(max(rank, 1), n_cal)
         for i in range(n):
             assert got.q[i] == np.sort(mat[i])[rank - 1]
-        assert got.method == "empirical"
 
 
 def test_empirical_quantile_all_equal_scores():
@@ -176,7 +175,6 @@ def test_qr_quantile_constant_sequence_recovers_constant():
     seq = np.full((1, 15), 2.5)
     q = qr_quantile(_scores(seq), window=5)
     assert abs(q.q[0] - 2.5) <= 1e-6
-    assert q.method == "quantile_regression"
 
 
 def test_qr_quantile_extrapolates_linear_trend():
@@ -202,9 +200,7 @@ def test_qr_quantile_needs_enough_history():
 
 def test_quantile_estimate_validation():
     with pytest.raises(PreconditionError):
-        QuantileEstimate(q=np.array([-0.5]), method="empirical")
-    with pytest.raises(PreconditionError):
-        QuantileEstimate(q=np.array([1.0]), method="magic")
+        QuantileEstimate(q=np.array([-0.5]))
 
 
 # -- interval construction --------------------------------------------------------
@@ -212,7 +208,7 @@ def test_quantile_estimate_validation():
 def test_interval_hand_example():
     topo = _topo([0])
     scen = np.array([[2], [5]])
-    q = QuantileEstimate(q=np.array([1.5]), method="empirical")
+    q = QuantileEstimate(q=np.array([1.5]))
     f = build_interval(scen, q, np.ones(1), topo, alpha=0.1, t=4)
     assert f.lower[0] == 0.5 and f.upper[0] == 6.5
     assert f.sub_lower[0] == 0.5 and f.sub_upper[0] == 6.5
@@ -222,7 +218,7 @@ def test_interval_hand_example():
 def test_interval_degenerate_single_scenario_zero_quantile():
     topo = _topo([0, 0])
     scen = np.array([[3, 7]])
-    q = QuantileEstimate(q=np.zeros(1), method="empirical")
+    q = QuantileEstimate(q=np.zeros(1))
     f = build_interval(scen, q, np.ones(2), topo, alpha=0.05)
     assert np.array_equal(f.lower, [3.0, 7.0])
     assert np.array_equal(f.upper, [3.0, 7.0])
@@ -232,7 +228,7 @@ def test_interval_degenerate_single_scenario_zero_quantile():
 def test_interval_substation_rows_are_member_sums():
     topo = _topo([0, 0, 1])
     scen = np.array([[1, 2, 3], [4, 0, 5]])
-    q = QuantileEstimate(q=np.array([1.5, 0.5]), method="empirical")
+    q = QuantileEstimate(q=np.array([1.5, 0.5]))
     s = np.array([1.0, 2.0, 1.0])
     f = build_interval(scen, q, s, topo, alpha=0.05)
     assert np.array_equal(f.lower, [1.0 - 1.5, 0.0 - 3.0, 3.0 - 0.5])
@@ -243,10 +239,10 @@ def test_interval_substation_rows_are_member_sums():
 def test_interval_needs_one_quantile_per_substation():
     topo = _topo([0, 0, 1])
     scen = np.array([[1, 2, 3]])
-    per_circuit = QuantileEstimate(q=np.ones(3), method="empirical")
+    per_circuit = QuantileEstimate(q=np.ones(3))
     with pytest.raises(PreconditionError, match="one quantile per substation"):
         build_interval(scen, per_circuit, np.ones(3), topo, alpha=0.05)
-    per_substation = QuantileEstimate(q=np.ones(2), method="empirical")
+    per_substation = QuantileEstimate(q=np.ones(2))
     with pytest.raises(PreconditionError, match="one scale per circuit"):
         build_interval(scen, per_substation, np.ones(2), topo, alpha=0.05)
     assert build_interval(scen, per_substation, np.ones(3), topo, alpha=0.05).t == 0
@@ -255,7 +251,7 @@ def test_interval_needs_one_quantile_per_substation():
 def test_interval_clamp_is_reporting_only():
     topo = _topo([0])
     scen = np.array([[0], [1]])
-    q = QuantileEstimate(q=np.array([2.0]), method="empirical")
+    q = QuantileEstimate(q=np.array([2.0]))
     f = build_interval(scen, q, np.ones(1), topo, alpha=0.05)
     assert f.lower[0] == -2.0
     rows = list(f.unit_bounds(("c0",), ("s0",)))
@@ -306,8 +302,7 @@ def test_calibrate_matches_manual_recount(small_triple):
     scale = training_scale(panel.Y[:40])
     assert np.array_equal(ss.scale, scale)
     for t in range(40, 44):
-        scen = simulate_bin(model, panel.Y[:t], t=t, K=5,
-                            seed=_rng.derive(3, "cal", t))
+        scen = simulate_bin(model, panel.Y[:t], K=5, seed=_rng.derive(3, "cal", t))
         expect = score_bin(panel.Y[t], scen, topo, scale)
         assert np.array_equal(ss.scores[:, t - 40], expect)
 

@@ -294,5 +294,3 @@ def test_synthetic_argument_validation():
         generate_synthetic(3, 0, 10)
     with pytest.raises(PreconditionError):
         generate_synthetic(3, 2, 1)
-    with pytest.raises(PreconditionError):
-        generate_synthetic(3, 2, 10, preset="huge")

@@ -269,14 +269,6 @@ def test_fit_meta_reports_run_length_and_improvement():
     assert m.circuit_ids == topo.circuit_ids
 
 
-def test_fit_same_substation_mask_zeroes_cross_group_coupling():
-    panel, topo, _ = generate_synthetic(6, 2, 80, seed=4)
-    m = fit(panel, topo, FitConfig(epochs=60, seed=0, same_substation_only=True))
-    S = topo.shared_membership()
-    assert np.all(m.A[S == 0] == 0.0)
-    assert np.any(m.A[S == 1] > 0.0)
-
-
 def test_fit_evaluates_the_objective_once_per_epoch(monkeypatch):
     # each trial point gets its likelihood and gradient in one evaluation, and
     # the gradient is reused for the next step once the point is accepted

@@ -21,15 +21,24 @@ def _topo(assign, m=None):
     )
 
 
+def _same_substation(topo):
+    """(n, n) boolean: circuits i and i' share a substation."""
+    sub = topo.substation_of
+    return sub[:, None] == sub[None, :]
+
+
 def test_membership_identity_when_each_circuit_alone():
     topo = _topo([0, 1, 2])
-    assert np.array_equal(topo.shared_membership(), np.eye(3, dtype=np.int64))
+    assert topo.substation_of.tolist() == [0, 1, 2]
+    assert [idx.tolist() for idx in topo.members] == [[0], [1], [2]]
+    assert np.array_equal(_same_substation(topo), np.eye(3, dtype=bool))
 
 
 def test_membership_all_ones_single_substation():
     topo = _topo([0, 0, 0, 0])
-    S = topo.shared_membership()
-    assert np.array_equal(S, np.ones((4, 4), dtype=np.int64))
+    assert topo.substation_of.tolist() == [0, 0, 0, 0]
+    assert [idx.tolist() for idx in topo.members] == [[0, 1, 2, 3]]
+    assert _same_substation(topo).all()
 
 
 def test_membership_is_block_diagonal_under_grouping():
@@ -40,12 +49,15 @@ def test_membership_is_block_diagonal_under_grouping():
         assign = rng.integers(0, m, size=n)
         assign[:m] = np.arange(m)  # keep every substation non-empty
         topo = _topo(assign.tolist(), m=m)
-        S = topo.shared_membership()
+        assert topo.substation_of.tolist() == assign.tolist()
+        S = _same_substation(topo)
         for i in range(n):
             for j in range(n):
-                assert S[i, j] == (1 if assign[i] == assign[j] else 0)
-        assert np.array_equal(S, S.T)
-        assert np.all(np.diag(S) == 1)
+                assert S[i, j] == (assign[i] == assign[j])
+        # members is the same grouping: disjoint blocks covering every circuit
+        for j, idx in enumerate(topo.members):
+            assert idx.tolist() == np.flatnonzero(assign == j).tolist()
+        assert sorted(np.concatenate(topo.members).tolist()) == list(range(n))
 
 
 def test_aggregate_hand_example():
@@ -158,8 +170,12 @@ def test_subsample_commutes_with_membership_restriction():
         k = int(rng.integers(1, n + 1))
         keep = np.sort(rng.choice(n, size=k, replace=False))
         sub = topo.subsample(keep)
-        S_full = topo.shared_membership()
-        assert np.array_equal(sub.shared_membership(), S_full[np.ix_(keep, keep)])
+        S_full = _same_substation(topo)
+        assert np.array_equal(_same_substation(sub), S_full[np.ix_(keep, keep)])
+        # each kept substation keeps exactly its kept members, in order
+        for j, idx in enumerate(sub.members):
+            orig = topo.substation_ids.index(sub.substation_ids[j])
+            assert keep[idx].tolist() == [i for i in keep if topo.substation_of[i] == orig]
         # no empty substation survives the restriction
         assert all(len(idx) > 0 for idx in sub.members)
 
