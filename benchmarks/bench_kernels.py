@@ -5,12 +5,18 @@ side, and cross-checks their outputs.  The RNG kernel is fed identically
 seeded generators, so its draws must agree exactly; the dense kernels may
 differ by float summation order only.
 
+A second table times the pure excitation recursions (one blocked numpy
+scan) against the loop reference: the numba source run as plain Python,
+row by row and circuit by circuit.  It needs no numba, so it always has
+numbers.
+
 Usage:
     python3 benchmarks/bench_kernels.py [--T 400] [--n 24] [--repeats 200]
 
-Without numba (not importable, or HSTCONFORMAL_NO_NUMBA set) only the pure
-kernels are timed, and the jit, speedup and diff columns read
-"jit unavailable".
+Each timing is the best of ``--repeats`` calls, or of as many as fit in
+TIME_BUDGET_S seconds (at least one).  Without numba (not importable, or
+HSTCONFORMAL_NO_NUMBA set) the jit, speedup and diff columns of the first
+table read "jit unavailable".
 """
 
 from __future__ import annotations
@@ -22,18 +28,24 @@ import time
 
 import numpy as np
 
-from hstconformal._kernels import JIT, PURE
+from hstconformal._kernels import _LOOP_PURE, JIT, PURE
+
+TIME_BUDGET_S = 2.0
 
 
 def best_time(fn, repeats: int) -> float:
-    # min over repeats is the standard noise-resistant point estimate
+    # min over repeats is the standard noise-resistant point estimate; the
+    # budget keeps the scalar loop reference affordable on large panels
     best = math.inf
+    stop = time.perf_counter() + TIME_BUDGET_S
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
         dt = time.perf_counter() - t0
         if dt < best:
             best = dt
+        if t0 + dt > stop:
+            break
     return best
 
 
@@ -66,7 +78,7 @@ def build_cases(T: int, n: int, horizon: int):
                 name,
                 shape,
                 lambda impl: (lambda: getter(impl)),
-                lambda: max_abs_diff(getter(JIT), getter(PURE)),
+                lambda a, b: max_abs_diff(getter(a), getter(b)),
             )
         )
 
@@ -102,10 +114,26 @@ def build_cases(T: int, n: int, horizon: int):
             "simulate_counts",
             f"h={horizon} n={n}",
             lambda impl: (lambda: sim(impl, np.random.default_rng(7))),
-            lambda: max_abs_diff(sim(JIT, fresh_pair()[0]), sim(PURE, fresh_pair()[1])),
+            lambda a, b: max_abs_diff(sim(a, fresh_pair()[0]), sim(b, fresh_pair()[1])),
         )
     )
     return cases
+
+
+def print_table(cases, base, new, labels, repeats):
+    # speedup is the base time over the new time; max|diff| compares outputs
+    header = (f"{'kernel':<24}{'size':<16}{labels[0]:>12}{labels[1]:>12}"
+              f"{'speedup':>9}{'max|diff|':>12}")
+    print(header)
+    print("-" * len(header))
+    for name, shape, make, check in cases:
+        t_base = best_time(make(base), repeats)
+        row = f"{name:<24}{shape:<16}{t_base * 1e3:>10.3f}ms"
+        if new is None:
+            print(f"{row}  {labels[1]} unavailable")
+            continue
+        t_new = best_time(make(new), repeats)
+        print(f"{row}{t_new * 1e3:>10.3f}ms{t_base / t_new:>8.1f}x{check(base, new):>12.3g}")
 
 
 def main(argv=None) -> int:
@@ -123,17 +151,10 @@ def main(argv=None) -> int:
         for _, _, make, _ in cases:
             make(JIT)()
 
-    header = f"{'kernel':<24}{'size':<16}{'pure':>12}{'jit':>12}{'speedup':>9}{'max|diff|':>12}"
-    print(header)
-    print("-" * len(header))
-    for name, shape, make, check in cases:
-        t_pure = best_time(make(PURE), args.repeats)
-        row = f"{name:<24}{shape:<16}{t_pure * 1e3:>10.3f}ms"
-        if JIT is None:
-            print(f"{row}  jit unavailable")
-            continue
-        t_jit = best_time(make(JIT), args.repeats)
-        print(f"{row}{t_jit * 1e3:>10.3f}ms{t_pure / t_jit:>8.1f}x{check():>12.3g}")
+    print_table(cases, PURE, JIT, ("pure", "jit"), args.repeats)
+    print()
+    recursions = [c for c in cases if c[0].startswith("excitation")]
+    print_table(recursions, _LOOP_PURE, PURE, ("loop ref", "pure"), args.repeats)
     return 0
 
 

@@ -14,6 +14,13 @@ Guarantees relied on by the rest of the package:
 * The dense kernels (excitation recursions, likelihood, gradients) agree
   across paths to floating-point roundoff; each path is individually
   deterministic.
+* On the pure path both excitation recursions are one blocked decayed scan
+  (``_decayed_scan``) instead of a loop over rows.  It sums the same terms
+  in another order, so it agrees with the loop kernels to float rounding
+  (at most 5e-15 times the largest entry over the tested sizes and decays;
+  the tests allow 1e-12), and its row t depends only on the first t input
+  rows, bit for bit: the excitation of a history equals the matching row
+  of the full panel's.
 
 Poisson draws use inversion by sequential search below ``_PTRS_SWITCH`` and
 Hörmann's PTRS transformed rejection above it, built only on
@@ -187,22 +194,47 @@ def build_loop_kernels(jit):
 # ---------------------------------------------------------------------------
 # Vectorized numpy fallbacks for the dense kernels.
 
+_SCAN_BLOCK = 16
+
+
+def _decayed_scan(x, decay):
+    """Rows ``y[t] = decay * (y[t-1] + x[t])`` from ``y[-1] = 0``, as a
+    (T+1, n) array whose row 0 is zero, like the loop kernels' output.
+
+    A two-level blocked scan: the rows are viewed as (nb, B, n) blocks, each
+    block is scanned by doubling (step s adds ``decay**s`` times the row s
+    back), the block-end rows are scanned the same way with factor
+    ``decay**B``, and each block gets its predecessor's end row back with
+    factors ``decay**(1..B)``.  Every step reads only earlier rows, in an
+    order that does not depend on T, so row t is bitwise the same for any
+    panel that shares the first t rows.
+    """
+    T, n = x.shape
+    B = _SCAN_BLOCK
+    nb = -(-T // B)
+    out = np.zeros((nb * B + 1, n))
+    np.multiply(x, decay, out=out[1:T + 1])
+    y = out[1:].reshape(nb, B, n)
+    s = 1
+    while s < B:
+        y[:, s:] += decay**s * y[:, :-s]
+        s *= 2
+    ends = y[:, -1].copy()
+    factor = decay**B
+    s = 1
+    while s < nb:
+        ends[s:] += factor**s * ends[:-s]
+        s *= 2
+    y[1:] += decay ** np.arange(1.0, B + 1.0)[:, None] * ends[:-1, None, :]
+    return out[:T + 1]
+
+
 def _excitation_series_np(counts, beta):
-    T, n = counts.shape
-    G = np.zeros((T + 1, n))
-    decay = np.exp(-beta)
-    for t in range(T):
-        G[t + 1] = decay * (G[t] + beta * counts[t])
-    return G
+    return _decayed_scan(beta * counts, np.exp(-beta))
 
 
 def _excitation_beta_series_np(counts, beta, G):
-    T, n = counts.shape
-    H = np.zeros((T + 1, n))
-    decay = np.exp(-beta)
-    for t in range(T):
-        H[t + 1] = decay * (H[t] - G[t] + (1.0 - beta) * counts[t])
-    return H
+    return _decayed_scan((1.0 - beta) * counts - G[:-1], np.exp(-beta))
 
 
 def _loglik_pieces_np(counts, G, gamma, mu, A, b0, b1):

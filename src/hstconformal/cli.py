@@ -1,8 +1,10 @@
 """Command-line surface: synth, run, evaluate, forecast.
 
 Config is a flat YAML mapping; every key can be overridden by a CLI flag of
-the same name.  All outputs land under --out with fixed filenames and are
-byte-deterministic given the config (seed included).
+the same name.  Each command accepts only the keys it reads (``_COMMANDS``);
+a key of another command is a usage error.  All outputs land under --out
+with fixed filenames and are byte-deterministic given the config (seed
+included).
 
 Exit codes: 0 success, 2 usage/precondition, 3 data validation, 4 numerical.
 """
@@ -127,20 +129,24 @@ def _load_config_file(path) -> dict:
     return doc
 
 
-def _build_config(args) -> RunConfig:
+def _build_config(args, keys) -> RunConfig:
     values = {}
     if args.config:
         raw = _load_config_file(args.config)
         for key, value in raw.items():
             if key not in _FIELD_TYPES:
                 raise PreconditionError(f"unknown config key {key!r}")
+            if key not in keys:
+                raise PreconditionError(
+                    f"config key {key!r} is not read by {args.command!r}"
+                )
             if value is None:
                 continue
             try:
                 values[key] = _config_value(key, value)
             except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
                 raise PreconditionError(f"config key {key!r}: {exc}") from None
-    for key in _FIELD_TYPES:
+    for key in keys:
         override = getattr(args, key, None)
         if override is not None:
             values[key] = override
@@ -267,11 +273,22 @@ def cmd_forecast(cfg: RunConfig) -> int:
     return 0
 
 
+_INPUT_KEYS = ("events", "topology", "panel", "start", "end", "bin_length")
+_PIPELINE_KEYS = ("t0", "alpha", "K", "epochs", "learning_rate", "quantile_method",
+                  "qr_window", "fit_cap")
+
+
+# name -> (handler, help text, the config keys the command reads)
 _COMMANDS = {
-    "synth": cmd_synth,
-    "run": cmd_run,
-    "evaluate": cmd_evaluate,
-    "forecast": cmd_forecast,
+    "synth": (cmd_synth, "generate a synthetic panel, topology, and ground-truth model",
+              ("out", "seed", "n", "m", "T", "cap", "start", "bin_length")),
+    "run": (cmd_run, "one-shot calibrated interval forecast for the next bin",
+            ("out", "seed", *_INPUT_KEYS, *_PIPELINE_KEYS)),
+    "evaluate": (cmd_evaluate, "rolling one-step evaluation over a test suffix",
+                 ("out", "seed", *_INPUT_KEYS, *_PIPELINE_KEYS, "test_len",
+                  "refit_each_step")),
+    "forecast": (cmd_forecast, "multi-step trajectory envelopes",
+                 ("out", "seed", *_INPUT_KEYS, *_PIPELINE_KEYS, "horizon")),
 }
 
 
@@ -282,16 +299,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "event-count forecasts",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("synth", "generate a synthetic panel, topology, and ground-truth model"),
-        ("run", "one-shot calibrated interval forecast for the next bin"),
-        ("evaluate", "rolling one-step evaluation over a test suffix"),
-        ("forecast", "multi-step trajectory envelopes"),
-    ):
+    for name, (_, blurb, keys) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", help="flat YAML config file")
-        for key, conv in _FIELD_TYPES.items():
-            p.add_argument(f"--{key}", type=conv, default=None)
+        for key in keys:
+            p.add_argument(f"--{key}", type=_FIELD_TYPES[key], default=None)
     return parser
 
 
@@ -302,8 +314,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code
     try:
-        cfg = _build_config(args)
-        return _COMMANDS[args.command](cfg)
+        handler, _, keys = _COMMANDS[args.command]
+        return handler(_build_config(args, keys))
     except PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return 2

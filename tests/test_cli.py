@@ -212,13 +212,18 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
 
     # a config value of the wrong type is a usage error naming the key; YAML
     # numbers are not truncated and booleans are not numbers
-    for text, key in (("alpha: abc\n", "alpha"), ("fit_cap: maybe\n", "fit_cap"),
-                      ("n: 4.7\nm: 2\nT: 20\n", "n"), ("n: 4\nm: true\nT: 20\n", "m"),
-                      ("K: 2.9\n", "K"), ("learning_rate: true\n", "learning_rate"),
-                      ("cap: false\n", "cap")):
+    for command, text, key in (
+        ("run", "alpha: abc\n", "alpha"), ("run", "fit_cap: maybe\n", "fit_cap"),
+        ("synth", "n: 4.7\nm: 2\nT: 20\n", "n"), ("synth", "n: 4\nm: true\nT: 20\n", "m"),
+        ("run", "K: 2.9\n", "K"), ("run", "learning_rate: true\n", "learning_rate"),
+        ("synth", "cap: false\n", "cap"),
+    ):
         cfg.write_text(text)
-        code, _, err = _run(["synth", "--config", str(cfg)], capsys)
-        assert code == 2 and f"config key '{key}'" in err
+        argv = [command, "--config", str(cfg)]
+        if command == "run":
+            argv += [*base, "--t0", "11"]
+        code, _, err = _run(argv, capsys)
+        assert code == 2 and f"config key '{key}':" in err, (text, err)
     cfg.write_text("n: 4.0\nm: 2\nT: 20\n")
     code, out, _ = _run(["synth", "--config", str(cfg), "--out", str(tmp_path / "w")], capsys)
     assert code == 0 and out.startswith("synth: n=4 m=2 T=20")
@@ -295,6 +300,35 @@ def test_covariates_and_threads_are_rejected(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     code, _, err = _run(base + ["--panel", str(bad)], capsys)
     assert code == 3 and "covariates" in err
+
+
+def test_each_command_accepts_only_its_keys(tmp_path, capsys):
+    _synth(tmp_path, capsys, n=4, m=2, T=20)
+    base = ["run", "--panel", str(tmp_path / "panel.json"),
+            "--topology", str(tmp_path / "topology.csv"),
+            "--t0", "11", "--epochs", "10", "--out", str(tmp_path / "o")]
+    # keys of evaluate and forecast are not flags of run
+    for key, value in (("horizon", "9"), ("test_len", "3"), ("refit_each_step", "true")):
+        code, _, err = _run(base + [f"--{key}", value], capsys)
+        assert code == 2 and f"--{key}" in err, err
+    code, _, err = _run(["synth", "--n", "4", "--m", "2", "--T", "20", "--alpha", "0.1",
+                         "--out", str(tmp_path / "s")], capsys)
+    assert code == 2 and "--alpha" in err
+    # nor config keys: the error names the key and the command
+    cfg = tmp_path / "job.yaml"
+    for command, text, key in (("run", "horizon: 9\n", "horizon"),
+                               ("run", "refit_each_step: true\n", "refit_each_step"),
+                               ("synth", "t0: 5\n", "t0")):
+        cfg.write_text(text)
+        argv = base + ["--config", str(cfg)] if command == "run" else \
+            ["synth", "--config", str(cfg)]
+        code, _, err = _run(argv, capsys)
+        assert code == 2 and f"config key '{key}' is not read by '{command}'" in err, err
+    # the commands that read them still take them
+    assert _run(base, capsys)[0] == 0
+    tail = base[1:] + ["--test_len", "2", "--refit_each_step", "true"]
+    assert _run(["evaluate", *tail], capsys)[0] == 0
+    assert _run(["forecast", *base[1:], "--horizon", "2"], capsys)[0] == 0
 
 
 def test_missing_required_keys_are_usage_errors(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +166,39 @@ def test_env_flag_switches_to_pure_path_and_preserves_output():
     assert lines[1] == str(expected)
 
 
+def test_pure_recursions_match_the_loop_kernels():
+    # _LOOP_PURE is the numba source run as plain Python: the row-by-row
+    # recursion the blocked scan must reproduce to float rounding
+    rng = np.random.default_rng(11)
+    for T in (0, 1, 15, 16, 17, 400):
+        for n in (1, 3, 24, 200):
+            counts = rng.poisson(2.0, size=(T, n)).astype(np.float64)
+            for beta in (1e-3, 0.5, 2.0, 30.0):
+                G_ref = K._LOOP_PURE.excitation_series(counts, beta)
+                H_ref = K._LOOP_PURE.excitation_beta_series(counts, beta, G_ref)
+                G = K.PURE.excitation_series(counts, beta)
+                H = K.PURE.excitation_beta_series(counts, beta, G)
+                for got, ref in ((G, G_ref), (H, H_ref)):
+                    assert got.shape == ref.shape == (T + 1, n)
+                    tol = 1e-12 * max(1.0, float(np.abs(ref).max()))
+                    assert float(np.abs(got - ref).max()) <= tol, (T, n, beta)
+
+
+def test_pure_recursions_are_bitwise_prefix_consistent():
+    # calibrate, rolling_evaluate, intensity and simulate_trajectory take the
+    # last row of a history's excitation; it must equal the full panel's row
+    rng = np.random.default_rng(12)
+    counts = rng.poisson(2.0, size=(70, 4)).astype(np.float64)
+    beta = 0.7
+    G = K.PURE.excitation_series(counts, beta)
+    H = K.PURE.excitation_beta_series(counts, beta, G)
+    for t in range(counts.shape[0] + 1):
+        G_t = K.PURE.excitation_series(counts[:t], beta)
+        H_t = K.PURE.excitation_beta_series(counts[:t], beta, G_t)
+        assert np.array_equal(G_t[-1], G[t]), t
+        assert np.array_equal(H_t[-1], H[t]), t
+
+
 def test_excitation_series_matches_closed_form_single_pulse():
     # one event in bin 0 decays geometrically: G[t] = beta * exp(-beta * t)
     beta = 0.7
@@ -186,3 +220,22 @@ def test_excitation_beta_series_matches_finite_difference():
     Gm = K.ACTIVE.excitation_series(counts, beta - eps)
     fd = (Gp - Gm) / (2 * eps)
     assert np.allclose(H, fd, rtol=1e-5, atol=1e-7)
+
+
+def test_kernel_benchmark_script_runs():
+    script = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--T", "20", "--n", "3", "--repeats", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "excitation_beta_series" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # import scipy.signal alone takes seconds; a kernel importing it would
+    # multiply every command's start-up time
+    code = ("import hstconformal.cli, sys; "
+            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
