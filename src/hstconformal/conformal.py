@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -193,17 +194,30 @@ def calibrate(panel, model: _hawkes.HawkesModel, topo: NetworkTopology, cal_bins
 
 def _conformal_rank(alpha: float, n_cal: int) -> int:
     # ceil((1-alpha)(n_cal+1)) with protection against float ulp pushing an
-    # exact integer up one rank; clamped into [1, n_cal]
+    # exact integer up one rank; at least 1, not yet clamped to n_cal
     v = (1.0 - alpha) * (n_cal + 1)
-    rank = math.ceil(v - 1e-9)
-    return min(max(rank, 1), n_cal)
+    return max(math.ceil(v - 1e-9), 1)
 
 
 def empirical_quantile(scores: ScoreSet) -> QuantileEstimate:
-    """Split-conformal empirical quantile at rank ceil((1-alpha)(n_cal+1))."""
+    """Split-conformal empirical quantile at rank ceil((1-alpha)(n_cal+1)).
+
+    A rank above n_cal is clamped to n_cal, the largest score, with a
+    UserWarning: too few calibration bins for alpha void the finite-sample
+    guarantee.
+    """
     if scores.n_cal < 1:
         raise PreconditionError("need at least one calibration score per substation")
     rank = _conformal_rank(scores.alpha, scores.n_cal)
+    if rank > scores.n_cal:
+        warnings.warn(
+            f"alpha={scores.alpha!r} needs conformal rank {rank} but n_cal="
+            f"{scores.n_cal}: using the largest score; the finite-sample coverage "
+            "guarantee does not hold",
+            UserWarning,
+            stacklevel=2,
+        )
+        rank = scores.n_cal
     q = np.sort(scores.scores, axis=1)[:, rank - 1]
     return QuantileEstimate(q=q)
 

@@ -1,10 +1,10 @@
-"""Rolling one-step evaluation, the half-nodes trial, and horizon forecasts.
+"""Rolling one-step evaluation, horizon forecasts, and their CSV writers.
 
 The rolling harness fits once on the training block, then walks the test
 suffix bin by bin: each bin gets an interval built from all data before it,
-is checked for circuit- and substation-level coverage, and its score joins
-the calibration pool before the next bin.  A full refit per step is
-available behind ``refit_each_step``.
+and its score joins the calibration pool before the next bin.  A full refit
+per step is available behind ``refit_each_step``.  Coverage at circuit and
+substation level is checked against the truth once the walk is done.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ from .topology import NetworkTopology
 
 @dataclass(frozen=True, eq=False)
 class EvalReport:
-    """Coverage/width metrics over the test suffix plus per-cell detail."""
+    """Per-cell truth, coverage and width over the test suffix.
 
-    val: float
-    agg_val: float
-    size: float
-    size_raw: float
-    per_bin: tuple
+    The arrays are the measurements; the summaries ``val``, ``agg_val``,
+    ``size`` and ``size_raw`` are derived from them on access.
+    """
+
     config: dict
     bins: tuple
     circuit_ids: tuple
@@ -50,11 +49,25 @@ class EvalReport:
     widths_std: np.ndarray  # (n_test, n)
     forecasts: tuple  # per-bin IntervalForecast
 
-    def __post_init__(self):
-        if not (0.0 <= self.val <= 1.0 and 0.0 <= self.agg_val <= 1.0):
-            raise PreconditionError("coverage rates must lie in [0, 1]")
-        if self.size < 0.0:
-            raise PreconditionError("mean width must be nonnegative")
+    @property
+    def val(self) -> float:
+        """Pooled circuit coverage."""
+        return float(self.circuit_hits.mean())
+
+    @property
+    def agg_val(self) -> float:
+        """Pooled substation coverage."""
+        return float(self.sub_hits.mean())
+
+    @property
+    def size(self) -> float:
+        """Mean circuit width in units of the training scale."""
+        return float(self.widths_std.mean())
+
+    @property
+    def size_raw(self) -> float:
+        """Mean circuit width in counts."""
+        return float(np.stack([f.width for f in self.forecasts]).mean())
 
 
 def coverage_counts(forecast: IntervalForecast, y_t, topo: NetworkTopology):
@@ -79,17 +92,8 @@ def rolling_evaluate(panel: CountPanel, topo: NetworkTopology, spec: SplitSpec,
     model, scores = _prepare(panel, topo, spec.t0, settings, seed, cal_stop=test_start)
     scale = scores.scale
 
-    n, m = topo.n, topo.m
-    n_test = spec.test
-    truth = np.empty((n_test, n), dtype=np.int64)
-    sub_truth = np.empty((n_test, m), dtype=np.int64)
-    circuit_hits = np.empty((n_test, n), dtype=bool)
-    sub_hits = np.empty((n_test, m), dtype=bool)
-    widths_std = np.empty((n_test, n))
     forecasts = []
-    per_bin = []
-
-    for step, t in enumerate(range(test_start, T)):
+    for t in range(test_start, T):
         if settings.refit_each_step:
             model = _hawkes.fit(
                 panel.rows(0, t), topo,
@@ -98,31 +102,13 @@ def rolling_evaluate(panel: CountPanel, topo: NetworkTopology, spec: SplitSpec,
         qest = _quantile_for(scores, settings)
         scen = _hawkes.simulate_bin(model, Y[:t], K=settings.K,
                                     seed=_rng.derive(seed, "cal", t))
-        iv = build_interval(scen, qest, scale, topo, settings.alpha, t=t)
-        hits, shits = coverage_counts(iv, Y[t], topo)
-
-        truth[step] = Y[t]
-        sub_truth[step] = topo.aggregate(Y[t])
-        circuit_hits[step] = hits
-        sub_hits[step] = shits
-        widths_std[step] = iv.width / scale
-        forecasts.append(iv)
-        per_bin.append({
-            "bin": t,
-            "val": float(hits.mean()),
-            "agg_val": float(shits.mean()),
-            "size": float((iv.width / scale).mean()),
-        })
+        forecasts.append(build_interval(scen, qest, scale, topo, settings.alpha, t=t))
         # the bin's own score joins the pool before the next bin is predicted
         scores = scores.extend(score_bin(Y[t], scen, topo, scale))
 
-    raw_widths = np.stack([f.width for f in forecasts])
+    truth = Y[test_start:]
+    hits = [coverage_counts(f, y, topo) for f, y in zip(forecasts, truth)]
     return EvalReport(
-        val=float(circuit_hits.mean()),
-        agg_val=float(sub_hits.mean()),
-        size=float(widths_std.mean()),
-        size_raw=float(raw_widths.mean()),
-        per_bin=tuple(per_bin),
         config={
             "alpha": settings.alpha,
             "K": settings.K,
@@ -136,43 +122,12 @@ def rolling_evaluate(panel: CountPanel, topo: NetworkTopology, spec: SplitSpec,
         circuit_ids=panel.circuit_ids or tuple(topo.circuit_ids),
         substation_ids=tuple(topo.substation_ids),
         truth=truth,
-        sub_truth=sub_truth,
-        circuit_hits=circuit_hits,
-        sub_hits=sub_hits,
-        widths_std=widths_std,
+        sub_truth=topo.aggregate(truth),
+        circuit_hits=np.stack([h for h, _ in hits]),
+        sub_hits=np.stack([sh for _, sh in hits]),
+        widths_std=np.stack([f.width for f in forecasts]) / scale,
         forecasts=tuple(forecasts),
     )
-
-
-def _restrict_panel(panel: CountPanel, keep: np.ndarray) -> CountPanel:
-    ids = panel.circuit_ids
-    return CountPanel(
-        Y=panel.Y[:, keep],
-        bin_start_times=panel.bin_start_times,
-        bin_length=panel.bin_length,
-        circuit_ids=None if ids is None else tuple(ids[i] for i in keep),
-    )
-
-
-def half_nodes_trial(panel: CountPanel, topo: NetworkTopology, spec: SplitSpec,
-                     settings: PipelineSettings = PipelineSettings(),
-                     seed: int = 0, keep=None) -> EvalReport:
-    """Rerun the rolling evaluation on a random half of the circuits.
-
-    ``keep`` overrides the sampled circuit set (same order conventions as
-    topology.subsample); with all indices kept the report matches
-    rolling_evaluate exactly.
-    """
-    if topo.n < 2:
-        raise PreconditionError("need at least 2 circuits to halve")
-    if keep is None:
-        gen = _rng.generator(seed, "subsample")
-        keep = np.sort(gen.choice(topo.n, topo.n // 2, replace=False))
-    else:
-        keep = np.sort(np.asarray(list(keep), dtype=np.int64))
-    sub_topo = topo.subsample(keep)
-    sub_panel = _restrict_panel(panel, keep)
-    return rolling_evaluate(sub_panel, sub_topo, spec, settings, seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,10 +207,11 @@ def write_metrics(report: EvalReport, path):
     ]
     for key in sorted(report.config):
         lines.append(f"config.{key}={report.config[key]!r}")
-    for row in report.per_bin:
+    for step, t in enumerate(report.bins):
         lines.append(
-            f"bin={row['bin']} val={row['val']!r} agg_val={row['agg_val']!r} "
-            f"size={row['size']!r}"
+            f"bin={t} val={float(report.circuit_hits[step].mean())!r} "
+            f"agg_val={float(report.sub_hits[step].mean())!r} "
+            f"size={float(report.widths_std[step].mean())!r}"
         )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

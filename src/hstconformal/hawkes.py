@@ -136,11 +136,13 @@ class HawkesModel:
         # its expected offspring count is the row sum times the summed mass
         mass = self.beta * math.exp(-self.beta) / -math.expm1(-self.beta)
         if rowsum * mass > 1.0:
+            # repr never rounds a ratio above 1 down to "1"; stacklevel 3
+            # skips the dataclass __init__ and names the code that built the model
             warnings.warn(
-                f"largest branching ratio = {rowsum * mass:.3g} > 1: "
+                f"largest branching ratio = {rowsum * mass!r} > 1: "
                 "excitation may be explosive",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         mu.flags.writeable = False
         A.flags.writeable = False

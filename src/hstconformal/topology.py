@@ -94,25 +94,6 @@ class NetworkTopology:
         cols = [v[..., idx].sum(axis=-1) for idx in self.members]
         return np.stack(cols, axis=-1)
 
-    def subsample(self, keep) -> "NetworkTopology":
-        """Topology restricted to the kept circuit indices.
-
-        Original circuit order is preserved; substations left with no member
-        are dropped (column order otherwise preserved).
-        """
-        keep_idx = np.unique(np.asarray(sorted(keep), dtype=np.int64))
-        if keep_idx.size == 0:
-            raise DataValidationError("cannot subsample to zero circuits")
-        if keep_idx[0] < 0 or keep_idx[-1] >= self.n:
-            raise DataValidationError("circuit index out of range in subsample")
-        C = self.C[keep_idx]
-        nonempty = np.flatnonzero(C.sum(axis=0) > 0)
-        return NetworkTopology(
-            circuit_ids=tuple(self.circuit_ids[i] for i in keep_idx),
-            substation_ids=tuple(self.substation_ids[j] for j in nonempty),
-            C=C[:, nonempty],
-        )
-
     @classmethod
     def from_assignments(cls, circuit_ids, substations) -> "NetworkTopology":
         """Build from a per-circuit substation label sequence.

@@ -166,6 +166,19 @@ def test_empirical_quantile_matches_sort_oracle():
             assert got.q[i] == np.sort(mat[i])[rank - 1]
 
 
+def test_empirical_quantile_warns_when_rank_is_clamped():
+    # alpha=0.05 needs n_cal >= 19 for rank ceil(0.95 * (n_cal + 1)) <= n_cal
+    with pytest.warns(UserWarning, match="finite-sample") as caught:
+        q = empirical_quantile(_scores(np.arange(1.0, 19.0)[None, :], alpha=0.05))
+    assert q.q[0] == 18.0
+    (w,) = caught
+    assert "alpha=0.05" in str(w.message) and "n_cal=18" in str(w.message)
+    assert w.filename == __file__
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert empirical_quantile(_scores(np.arange(1.0, 20.0)[None, :], alpha=0.05)).q[0] == 19.0
+
+
 def test_empirical_quantile_all_equal_scores():
     q = empirical_quantile(_scores(np.full((2, 8), 3.25)))
     assert np.all(q.q == 3.25)

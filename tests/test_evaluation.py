@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hstconformal import (
-    EvalReport,
     IntervalForecast,
     NetworkTopology,
     PipelineSettings,
@@ -13,7 +12,6 @@ from hstconformal import (
     SplitSpec,
     coverage_counts,
     generate_synthetic,
-    half_nodes_trial,
     horizon_forecast,
     hst_conformal_pipeline,
     rolling_evaluate,
@@ -72,7 +70,7 @@ def test_coverage_counts_aggregate_before_comparing():
 
 # -- rolling evaluation -----------------------------------------------------------
 
-def test_rolling_report_internally_consistent(small_triple, fast_settings):
+def test_rolling_report_internally_consistent(tmp_path, small_triple, fast_settings):
     panel, topo, _ = small_triple
     spec = SplitSpec(t0=41, test=10)
     rep = rolling_evaluate(panel, topo, spec, fast_settings, seed=0)
@@ -94,9 +92,26 @@ def test_rolling_report_internally_consistent(small_triple, fast_settings):
     assert rep.agg_val == shits.mean()
     assert np.array_equal(rep.sub_truth, rep.truth @ topo.C)
 
-    per_bin_val = np.array([row["val"] for row in rep.per_bin])
-    assert np.allclose(per_bin_val, rep.circuit_hits.mean(axis=1))
     assert rep.config["t0"] == 41 and rep.config["test"] == 10
+
+    # the metrics file's per-bin lines are the row means of the stored arrays
+    path = tmp_path / "metrics.txt"
+    write_metrics(rep, path)
+    lines = path.read_text().splitlines()
+    header = dict(line.split("=", 1) for line in lines[:4])
+    assert header == {
+        "val": repr(rep.val), "agg_val": repr(rep.agg_val),
+        "size": repr(rep.size), "size_raw": repr(rep.size_raw),
+    }
+    assert rep.size_raw == np.stack([f.width for f in rep.forecasts]).mean()
+    bin_lines = [line for line in lines if line.startswith("bin=")]
+    assert len(bin_lines) == len(rep.bins)
+    for step, (t, line) in enumerate(zip(rep.bins, bin_lines)):
+        assert line == (
+            f"bin={t} val={float(rep.circuit_hits[step].mean())!r} "
+            f"agg_val={float(rep.sub_hits[step].mean())!r} "
+            f"size={float(rep.widths_std[step].mean())!r}"
+        )
 
 
 def test_rolling_deterministic_and_nondegenerate(small_triple, fast_settings):
@@ -130,41 +145,6 @@ def test_refit_each_step_changes_later_bins(small_triple):
         for fa, fb in zip(a.forecasts, b.forecasts)
     ]
     assert any(diffs)
-
-
-# -- subsampling trials ------------------------------------------------------------
-
-def test_half_nodes_keep_all_matches_full_run(small_triple, fast_settings):
-    panel, topo, _ = small_triple
-    spec = SplitSpec(t0=41, test=6)
-    full = rolling_evaluate(panel, topo, spec, fast_settings, seed=1)
-    kept = half_nodes_trial(panel, topo, spec, fast_settings, seed=1,
-                            keep=range(topo.n))
-    assert kept.val == full.val
-    assert kept.agg_val == full.agg_val
-    assert kept.size == full.size
-    for fa, fb in zip(full.forecasts, kept.forecasts):
-        assert np.array_equal(fa.lower, fb.lower)
-        assert np.array_equal(fa.upper, fb.upper)
-
-
-def test_half_nodes_samples_half_without_replacement(small_triple, fast_settings):
-    panel, topo, _ = small_triple
-    spec = SplitSpec(t0=41, test=4)
-    rep = half_nodes_trial(panel, topo, spec, fast_settings, seed=2)
-    assert len(rep.circuit_ids) == topo.n // 2
-    assert len(set(rep.circuit_ids)) == len(rep.circuit_ids)
-    assert set(rep.circuit_ids) <= set(topo.circuit_ids)
-    # substations that lost all members disappear
-    assert set(rep.substation_ids) <= set(topo.substation_ids)
-    again = half_nodes_trial(panel, topo, spec, fast_settings, seed=2)
-    assert rep.circuit_ids == again.circuit_ids and rep.val == again.val
-
-
-def test_half_nodes_needs_two_circuits():
-    panel, topo, _ = generate_synthetic(1, 1, 20, seed=0)
-    with pytest.raises(PreconditionError):
-        half_nodes_trial(panel, topo, SplitSpec(t0=10, test=2))
 
 
 # -- horizon forecasts ---------------------------------------------------------------
@@ -274,13 +254,3 @@ def test_forecast_export_rows(tmp_path, small_triple, fast_settings):
     assert rows[0][:4] == ["kind", "id", "step", "bin"]
     assert rows[1][3] == str(panel.T)
 
-
-def test_eval_report_validation():
-    with pytest.raises(PreconditionError):
-        EvalReport(
-            val=1.5, agg_val=0.5, size=1.0, size_raw=1.0, per_bin=(),
-            config={}, bins=(), circuit_ids=(), substation_ids=(),
-            truth=np.zeros((0, 0)), sub_truth=np.zeros((0, 0)),
-            circuit_hits=np.zeros((0, 0), bool), sub_hits=np.zeros((0, 0), bool),
-            widths_std=np.zeros((0, 0)), forecasts=(),
-        )

@@ -390,6 +390,13 @@ def test_model_json_rejects_cov_coef():
 def test_explosive_parameters_warn():
     with pytest.warns(UserWarning):
         _model([1.0, 1.0], np.full((2, 2), 1.3), beta=1.0)
+    # a ratio just above 1 prints above 1, and the warning names this file
+    with pytest.warns(UserWarning, match="branching ratio") as caught:
+        HawkesModel(mu=np.array([1.0]), A=np.array([[1.0004 / 0.5819767]]), beta=1.0)
+    (w,) = caught
+    ratio = float(str(w.message).split("= ")[1].split(" >")[0])
+    assert ratio > 1.0
+    assert w.filename == __file__
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _model([1.0, 1.0], np.full((2, 2), 0.45), beta=1.0)

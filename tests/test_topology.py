@@ -137,57 +137,6 @@ def test_empty_substation_warns():
     assert topo.members[1].size == 0
 
 
-def test_subsample_keep_all_is_identical():
-    topo = _topo([0, 1, 0, 2, 1])
-    sub = topo.subsample(np.arange(5))
-    assert sub.circuit_ids == topo.circuit_ids
-    assert sub.substation_ids == topo.substation_ids
-    assert np.array_equal(sub.C, topo.C)
-
-
-def test_subsample_block_examples():
-    # two substations of two circuits each
-    topo = _topo([0, 0, 1, 1])
-    sub = topo.subsample([0, 1])
-    assert sub.circuit_ids == ("c0", "c1")
-    assert sub.substation_ids == ("s0",)
-    assert sub.C.shape == (2, 1)
-
-    sub2 = topo.subsample([0, 2])
-    assert sub2.circuit_ids == ("c0", "c2")
-    assert sub2.substation_ids == ("s0", "s1")
-    assert np.array_equal(sub2.C, np.eye(2, dtype=np.int64))
-
-
-def test_subsample_commutes_with_membership_restriction():
-    rng = np.random.default_rng(19)
-    for trial in range(40):
-        n = int(rng.integers(3, 14))
-        m = int(rng.integers(1, n))
-        assign = rng.integers(0, m, size=n)
-        assign[:m] = np.arange(m)
-        topo = _topo(assign.tolist(), m=m)
-        k = int(rng.integers(1, n + 1))
-        keep = np.sort(rng.choice(n, size=k, replace=False))
-        sub = topo.subsample(keep)
-        S_full = _same_substation(topo)
-        assert np.array_equal(_same_substation(sub), S_full[np.ix_(keep, keep)])
-        # each kept substation keeps exactly its kept members, in order
-        for j, idx in enumerate(sub.members):
-            orig = topo.substation_ids.index(sub.substation_ids[j])
-            assert keep[idx].tolist() == [i for i in keep if topo.substation_of[i] == orig]
-        # no empty substation survives the restriction
-        assert all(len(idx) > 0 for idx in sub.members)
-
-
-def test_subsample_rejects_bad_indices():
-    topo = _topo([0, 1])
-    with pytest.raises(DataValidationError):
-        topo.subsample([0, 2])
-    with pytest.raises(DataValidationError):
-        topo.subsample([])
-
-
 def test_from_assignments_orders_substations_by_first_appearance():
     topo = NetworkTopology.from_assignments(
         ["x", "y", "z"], ["beta", "alpha", "beta"]
