@@ -8,9 +8,9 @@ entry points go through ``ACTIVE``.
 Guarantees relied on by the rest of the package:
 
 * The RNG-consuming kernels (``poisson_draw``, ``simulate_counts``) run the
-  identical draw algorithm on both paths and consume uniforms from the
-  caller's ``np.random.Generator`` in the same order, so simulated counts are
-  bit-identical regardless of path.
+  identical draw algorithm on both paths and consume uniforms from each of
+  the caller's ``np.random.Generator`` objects in the same order, so
+  simulated counts are bit-identical regardless of path.
 * The dense kernels (excitation recursions, likelihood, gradients) agree
   across paths to floating-point roundoff; each path is individually
   deterministic.
@@ -21,6 +21,25 @@ Guarantees relied on by the rest of the package:
   the tests allow 1e-12), and its row t depends only on the first t input
   rows, bit for bit: the excitation of a history equals the matching row
   of the full panel's.
+* ``simulate_counts(gens, ...)`` takes one generator per trajectory and
+  returns (K, horizon, n) counts.  The loop family simulates the
+  trajectories one after another; the pure path advances all K together,
+  one numpy step per bin (``_simulate_counts_np``), and stays bit-identical
+  to the loop, draws and generator states alike, by these rules:
+
+  - row k's excitation is ``np.dot(A, g[k])``, the loop's call, not one
+    batched matmul, which BLAS may round differently;
+  - e^-lambda is ``math.exp`` per element, because ``np.exp`` differs in
+    the last ulp on some inputs;
+  - row k takes its uniforms from one ``gens[k].random(m)`` call, m being
+    its count of positive rates: the same values as m scalar calls, and a
+    rate <= 0 consumes none;
+  - inversion by sequential search runs elementwise on the cells still
+    searching, with the loop's cap;
+  - a row with a rate >= ``_PTRS_SWITCH`` is drawn by the scalar
+    ``poisson_draw``, because PTRS consumes a variable number of uniforms;
+  - the state update and running totals make the loop's float operations
+    in its order.
 
 Poisson draws use inversion by sequential search below ``_PTRS_SWITCH`` and
 Hörmann's PTRS transformed rejection above it, built only on
@@ -34,6 +53,7 @@ from types import SimpleNamespace
 import numpy as np
 
 _PTRS_SWITCH = 30.0
+_INVERSION_MAX = 2000  # cap on the sequential search's count
 
 
 def build_loop_kernels(jit):
@@ -54,7 +74,7 @@ def build_loop_kernels(jit):
             p = math.exp(-lam)
             c = p
             k = 0
-            while u > c and k < 2000:
+            while u > c and k < _INVERSION_MAX:
                 k += 1
                 p *= lam / k
                 c += p
@@ -160,7 +180,7 @@ def build_loop_kernels(jit):
         return ll, dmu, dA, dbeta, dcap
 
     @jit
-    def simulate_counts(gen, mu, A, beta, cap, floor, g0, n0, horizon):
+    def simulate_one(gen, mu, A, beta, cap, floor, g0, n0, horizon):
         # Recursive forward simulation: each bin's draw is appended to the
         # running excitation state before the next bin is simulated.
         n = mu.shape[0]
@@ -181,6 +201,13 @@ def build_loop_kernels(jit):
                 tot += out[h, i]
         return out
 
+    def simulate_counts(gens, mu, A, beta, cap, floor, g0, n0, horizon):
+        # one (horizon, n) trajectory per generator, in order
+        out = np.empty((len(gens), horizon, mu.shape[0]), dtype=np.int64)
+        for k, gen in enumerate(gens):
+            out[k] = simulate_one(gen, mu, A, beta, cap, floor, g0, n0, horizon)
+        return out
+
     return SimpleNamespace(
         poisson_draw=poisson_draw,
         excitation_series=excitation_series,
@@ -192,7 +219,7 @@ def build_loop_kernels(jit):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized numpy fallbacks for the dense kernels.
+# Vectorized numpy fallbacks: the dense kernels and the batched simulation.
 
 _SCAN_BLOCK = 16
 
@@ -272,6 +299,64 @@ def _loglik_grads_np(counts, G, H, gamma, dgam, mu, A, b0, b1):
     return ll, dmu, dA, dbeta, dcap
 
 
+def _poisson_step(gens, lam):
+    """One draw per rate of the (K, n) array ``lam``, row k from ``gens[k]``,
+    equal to calling ``poisson_draw`` along each row left to right, in the
+    integers drawn and in the uniforms consumed."""
+    draws = np.zeros(lam.shape, dtype=np.int64)
+    by_scalar = ~(lam < _PTRS_SWITCH).all(axis=1)  # a PTRS (or nan) rate in the row
+    pos = (lam > 0.0) & ~by_scalar[:, None]
+    chunks = []
+    for k, (gen, m) in enumerate(zip(gens, pos.sum(axis=1).tolist())):
+        if by_scalar[k]:
+            draws[k] = [_LOOP_PURE.poisson_draw(gen, x) for x in lam[k]]
+        elif m:
+            chunks.append(gen.random(m))
+    if not chunks:
+        return draws
+    # inversion by sequential search on every positive rate at once; a cell
+    # leaves the search when its uniform is covered, as the scalar loop stops
+    u = np.concatenate(chunks)
+    rate = lam[pos]
+    p = np.fromiter(map(math.exp, (-rate).tolist()), np.float64, rate.size)
+    found = np.zeros(rate.size, dtype=np.int64)
+    live = np.flatnonzero(u > p)
+    rate, p, u = rate[live], p[live], u[live]
+    c = p
+    j = 0
+    while live.size and j < _INVERSION_MAX:
+        j += 1
+        p = p * (rate / j)
+        c = c + p
+        found[live] = j
+        more = u > c
+        live, rate, p, c, u = live[more], rate[more], p[more], c[more], u[more]
+    draws[pos] = found
+    return draws
+
+
+def _simulate_counts_np(gens, mu, A, beta, cap, floor, g0, n0, horizon):
+    """The loop ``simulate_counts`` with all K trajectories advanced together,
+    one numpy step per bin; every row makes the loop's float operations."""
+    K, n = len(gens), mu.shape[0]
+    out = np.empty((K, horizon, n), dtype=np.int64)
+    g = np.tile(g0, (K, 1))
+    tot = np.full(K, n0, dtype=np.float64)
+    excit = np.empty((K, n))
+    decay = np.exp(-beta)
+    for h in range(horizon):
+        gamma = 1.0 - tot / cap
+        gamma = np.where(gamma < floor, floor, gamma)
+        for k in range(K):
+            excit[k] = np.dot(A, g[k])  # the loop's call: a batched matmul may round otherwise
+        draws = _poisson_step(gens, gamma[:, None] * (mu + excit))
+        out[:, h] = draws
+        g = decay * (g + beta * draws)
+        # running totals add the draws one circuit at a time, as the loop does
+        tot = np.add.accumulate(np.column_stack((tot, draws)), axis=1)[:, -1]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Path selection.
 
@@ -291,7 +376,7 @@ PURE = SimpleNamespace(
     excitation_beta_series=_excitation_beta_series_np,
     loglik_value=_loglik_value_np,
     loglik_grads=_loglik_grads_np,
-    simulate_counts=_LOOP_PURE.simulate_counts,
+    simulate_counts=_simulate_counts_np,
 )
 
 JIT = None

@@ -490,8 +490,8 @@ def simulate_trajectory(model: HawkesModel, history, horizon: int, K: int = 10,
     """K recursive trajectories of shape (horizon, n).
 
     Each trajectory extends its own simulated history bin by bin.  Trajectory
-    k draws from its own derived generator (seed, k), so the collection
-    order is deterministic and trajectories could run in parallel.
+    k draws from its own derived generator (seed, k), so trajectory k is the
+    same for every K > k.  One kernel call advances all K together.
     """
     if horizon < 1:
         raise PreconditionError("need horizon >= 1")
@@ -500,11 +500,8 @@ def simulate_trajectory(model: HawkesModel, history, horizon: int, K: int = 10,
     h = _history_array(history, model.n)
     g0 = ACTIVE.excitation_series(h, model.beta)[-1]
     n0 = float(h.sum())
-    out = np.empty((K, horizon, model.n), dtype=np.int64)
-    for k in range(K):
-        gen = _rng.generator(seed, k)
-        out[k] = ACTIVE.simulate_counts(
-            gen, model.mu, model.A, model.beta, model.sat.cap, model.sat.floor,
-            g0, n0, horizon,
-        )
-    return out
+    gens = [_rng.generator(seed, k) for k in range(K)]
+    return ACTIVE.simulate_counts(
+        gens, model.mu, model.A, model.beta, model.sat.cap, model.sat.floor,
+        g0, n0, horizon,
+    )

@@ -23,6 +23,25 @@ def _random_instance(rng, n_max=6, T_max=40):
     return counts, beta, mu, A, gamma, dgam
 
 
+def _generators(seed, K_):
+    return [np.random.Generator(np.random.PCG64([seed, k])) for k in range(K_)]
+
+
+def _assert_simulations_identical(mu, A, beta, cap, floor, g0, n0, horizon, K_, seed):
+    # _LOOP_PURE is the numba source run as plain Python, one trajectory
+    # after another: the batched pure kernel must make the same draws from
+    # the same uniforms, leaving every generator in the same state
+    g_ref, g_new = _generators(seed, K_), _generators(seed, K_)
+    ref = K._LOOP_PURE.simulate_counts(g_ref, mu, A, beta, cap, floor, g0, n0, horizon)
+    got = K.PURE.simulate_counts(g_new, mu, A, beta, cap, floor, g0, n0, horizon)
+    assert got.dtype == ref.dtype == np.int64
+    assert got.shape == ref.shape == (K_, horizon, mu.shape[0])
+    assert np.array_equal(got, ref)
+    for a, b in zip(g_new, g_ref):
+        assert a.bit_generator.state == b.bit_generator.state
+    return ref
+
+
 @needs_jit
 def test_dense_kernels_agree_across_paths():
     rng = np.random.default_rng(0)
@@ -77,12 +96,13 @@ def test_simulate_counts_bit_identical_across_paths():
         A = rng.uniform(0.0, 0.5 / n, size=(n, n))
         beta = 1.0
         g0 = rng.uniform(0.0, 1.0, size=n)
-        gj = np.random.Generator(np.random.PCG64(trial))
-        gp = np.random.Generator(np.random.PCG64(trial))
+        gj = _generators(trial, 4)
+        gp = _generators(trial, 4)
         yj = K.JIT.simulate_counts(gj, mu, A, beta, np.inf, 0.0, g0, 0.0, 6)
         yp = K.PURE.simulate_counts(gp, mu, A, beta, np.inf, 0.0, g0, 0.0, 6)
+        assert yj.shape == (4, 6, n)
         assert np.array_equal(yj, yp)
-        assert gj.random() == gp.random()
+        assert [g.random() for g in gj] == [g.random() for g in gp]
 
 
 def test_nonpositive_rate_draws_zero_without_consuming_randomness():
@@ -197,6 +217,56 @@ def test_pure_recursions_are_bitwise_prefix_consistent():
         H_t = K.PURE.excitation_beta_series(counts[:t], beta, G_t)
         assert np.array_equal(G_t[-1], G[t]), t
         assert np.array_equal(H_t[-1], H[t]), t
+
+
+def test_pure_simulate_counts_matches_the_loop_kernel():
+    rng = np.random.default_rng(13)
+    for K_ in (1, 3, 200):
+        for horizon in (1, 7, 52):
+            for n in (1, 24, 96):
+                mu = rng.uniform(0.05, 1.5, size=n)
+                A = rng.uniform(0.0, 0.6 / n, size=(n, n))
+                g0 = rng.uniform(0.0, 2.0, size=n)
+                _assert_simulations_identical(
+                    mu, A, 0.8, np.inf, 0.0, g0, 0.0, horizon, K_, seed=K_ * horizon * n,
+                )
+
+
+def test_pure_simulate_counts_matches_the_loop_kernel_across_the_ptrs_switch():
+    # rates exactly at, above and below _PTRS_SWITCH in one row; the first
+    # circuit starts just below the switch and its excitation lifts it over
+    # in some trajectories and steps only
+    S = K._PTRS_SWITCH
+    mu = np.array([S - 0.5, 0.4, S, 3.0, 2.5 * S, 0.0])
+    A = np.zeros((6, 6))
+    A[0, 1] = A[0, 3] = 0.4
+    for horizon in (1, 7):
+        ref = _assert_simulations_identical(
+            mu, A, 1.0, np.inf, 0.0, np.zeros(6), 0.0, horizon, 50, seed=horizon,
+        )
+        assert (ref[:, :, 5] == 0).all()
+    # mixed rows in the same step: some trajectories fall back, others do not
+    rates = mu[0] + np.einsum("j,khj->kh", A[0], ref[:, :-1].astype(float))
+    assert (rates >= S).any() and (rates < S).any()
+
+
+def test_pure_simulate_counts_matches_the_loop_kernel_under_saturation():
+    rng = np.random.default_rng(14)
+    n = 24
+    mu = rng.uniform(0.5, 2.0, size=n)
+    A = rng.uniform(0.0, 0.5 / n, size=(n, n))
+    g0 = rng.uniform(0.0, 1.0, size=n)
+    # floor 0: gamma reaches 0 once the total passes the cap, and a zero rate
+    # must draw 0 without consuming a uniform; n0 is fractional so the
+    # running total must add the draws in the loop's order
+    ref = _assert_simulations_identical(mu, A, 0.8, 60.0, 0.0, g0, 0.1, 12, 40, seed=1)
+    capped = ref[:, :-1].sum(axis=(1, 2)) + 0.1 >= 60.0
+    assert capped.any() and not ref[capped, -1].any()
+    ref = _assert_simulations_identical(mu, A, 0.8, 60.0, 0.25, g0, 0.1, 12, 40, seed=2)
+    assert (ref[:, -1] > 0).any()
+    # a cap already exceeded by the history: every rate is 0 from the start
+    ref = _assert_simulations_identical(mu, A, 0.8, 30.0, 0.0, g0, 31.0, 3, 5, seed=3)
+    assert not ref.any()
 
 
 def test_excitation_series_matches_closed_form_single_pulse():
