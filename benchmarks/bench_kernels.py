@@ -12,8 +12,8 @@ row, trajectory by trajectory and circuit by circuit.  It needs no numba,
 so it always has numbers; the simulation row's max diff must read 0.
 
 Usage:
-    python3 benchmarks/bench_kernels.py [--T 400] [--n 24] [--K 200]
-        [--horizon 52] [--repeats 200]
+    python3 benchmarks/bench_kernels.py [--T 400] [--n 24] [--horizon 52]
+        [--repeats 200]
 
 Each timing is the best of ``--repeats`` calls, or of as many as fit in
 TIME_BUDGET_S seconds (at least one).  Without numba (not importable, or
@@ -33,6 +33,7 @@ import numpy as np
 from hstconformal._kernels import _LOOP_PURE, JIT, PURE
 
 TIME_BUDGET_S = 2.0
+K = 200  # simulated scenarios per simulate_counts call, as in a forecast
 
 
 def best_time(fn, repeats: int, inputs=tuple) -> float:
@@ -59,7 +60,7 @@ def max_abs_diff(a, b) -> float:
     return float(np.max(np.abs(a - b))) if a.size else 0.0
 
 
-def build_cases(T: int, n: int, K: int, horizon: int):
+def build_cases(T: int, n: int, horizon: int):
     rng = np.random.default_rng(0)
     counts = rng.poisson(2.0, (T, n)).astype(float)
     beta = 0.8
@@ -147,12 +148,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--T", type=int, default=400, help="panel length")
     parser.add_argument("--n", type=int, default=24, help="circuit count")
-    parser.add_argument("--K", type=int, default=200, help="simulated scenarios")
     parser.add_argument("--horizon", type=int, default=52, help="simulation bins")
     parser.add_argument("--repeats", type=int, default=200, help="timing repeats")
     args = parser.parse_args(argv)
 
-    cases = build_cases(args.T, args.n, args.K, args.horizon)
+    cases = build_cases(args.T, args.n, args.horizon)
 
     # first call per kernel triggers compilation; exclude it from timing
     if JIT is not None:

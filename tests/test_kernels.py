@@ -233,21 +233,34 @@ def test_pure_simulate_counts_matches_the_loop_kernel():
 
 
 def test_pure_simulate_counts_matches_the_loop_kernel_across_the_ptrs_switch():
-    # rates exactly at, above and below _PTRS_SWITCH in one row; the first
-    # circuit starts just below the switch and its excitation lifts it over
-    # in some trajectories and steps only
+    # only circuit 0 can reach _PTRS_SWITCH: it starts just below it and the
+    # excitation from circuits 1 and 3 lifts it over in some trajectories and
+    # steps only, so one step mixes rows drawn by the scalar fallback with
+    # rows drawn by the vectorized inversion; circuit 4 has rate 0
     S = K._PTRS_SWITCH
-    mu = np.array([S - 0.5, 0.4, S, 3.0, 2.5 * S, 0.0])
-    A = np.zeros((6, 6))
+    mu = np.array([S - 0.5, 0.4, 0.5, 3.0, 0.0])
+    A = np.zeros((5, 5))
     A[0, 1] = A[0, 3] = 0.4
-    for horizon in (1, 7):
-        ref = _assert_simulations_identical(
-            mu, A, 1.0, np.inf, 0.0, np.zeros(6), 0.0, horizon, 50, seed=horizon,
-        )
-        assert (ref[:, :, 5] == 0).all()
-    # mixed rows in the same step: some trajectories fall back, others do not
-    rates = mu[0] + np.einsum("j,khj->kh", A[0], ref[:, :-1].astype(float))
-    assert (rates >= S).any() and (rates < S).any()
+    beta, g0, K_ = 1.0, np.zeros(5), 50
+    ref = _assert_simulations_identical(mu, A, beta, np.inf, 0.0, g0, 0.0, 12, K_, seed=5)
+    assert (ref[:, :, 4] == 0).all()
+    # replay the rates of the reference draws (gamma is 1 with an infinite
+    # cap) and count the rows of each step that hold a PTRS rate
+    g = np.tile(g0, (K_, 1))
+    mixed = 0
+    for h in range(ref.shape[1]):
+        lam = mu + np.array([np.dot(A, row) for row in g])
+        assert (lam[:, 1:] < 5.0).all()
+        by_scalar = (lam >= S).any(axis=1)
+        mixed += bool(by_scalar.any() and not by_scalar.all())
+        g = np.exp(-beta) * (g + beta * ref[:, h])
+    assert mixed >= 3
+    # a rate exactly at the switch takes PTRS: every row falls back
+    mu_at = np.array([S, 0.4, 3.0, 0.0])
+    ref = _assert_simulations_identical(
+        mu_at, np.zeros((4, 4)), 1.0, np.inf, 0.0, np.zeros(4), 0.0, 3, 20, seed=6,
+    )
+    assert (ref[:, :, 3] == 0).all()
 
 
 def test_pure_simulate_counts_matches_the_loop_kernel_under_saturation():
