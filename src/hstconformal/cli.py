@@ -155,7 +155,23 @@ def _build_config(args, keys) -> RunConfig:
         raise PreconditionError(f"alpha must lie in (0, 1), got {cfg.alpha}")
     if cfg.K < 1:
         raise PreconditionError("K must be >= 1")
+    _reject_ineffective(cfg, values)
     return cfg
+
+
+def _reject_ineffective(cfg: RunConfig, given):
+    # an explicitly given key that the run would ignore is a usage error
+    if "panel" in given:
+        if "events" in given:
+            raise PreconditionError("config keys 'panel' and 'events' exclude each "
+                                    "other: give exactly one")
+        grid = [k for k in ("start", "end", "bin_length") if k in given]
+        if grid:
+            raise PreconditionError(f"config keys {grid} only bin an events file and "
+                                    "have no effect with 'panel'")
+    if "qr_window" in given and cfg.quantile_method != "qr":
+        raise PreconditionError(f"config key 'qr_window' has no effect with "
+                                f"quantile_method {cfg.quantile_method!r}")
 
 
 def _require(cfg: RunConfig, *keys):

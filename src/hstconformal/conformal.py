@@ -222,33 +222,66 @@ def empirical_quantile(scores: ScoreSet) -> QuantileEstimate:
     return QuantileEstimate(q=q)
 
 
-def _pinball_loss(theta, D, y, tau):
-    r = y - D @ theta
-    return float(np.where(r >= 0.0, tau * r, (tau - 1.0) * r).mean())
+# pinball fit: Adam step size, relative stopping tolerance on the loss, and
+# the iteration budget of every row
+_PINBALL_LR = 0.02
+_PINBALL_TOL = 1e-6
+_PINBALL_MAX_ITER = 2000
 
 
-def _pinball_fit(D, y, tau, tol=1e-6, max_iter=2000, lr=0.02):
-    # least-squares warm start, then adaptive-moment subgradient descent with
-    # best-loss tracking; the returned point is the best ever visited
-    theta, *_ = np.linalg.lstsq(D, y, rcond=None)
-    best_theta, best_loss = theta.copy(), _pinball_loss(theta, D, y, tau)
+def _pinball_residual(D, y, theta):
+    # stacked matmul runs one BLAS gemv per row, the kernel of a 2-D @ 1-D
+    return y - np.matmul(D, theta[:, :, None])[:, :, 0]
+
+
+def _pinball_loss(r, tau):
+    return np.where(r >= 0.0, tau * r, (tau - 1.0) * r).mean(axis=1)
+
+
+def _pinball_fit(D, y, tau):
+    """Fit every row's linear pinball regression together; returns (theta, exhausted).
+
+    D is (rows, nwin, p) and y is (rows, nwin).  Each row gets a
+    least-squares warm start, then adaptive-moment subgradient descent with
+    best-loss tracking, and stops on its own once its loss changes by at
+    most _PINBALL_TOL relative; the returned (rows, p) thetas are the best
+    points ever visited.  One numpy step advances all rows still running,
+    and each row's arithmetic is that of fitting it alone, bit for bit.
+    `exhausted` flags the rows that used up _PINBALL_MAX_ITER iterations
+    without meeting the tolerance.
+    """
+    rows, nwin, _ = D.shape
+    theta = np.stack([np.linalg.lstsq(D[i], y[i], rcond=None)[0] for i in range(rows)])
+    r = _pinball_residual(D, y, theta)
+    best_loss = _pinball_loss(r, tau)
+    best_theta = theta.copy()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    prev = best_loss
-    for k in range(1, max_iter + 1):
-        r = y - D @ theta
+    prev = best_loss.copy()
+    live = np.arange(rows)  # original row of each running row
+    for k in range(1, _PINBALL_MAX_ITER + 1):
+        # r is the residual at theta from the previous loss evaluation
         dpred = np.where(r > 0.0, -tau, np.where(r < 0.0, 1.0 - tau, 0.0))
-        g = D.T @ dpred / D.shape[0]
+        g = np.matmul(dpred[:, None, :], D)[:, 0, :] / nwin
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
-        theta = theta - lr * (m / (1.0 - 0.9**k)) / (np.sqrt(v / (1.0 - 0.999**k)) + 1e-8)
-        cur = _pinball_loss(theta, D, y, tau)
-        if cur < best_loss:
-            best_loss, best_theta = cur, theta.copy()
-        if abs(cur - prev) <= tol * (1.0 + abs(prev)):
-            break
+        theta = theta - _PINBALL_LR * (m / (1.0 - 0.9**k)) / (
+            np.sqrt(v / (1.0 - 0.999**k)) + 1e-8)
+        r = _pinball_residual(D, y, theta)
+        cur = _pinball_loss(r, tau)
+        better = cur < best_loss[live]
+        best_loss[live[better]] = cur[better]
+        best_theta[live[better]] = theta[better]
+        run = ~(np.abs(cur - prev) <= _PINBALL_TOL * (1.0 + np.abs(prev)))
+        if not run.all():
+            live, D, y, r, theta, m, v = (a[run] for a in (live, D, y, r, theta, m, v))
+            cur = cur[run]
+            if live.size == 0:
+                break
         prev = cur
-    return best_theta
+    exhausted = np.zeros(rows, dtype=bool)
+    exhausted[live] = True
+    return best_theta, exhausted
 
 
 def qr_quantile(scores: ScoreSet, window: int = 10) -> QuantileEstimate:
@@ -256,7 +289,10 @@ def qr_quantile(scores: ScoreSet, window: int = 10) -> QuantileEstimate:
 
     Per substation, each sliding window of `window` scores predicts the next
     score at level 1-alpha; the fitted model is evaluated on the most recent
-    window.  Negative predictions are clamped to 0.
+    window.  Negative predictions are clamped to 0.  All substation rows are
+    fitted in one `_pinball_fit` call, and each row's quantile is bit for bit
+    the one of fitting that row alone.  A row whose fit runs out of
+    iterations keeps its best point, with a UserWarning naming the rows.
     """
     if window < 1:
         raise PreconditionError("window must be >= 1")
@@ -267,17 +303,26 @@ def qr_quantile(scores: ScoreSet, window: int = 10) -> QuantileEstimate:
         )
     tau = 1.0 - scores.alpha
     nwin = scores.n_cal - window
-    q = np.empty(scores.n)
-    for i, seq in enumerate(scores.scores):
-        X = np.lib.stride_tricks.sliding_window_view(seq, window)[:nwin]
-        y = seq[window:]
-        mean = X.mean(axis=0)
-        std = X.std(axis=0)
-        std = np.where(std > 1e-12, std, 1.0)
-        D = np.hstack([(X - mean) / std, np.ones((nwin, 1))])
-        theta = _pinball_fit(D, y, tau)
-        x_last = (seq[-window:] - mean) / std
-        q[i] = max(0.0, float(x_last @ theta[:-1] + theta[-1]))
+    X = np.lib.stride_tricks.sliding_window_view(scores.scores, window, axis=1)[:, :nwin]
+    mean = X.mean(axis=1)
+    std = X.std(axis=1)
+    std = np.where(std > 1e-12, std, 1.0)
+    D = np.ones((scores.n, nwin, window + 1))  # standardized windows, then intercept
+    np.subtract(X, mean[:, None], out=D[:, :, :-1])
+    np.divide(D[:, :, :-1], std[:, None], out=D[:, :, :-1])
+    theta, exhausted = _pinball_fit(D, scores.scores[:, window:], tau)
+    if exhausted.any():
+        warnings.warn(
+            f"pinball fit of substation rows {np.flatnonzero(exhausted).tolist()} "
+            f"stopped at its budget of {_PINBALL_MAX_ITER} iterations without "
+            f"meeting the tolerance {_PINBALL_TOL!r}; their quantiles use the best "
+            "point visited",
+            UserWarning,
+            stacklevel=2,
+        )
+    x_last = (scores.scores[:, -window:] - mean) / std
+    q = np.array([max(0.0, float(x_last[i] @ theta[i, :-1] + theta[i, -1]))
+                  for i in range(scores.n)])
     return QuantileEstimate(q=q)
 
 

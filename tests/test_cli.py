@@ -331,6 +331,47 @@ def test_each_command_accepts_only_its_keys(tmp_path, capsys):
     assert _run(["forecast", *base[1:], "--horizon", "2"], capsys)[0] == 0
 
 
+def test_inputs_without_effect_are_usage_errors(tmp_path, capsys):
+    # a key the run would ignore fails, from a flag or from the config file,
+    # and the error names it; defaults never trigger this
+    _synth(tmp_path, capsys, n=8, m=3, T=60)
+    events = tmp_path / "events.csv"
+    events.write_text("circuit_id,timestamp\nno_such_circuit,2020-03-01\n")
+    files = ["--panel", str(tmp_path / "panel.json"),
+             "--topology", str(tmp_path / "topology.csv")]
+    tail = ["--t0", "31", "--epochs", "20", "--alpha", "0.2"]
+    cases = (
+        (("events", str(events)), "'panel' and 'events' exclude each other"),
+        (("start", "2021-01-01"), "['start'] only bin an events file"),
+        (("end", "2040-01-01"), "['end'] only bin an events file"),
+        (("bin_length", "3M"), "['bin_length'] only bin an events file"),
+        (("qr_window", "5"), "'qr_window' has no effect"),
+    )
+    cfg = tmp_path / "job.yaml"
+    for command, extra in (("run", []), ("evaluate", ["--test_len", "2"]),
+                           ("forecast", ["--horizon", "2"])):
+        for (key, value), named in cases:
+            out = tmp_path / f"{command}_{key}"
+            argv = [command, *files, *tail, *extra, "--out", str(out)]
+            code, _, err = _run(argv + [f"--{key}", value], capsys)
+            assert code == 2 and named in err, (command, key, err)
+            cfg.write_text(f"{key}: '{value}'\n")
+            code, _, err = _run(argv + ["--config", str(cfg)], capsys)
+            assert code == 2 and named in err, (command, key, err)
+            assert not out.exists()
+        assert _run([command, *files, *tail, *extra, "--out", str(tmp_path / command)],
+                    capsys)[0] == 0
+    code, _, err = _run(["run", *files, *tail, "--start", "2021-01-01", "--end", "2040-01-01",
+                         "--out", str(tmp_path / "o")], capsys)
+    assert code == 2 and "['start', 'end']" in err
+    code, _, err = _run(["run", *files, *tail, "--quantile_method", "empirical",
+                         "--qr_window", "5", "--out", str(tmp_path / "o")], capsys)
+    assert code == 2 and "quantile_method 'empirical'" in err
+    # qr_window with the qr method, and the grid keys with events, take effect
+    assert _run(["run", *files, *tail, "--quantile_method", "qr", "--qr_window", "5",
+                 "--out", str(tmp_path / "qr")], capsys)[0] == 0
+
+
 def test_missing_required_keys_are_usage_errors(tmp_path, capsys):
     code, _, err = _run(["synth", "--n", "4", "--m", "2"], capsys)
     assert code == 2 and "T" in err

@@ -211,6 +211,124 @@ def test_qr_quantile_needs_enough_history():
         qr_quantile(_scores(np.ones((1, 5))), window=10)
 
 
+def _pinball_fit_one_row(D, y, tau, max_iter, tol=1e-6, lr=0.02):
+    # oracle: the scalar Adam loop that fitted one substation row at a time;
+    # returns the best theta, the iterations run and whether it met tol
+    def loss(theta):
+        r = y - D @ theta
+        return float(np.where(r >= 0.0, tau * r, (tau - 1.0) * r).mean())
+
+    theta, *_ = np.linalg.lstsq(D, y, rcond=None)
+    best_theta, best_loss = theta.copy(), loss(theta)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    prev = best_loss
+    for k in range(1, max_iter + 1):
+        r = y - D @ theta
+        dpred = np.where(r > 0.0, -tau, np.where(r < 0.0, 1.0 - tau, 0.0))
+        g = D.T @ dpred / D.shape[0]
+        m = 0.9 * m + 0.1 * g
+        v = 0.999 * v + 0.001 * g * g
+        theta = theta - lr * (m / (1.0 - 0.9**k)) / (np.sqrt(v / (1.0 - 0.999**k)) + 1e-8)
+        cur = loss(theta)
+        if cur < best_loss:
+            best_loss, best_theta = cur, theta.copy()
+        if abs(cur - prev) <= tol * (1.0 + abs(prev)):
+            return best_theta, k, True
+        prev = cur
+    return best_theta, max_iter, False
+
+
+def _qr_quantile_one_row(seq, alpha, window, max_iter=2000):
+    # oracle: one row's design, fit and final prediction, as qr_quantile did
+    # per row; returns (q, iterations, met tol)
+    nwin = seq.size - window
+    X = np.lib.stride_tricks.sliding_window_view(seq, window)[:nwin]
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    std = np.where(std > 1e-12, std, 1.0)
+    D = np.hstack([(X - mean) / std, np.ones((nwin, 1))])
+    theta, iters, met = _pinball_fit_one_row(D, seq[window:], 1.0 - alpha, max_iter)
+    x_last = (seq[-window:] - mean) / std
+    return max(0.0, float(x_last @ theta[:-1] + theta[-1])), iters, met
+
+
+def _score_rows(n_cal, rng):
+    # a constant row, a trend row, and noisy rows of several shapes whose fits
+    # stop far apart
+    t = np.arange(n_cal, dtype=np.float64)
+    rows = [np.full(n_cal, 1.75), 0.5 + 0.1 * t]
+    for shape, level in ((0.5, 1.0), (2.0, 0.3), (5.0, 2.0), (1.0, 0.05)):
+        rows.append(rng.gamma(shape, level, n_cal))
+    rows.append(np.abs(np.sin(t / 3.0)) + rng.uniform(0.0, 0.2, n_cal))
+    rows.append(np.where(rng.uniform(size=n_cal) < 0.1, 5.0, 0.2))
+    rows.append(np.maximum(0.0, 3.0 - 0.05 * t + rng.normal(0.0, 0.5, n_cal)))
+    rows.append(rng.exponential(1.0, n_cal) * (1.0 + t / n_cal))
+    rows.append(np.round(rng.uniform(0.0, 4.0, n_cal), 1))
+    rows.append(rng.lognormal(0.0, 1.0, n_cal))
+    return np.array(rows)
+
+
+def test_qr_quantile_matches_the_per_row_fit():
+    # the batched fit reproduces the one-row loop bit for bit, a row's
+    # quantile does not depend on the rows fitted with it, and exactly the
+    # rows that the loop leaves short of the tolerance are reported
+    rng = np.random.default_rng(29)
+    spread = 0
+    for window in (1, 3, 10):
+        for n_cal in (window + 1, 40, 99):
+            pool = _score_rows(n_cal, rng)
+            for j, alpha in enumerate((0.05, 0.1, 0.5)):
+                oracle = [_qr_quantile_one_row(seq, alpha, window) for seq in pool]
+                stopped = [k for _, k, met in oracle if met]
+                spread = max(spread, max(stopped) - min(stopped))
+                for m in (1, 3, 12):
+                    rows = (np.arange(m) * 5 + j) % len(pool)  # all 12 rows when m = 12
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        got = qr_quantile(_scores(pool[rows], alpha=alpha), window=window).q
+                    assert np.array_equal(got, [oracle[i][0] for i in rows]), \
+                        (window, n_cal, alpha, m)
+                    short = [r for r, i in enumerate(rows) if not oracle[i][2]]
+                    messages = [str(w.message) for w in caught]
+                    if short:
+                        assert len(messages) == 1 and f"rows {short} " in messages[0]
+                    else:
+                        assert messages == []
+                    if m == len(pool) and alpha == 0.1:
+                        for r, i in enumerate(rows):
+                            with warnings.catch_warnings():
+                                warnings.simplefilter("ignore", UserWarning)
+                                alone = qr_quantile(_scores(pool[i:i + 1], alpha=alpha),
+                                                    window=window)
+                            assert alone.q[0] == got[r]
+    # some batches hold rows that meet the tolerance hundreds of iterations apart
+    assert spread >= 300
+
+
+def test_qr_quantile_warns_when_a_fit_runs_out_of_iterations(monkeypatch):
+    rng = np.random.default_rng(29)
+    mat = _score_rows(40, rng)[1:6]
+    oracle = [_qr_quantile_one_row(seq, 0.1, 3) for seq in mat]
+    iters = [k for _, k, _ in oracle]
+    # a budget that one row meets on its last iteration
+    budget = sorted(iters)[1]
+    monkeypatch.setattr(_conformal, "_PINBALL_MAX_ITER", budget)
+    with pytest.warns(UserWarning, match="iterations") as caught:
+        q = qr_quantile(_scores(mat, alpha=0.1), window=3)
+    (w,) = caught
+    short = [i for i, k in enumerate(iters) if k > budget]
+    assert 1 <= len(short) < len(iters) - 1
+    assert f"rows {short} " in str(w.message)
+    assert f"budget of {budget} iterations" in str(w.message)
+    assert w.filename == __file__
+    for i, k in enumerate(iters):
+        expect = _qr_quantile_one_row(mat[i], 0.1, 3, max_iter=budget)[0]
+        assert q.q[i] == expect
+        if k <= budget:
+            assert q.q[i] == oracle[i][0]
+
+
 def test_quantile_estimate_validation():
     with pytest.raises(PreconditionError):
         QuantileEstimate(q=np.array([-0.5]))
@@ -341,17 +459,18 @@ def test_quantiles_fit_once_per_substation_and_match_per_circuit_rows(monkeypatc
         assert np.array_equal(_conformal.to_circuits(quantile(ss).q, topo),
                               quantile(per_circuit).q)
 
-    fits = []
+    # one batched fit per qr_quantile call, carrying one row per substation
+    fit_rows = []
     qr_calls = []
     pinball_fit, qr = _conformal._pinball_fit, _conformal.qr_quantile
     monkeypatch.setattr(_conformal, "_pinball_fit",
-                        lambda *a, **k: fits.append(1) or pinball_fit(*a, **k))
+                        lambda D, *a, **k: fit_rows.append(D.shape[0]) or pinball_fit(D, *a, **k))
     monkeypatch.setattr(_conformal, "qr_quantile",
                         lambda *a, **k: qr_calls.append(1) or qr(*a, **k))
     settings = PipelineSettings(quantile_method="qr", epochs=40)
     hst_conformal_pipeline(panel, topo, t0=21, settings=settings, seed=0)
     assert len(qr_calls) == 1
-    assert len(fits) == topo.m * len(qr_calls)
+    assert fit_rows == [topo.m] * len(qr_calls)
 
 
 def test_score_set_extend_appends_column():
