@@ -11,6 +11,12 @@ against the loop reference: the numba source run as plain Python, row by
 row, trajectory by trajectory and circuit by circuit.  It needs no numba,
 so it always has numbers; the simulation row's max diff must read 0.
 
+A third table times the per-trajectory stream derivation: the scalar loop
+``[rng.generator(seed, k) for k in range(K)]`` against the batched
+``rng.generators(seed, K)`` at K = 1, 10 and 200.  Its mismatch column
+counts generators whose ``bit_generator.state`` differs from the loop's,
+over a few seeds; it must read 0.
+
 Usage:
     python3 benchmarks/bench_kernels.py [--T 400] [--n 24] [--horizon 52]
         [--repeats 200]
@@ -30,10 +36,14 @@ import time
 
 import numpy as np
 
+from hstconformal import rng
 from hstconformal._kernels import _LOOP_PURE, JIT, PURE
 
 TIME_BUDGET_S = 2.0
 K = 200  # simulated scenarios per simulate_counts call, as in a forecast
+STREAM_KS = (1, 10, 200)  # a synthetic panel, a calibration bin, a forecast
+# small, one-word, two-word and post-pool (four-word) seeds
+STREAM_SEEDS = (0, 5, 2**32 + 1, 2**64 - 1, 2**100 + 3)
 
 
 def best_time(fn, repeats: int, inputs=tuple) -> float:
@@ -144,6 +154,23 @@ def print_table(cases, base, new, labels, repeats):
         print(f"{row}{t_new * 1e3:>10.3f}ms{t_base / t_new:>8.1f}x{check(base, new):>12.3g}")
 
 
+def print_stream_table(repeats):
+    # speedup is the loop time over the batched time, both for seed 5
+    header = f"{'K':<8}{'scalar loop':>14}{'generators':>14}{'speedup':>9}{'mismatches':>12}"
+    print(header)
+    print("-" * len(header))
+    for k_count in STREAM_KS:
+        t_loop = best_time(lambda: [rng.generator(5, k) for k in range(k_count)], repeats)
+        t_batch = best_time(lambda: rng.generators(5, k_count), repeats)
+        bad = sum(
+            g.bit_generator.state != rng.generator(seed, k).bit_generator.state
+            for seed in STREAM_SEEDS
+            for k, g in enumerate(rng.generators(seed, k_count))
+        )
+        print(f"{k_count:<8}{t_loop * 1e3:>12.3f}ms{t_batch * 1e3:>12.3f}ms"
+              f"{t_loop / t_batch:>8.1f}x{bad:>12}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--T", type=int, default=400, help="panel length")
@@ -163,6 +190,8 @@ def main(argv=None) -> int:
     print()
     looped = [c for c in cases if not c[0].startswith("loglik")]
     print_table(looped, _LOOP_PURE, PURE, ("loop ref", "pure"), args.repeats)
+    print()
+    print_stream_table(args.repeats)
     return 0
 
 

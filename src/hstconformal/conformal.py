@@ -222,11 +222,13 @@ def empirical_quantile(scores: ScoreSet) -> QuantileEstimate:
     return QuantileEstimate(q=q)
 
 
-# pinball fit: Adam step size, relative stopping tolerance on the loss, and
-# the iteration budget of every row
+# pinball fit: Adam step size, relative stopping tolerance on the loss, the
+# iteration budget of every row, and the relative residual below which a
+# warm start is already an exact fit
 _PINBALL_LR = 0.02
 _PINBALL_TOL = 1e-6
 _PINBALL_MAX_ITER = 2000
+_PINBALL_EXACT = 1e-12
 
 
 def _pinball_residual(D, y, theta):
@@ -242,24 +244,30 @@ def _pinball_fit(D, y, tau):
     """Fit every row's linear pinball regression together; returns (theta, exhausted).
 
     D is (rows, nwin, p) and y is (rows, nwin).  Each row gets a
-    least-squares warm start, then adaptive-moment subgradient descent with
-    best-loss tracking, and stops on its own once its loss changes by at
-    most _PINBALL_TOL relative; the returned (rows, p) thetas are the best
-    points ever visited.  One numpy step advances all rows still running,
-    and each row's arithmetic is that of fitting it alone, bit for bit.
-    `exhausted` flags the rows that used up _PINBALL_MAX_ITER iterations
-    without meeting the tolerance.
+    least-squares warm start.  A row whose warm-start residual is zero to
+    rounding, max|r| <= _PINBALL_EXACT * (1 + max|y|), is already fitted and
+    keeps its warm start.  Every other row runs adaptive-moment subgradient
+    descent with best-loss tracking, and stops on its own once its loss
+    changes by at most _PINBALL_TOL relative; the returned (rows, p) thetas
+    are the best points ever visited.  One numpy step advances all rows
+    still running, and each row's arithmetic is that of fitting it alone,
+    bit for bit.  `exhausted` flags the rows that used up _PINBALL_MAX_ITER
+    iterations without meeting the tolerance.
     """
     rows, nwin, _ = D.shape
     theta = np.stack([np.linalg.lstsq(D[i], y[i], rcond=None)[0] for i in range(rows)])
     r = _pinball_residual(D, y, theta)
     best_loss = _pinball_loss(r, tau)
     best_theta = theta.copy()
+    exact = np.abs(r).max(axis=1) <= _PINBALL_EXACT * (1.0 + np.abs(y).max(axis=1))
+    live = np.flatnonzero(~exact)  # original row of each running row
+    D, y, r, theta = D[live], y[live], r[live], theta[live]
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    prev = best_loss.copy()
-    live = np.arange(rows)  # original row of each running row
+    prev = best_loss[live]
     for k in range(1, _PINBALL_MAX_ITER + 1):
+        if live.size == 0:
+            break
         # r is the residual at theta from the previous loss evaluation
         dpred = np.where(r > 0.0, -tau, np.where(r < 0.0, 1.0 - tau, 0.0))
         g = np.matmul(dpred[:, None, :], D)[:, 0, :] / nwin
@@ -276,8 +284,6 @@ def _pinball_fit(D, y, tau):
         if not run.all():
             live, D, y, r, theta, m, v = (a[run] for a in (live, D, y, r, theta, m, v))
             cur = cur[run]
-            if live.size == 0:
-                break
         prev = cur
     exhausted = np.zeros(rows, dtype=bool)
     exhausted[live] = True

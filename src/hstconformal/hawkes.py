@@ -491,7 +491,9 @@ def simulate_trajectory(model: HawkesModel, history, horizon: int, K: int = 10,
 
     Each trajectory extends its own simulated history bin by bin.  Trajectory
     k draws from its own derived generator (seed, k), so trajectory k is the
-    same for every K > k.  One kernel call advances all K together.
+    same for every K > k.  ``rng.generators`` builds all K in one vectorized
+    SeedSequence hash, each with the state of ``rng.generator(seed, k)`` bit
+    for bit, and one kernel call advances all K together.
     """
     if horizon < 1:
         raise PreconditionError("need horizon >= 1")
@@ -500,7 +502,7 @@ def simulate_trajectory(model: HawkesModel, history, horizon: int, K: int = 10,
     h = _history_array(history, model.n)
     g0 = ACTIVE.excitation_series(h, model.beta)[-1]
     n0 = float(h.sum())
-    gens = [_rng.generator(seed, k) for k in range(K)]
+    gens = _rng.generators(seed, K)
     return ACTIVE.simulate_counts(
         gens, model.mu, model.A, model.beta, model.sat.cap, model.sat.floor,
         g0, n0, horizon,

@@ -393,3 +393,17 @@ def test_console_script_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("synth: n=3 m=1 T=12")
     assert (tmp_path / "panel.json").exists()
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    _synth(tmp_path, capsys, n=4, m=2, T=20)
+    for argv in (["synth", "--n", "4", "--m", "2", "--T", "20", "--seed", "-1",
+                  "--out", str(tmp_path / "neg")],
+                 ["run", "--panel", str(tmp_path / "panel.json"),
+                  "--topology", str(tmp_path / "topology.csv"),
+                  "--t0", "11", "--seed", "-1", "--out", str(tmp_path / "neg")]):
+        proc = subprocess.run([sys.executable, "-m", "hstconformal.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2, (argv[0], proc.stderr)
+        assert "seed" in proc.stderr and "-1" in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr

@@ -211,14 +211,17 @@ def test_qr_quantile_needs_enough_history():
         qr_quantile(_scores(np.ones((1, 5))), window=10)
 
 
-def _pinball_fit_one_row(D, y, tau, max_iter, tol=1e-6, lr=0.02):
+def _pinball_fit_one_row(D, y, tau, max_iter, tol=1e-6, lr=0.02, exact=1e-12):
     # oracle: the scalar Adam loop that fitted one substation row at a time;
-    # returns the best theta, the iterations run and whether it met tol
+    # returns the best theta, the iterations run and whether it met tol; a
+    # warm start that fits to rounding is kept without iterating
     def loss(theta):
         r = y - D @ theta
         return float(np.where(r >= 0.0, tau * r, (tau - 1.0) * r).mean())
 
     theta, *_ = np.linalg.lstsq(D, y, rcond=None)
+    if np.abs(y - D @ theta).max() <= exact * (1.0 + np.abs(y).max()):
+        return theta, 0, True
     best_theta, best_loss = theta.copy(), loss(theta)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
@@ -327,6 +330,15 @@ def test_qr_quantile_warns_when_a_fit_runs_out_of_iterations(monkeypatch):
         assert q.q[i] == expect
         if k <= budget:
             assert q.q[i] == oracle[i][0]
+
+
+def test_qr_quantile_keeps_an_exact_warm_start():
+    # a constant row is fitted exactly by its least-squares warm start, up to
+    # rounding: it takes no Adam iterations and raises no budget warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = qr_quantile(ScoreSet(np.full((1, 40), 1.75), np.ones(1), 0.05), window=1)
+    assert abs(q.q[0] - 1.75) <= 1e-12
 
 
 def test_quantile_estimate_validation():

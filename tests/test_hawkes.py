@@ -20,6 +20,7 @@ from hstconformal import (
     simulate_trajectory,
 )
 from hstconformal import _kernels
+from hstconformal import rng as _rng
 from hstconformal.hawkes import _softplus, _softplus_inv
 
 
@@ -348,6 +349,28 @@ def test_trajectory_mean_flat_without_excitation_or_cap():
     means = traj[:, :, 0].mean(axis=0)
     assert abs(means[0] - means[-1]) < 0.2
     assert np.all(np.abs(means - 3.0) < 0.2)
+
+
+def test_trajectory_generators_match_the_scalar_streams(monkeypatch):
+    # oracle: the scalar list comprehension that built one generator per k;
+    # rates span the inversion and PTRS draws, and the seeds take both the
+    # in-pool and the post-pool (4+ word) SeedSequence paths
+    m = _model([2.0, 35.0, 0.5], np.full((3, 3), 0.1), cap=400.0)
+    h = np.array([[1, 30, 0], [0, 41, 2]])
+
+    def run(build, seed):
+        made = []
+        monkeypatch.setattr(_rng, "generators",
+                            lambda s, K: made.append(build(s, K)) or made[-1])
+        traj = simulate_trajectory(m, h, horizon=6, K=30, seed=seed)
+        return traj, [g.bit_generator.state for g in made[0]]
+
+    batched = _rng.generators
+    for seed in (0, 7, 2**64 + 5, 2**100 + 9, _rng.derive(5, "cal", 40)):
+        got, got_states = run(batched, seed)
+        want, want_states = run(lambda s, K: [_rng.generator(s, k) for k in range(K)], seed)
+        assert np.array_equal(got, want), seed
+        assert got_states == want_states, seed
 
 
 def test_simulation_argument_validation():
