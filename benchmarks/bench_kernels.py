@@ -17,6 +17,27 @@ A third table times the per-trajectory stream derivation: the scalar loop
 counts generators whose ``bit_generator.state`` differs from the loop's,
 over a few seeds; it must read 0.
 
+A fourth table times whole ``fit`` calls at the sizes of the ``run-fit``
+and ``evaluate-qr`` fits, (300, 24) and (300, 96) at the default ``--T``
+and ``--n`` and scaled with them, for FIT_EPOCHS epochs.  It reports wall
+time, system time (``ru_stime``) and minor page faults (``ru_minflt``)
+per fit from ``resource.getrusage``, once with the dense kernels called
+without the fit's workspace, allocating every array each epoch, and once
+as ``fit`` runs them, on one workspace.  The allocator's cost shows only
+here: glibc hands much of an epoch's freed memory back to the system,
+unmapping arrays above its mmap threshold and trimming the top of the
+heap, and the next epoch faults it in again, page by page, in system
+time.  The first two tables cannot see that: a best-of-N loop gets back
+the memory it just freed, and its best call is one that did not fault.
+At (300, 96), on a 2-vCPU VM, the two allocating scans and the gradient
+kernel summed to 1.5-1.9 ms best-of-1000, yet the allocating fit took
+3.3-5.9 ms per epoch, 0.6-0.8 ms of it system time; on the workspace it
+took 2.3-2.5 ms with no system time to speak of.  The fault count also
+depends on the state of the heap: at (300, 24) this script's allocating
+fits fault about 100 times each, while the 1000-epoch (301, 24) fit of a
+``run-fit`` command faulted 95,000-108,000 times.  So compare the two
+columns of one run, and measure a command with ``getrusage`` around it.
+
 Usage:
     python3 benchmarks/bench_kernels.py [--T 400] [--n 24] [--horizon 52]
         [--repeats 200]
@@ -30,20 +51,26 @@ table read "jit unavailable".
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import resource
 import sys
 import time
+import warnings
 
 import numpy as np
 
-from hstconformal import rng
-from hstconformal._kernels import _LOOP_PURE, JIT, PURE
+from hstconformal import FitConfig, fit, rng
+from hstconformal._kernels import _LOOP_PURE, ACTIVE, JIT, PURE
 
 TIME_BUDGET_S = 2.0
 K = 200  # simulated scenarios per simulate_counts call, as in a forecast
 STREAM_KS = (1, 10, 200)  # a synthetic panel, a calibration bin, a forecast
 # small, one-word, two-word and post-pool (four-word) seeds
 STREAM_SEEDS = (0, 5, 2**32 + 1, 2**64 - 1, 2**100 + 3)
+FIT_SIZES = ((300, 24), (300, 96))  # (T, n) at --T 400 --n 24
+FIT_EPOCHS = 100
+FIT_RUNS = 3  # fits per cell, fewer when --repeats is smaller
 
 
 def best_time(fn, repeats: int, inputs=tuple) -> float:
@@ -171,6 +198,53 @@ def print_stream_table(repeats):
               f"{t_loop / t_batch:>8.1f}x{bad:>12}")
 
 
+@contextlib.contextmanager
+def allocating_fit_kernels():
+    # fit's kernel calls with their workspace argument dropped
+    saved = {name: getattr(ACTIVE, name)
+             for name in ("excitation_series", "excitation_beta_series", "loglik_grads")}
+    for name, fn in saved.items():
+        setattr(ACTIVE, name, lambda *args, _fn=fn, work=None: _fn(*args))
+    try:
+        yield
+    finally:
+        for name, fn in saved.items():
+            setattr(ACTIVE, name, fn)
+
+
+def fit_usage(counts, runs):
+    # per-fit means of wall seconds, system seconds and minor faults
+    cfg = FitConfig(epochs=FIT_EPOCHS, seed=0)
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    t0 = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # supercritical fits
+        epochs = [fit(counts, None, cfg).meta.epochs_run for _ in range(runs)]
+    wall = time.perf_counter() - t0
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return (max(epochs), wall / runs, (after.ru_stime - before.ru_stime) / runs,
+            (after.ru_minflt - before.ru_minflt) / runs)
+
+
+def print_fit_table(T, n, repeats):
+    header = (f"{'fit size':<16}{'epochs':>7}{'allocating':>30}{'workspace':>30}")
+    sub = f"{'':<23}" + f"{'wall':>10}{'sys':>10}{'faults':>10}" * 2
+    print(header)
+    print(sub)
+    print("-" * len(sub))
+    runs = max(1, min(repeats, FIT_RUNS))
+    for t_base, n_base in FIT_SIZES:
+        size = (max(2, t_base * T // 400), max(1, n_base * n // 24))
+        counts = np.random.default_rng(0).poisson(1.0, size).astype(float)
+        with allocating_fit_kernels():
+            epochs, *alloc = fit_usage(counts, runs)
+        _, *work = fit_usage(counts, runs)
+        row = f"T={size[0]} n={size[1]}"
+        cells = "".join(f"{w * 1e3:>8.1f}ms{s * 1e3:>8.1f}ms{f:>10.0f}"
+                        for w, s, f in (alloc, work))
+        print(f"{row:<16}{epochs:>7}{cells}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--T", type=int, default=400, help="panel length")
@@ -192,6 +266,8 @@ def main(argv=None) -> int:
     print_table(looped, _LOOP_PURE, PURE, ("loop ref", "pure"), args.repeats)
     print()
     print_stream_table(args.repeats)
+    print()
+    print_fit_table(args.T, args.n, args.repeats)
     return 0
 
 

@@ -21,6 +21,20 @@ Guarantees relied on by the rest of the package:
   the tests allow 1e-12), and its row t depends only on the first t input
   rows, bit for bit: the excitation of a history equals the matching row
   of the full panel's.
+* ``workspace(counts, b0, b1)`` builds the arrays that the dense kernels
+  ``excitation_series``, ``excitation_beta_series`` and ``loglik_grads``
+  write on that panel and bin range; each family builds its own.  Passed
+  as the trailing keyword ``work``, it replaces every (T, n) and (n, n)
+  array those calls would allocate: the loop family writes G, H and dA
+  into it, the pure family also the scan temporaries and every likelihood
+  and gradient intermediate, with the ``Y > 0`` masks computed once.  The
+  returned G, H and dA are views into the workspace, valid until the next
+  call with the same workspace.  The float operations, their operand order
+  and the shapes of the reductions are those of the allocating call, so
+  the results are bit-identical with or without it.  ``fit`` holds one
+  workspace for all its epochs: an allocating epoch makes about 32 (T, n)
+  temporaries, and glibc hands much of that memory back to the system
+  (by unmapping or trimming the heap), so each epoch faults it in anew.
 * ``simulate_counts(gens, ...)`` takes one generator per trajectory and
   returns (K, horizon, n) counts.  The loop family simulates the
   trajectories one after another; the pure path advances all K together,
@@ -100,12 +114,11 @@ def build_loop_kernels(jit):
                 return k
 
     @jit
-    def excitation_series(counts, beta):
+    def excite_into(G, counts, beta):
         # Row t holds the exponentially-decayed excitation feeding bin t,
         # i.e. sum_{t'<t} counts[t'] * beta * exp(-beta * (t - t')).
-        # Row T is usable for the first bin after the panel.
+        # Row T is usable for the first bin after the panel; row 0 stays 0.
         T, n = counts.shape
-        G = np.zeros((T + 1, n))
         decay = np.exp(-beta)
         for t in range(T):
             for i in range(n):
@@ -113,10 +126,9 @@ def build_loop_kernels(jit):
         return G
 
     @jit
-    def excitation_beta_series(counts, beta, G):
+    def excite_beta_into(H, counts, beta, G):
         # d/d(beta) of excitation_series, sharing its recursion structure.
         T, n = counts.shape
-        H = np.zeros((T + 1, n))
         decay = np.exp(-beta)
         for t in range(T):
             for i in range(n):
@@ -144,13 +156,13 @@ def build_loop_kernels(jit):
         return ll
 
     @jit
-    def loglik_grads(counts, G, H, gamma, dgam, mu, A, b0, b1):
+    def loglik_grads_into(dA, counts, G, H, gamma, dgam, mu, A, b0, b1):
         # Partials of the Poisson log likelihood in constrained coordinates
         # (mu, A, beta, cap); the chain rule to unconstrained space is applied
         # by the caller.  dgam[t] is d(gamma_t)/d(cap), zero where clamped.
         n = counts.shape[1]
         dmu = np.zeros(n)
-        dA = np.zeros((n, n))
+        dA[:, :] = 0.0
         dbeta = 0.0
         dcap = 0.0
         ll = 0.0
@@ -178,6 +190,27 @@ def build_loop_kernels(jit):
                 dbeta += w * ah[i]
                 dcap += dgam[t] * r * base[i]
         return ll, dmu, dA, dbeta, dcap
+
+    # The dense entry points take an optional ``work`` from ``workspace``
+    # and write G, H and dA into it instead of allocating them.
+
+    def workspace(counts, b0, b1):
+        T, n = counts.shape
+        return SimpleNamespace(G=np.zeros((T + 1, n)), H=np.zeros((T + 1, n)),
+                               dA=np.empty((n, n)))
+
+    def excitation_series(counts, beta, work=None):
+        G = np.zeros((counts.shape[0] + 1, counts.shape[1])) if work is None else work.G
+        return excite_into(G, counts, beta)
+
+    def excitation_beta_series(counts, beta, G, work=None):
+        H = np.zeros((counts.shape[0] + 1, counts.shape[1])) if work is None else work.H
+        return excite_beta_into(H, counts, beta, G)
+
+    def loglik_grads(counts, G, H, gamma, dgam, mu, A, b0, b1, work=None):
+        n = counts.shape[1]
+        dA = np.empty((n, n)) if work is None else work.dA
+        return loglik_grads_into(dA, counts, G, H, gamma, dgam, mu, A, b0, b1)
 
     @jit
     def simulate_one(gen, mu, A, beta, cap, floor, g0, n0, horizon):
@@ -210,6 +243,7 @@ def build_loop_kernels(jit):
 
     return SimpleNamespace(
         poisson_draw=poisson_draw,
+        workspace=workspace,
         excitation_series=excitation_series,
         excitation_beta_series=excitation_beta_series,
         loglik_value=loglik_value,
@@ -224,9 +258,24 @@ def build_loop_kernels(jit):
 _SCAN_BLOCK = 16
 
 
-def _decayed_scan(x, decay):
-    """Rows ``y[t] = decay * (y[t-1] + x[t])`` from ``y[-1] = 0``, as a
-    (T+1, n) array whose row 0 is zero, like the loop kernels' output.
+def _scan_output(T, n):
+    # zero row 0, then T rows padded to whole blocks
+    return np.zeros((-(-T // _SCAN_BLOCK) * _SCAN_BLOCK + 1, n))
+
+
+def _scan_scratch(T, n):
+    # room for each step's contiguous (nb, B-s, n) temporary, and the
+    # block-end rows with their temporary
+    nb = -(-T // _SCAN_BLOCK)
+    return np.empty((nb, _SCAN_BLOCK, n)), np.empty((2, nb, n))
+
+
+def _decayed_scan(out, T, decay, scratch=None):
+    """Rows ``y[t] = decay * (y[t-1] + x[t])`` from ``y[-1] = 0``, in place.
+
+    ``out`` comes from ``_scan_output`` with ``x`` in rows 1..T; the result
+    is ``out[:T+1]``, whose row 0 is zero, like the loop kernels' output.
+    ``scratch`` comes from ``_scan_scratch`` and is built when not given.
 
     A two-level blocked scan: the rows are viewed as (nb, B, n) blocks, each
     block is scanned by doubling (step s adds ``decay**s`` times the row s
@@ -236,66 +285,122 @@ def _decayed_scan(x, decay):
     order that does not depend on T, so row t is bitwise the same for any
     panel that shares the first t rows.
     """
-    T, n = x.shape
+    n = out.shape[1]
     B = _SCAN_BLOCK
     nb = -(-T // B)
-    out = np.zeros((nb * B + 1, n))
-    np.multiply(x, decay, out=out[1:T + 1])
+    blocks, (ends, tmp) = _scan_scratch(T, n) if scratch is None else scratch
+    np.multiply(out[1:T + 1], decay, out=out[1:T + 1])
+    out[T + 1:] = 0.0  # as when fresh: padding rows feed no row <= T, but would grow
     y = out[1:].reshape(nb, B, n)
+    flat = blocks.reshape(-1)
     s = 1
     while s < B:
-        y[:, s:] += decay**s * y[:, :-s]
+        step = flat[:nb * (B - s) * n].reshape(nb, B - s, n)
+        np.multiply(decay**s, y[:, :-s], out=step)
+        y[:, s:] += step
         s *= 2
-    ends = y[:, -1].copy()
+    np.copyto(ends, y[:, -1])
     factor = decay**B
     s = 1
     while s < nb:
-        ends[s:] += factor**s * ends[:-s]
+        np.multiply(factor**s, ends[:-s], out=tmp[:nb - s])
+        ends[s:] += tmp[:nb - s]
         s *= 2
-    y[1:] += decay ** np.arange(1.0, B + 1.0)[:, None] * ends[:-1, None, :]
+    np.multiply(decay ** np.arange(1.0, B + 1.0)[:, None], ends[:-1, None, :],
+                out=blocks[:nb - 1])
+    y[1:] += blocks[:nb - 1]
     return out[:T + 1]
 
 
-def _excitation_series_np(counts, beta):
-    return _decayed_scan(beta * counts, np.exp(-beta))
+class _LoglikBuffers:
+    """The (b1-b0, n) arrays of one likelihood evaluation on bins [b0, b1),
+    with the counts-invariant masks ``Y > 0`` and its negation."""
+
+    def __init__(self, counts, b0, b1):
+        Y = counts[b0:b1]
+        self.ypos = Y > 0.0
+        self.yzero = ~self.ypos
+        self.base, self.lam, self.r, self.tmp = np.empty((4,) + Y.shape)
+        self.pos, self.flag = np.empty((2,) + Y.shape, dtype=bool)
+        self.dA = np.empty((Y.shape[1], Y.shape[1]))
 
 
-def _excitation_beta_series_np(counts, beta, G):
-    return _decayed_scan((1.0 - beta) * counts - G[:-1], np.exp(-beta))
+def _workspace_np(counts, b0, b1):
+    T, n = counts.shape
+    return SimpleNamespace(G=_scan_output(T, n), H=_scan_output(T, n),
+                           scratch=_scan_scratch(T, n),
+                           ll=_LoglikBuffers(counts, b0, b1))
 
 
-def _loglik_pieces_np(counts, G, gamma, mu, A, b0, b1):
+def _excitation_series_np(counts, beta, work=None):
+    T, n = counts.shape
+    out = _scan_output(T, n) if work is None else work.G
+    np.multiply(beta, counts, out=out[1:T + 1])
+    return _decayed_scan(out, T, np.exp(-beta), None if work is None else work.scratch)
+
+
+def _excitation_beta_series_np(counts, beta, G, work=None):
+    T, n = counts.shape
+    out = _scan_output(T, n) if work is None else work.H
+    x = out[1:T + 1]
+    np.multiply(1.0 - beta, counts, out=x)
+    np.subtract(x, G[:-1], out=x)
+    return _decayed_scan(out, T, np.exp(-beta), None if work is None else work.scratch)
+
+
+def _loglik_np(counts, G, gamma, mu, A, b0, b1, buf):
+    """The log likelihood of bins [b0, b1), or None where it is -inf.
+
+    Leaves base = mu + G A^T in ``buf.base``, lam in ``buf.lam``, lam > 0 in
+    ``buf.pos`` and lam where positive, else 1, in ``buf.r``.
+    """
     Y = counts[b0:b1]
-    base = mu[None, :] + G[b0:b1] @ A.T
-    lam = gamma[b0:b1, None] * base
-    if np.any((lam <= 0.0) & (Y > 0.0)):
+    base, lam, safe, tmp = buf.base, buf.lam, buf.r, buf.tmp
+    np.matmul(G[b0:b1], A.T, out=base)
+    np.add(mu[None, :], base, out=base)
+    np.multiply(gamma[b0:b1, None], base, out=lam)
+    np.less_equal(lam, 0.0, out=buf.flag)
+    np.logical_and(buf.flag, buf.ypos, out=buf.flag)
+    if buf.flag.any():
         return None
-    pos = lam > 0.0
-    safe = np.where(pos, lam, 1.0)
-    ll = float(np.sum(np.where(Y > 0.0, Y * np.log(safe), 0.0) - lam))
-    return ll, base, lam, pos, safe
+    np.greater(lam, 0.0, out=buf.pos)
+    np.copyto(safe, 1.0)
+    np.copyto(safe, lam, where=buf.pos)
+    np.log(safe, out=tmp)
+    np.multiply(Y, tmp, out=tmp)
+    np.copyto(tmp, 0.0, where=buf.yzero)
+    np.subtract(tmp, lam, out=tmp)
+    return float(np.sum(tmp))
 
 
 def _loglik_value_np(counts, G, gamma, mu, A, b0, b1):
-    pieces = _loglik_pieces_np(counts, G, gamma, mu, A, b0, b1)
-    if pieces is None:
-        return -np.inf
-    return pieces[0]
+    ll = _loglik_np(counts, G, gamma, mu, A, b0, b1, _LoglikBuffers(counts, b0, b1))
+    return -np.inf if ll is None else ll
 
 
-def _loglik_grads_np(counts, G, H, gamma, dgam, mu, A, b0, b1):
+def _loglik_grads_np(counts, G, H, gamma, dgam, mu, A, b0, b1, work=None):
     n = counts.shape[1]
-    pieces = _loglik_pieces_np(counts, G, gamma, mu, A, b0, b1)
-    if pieces is None:
+    buf = _LoglikBuffers(counts, b0, b1) if work is None else work.ll
+    ll = _loglik_np(counts, G, gamma, mu, A, b0, b1, buf)
+    if ll is None:
         return -np.inf, np.zeros(n), np.zeros((n, n)), 0.0, 0.0
-    ll, base, lam, pos, safe = pieces
     Y = counts[b0:b1]
-    r = np.where(pos, Y / safe - 1.0, -1.0)
-    w = gamma[b0:b1, None] * r
+    base, r, w, tmp = buf.base, buf.r, buf.lam, buf.tmp
+    # r = Y / lam - 1 where lam > 0, else -1, over the safe lam; w takes the
+    # buffer of lam, which the gradients do not read
+    np.divide(Y, r, out=r)
+    np.subtract(r, 1.0, out=r)
+    np.logical_not(buf.pos, out=buf.flag)
+    np.copyto(r, -1.0, where=buf.flag)
+    np.multiply(gamma[b0:b1, None], r, out=w)
     dmu = w.sum(axis=0)
-    dA = w.T @ G[b0:b1]
-    dbeta = float(np.sum(w * (H[b0:b1] @ A.T)))
-    dcap = float(np.sum(dgam[b0:b1, None] * r * base))
+    dA = np.matmul(w.T, G[b0:b1], out=buf.dA)
+    np.matmul(H[b0:b1], A.T, out=tmp)
+    np.multiply(w, tmp, out=tmp)
+    dbeta = float(np.sum(tmp))
+    np.multiply(dgam[b0:b1, None], r, out=tmp)
+    np.multiply(tmp, base, out=tmp)
+    dcap = float(np.sum(tmp))
     return ll, dmu, dA, dbeta, dcap
 
 
@@ -372,6 +477,7 @@ _LOOP_PURE = build_loop_kernels(lambda f: f)
 
 PURE = SimpleNamespace(
     poisson_draw=_LOOP_PURE.poisson_draw,
+    workspace=_workspace_np,
     excitation_series=_excitation_series_np,
     excitation_beta_series=_excitation_beta_series_np,
     loglik_value=_loglik_value_np,

@@ -230,14 +230,16 @@ def _history_array(history, n: int) -> np.ndarray:
         )
     return h
 
-def _gamma_series(bin_totals: np.ndarray, cap: float, floor: float):
+def _count_before(counts: np.ndarray) -> np.ndarray:
+    """Network-wide count of the bins before each bin."""
+    return np.concatenate(([0.0], np.cumsum(counts.sum(axis=1))))[:counts.shape[0]]
+
+def _gamma_series(before: np.ndarray, cap: float, floor: float):
     """Saturation factors for each bin plus d(gamma)/d(cap), zero where clamped."""
-    T = bin_totals.shape[0]
-    before = np.concatenate(([0.0], np.cumsum(bin_totals)))[:T]
     raw = 1.0 - before / cap
     gamma = np.maximum(floor, raw)
     if math.isinf(cap):
-        dgam = np.zeros(T)
+        dgam = np.zeros(before.shape[0])
     else:
         dgam = np.where(raw > floor, before / (cap * cap), 0.0)
     return gamma, dgam
@@ -280,7 +282,7 @@ def log_likelihood(model: HawkesModel, panel, bins=None) -> float:
     b0, b1 = _normalize_bins(bins, Y.shape[0])
     counts = Y.astype(np.float64)
     G = ACTIVE.excitation_series(counts, model.beta)
-    gamma, _ = _gamma_series(counts.sum(axis=1), model.sat.cap, model.sat.floor)
+    gamma, _ = _gamma_series(_count_before(counts), model.sat.cap, model.sat.floor)
     return float(ACTIVE.loglik_value(counts, G, gamma, model.mu, model.A, b0, b1))
 
 
@@ -295,18 +297,21 @@ class GradientResult:
     d_cap: float
 
 
-def _objective(counts: np.ndarray, mu, A, beta: float, cap: float, floor: float,
-               b0: int, b1: int):
+def _objective(counts: np.ndarray, before: np.ndarray, mu, A, beta: float,
+               cap: float, floor: float, b0: int, b1: int, work=None):
     """Log likelihood of bins [b0, b1) and its unconstrained gradient.
 
-    Returns ``(ll, (g_mu, g_A, g_beta, g_cap))``, or ``(ll, None)`` when ll
-    is not finite.  The one objective behind ``fit`` and
-    ``log_likelihood_gradient``.
+    ``before`` is ``_count_before(counts)``; ``work``, from
+    ``ACTIVE.workspace(counts, b0, b1)``, holds the kernels' arrays, which
+    they allocate when it is None.  Returns ``(ll, (g_mu, g_A, g_beta,
+    g_cap))``, or ``(ll, None)`` when ll is not finite.  The one objective
+    behind ``fit`` and ``log_likelihood_gradient``.
     """
-    G = ACTIVE.excitation_series(counts, beta)
-    H = ACTIVE.excitation_beta_series(counts, beta, G)
-    gamma, dgam = _gamma_series(counts.sum(axis=1), cap, floor)
-    ll, dmu, dA, dbeta, dcap = ACTIVE.loglik_grads(counts, G, H, gamma, dgam, mu, A, b0, b1)
+    G = ACTIVE.excitation_series(counts, beta, work=work)
+    H = ACTIVE.excitation_beta_series(counts, beta, G, work=work)
+    gamma, dgam = _gamma_series(before, cap, floor)
+    ll, dmu, dA, dbeta, dcap = ACTIVE.loglik_grads(counts, G, H, gamma, dgam, mu, A,
+                                                   b0, b1, work=work)
     if not math.isfinite(ll):
         return float(ll), None
     # mu, A, cap use an exponential map; beta a softplus map, whose derivative
@@ -325,8 +330,10 @@ def log_likelihood_gradient(model: HawkesModel, panel, bins=None) -> GradientRes
     if Y.shape[1] != model.n:
         raise PreconditionError(f"panel has {Y.shape[1]} circuits, model has {model.n}")
     b0, b1 = _normalize_bins(bins, Y.shape[0])
-    ll, grad = _objective(Y.astype(np.float64), model.mu, model.A, model.beta,
-                          model.sat.cap, model.sat.floor, b0, b1)
+    counts = Y.astype(np.float64)
+    ll, grad = _objective(counts, _count_before(counts), model.mu, model.A, model.beta,
+                          model.sat.cap, model.sat.floor, b0, b1,
+                          work=ACTIVE.workspace(counts, b0, b1))
     if grad is None:
         raise NumericalError("log likelihood is not finite at this parameter point")
     g_mu, g_A, g_beta, g_cap = grad
@@ -381,6 +388,10 @@ def fit(panel, topo, cfg: FitConfig = FitConfig()) -> HawkesModel:
     likelihood are retried with halved length.
     Each trial point costs one objective evaluation: its gradient is taken
     together with its likelihood and drives the next step once accepted.
+    All evaluations write into one kernel workspace (``ACTIVE.workspace``),
+    built once per fit with the cumulative bin totals of the saturation
+    factor, so an epoch allocates no (T, n) array; the results are bit for
+    bit those of the allocating kernels.
     The fit stops early once the likelihood changes by at most
     ``_CONVERGENCE_TOL`` relative to the previous epoch.
     """
@@ -408,9 +419,12 @@ def fit(panel, topo, cfg: FitConfig = FitConfig()) -> HawkesModel:
     u = packer.pack(np.log(mu0), np.log(A0), _softplus_inv(float(beta0)),
                     math.log(cap0) if cfg.fit_cap else 0.0)
 
+    before = _count_before(counts)
+    work = ACTIVE.workspace(counts, 0, T)
+
     def evaluate(uvec):
         mu, A, beta, cap = packer.unpack(uvec, cap0)
-        ll, grad = _objective(counts, mu, A, beta, cap, 0.0, 0, T)
+        ll, grad = _objective(counts, before, mu, A, beta, cap, 0.0, 0, T, work=work)
         return ll, None if grad is None else packer.pack(*grad)
 
     ll, grads = evaluate(u)

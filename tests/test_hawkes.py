@@ -21,7 +21,13 @@ from hstconformal import (
 )
 from hstconformal import _kernels
 from hstconformal import rng as _rng
-from hstconformal.hawkes import _softplus, _softplus_inv
+from hstconformal.hawkes import (
+    _count_before,
+    _gamma_series,
+    _objective,
+    _softplus,
+    _softplus_inv,
+)
 
 
 def _model(mu, A, beta=1.0, cap=math.inf, floor=0.0):
@@ -275,9 +281,9 @@ def test_fit_evaluates_the_objective_once_per_epoch(monkeypatch):
     # the gradient is reused for the next step once the point is accepted
     calls = {"loglik_grads": 0, "loglik_value": 0}
     for name in calls:
-        def counted(*args, _name=name, _orig=getattr(_kernels.ACTIVE, name)):
+        def counted(*args, _name=name, _orig=getattr(_kernels.ACTIVE, name), **kwargs):
             calls[_name] += 1
-            return _orig(*args)
+            return _orig(*args, **kwargs)
         monkeypatch.setattr(_kernels.ACTIVE, name, counted)
     panel, topo, _ = generate_synthetic(4, 2, 60, seed=8)
     epochs = 25
@@ -285,6 +291,112 @@ def test_fit_evaluates_the_objective_once_per_epoch(monkeypatch):
     # every epoch ran and none halved its step, else there would be more calls
     assert m.meta.epochs_run == epochs and not m.meta.converged
     assert calls == {"loglik_grads": epochs + 1, "loglik_value": 0}
+
+
+def _objective_points(rng, counts):
+    # (mu, A, beta, cap, floor) in call order: finite and infinite cap, beta
+    # moving between calls, a floor-clamped gamma, then a finite call right
+    # after a -inf one (zero rates where counts are positive)
+    n = counts.shape[1]
+    total = float(counts.sum())
+    def point():
+        return rng.uniform(0.2, 1.5, n), rng.uniform(0.0, 0.4 / n, (n, n))
+    return [
+        (*point(), 0.9, 3.0 * total, 0.0),
+        (*point(), 2.3, math.inf, 0.0),
+        (*point(), 0.4, 0.5 * total, 0.3),
+        (np.zeros(n), np.zeros((n, n)), 1.7, math.inf, 0.0),
+        (*point(), 1.1, 2.0 * total, 0.0),
+    ]
+
+
+def test_objective_on_a_reused_workspace_is_bit_identical():
+    # the fit calls the kernels on one workspace for all its epochs; every
+    # call must equal the kernels' allocating calls bit for bit, whatever
+    # the previous call on the same buffers left in them
+    rng = np.random.default_rng(31)
+    K = _kernels.ACTIVE
+    for T, n in ((1, 2), (15, 3), (16, 3), (17, 3), (300, 24), (301, 96)):
+        counts = rng.poisson(1.0, (T, n)).astype(np.float64)
+        counts[:, 0] += 1.0  # a positive count in every bin, for the -inf point
+        before = _count_before(counts)
+        for b0 in sorted({0, T // 3}):
+            work = K.workspace(counts, b0, T)
+            points = _objective_points(rng, counts)
+            lls = []
+            for mu, A, beta, cap, floor in points:
+                G = K.excitation_series(counts, beta, work=work)
+                G_ref = K.excitation_series(counts, beta)
+                assert np.array_equal(G, G_ref)
+                H = K.excitation_beta_series(counts, beta, G, work=work)
+                H_ref = K.excitation_beta_series(counts, beta, G_ref)
+                assert np.array_equal(H, H_ref)
+                gamma, dgam = _gamma_series(before, cap, floor)
+                got = K.loglik_grads(counts, G, H, gamma, dgam, mu, A, b0, T, work=work)
+                ref = K.loglik_grads(counts, G_ref, H_ref, gamma, dgam, mu, A, b0, T)
+                assert got[0] == ref[0]
+                if math.isfinite(ref[0]):
+                    for x, y in zip(got[1:], ref[1:]):
+                        assert np.array_equal(x, y)
+                args = (counts, before, mu, A, beta, cap, floor, b0, T)
+                ll, grad = _objective(*args, work=work)
+                ll_ref, grad_ref = _objective(*args)
+                assert ll == ll_ref == ref[0]
+                assert (grad is None) == (grad_ref is None) == (not math.isfinite(ll))
+                if grad is not None:
+                    for x, y in zip(grad, grad_ref):
+                        assert np.array_equal(x, y)
+                lls.append(ll)
+            assert lls[3] == -np.inf and all(map(math.isfinite, lls[:3] + lls[4:]))
+            if T > 1:  # the floor clamps somewhere
+                assert (_gamma_series(before, *points[2][3:])[0] == 0.3).any()
+
+
+def _without_work(monkeypatch):
+    # the fit's kernels with the workspace keyword dropped: every call allocates
+    for name in ("excitation_series", "excitation_beta_series", "loglik_grads"):
+        def stripped(*args, _orig=getattr(_kernels.ACTIVE, name), work=None):
+            return _orig(*args)
+        monkeypatch.setattr(_kernels.ACTIVE, name, stripped)
+
+
+@pytest.mark.parametrize("n, m, T, epochs", [(24, 6, 300, 50), (96, 12, 300, 20)])
+def test_fit_on_a_workspace_equals_the_allocating_fit(monkeypatch, n, m, T, epochs):
+    panel, topo, _ = generate_synthetic(n, m, T, seed=4)
+    cfg = FitConfig(epochs=epochs, seed=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        a = fit(panel, topo, cfg)
+        with monkeypatch.context() as mp:
+            _without_work(mp)
+            b = fit(panel, topo, cfg)
+    assert np.array_equal(a.mu, b.mu) and np.array_equal(a.A, b.A)
+    assert a.beta == b.beta and a.sat.cap == b.sat.cap and a.meta == b.meta
+    assert a.meta.epochs_run == epochs
+
+
+def test_objective_on_a_workspace_allocates_no_panel_arrays():
+    # a warm call writes every (T, n) array into the workspace; what it still
+    # allocates is (n,) and (n, n) results, (T,) saturation factors and
+    # numpy's own iterator buffers.  With allocating kernels the peak is 7-10.
+    import tracemalloc
+
+    rng = np.random.default_rng(32)
+    T, n = 300, 96
+    counts = rng.poisson(1.0, (T, n)).astype(np.float64)
+    before = _count_before(counts)
+    args = (counts, before, rng.uniform(0.2, 1.0, n), rng.uniform(0.0, 0.5 / n, (n, n)),
+            0.9, 4.0 * counts.sum(), 0.0, 0, T)
+    work = _kernels.ACTIVE.workspace(counts, 0, T)
+    _objective(*args, work=work)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _objective(*args, work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 2 * T * n * 8
 
 
 def test_fit_rejects_tiny_panels():

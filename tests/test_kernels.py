@@ -219,6 +219,67 @@ def test_pure_recursions_are_bitwise_prefix_consistent():
         assert np.array_equal(H_t[-1], H[t]), t
 
 
+def _loglik_grads_by_expressions(counts, G, H, gamma, dgam, mu, A, b0, b1):
+    # the pure likelihood kernel as whole-array expressions, each allocating
+    # its result: the float operations the buffered kernel must repeat
+    Y = counts[b0:b1]
+    base = mu[None, :] + G[b0:b1] @ A.T
+    lam = gamma[b0:b1, None] * base
+    if np.any((lam <= 0.0) & (Y > 0.0)):
+        return (-np.inf,)
+    pos = lam > 0.0
+    safe = np.where(pos, lam, 1.0)
+    ll = float(np.sum(np.where(Y > 0.0, Y * np.log(safe), 0.0) - lam))
+    r = np.where(pos, Y / safe - 1.0, -1.0)
+    w = gamma[b0:b1, None] * r
+    return (ll, w.sum(axis=0), w.T @ G[b0:b1], float(np.sum(w * (H[b0:b1] @ A.T))),
+            float(np.sum(dgam[b0:b1, None] * r * base)))
+
+
+def test_pure_loglik_kernels_repeat_the_whole_array_expressions():
+    rng = np.random.default_rng(14)
+    for trial in range(40):
+        counts, beta, mu, A, gamma, dgam = _random_instance(rng, n_max=30, T_max=70)
+        T, n = counts.shape
+        zero = rng.random(T) < 0.2  # zero rates on empty bins: the r = -1 branch
+        gamma[zero], counts[zero] = 0.0, 0.0
+        if trial % 5 == 4:
+            counts[-1, 0], gamma[-1] = 1.0, 0.0  # a zero rate on a count: -inf
+        G = K.PURE.excitation_series(counts, beta)
+        H = K.PURE.excitation_beta_series(counts, beta, G)
+        b0 = int(rng.integers(0, T))
+        ref = _loglik_grads_by_expressions(counts, G, H, gamma, dgam, mu, A, b0, T)
+        work = K.PURE.workspace(counts, b0, T)
+        for w in (None, work, work):
+            got = K.PURE.loglik_grads(counts, G, H, gamma, dgam, mu, A, b0, T, work=w)
+            assert got[0] == ref[0]
+            for x, y in zip(got[1:], ref[1:]):
+                assert np.array_equal(x, y)
+        assert K.PURE.loglik_value(counts, G, gamma, mu, A, b0, T) == ref[0]
+
+
+@pytest.mark.parametrize("family", ["loop", "jit"])
+def test_loop_kernels_on_a_reused_workspace_match_their_allocating_calls(family):
+    kernels = K._LOOP_PURE if family == "loop" else K.JIT
+    if kernels is None:
+        pytest.skip("numba path not active")
+    rng = np.random.default_rng(15)
+    counts, _, mu, A, gamma, dgam = _random_instance(rng, n_max=5, T_max=30)
+    T = counts.shape[0]
+    work = kernels.workspace(counts, 1, T)
+    for beta in (0.4, 1.9, 0.7):  # each call overwrites the last one's G, H and dA
+        G = kernels.excitation_series(counts, beta, work=work)
+        H = kernels.excitation_beta_series(counts, beta, G, work=work)
+        G_ref = kernels.excitation_series(counts, beta)
+        H_ref = kernels.excitation_beta_series(counts, beta, G_ref)
+        assert np.array_equal(G, G_ref) and np.array_equal(H, H_ref)
+        got = kernels.loglik_grads(counts, G, H, gamma, dgam, mu, A, 1, T, work=work)
+        ref = kernels.loglik_grads(counts, G_ref, H_ref, gamma, dgam, mu, A, 1, T)
+        assert got[2] is work.dA
+        for x, y in zip(got, ref):
+            assert np.array_equal(x, y)
+
+
 def test_pure_simulate_counts_matches_the_loop_kernel():
     rng = np.random.default_rng(13)
     for K_ in (1, 3, 200):
@@ -313,6 +374,7 @@ def test_kernel_benchmark_script_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "excitation_beta_series" in proc.stdout
+    assert "fit size" in proc.stdout and "faults" in proc.stdout
 
 
 def test_cli_import_loads_no_scipy():
