@@ -41,10 +41,15 @@ Guarantees relied on by the rest of the package:
   one numpy step per bin (``_simulate_counts_np``), and stays bit-identical
   to the loop, draws and generator states alike, by these rules:
 
-  - row k's excitation is ``np.dot(A, g[k])``, the loop's call, not one
-    batched matmul, which BLAS may round differently;
-  - e^-lambda is ``math.exp`` per element, because ``np.exp`` differs in
-    the last ulp on some inputs;
+  - all K trajectories start from (g0, n0), so step 0 computes one
+    excitation row and one rate row, shared by every trajectory;
+  - every excitation row is one BLAS gemv, the kernel of the loop's
+    ``np.dot(A, g)``: steps >= 1 make them with one stacked
+    ``np.matmul(A, g[:, :, None])``, which runs one gemv per row, not one
+    gemm over the rows, which BLAS may round differently;
+  - e^-lambda is ``math.exp`` per positive rate, because ``np.exp`` differs
+    in the last ulp on some inputs; the shared rate row of step 0 takes n
+    calls, not K * n;
   - row k takes its uniforms from one ``gens[k].random(m)`` call, m being
     its count of positive rates: the same values as m scalar calls, and a
     rate <= 0 consumes none;
@@ -405,16 +410,26 @@ def _loglik_grads_np(counts, G, H, gamma, dgam, mu, A, b0, b1, work=None):
 
 
 def _poisson_step(gens, lam):
-    """One draw per rate of the (K, n) array ``lam``, row k from ``gens[k]``,
-    equal to calling ``poisson_draw`` along each row left to right, in the
-    integers drawn and in the uniforms consumed."""
-    draws = np.zeros(lam.shape, dtype=np.int64)
+    """One draw per rate for each generator: row k equals calling
+    ``poisson_draw(gens[k], x)`` along row k of ``lam`` left to right, in the
+    integers drawn and in the uniforms consumed.  ``lam`` is (K, n), or (1, n):
+    one rate row shared by all K generators."""
+    K = len(gens)
     by_scalar = ~(lam < _PTRS_SWITCH).all(axis=1)  # a PTRS (or nan) rate in the row
     pos = (lam > 0.0) & ~by_scalar[:, None]
+    rate = lam[pos]
+    # e^-rate once per positive rate of lam: a shared row takes n calls, not K*n
+    p = np.fromiter(map(math.exp, (-rate).tolist()), np.float64, rate.size)
+    if lam.shape[0] < K:
+        lam, by_scalar, pos = (np.broadcast_to(a, (K,) + a.shape[1:])
+                               for a in (lam, by_scalar, pos))
+        rate, p = np.tile(rate, K), np.tile(p, K)
+    draws = np.zeros(lam.shape, dtype=np.int64)
     chunks = []
-    for k, (gen, m) in enumerate(zip(gens, pos.sum(axis=1).tolist())):
-        if by_scalar[k]:
-            draws[k] = [_LOOP_PURE.poisson_draw(gen, x) for x in lam[k]]
+    for k, (gen, scalar, m) in enumerate(zip(gens, by_scalar.tolist(),
+                                             pos.sum(axis=1).tolist())):
+        if scalar:
+            draws[k] = [_LOOP_PURE.poisson_draw(gen, x) for x in lam[k].tolist()]
         elif m:
             chunks.append(gen.random(m))
     if not chunks:
@@ -422,8 +437,6 @@ def _poisson_step(gens, lam):
     # inversion by sequential search on every positive rate at once; a cell
     # leaves the search when its uniform is covered, as the scalar loop stops
     u = np.concatenate(chunks)
-    rate = lam[pos]
-    p = np.fromiter(map(math.exp, (-rate).tolist()), np.float64, rate.size)
     found = np.zeros(rate.size, dtype=np.int64)
     live = np.flatnonzero(u > p)
     rate, p, u = rate[live], p[live], u[live]
@@ -443,22 +456,23 @@ def _poisson_step(gens, lam):
 def _simulate_counts_np(gens, mu, A, beta, cap, floor, g0, n0, horizon):
     """The loop ``simulate_counts`` with all K trajectories advanced together,
     one numpy step per bin; every row makes the loop's float operations."""
-    K, n = len(gens), mu.shape[0]
-    out = np.empty((K, horizon, n), dtype=np.int64)
-    g = np.tile(g0, (K, 1))
-    tot = np.full(K, n0, dtype=np.float64)
-    excit = np.empty((K, n))
+    K = len(gens)
+    out = np.empty((K, horizon, mu.shape[0]), dtype=np.int64)
+    # one state row until the first draws: every trajectory starts at (g0, n0)
+    g = g0[None, :]
+    tot = np.full(1, n0, dtype=np.float64)
     decay = np.exp(-beta)
     for h in range(horizon):
         gamma = 1.0 - tot / cap
         gamma = np.where(gamma < floor, floor, gamma)
-        for k in range(K):
-            excit[k] = np.dot(A, g[k])  # the loop's call: a batched matmul may round otherwise
+        # stacked matmul runs one BLAS gemv per row: the loop's np.dot(A, g)
+        excit = np.matmul(A, g[:, :, None])[:, :, 0]
         draws = _poisson_step(gens, gamma[:, None] * (mu + excit))
         out[:, h] = draws
         g = decay * (g + beta * draws)
         # running totals add the draws one circuit at a time, as the loop does
-        tot = np.add.accumulate(np.column_stack((tot, draws)), axis=1)[:, -1]
+        tot = np.add.accumulate(np.column_stack((np.broadcast_to(tot, K), draws)),
+                                axis=1)[:, -1]
     return out
 
 

@@ -44,7 +44,7 @@ class ScoreSet:
             raise PreconditionError("scores must be (substations, calibration bins)")
         if not np.isfinite(s).all() or (s < 0).any():
             raise PreconditionError("scores must be finite and nonnegative")
-        if (sc < 1.0).any():
+        if not (sc >= 1.0).all():
             raise PreconditionError("scale entries must be >= 1 (clamped)")
         if not (0.0 < self.alpha < 1.0):
             raise PreconditionError(f"alpha must lie in (0, 1), got {self.alpha}")
@@ -135,6 +135,8 @@ def training_scale(train_counts) -> np.ndarray:
     Y = np.asarray(getattr(train_counts, "Y", train_counts), dtype=np.float64)
     if Y.ndim != 2:
         raise PreconditionError("training counts must be a (bins, circuits) matrix")
+    if Y.shape[0] == 0:
+        raise PreconditionError("training scale needs at least one training bin")
     return np.maximum(1.0, Y.std(axis=0))
 
 
@@ -157,9 +159,24 @@ def nonconformity_score(y_t, scenarios, S_row, scale) -> float:
 
 
 def score_bin(y_t, scenarios, topo: NetworkTopology, scale) -> np.ndarray:
-    """One bin's (m,) scores, one per substation in ``topo.substation_ids`` order."""
+    """One bin's (m,) scores, one per substation in ``topo.substation_ids`` order.
+
+    ``nonconformity_score`` of every substation from one (K, n) array of
+    standardized errors, reduced over each substation's members.
+    """
     samples = np.asarray(getattr(scenarios, "samples", scenarios), dtype=np.float64)
-    return np.array([nonconformity_score(y_t, samples, idx, scale) for idx in topo.members])
+    if samples.ndim != 2 or samples.shape[0] < 1:
+        raise PreconditionError("need a nonempty (K, n) scenario matrix")
+    sizes = [idx.size for idx in topo.members]
+    if 0 in sizes:
+        empty = [sid for sid, size in zip(topo.substation_ids, sizes) if size == 0]
+        raise PreconditionError(f"cannot score substations with no circuits: {empty}")
+    y = np.asarray(y_t, dtype=np.float64)
+    errs = np.abs(y[None, :] - samples) / np.asarray(scale, dtype=np.float64)[None, :]
+    # circuits grouped by substation, then one maximum per group and scenario
+    starts = np.cumsum([0] + sizes[:-1])
+    worst = np.maximum.reduceat(errs[:, np.concatenate(topo.members)], starts, axis=1)
+    return worst.min(axis=0)
 
 
 def calibrate(panel, model: _hawkes.HawkesModel, topo: NetworkTopology, cal_bins,
@@ -168,6 +185,9 @@ def calibrate(panel, model: _hawkes.HawkesModel, topo: NetworkTopology, cal_bins
 
     Scenario draws for bin t use the derived stream (seed, "cal", t), so any
     suffix of bins scores identically whether done here or incrementally.
+    Every bin starts from its row of one excitation scan of the panel
+    (``hawkes._start_states``), and its K scenarios are those of
+    ``simulate_bin(model, Y[:t], K, derive(seed, "cal", t))``, bit for bit.
     """
     Y = np.asarray(getattr(panel, "Y", panel))
     T = Y.shape[0]
@@ -176,18 +196,17 @@ def calibrate(panel, model: _hawkes.HawkesModel, topo: NetworkTopology, cal_bins
         raise PreconditionError(f"panel has {Y.shape[1]} circuits, model has {model.n}")
     if topo.n != model.n:
         raise PreconditionError("topology and model disagree on circuit count")
-    empty = [sid for sid, idx in zip(topo.substation_ids, topo.members) if idx.size == 0]
-    if empty:
-        raise PreconditionError(f"cannot score substations with no circuits: {empty}")
     if model.meta is not None and b0 < model.meta.n_train_bins:
         raise PreconditionError(
             f"calibration bins [{b0}, {b1}) overlap the {model.meta.n_train_bins} "
             "training bins"
         )
     scale = training_scale(Y[:b0])
+    G, before = _hawkes._start_states(model, Y[:b1])
     scores = np.empty((topo.m, b1 - b0))
     for t in range(b0, b1):
-        scen = _hawkes.simulate_bin(model, Y[:t], K=K, seed=_rng.derive(seed, "cal", t))
+        scen = _hawkes._simulate_from(model, G[t], before[t], 1, K,
+                                      _rng.derive(seed, "cal", t))[:, 0]
         scores[:, t - b0] = score_bin(Y[t], scen, topo, scale)
     return ScoreSet(scores=scores, scale=scale, alpha=alpha)
 

@@ -82,7 +82,13 @@ def coverage_counts(forecast: IntervalForecast, y_t, topo: NetworkTopology):
 def rolling_evaluate(panel: CountPanel, topo: NetworkTopology, spec: SplitSpec,
                      settings: PipelineSettings = PipelineSettings(),
                      seed: int = 0) -> EvalReport:
-    """One-step-ahead intervals over the test suffix; see module docstring."""
+    """One-step-ahead intervals over the test suffix; see module docstring.
+
+    Bin t's K scenarios are ``simulate_bin(model, Y[:t], K, derive(seed,
+    "cal", t))``, bit for bit: every bin starts from its row of one
+    excitation scan of the panel (``hawkes._start_states``), which only a
+    ``refit_each_step`` refit, moving beta, makes again.
+    """
     Y = panel.Y
     T = panel.T
     spec.validate(T)
@@ -92,6 +98,7 @@ def rolling_evaluate(panel: CountPanel, topo: NetworkTopology, spec: SplitSpec,
     model, scores = _prepare(panel, topo, spec.t0, settings, seed, cal_stop=test_start)
     scale = scores.scale
 
+    G, before = _hawkes._start_states(model, Y)
     forecasts = []
     for t in range(test_start, T):
         if settings.refit_each_step:
@@ -99,9 +106,11 @@ def rolling_evaluate(panel: CountPanel, topo: NetworkTopology, spec: SplitSpec,
                 panel.rows(0, t), topo,
                 settings.fit_config(_rng.derive(seed, "fit", t)),
             )
+            # a refit moves beta, and with it every start state: scan again
+            G, before = _hawkes._start_states(model, Y)
         qest = _quantile_for(scores, settings)
-        scen = _hawkes.simulate_bin(model, Y[:t], K=settings.K,
-                                    seed=_rng.derive(seed, "cal", t))
+        scen = _hawkes._simulate_from(model, G[t], before[t], 1, settings.K,
+                                      _rng.derive(seed, "cal", t))[:, 0]
         forecasts.append(build_interval(scen, qest, scale, topo, settings.alpha, t=t))
         # the bin's own score joins the pool before the next bin is predicted
         scores = scores.extend(score_bin(Y[t], scen, topo, scale))

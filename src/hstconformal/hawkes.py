@@ -488,6 +488,39 @@ def fit(panel, topo, cfg: FitConfig = FitConfig()) -> HawkesModel:
 # ---------------------------------------------------------------------------
 # Simulation.
 
+def _simulate_from(model: HawkesModel, g0, n0: float, horizon: int, K: int,
+                   seed: int) -> np.ndarray:
+    """K trajectories of shape (horizon, n) from excitation state ``g0`` and
+    network-wide count ``n0``: the one simulator entry of the package.
+
+    Trajectory k draws from its own derived generator (seed, k), so trajectory
+    k is the same for every K > k.  ``rng.generators`` builds all K in one
+    vectorized SeedSequence hash, each with the state of ``rng.generator(seed,
+    k)`` bit for bit, and one kernel call advances all K together.
+    """
+    if horizon < 1:
+        raise PreconditionError("need horizon >= 1")
+    if K < 1:
+        raise PreconditionError("need K >= 1")
+    gens = _rng.generators(seed, K)
+    return ACTIVE.simulate_counts(
+        gens, model.mu, model.A, model.beta, model.sat.cap, model.sat.floor,
+        g0, n0, horizon,
+    )
+
+
+def _start_states(model: HawkesModel, counts):
+    """Simulation start of every bin of ``counts`` from one excitation scan.
+
+    Returns (G, before): bin t starts from ``(G[t], before[t])``, the state
+    ``simulate_bin(model, counts[:t])`` reads off its history.  The scans are
+    prefix-consistent bit for bit, and a network total of integer counts is
+    exact in either order of summation, so both are equal to that rescan.
+    """
+    counts = np.asarray(counts, dtype=np.float64)
+    return ACTIVE.excitation_series(counts, model.beta), _count_before(counts)
+
+
 def simulate_bin(model: HawkesModel, history, K: int = 10, seed: int = 0) -> ScenarioSet:
     """K independent joint count draws for the bin after ``history``.
 
@@ -501,23 +534,12 @@ def simulate_bin(model: HawkesModel, history, K: int = 10, seed: int = 0) -> Sce
 
 def simulate_trajectory(model: HawkesModel, history, horizon: int, K: int = 10,
                         seed: int = 0) -> np.ndarray:
-    """K recursive trajectories of shape (horizon, n).
+    """K recursive trajectories of shape (horizon, n) after ``history``.
 
-    Each trajectory extends its own simulated history bin by bin.  Trajectory
-    k draws from its own derived generator (seed, k), so trajectory k is the
-    same for every K > k.  ``rng.generators`` builds all K in one vectorized
-    SeedSequence hash, each with the state of ``rng.generator(seed, k)`` bit
-    for bit, and one kernel call advances all K together.
+    Each trajectory extends its own simulated history bin by bin, from the
+    excitation and network-wide count of ``history``; trajectory k draws from
+    the generator (seed, k) and is the same for every K > k (``_simulate_from``).
     """
-    if horizon < 1:
-        raise PreconditionError("need horizon >= 1")
-    if K < 1:
-        raise PreconditionError("need K >= 1")
     h = _history_array(history, model.n)
     g0 = ACTIVE.excitation_series(h, model.beta)[-1]
-    n0 = float(h.sum())
-    gens = _rng.generators(seed, K)
-    return ACTIVE.simulate_counts(
-        gens, model.mu, model.A, model.beta, model.sat.cap, model.sat.floor,
-        g0, n0, horizon,
-    )
+    return _simulate_from(model, g0, float(h.sum()), horizon, K, seed)

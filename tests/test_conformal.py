@@ -24,9 +24,11 @@ from hstconformal import (
     simulate_bin,
     training_scale,
 )
+from hstconformal import _kernels
 from hstconformal import conformal as _conformal
+from hstconformal import hawkes as _hawkes
 from hstconformal import rng as _rng
-from hstconformal.hawkes import FitConfig, HawkesModel
+from hstconformal.hawkes import FitConfig, HawkesModel, SaturationParams, intensity
 
 
 def _topo(assign):
@@ -132,11 +134,55 @@ def test_score_bin_constant_within_substation():
         assert out[j] == nonconformity_score(y, scen, idx, s)
 
 
+def test_score_bin_equals_one_nonconformity_score_per_substation():
+    # criterion 2 substation by substation is the oracle of the one (K, n)
+    # error array; one-circuit substations and scales above 1 included
+    rng = np.random.default_rng(31)
+    singles = 0
+    for trial in range(60):
+        n = int(rng.integers(1, 12))
+        topo = _topo(rng.integers(0, int(rng.integers(1, n + 1)), size=n))
+        singles += any(idx.size == 1 for idx in topo.members)
+        K = int(rng.integers(1, 30))
+        scen = rng.poisson(rng.uniform(0.0, 6.0), size=(K, n))
+        y = rng.poisson(3.0, size=n)
+        scale = np.maximum(1.0, rng.uniform(0.0, 4.0, size=n))
+        got = score_bin(y, scen, topo, scale)
+        expect = [nonconformity_score(y, scen, idx, scale) for idx in topo.members]
+        assert got.dtype == np.float64 and got.shape == (topo.m,)
+        assert np.array_equal(got, expect), trial
+    assert singles > 10
+    assert np.array_equal(score_bin([5, 0, 2], [[1, 1, 1]], _topo([0, 1, 1]), [2.0, 1.0, 1.5]),
+                          [2.0, 1.0])
+
+
+def test_score_bin_names_empty_substations():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        topo = NetworkTopology(("a", "b"), ("s0", "s1"), np.array([[1, 0], [1, 0]]))
+    with pytest.raises(PreconditionError, match=r"no circuits: \['s1'\]"):
+        score_bin([1, 2], [[0, 0]], topo, np.ones(2))
+
+
 def test_training_scale_clamps_at_one():
     Y = np.array([[4, 0], [4, 10], [4, 20], [4, 30]])
     s = training_scale(Y)
     assert s[0] == 1.0  # constant column, std 0
     assert abs(s[1] - np.std([0, 10, 20, 30])) < 1e-12
+
+
+def test_training_scale_rejects_an_empty_block():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "Mean of empty slice" on the way
+        with pytest.raises(PreconditionError, match="at least one training bin"):
+            training_scale(np.zeros((0, 3)))
+
+
+def test_score_set_rejects_a_nonfinite_scale():
+    # a NaN scale fails every comparison, so only a test for >= 1 catches it
+    for bad in (np.nan, 0.5):
+        with pytest.raises(PreconditionError, match="scale"):
+            ScoreSet(scores=np.ones((1, 2)), scale=np.array([1.0, bad]), alpha=0.1)
 
 
 # -- quantiles -----------------------------------------------------------------
@@ -448,6 +494,86 @@ def test_calibrate_matches_manual_recount(small_triple):
         scen = simulate_bin(model, panel.Y[:t], K=5, seed=_rng.derive(3, "cal", t))
         expect = score_bin(panel.Y[t], scen, topo, scale)
         assert np.array_equal(ss.scores[:, t - 40], expect)
+
+
+def _assert_calibrate_matches_recount(monkeypatch, Y, model, topo, bins, K, seed):
+    # every bin's scenarios and scores equal those of simulating it from its
+    # own history, the rescan calibrate replaces with one scan of the panel
+    scored = []
+    score = _conformal.score_bin
+    monkeypatch.setattr(_conformal, "score_bin",
+                        lambda y, scen, *a: scored.append(np.array(scen)) or score(y, scen, *a))
+    ss = calibrate(Y, model, topo, bins, K=K, seed=seed)
+    monkeypatch.undo()
+    scale = training_scale(Y[:bins[0]])
+    assert np.array_equal(ss.scale, scale)
+    assert len(scored) == bins[1] - bins[0]
+    for t, samples in zip(range(*bins), scored):
+        scen = simulate_bin(model, Y[:t], K=K, seed=_rng.derive(seed, "cal", t))
+        assert np.array_equal(samples, scen.samples), t
+        assert np.array_equal(ss.scores[:, t - bins[0]], score_bin(Y[t], scen, topo, scale)), t
+
+
+@pytest.mark.parametrize("K", [1, 200])
+def test_calibrate_matches_the_per_bin_recount(monkeypatch, small_triple, K):
+    # strong excitation, so that a start state one bin off changes the draws
+    panel, topo, _ = small_triple
+    model = HawkesModel(mu=np.full(6, 0.3), A=np.full((6, 6), 0.12), beta=0.8)
+    _assert_calibrate_matches_recount(monkeypatch, panel.Y, model, topo, (30, 80), K, 11)
+
+
+def test_calibrate_matches_the_recount_when_saturation_reaches_its_floor(monkeypatch,
+                                                                        small_triple):
+    # a finite cap: gamma is 1 - N/cap at the first bins of the block and
+    # the floor 0.3 at the last, so the start totals enter every rate
+    panel, topo, _ = small_triple
+    Y = panel.Y
+    before = np.concatenate(([0], np.cumsum(Y.sum(axis=1))))
+    cap = before[60] / 0.7
+    model = HawkesModel(mu=np.full(6, 0.4), A=np.full((6, 6), 0.05), beta=0.9,
+                        sat=SaturationParams(cap=cap, floor=0.3))
+    assert 1.0 - before[45] / cap > 0.3 >= 1.0 - before[75] / cap
+    _assert_calibrate_matches_recount(monkeypatch, Y, model, topo, (45, 75), 50, 4)
+
+
+def test_calibrate_matches_the_recount_across_the_ptrs_switch(monkeypatch, small_triple):
+    # circuit 0 sits just below _PTRS_SWITCH and its excitation lifts it over
+    # in some bins, whose rows are all drawn by PTRS; circuit 5 has rate 0
+    panel, topo, _ = small_triple
+    Y = panel.Y
+    S = _kernels._PTRS_SWITCH
+    mu = np.array([S - 0.3, 0.5, 0.4, 0.8, 0.3, 0.0])
+    A = np.zeros((6, 6))
+    A[0, 1:5] = 0.4
+    model = HawkesModel(mu=mu, A=A, beta=1.0)
+    rates = [intensity(model, Y[:t]) for t in range(20, 60)]
+    assert any(r[0] >= S for r in rates) and any(r[0] < S for r in rates)
+    assert all(r[5] == 0.0 for r in rates)
+    _assert_calibrate_matches_recount(monkeypatch, Y, model, topo, (20, 60), 30, 8)
+
+
+def test_calibrate_scans_the_panel_once(monkeypatch, small_triple):
+    panel, topo, _ = small_triple
+    model = HawkesModel(mu=np.full(6, 0.5), A=np.full((6, 6), 0.02), beta=0.8)
+    scanned = []
+    scan = _kernels.ACTIVE.excitation_series
+    monkeypatch.setattr(_kernels.ACTIVE, "excitation_series",
+                        lambda counts, *a, **k: scanned.append(counts.shape[0])
+                        or scan(counts, *a, **k))
+    monkeypatch.setattr(_hawkes, "simulate_bin", None)
+    calibrate(panel, model, topo, (40, 70), K=3, seed=0)
+    assert scanned == [70]
+
+
+def test_calibrate_without_training_bins_fails_clearly():
+    # a model without fit metadata may calibrate from bin 0, which leaves no
+    # training bins for the scale
+    topo = _topo([0, 0, 1])
+    model = HawkesModel(mu=np.ones(3), A=np.zeros((3, 3)), beta=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="at least one training bin"):
+            calibrate(np.ones((6, 3), dtype=int), model, topo, (0, 4), K=3)
 
 
 def test_calibrate_rejects_overlap_with_training(small_triple):

@@ -19,6 +19,11 @@ from hstconformal import (
     write_forecast_csv,
     write_metrics,
 )
+from hstconformal import conformal as _conformal
+from hstconformal import evaluation as _evaluation
+from hstconformal import rng as _rng
+from hstconformal.conformal import build_interval, score_bin
+from hstconformal.hawkes import fit, simulate_bin
 
 
 def _interval(lower, upper, topo, alpha=0.05, t=0):
@@ -145,6 +150,40 @@ def test_refit_each_step_changes_later_bins(small_triple):
         for fa, fb in zip(a.forecasts, b.forecasts)
     ]
     assert any(diffs)
+
+
+@pytest.mark.parametrize("refit", [False, True])
+def test_rolling_matches_the_per_bin_recount(monkeypatch, small_triple, refit):
+    # every test bin's scenarios, interval and score equal those of
+    # simulating it from its own history with the model in force at t
+    panel, topo, _ = small_triple
+    Y, T = panel.Y, panel.T
+    spec = SplitSpec(t0=41, test=4)
+    settings = PipelineSettings(epochs=40, K=200, refit_each_step=refit)
+    seed = 3
+    scored = []
+    score = _evaluation.score_bin
+    monkeypatch.setattr(_evaluation, "score_bin",
+                        lambda y, scen, *a: scored.append(np.array(scen)) or score(y, scen, *a))
+    report = rolling_evaluate(panel, topo, spec, settings, seed=seed)
+    monkeypatch.undo()
+
+    # the calibration block before the test suffix has its own recount tests
+    model, scores = _conformal._prepare(panel, topo, spec.t0, settings, seed,
+                                        cal_stop=T - spec.test)
+    for t, forecast, samples in zip(report.bins, report.forecasts, scored):
+        if refit:
+            model = fit(panel.rows(0, t), topo,
+                        settings.fit_config(_rng.derive(seed, "fit", t)))
+        scen = simulate_bin(model, Y[:t], K=settings.K, seed=_rng.derive(seed, "cal", t))
+        assert np.array_equal(samples, scen.samples), t
+        expect = build_interval(scen, _conformal._quantile_for(scores, settings),
+                                scores.scale, topo, settings.alpha, t=t)
+        for name in ("lower", "upper", "sub_lower", "sub_upper"):
+            assert np.array_equal(getattr(forecast, name), getattr(expect, name)), (t, name)
+        assert forecast.t == expect.t == t
+        scores = scores.extend(score_bin(Y[t], scen, topo, scores.scale))
+    assert len(scored) == spec.test
 
 
 # -- horizon forecasts ---------------------------------------------------------------
