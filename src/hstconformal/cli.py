@@ -2,9 +2,11 @@
 
 Config is a flat YAML mapping; every key can be overridden by a CLI flag of
 the same name.  Each command accepts only the keys it reads (``_COMMANDS``);
-a key of another command is a usage error.  All outputs land under --out
-with fixed filenames and are byte-deterministic given the config (seed
-included).
+a key of another command is a usage error.  The keys that name
+``PipelineSettings`` fields build the one settings object of the run, with
+that class's defaults and checks, before any input file is read.  All
+outputs land under --out with fixed filenames and are byte-deterministic
+given the config (seed included).
 
 Exit codes: 0 success, 2 usage/precondition, 3 data validation, 4 numerical.
 """
@@ -15,7 +17,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -66,31 +68,15 @@ class RunConfig:
     start: str = "2020-01-01"
     end: str | None = None
     bin_length: str = "6M"
-    # pipeline
-    alpha: float = 0.05
-    K: int = 10
-    epochs: int = 1000
-    learning_rate: float = 0.01
-    quantile_method: str = "empirical"
-    qr_window: int = 10
+    # pipeline: the split and seed, plus the library's settings and defaults
     t0: int | None = None
     test_len: int | None = None
     horizon: int | None = None
     seed: int = 0
-    fit_cap: bool = True
-    refit_each_step: bool = False
+    settings: _conformal.PipelineSettings = field(default_factory=_conformal.PipelineSettings)
 
-    def settings(self) -> _conformal.PipelineSettings:
-        return _conformal.PipelineSettings(
-            alpha=self.alpha,
-            K=self.K,
-            quantile_method=self.quantile_method,
-            qr_window=self.qr_window,
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            fit_cap=self.fit_cap,
-            refit_each_step=self.refit_each_step,
-        )
+
+_SETTINGS_KEYS = tuple(f.name for f in fields(_conformal.PipelineSettings))
 
 
 _FIELD_TYPES = {
@@ -150,11 +136,11 @@ def _build_config(args, keys) -> RunConfig:
         override = getattr(args, key, None)
         if override is not None:
             values[key] = override
-    cfg = RunConfig(**values)
-    if not (0.0 < cfg.alpha < 1.0):
-        raise PreconditionError(f"alpha must lie in (0, 1), got {cfg.alpha}")
-    if cfg.K < 1:
-        raise PreconditionError("K must be >= 1")
+    # settings are checked here, before any input file is read
+    settings = _conformal.PipelineSettings(
+        **{k: values[k] for k in _SETTINGS_KEYS if k in values})
+    cfg = RunConfig(settings=settings,
+                    **{k: v for k, v in values.items() if k not in _SETTINGS_KEYS})
     _reject_ineffective(cfg, values)
     return cfg
 
@@ -169,9 +155,9 @@ def _reject_ineffective(cfg: RunConfig, given):
         if grid:
             raise PreconditionError(f"config keys {grid} only bin an events file and "
                                     "have no effect with 'panel'")
-    if "qr_window" in given and cfg.quantile_method != "qr":
+    if "qr_window" in given and cfg.settings.quantile_method != "qr":
         raise PreconditionError(f"config key 'qr_window' has no effect with "
-                                f"quantile_method {cfg.quantile_method!r}")
+                                f"quantile_method {cfg.settings.quantile_method!r}")
 
 
 def _require(cfg: RunConfig, *keys):
@@ -252,11 +238,11 @@ def cmd_run(cfg: RunConfig) -> int:
     topo, panel = _staged("load inputs", _load_inputs, cfg)
     forecast, audit = _staged(
         "pipeline", _conformal.hst_conformal_pipeline,
-        panel, topo, cfg.t0, settings=cfg.settings(), seed=cfg.seed,
+        panel, topo, cfg.t0, settings=cfg.settings, seed=cfg.seed,
     )
     _staged("write outputs", _write_interval_tables, cfg, forecast, topo)
     _staged("write outputs", audit.save, _outpath(cfg, "audit.json"))
-    print(f"run: target_bin={forecast.t} alpha={cfg.alpha} "
+    print(f"run: target_bin={forecast.t} alpha={cfg.settings.alpha} "
           f"mean_width={_fmt(np.mean(forecast.width))}")
     return 0
 
@@ -267,7 +253,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     spec = _data.SplitSpec(t0=cfg.t0, test=cfg.test_len)
     report = _staged(
         "evaluate", _evaluation.rolling_evaluate,
-        panel, topo, spec, cfg.settings(), seed=cfg.seed,
+        panel, topo, spec, cfg.settings, seed=cfg.seed,
     )
     _staged("write outputs", _evaluation.write_metrics, report, _outpath(cfg, "metrics.txt"))
     _staged("write outputs", _evaluation.write_cells_csv, report, _outpath(cfg, "eval_cells.csv"))
@@ -281,7 +267,7 @@ def cmd_forecast(cfg: RunConfig) -> int:
     topo, panel = _staged("load inputs", _load_inputs, cfg)
     hf = _staged(
         "forecast", _evaluation.horizon_forecast,
-        panel, topo, cfg.t0, cfg.settings(), cfg.horizon, seed=cfg.seed,
+        panel, topo, cfg.t0, cfg.settings, cfg.horizon, seed=cfg.seed,
     )
     _staged("write outputs", _evaluation.write_forecast_csv, hf, topo,
             _outpath(cfg, "forecast_envelopes.csv"))

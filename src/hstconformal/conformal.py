@@ -2,8 +2,12 @@
 
 One calibration score per substation per bin: the smallest (over K
 scenarios) substation maximum error, i.e. the largest standardized absolute
-residual among the substation's circuits.  Scores and quantiles are
-substation rows; `to_circuits` is the one place they reach the circuits.
+residual among the substation's circuits.  `nonconformity_score` (one
+group) and `score_bin` (every substation) share that one reduction,
+`_group_scores`.  Scores and quantiles are substation rows; `to_circuits` is
+the one place they reach the circuits.  Counts are read through
+`hawkes._panel_counts` and scenario draws through `_scenario_matrix`, each
+with its checks.
 
 Intervals de-standardize each substation quantile by the circuit's own scale
 and wrap the scenario min/max envelope; substation bounds aggregate the RAW
@@ -13,17 +17,16 @@ lower bounds exists only in the reported view.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import hawkes as _hawkes
 from . import rng as _rng
-from .data import CountPanel, SplitSpec
-from .errors import PreconditionError
+from .data import SplitSpec
+from .errors import PreconditionError, write_json
 from .topology import NetworkTopology
 
 _QUANTILE_METHODS = ("empirical", "qr")
@@ -132,12 +135,30 @@ class IntervalForecast:
 
 def training_scale(train_counts) -> np.ndarray:
     """Frozen per-circuit standardization scale: max(1, train std)."""
-    Y = np.asarray(getattr(train_counts, "Y", train_counts), dtype=np.float64)
-    if Y.ndim != 2:
-        raise PreconditionError("training counts must be a (bins, circuits) matrix")
+    Y = np.asarray(_hawkes._panel_counts(train_counts), dtype=np.float64)
     if Y.shape[0] == 0:
         raise PreconditionError("training scale needs at least one training bin")
     return np.maximum(1.0, Y.std(axis=0))
+
+
+def _scenario_matrix(scenarios) -> np.ndarray:
+    """The (K, n) draws of a ``ScenarioSet`` or an array, K >= 1, as floats."""
+    samples = np.asarray(getattr(scenarios, "samples", scenarios), dtype=np.float64)
+    if samples.ndim != 2 or samples.shape[0] < 1:
+        raise PreconditionError("need a nonempty (K, n) scenario matrix")
+    return samples
+
+
+def _group_scores(y_t, scenarios, groups, scale) -> np.ndarray:
+    """Per group of circuit indices: the smallest, over the K scenarios, of the
+    group's largest standardized absolute error.  The one scoring reduction."""
+    samples = _scenario_matrix(scenarios)
+    idx = np.concatenate(groups)
+    y = np.asarray(y_t, dtype=np.float64)[idx]
+    s = np.asarray(scale, dtype=np.float64)[idx]
+    errs = np.abs(y[None, :] - samples[:, idx]) / s[None, :]
+    starts = np.cumsum([0] + [g.size for g in groups[:-1]])
+    return np.maximum.reduceat(errs, starts, axis=1).min(axis=0)
 
 
 def nonconformity_score(y_t, scenarios, S_row, scale) -> float:
@@ -145,38 +166,20 @@ def nonconformity_score(y_t, scenarios, S_row, scale) -> float:
 
     min over k of max over i' in S_row of |y_{i'} - yhat^(k)_{i'}| / s_{i'}.
     """
-    samples = np.asarray(getattr(scenarios, "samples", scenarios), dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[0] < 1:
-        raise PreconditionError("need a nonempty (K, n) scenario matrix")
     idx = np.asarray(list(S_row) if isinstance(S_row, (set, frozenset)) else S_row,
                      dtype=np.int64).ravel()
     if idx.size == 0:
         raise PreconditionError("S_row must contain at least the circuit itself")
-    y = np.asarray(y_t, dtype=np.float64)
-    s = np.asarray(scale, dtype=np.float64)
-    errs = np.abs(y[idx][None, :] - samples[:, idx]) / s[idx][None, :]
-    return float(errs.max(axis=1).min())
+    return float(_group_scores(y_t, scenarios, [idx], scale)[0])
 
 
 def score_bin(y_t, scenarios, topo: NetworkTopology, scale) -> np.ndarray:
-    """One bin's (m,) scores, one per substation in ``topo.substation_ids`` order.
-
-    ``nonconformity_score`` of every substation from one (K, n) array of
-    standardized errors, reduced over each substation's members.
-    """
-    samples = np.asarray(getattr(scenarios, "samples", scenarios), dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[0] < 1:
-        raise PreconditionError("need a nonempty (K, n) scenario matrix")
-    sizes = [idx.size for idx in topo.members]
-    if 0 in sizes:
-        empty = [sid for sid, size in zip(topo.substation_ids, sizes) if size == 0]
+    """One bin's (m,) scores, one per substation in ``topo.substation_ids`` order:
+    ``nonconformity_score`` of every substation's members at once."""
+    empty = [sid for sid, idx in zip(topo.substation_ids, topo.members) if idx.size == 0]
+    if empty:
         raise PreconditionError(f"cannot score substations with no circuits: {empty}")
-    y = np.asarray(y_t, dtype=np.float64)
-    errs = np.abs(y[None, :] - samples) / np.asarray(scale, dtype=np.float64)[None, :]
-    # circuits grouped by substation, then one maximum per group and scenario
-    starts = np.cumsum([0] + sizes[:-1])
-    worst = np.maximum.reduceat(errs[:, np.concatenate(topo.members)], starts, axis=1)
-    return worst.min(axis=0)
+    return _group_scores(y_t, scenarios, topo.members, scale)
 
 
 def calibrate(panel, model: _hawkes.HawkesModel, topo: NetworkTopology, cal_bins,
@@ -189,7 +192,7 @@ def calibrate(panel, model: _hawkes.HawkesModel, topo: NetworkTopology, cal_bins
     (``hawkes._start_states``), and its K scenarios are those of
     ``simulate_bin(model, Y[:t], K, derive(seed, "cal", t))``, bit for bit.
     """
-    Y = np.asarray(getattr(panel, "Y", panel))
+    Y = _hawkes._panel_counts(panel)
     T = Y.shape[0]
     b0, b1 = _hawkes._normalize_bins(cal_bins, T)
     if Y.shape[1] != model.n:
@@ -359,8 +362,8 @@ def to_circuits(rows, topo: NetworkTopology, scale=1.0) -> np.ndarray:
 def build_interval(scenarios, q: QuantileEstimate, scale, topo: NetworkTopology,
                    alpha: float, t=None) -> IntervalForecast:
     """Scenario min/max envelope widened by (m,) quantiles times (n,) circuit scales."""
-    samples = np.asarray(getattr(scenarios, "samples", scenarios), dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[1] != topo.n:
+    samples = _scenario_matrix(scenarios)
+    if samples.shape[1] != topo.n:
         raise PreconditionError("scenarios must be (K, n) matching the topology")
     s = np.asarray(scale, dtype=np.float64)
     if q.q.shape != (topo.m,) or s.shape != (topo.n,):
@@ -404,6 +407,9 @@ class PipelineSettings:
                 f"quantile_method must be one of {_QUANTILE_METHODS}, "
                 f"got {self.quantile_method!r}"
             )
+        if self.qr_window < 1:
+            raise PreconditionError("qr_window must be >= 1")
+        self.fit_config(0)  # checks epochs and learning_rate
 
     def fit_config(self, seed: int) -> _hawkes.FitConfig:
         return _hawkes.FitConfig(
@@ -432,26 +438,17 @@ class AuditRecord:
     model_meta: dict | None
 
     def to_dict(self) -> dict:
-        return {
-            "format": "hstconformal-audit-v1",
-            "t0": self.t0,
-            "alpha": self.alpha,
-            "K": self.K,
-            "quantile_method": self.quantile_method,
-            "seed": self.seed,
-            "circuit_ids": None if self.circuit_ids is None else list(self.circuit_ids),
-            "scale": self.scale.tolist(),
-            "scores": self.scores.tolist(),
-            "quantiles": self.quantiles.tolist(),
-            "target_bin": self.target_bin,
-            "target_scenarios": self.target_scenarios.tolist(),
-            "model_meta": self.model_meta,
-        }
+        """Every field, arrays and tuples as lists, plus the format tag."""
+        doc = {"format": "hstconformal-audit-v1"}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            doc[f.name] = list(value) if isinstance(value, tuple) else value
+        return doc
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
 
 def _quantile_for(scores: ScoreSet, settings: PipelineSettings) -> QuantileEstimate:
@@ -463,14 +460,13 @@ def _quantile_for(scores: ScoreSet, settings: PipelineSettings) -> QuantileEstim
 def _prepare(panel, topo, t0: int, settings: PipelineSettings, seed: int,
              cal_stop=None):
     """Fit on bins before t0 and score calibration bins up to cal_stop."""
-    Y = np.asarray(getattr(panel, "Y", panel))
+    Y = _hawkes._panel_counts(panel)
     T = Y.shape[0]
     SplitSpec(t0=t0, test=0).validate(T)
     stop = T if cal_stop is None else cal_stop
-    train = panel.rows(0, t0 - 1) if isinstance(panel, CountPanel) else Y[: t0 - 1]
-    model = _hawkes.fit(train, topo, settings.fit_config(_rng.derive(seed, "fit")))
+    model = _hawkes.fit(Y[: t0 - 1], topo, settings.fit_config(_rng.derive(seed, "fit")))
     scores = calibrate(
-        panel, model, topo, (t0 - 1, stop), K=settings.K, seed=seed,
+        Y, model, topo, (t0 - 1, stop), K=settings.K, seed=seed,
         alpha=settings.alpha,
     )
     return model, scores
@@ -485,9 +481,9 @@ def hst_conformal_pipeline(panel, topo: NetworkTopology, t0: int,
     train the model); the target is the bin after the panel ends.  Returns
     (IntervalForecast, AuditRecord); deterministic given seed.
     """
-    Y = np.asarray(getattr(panel, "Y", panel))
+    Y = _hawkes._panel_counts(panel)
     T = Y.shape[0]
-    model, scores = _prepare(panel, topo, t0, settings, seed)
+    model, scores = _prepare(Y, topo, t0, settings, seed)
     qest = _quantile_for(scores, settings)
     scen = _hawkes.simulate_bin(model, Y, K=settings.K, seed=_rng.derive(seed, "target"))
     forecast = build_interval(scen, qest, scores.scale, topo, settings.alpha, t=T)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import hawkes as _hawkes
 from . import rng as _rng
-from .errors import DataValidationError, PreconditionError, read_text
+from .errors import DataValidationError, PreconditionError, read_text, write_json
 from .topology import NetworkTopology
 
 _PANEL_FORMAT = "hstconformal-panel-v1"
@@ -159,9 +159,7 @@ class CountPanel:
         )
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "CountPanel":

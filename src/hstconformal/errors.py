@@ -1,7 +1,11 @@
 """Exception hierarchy, mapped to CLI exit codes by cli.main.
 
-``read_text`` reads input files so that undecodable bytes are a data error.
+``read_text`` reads input files so that undecodable bytes are a data error;
+``write_json`` is the one JSON output format of every document the package
+saves.
 """
+
+import json
 
 
 class HstcError(Exception):
@@ -32,3 +36,10 @@ def read_text(path) -> str:
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise DataValidationError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+
+
+def write_json(path, doc):
+    """Write ``doc`` as indented JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")

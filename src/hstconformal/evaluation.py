@@ -102,10 +102,8 @@ def rolling_evaluate(panel: CountPanel, topo: NetworkTopology, spec: SplitSpec,
     forecasts = []
     for t in range(test_start, T):
         if settings.refit_each_step:
-            model = _hawkes.fit(
-                panel.rows(0, t), topo,
-                settings.fit_config(_rng.derive(seed, "fit", t)),
-            )
+            model = _hawkes.fit(Y[:t], topo,
+                                settings.fit_config(_rng.derive(seed, "fit", t)))
             # a refit moves beta, and with it every start state: scan again
             G, before = _hawkes._start_states(model, Y)
         qest = _quantile_for(scores, settings)
@@ -180,10 +178,7 @@ def horizon_forecast(panel: CountPanel, topo: NetworkTopology, t0: int,
     )  # (K, H, n)
 
     steps = tuple(
-        build_interval(
-            _hawkes.ScenarioSet(samples=traj[:, h, :], t=T + h),
-            qest, scores.scale, topo, settings.alpha, t=T + h,
-        )
+        build_interval(traj[:, h, :], qest, scores.scale, topo, settings.alpha, t=T + h)
         for h in range(horizon)
     )
     observed = Y.sum(axis=0).astype(np.float64)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import rng as _rng
 from ._kernels import ACTIVE
-from .errors import DataValidationError, NumericalError, PreconditionError
+from .errors import DataValidationError, NumericalError, PreconditionError, write_json
 
 _MODEL_FORMAT = "hstconformal-model-v1"
 _GAMMA_FORM = "linear_saturation_v1"
@@ -125,10 +125,13 @@ class HawkesModel:
         n = mu.shape[0]
         if A.shape != (n, n):
             raise PreconditionError(f"A must be ({n}, {n}), got {A.shape}")
+        # a NaN would pass the sign tests and the branching-ratio check below
+        if not (np.isfinite(mu).all() and np.isfinite(A).all()):
+            raise PreconditionError("mu and A must be finite")
         if (mu < 0).any() or (A < 0).any():
             raise PreconditionError("mu and A must be nonnegative")
-        if not self.beta > 0:
-            raise PreconditionError("beta must be positive")
+        if not 0 < self.beta < math.inf:
+            raise PreconditionError("beta must be positive and finite")
         if self.circuit_ids is not None and len(self.circuit_ids) != n:
             raise PreconditionError("circuit_ids length must match mu")
         rowsum = float(A.sum(axis=1).max()) if n else 0.0
@@ -197,9 +200,7 @@ class HawkesModel:
         )
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "HawkesModel":
@@ -211,10 +212,12 @@ class HawkesModel:
 # Shared helpers.
 
 def _panel_counts(panel) -> np.ndarray:
+    """The (bins, circuits) counts of a ``CountPanel`` or an array: the one
+    place every library entry reads and checks a counts panel."""
     Y = np.asarray(getattr(panel, "Y", panel))
     if Y.ndim != 2:
         raise PreconditionError("counts must form a (bins, circuits) matrix")
-    if (Y < 0).any():
+    if not (Y >= 0).all():  # NaN fails this test too
         raise DataValidationError("counts must be nonnegative")
     return Y
 
@@ -224,7 +227,8 @@ def _history_array(history, n: int) -> np.ndarray:
     h = np.asarray(getattr(history, "Y", history), dtype=np.float64)
     if h.size == 0:
         return np.zeros((0, n), dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != n:
+    h = _panel_counts(h)
+    if h.shape[1] != n:
         raise PreconditionError(
             f"history must have {n} columns (circuits), got shape {h.shape}"
         )

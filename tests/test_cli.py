@@ -407,3 +407,19 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys):
         assert proc.returncode == 2, (argv[0], proc.stderr)
         assert "seed" in proc.stderr and "-1" in proc.stderr, proc.stderr
         assert "Traceback" not in proc.stderr, proc.stderr
+
+
+def test_settings_errors_come_before_inputs_are_read(tmp_path, capsys):
+    # the panel does not exist: a settings error must still be the one reported
+    missing = ["--panel", str(tmp_path / "missing.json"),
+               "--topology", str(tmp_path / "missing.csv"), "--t0", "11",
+               "--out", str(tmp_path)]
+    for flags, key in ((["--quantile_method", "foo"], "quantile_method"),
+                       (["--epochs", "0"], "epochs"),
+                       (["--learning_rate", "0"], "learning_rate"),
+                       (["--K", "0"], "K"),
+                       (["--alpha", "1.5"], "alpha"),
+                       (["--quantile_method", "qr", "--qr_window", "0"], "qr_window")):
+        code, _, err = _run(["run", *missing, *flags], capsys)
+        assert code == 2, (flags, err)
+        assert key in err and "i/o error" not in err, (flags, err)

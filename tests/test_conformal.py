@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from hstconformal import (
+    DataValidationError,
     IntervalForecast,
     NetworkTopology,
     PipelineSettings,
@@ -696,3 +698,44 @@ def test_pipeline_settings_validation():
         PipelineSettings(K=0)
     with pytest.raises(PreconditionError):
         PipelineSettings(quantile_method="kernel")
+    with pytest.raises(PreconditionError, match="epochs"):
+        PipelineSettings(epochs=0)
+    with pytest.raises(PreconditionError, match="learning_rate"):
+        PipelineSettings(learning_rate=0.0)
+    with pytest.raises(PreconditionError, match="qr_window"):
+        PipelineSettings(quantile_method="qr", qr_window=0)
+
+
+def test_library_entries_check_their_counts(small_triple, fast_settings):
+    panel, topo, _ = small_triple
+    model = fit(panel.rows(0, 40), topo, FitConfig(epochs=5, seed=0))
+    negative = panel.Y.copy()
+    negative[45, 0] = -1
+    with pytest.raises(DataValidationError, match="nonnegative"):
+        calibrate(negative, model, topo, (40, panel.T), K=3)
+    with pytest.raises(PreconditionError, match="matrix"):
+        calibrate(panel.Y[:, 0], model, topo, (40, panel.T), K=3)
+    with pytest.raises(DataValidationError, match="nonnegative"):
+        training_scale(negative)
+    with pytest.raises(DataValidationError, match="nonnegative"):
+        hst_conformal_pipeline(negative, topo, t0=41, settings=fast_settings)
+    with pytest.raises(PreconditionError, match="matrix"):
+        hst_conformal_pipeline(panel.Y.ravel(), topo, t0=41, settings=fast_settings)
+
+
+def test_audit_record_format_is_pinned(small_triple, fast_settings, tmp_path):
+    panel, topo, _ = small_triple
+    _, audit = hst_conformal_pipeline(panel, topo, t0=41, settings=fast_settings, seed=1)
+    doc = audit.to_dict()
+    assert set(doc) == {
+        "format", "t0", "alpha", "K", "quantile_method", "seed", "circuit_ids",
+        "scale", "scores", "quantiles", "target_bin", "target_scenarios", "model_meta",
+    }
+    assert doc["format"] == "hstconformal-audit-v1"
+    # JSON-native: a round trip through the text gives the same document back
+    assert json.loads(json.dumps(doc)) == doc
+    assert doc["circuit_ids"] == list(panel.circuit_ids)
+    assert doc["target_scenarios"] == audit.target_scenarios.tolist()
+    path = tmp_path / "audit.json"
+    audit.save(path)
+    assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True) + "\n"

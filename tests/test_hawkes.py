@@ -548,3 +548,36 @@ def test_model_validation_rejects_bad_shapes():
         SaturationParams(cap=0.0)
     with pytest.raises(PreconditionError):
         SaturationParams(floor=1.0)
+
+
+def test_model_rejects_non_finite_parameters():
+    # a NaN passes the sign tests and would skip the branching-ratio warning
+    with pytest.raises(PreconditionError, match="finite"):
+        _model([1.0], [[math.nan]])
+    with pytest.raises(PreconditionError, match="finite"):
+        _model([math.inf], [[0.0]])
+    with pytest.raises(PreconditionError, match="finite"):
+        _model([1.0], [[0.0]], beta=math.inf)
+    doc = _model([1.0], [[0.2]]).to_dict()
+    with pytest.raises(PreconditionError, match="finite"):
+        HawkesModel.from_dict(dict(doc, A=[[math.nan]]))
+    with pytest.raises(PreconditionError, match="finite"):
+        HawkesModel.from_dict(dict(doc, mu=[math.nan]))
+
+
+def test_history_counts_are_checked():
+    m = _model([1.0], [[0.5]])
+    for bad in ([[-5]], np.array([[2], [-1]]), [[math.nan]]):
+        with pytest.raises(DataValidationError, match="nonnegative"):
+            intensity(m, bad)
+        with pytest.raises(DataValidationError, match="nonnegative"):
+            simulate_bin(m, bad, K=3)
+        with pytest.raises(DataValidationError, match="nonnegative"):
+            simulate_trajectory(m, bad, horizon=2, K=3)
+    with pytest.raises(PreconditionError, match="matrix"):
+        intensity(m, [[[1]]])
+    with pytest.raises(PreconditionError, match="columns"):
+        simulate_bin(m, [[1, 2]], K=3)
+    # None and an empty array stay the empty history of the first bin
+    for empty in (None, [], np.zeros((0, 1))):
+        assert np.array_equal(intensity(m, empty), m.mu)
