@@ -79,15 +79,15 @@ class RunConfig:
 _SETTINGS_KEYS = tuple(f.name for f in fields(_conformal.PipelineSettings))
 
 
+# each key's converter, read off its field's annotation ("int | None" converts
+# like "int"); the cap also takes "inf"
+_CONVERTERS = {"str": str, "int": int, "float": float, "bool": _parse_bool}
 _FIELD_TYPES = {
-    "events": str, "topology": str, "panel": str, "out": str,
-    "n": int, "m": int, "T": int, "cap": _parse_cap,
-    "start": str, "end": str, "bin_length": str,
-    "alpha": float, "K": int, "epochs": int, "learning_rate": float,
-    "quantile_method": str, "qr_window": int, "t0": int, "test_len": int,
-    "horizon": int, "seed": int,
-    "fit_cap": _parse_bool, "refit_each_step": _parse_bool,
+    f.name: _CONVERTERS[f.type.removesuffix(" | None")]
+    for f in (*fields(RunConfig), *fields(_conformal.PipelineSettings))
+    if f.name != "settings"
 }
+_FIELD_TYPES["cap"] = _parse_cap
 
 
 def _config_value(key, value):
@@ -276,8 +276,9 @@ def cmd_forecast(cfg: RunConfig) -> int:
 
 
 _INPUT_KEYS = ("events", "topology", "panel", "start", "end", "bin_length")
-_PIPELINE_KEYS = ("t0", "alpha", "K", "epochs", "learning_rate", "quantile_method",
-                  "qr_window", "fit_cap")
+# every command that fits reads every setting, except the refit that only
+# the rolling evaluation makes
+_PIPELINE_KEYS = ("t0", *(k for k in _SETTINGS_KEYS if k != "refit_each_step"))
 
 
 # name -> (handler, help text, the config keys the command reads)

@@ -7,7 +7,7 @@ group) and `score_bin` (every substation) share that one reduction,
 `_group_scores`.  Scores and quantiles are substation rows; `to_circuits` is
 the one place they reach the circuits.  Counts are read through
 `hawkes._panel_counts` and scenario draws through `_scenario_matrix`, each
-with its checks.
+with its checks; calibration bins' scenarios through `_bin_scenarios`.
 
 Intervals de-standardize each substation quantile by the circuit's own scale
 and wrap the scenario min/max envelope; substation bounds aggregate the RAW
@@ -95,7 +95,6 @@ class IntervalForecast:
     upper: np.ndarray
     sub_lower: np.ndarray
     sub_upper: np.ndarray
-    alpha: float
     t: int
 
     def __post_init__(self):
@@ -170,6 +169,11 @@ def nonconformity_score(y_t, scenarios, S_row, scale) -> float:
                      dtype=np.int64).ravel()
     if idx.size == 0:
         raise PreconditionError("S_row must contain at least the circuit itself")
+    n = np.size(y_t)
+    bad = idx[(idx < 0) | (idx >= n)]
+    if bad.size:
+        raise PreconditionError(
+            f"S_row indices {bad.tolist()} are out of range for {n} circuits")
     return float(_group_scores(y_t, scenarios, [idx], scale)[0])
 
 
@@ -182,21 +186,29 @@ def score_bin(y_t, scenarios, topo: NetworkTopology, scale) -> np.ndarray:
     return _group_scores(y_t, scenarios, topo.members, scale)
 
 
+def _bin_scenarios(model: _hawkes.HawkesModel, Y, b0: int, b1: int, K: int, seed: int):
+    """Yield the (K, n) scenarios of bins b0, ..., b1-1, one bin at a time.
+
+    Bin t starts from row t of one scan of ``Y[:b1]`` (``hawkes._start_states``)
+    and draws from its own derived stream, so its scenarios are bit for bit
+    those of ``simulate_bin`` on ``Y[:t]`` with that stream's seed.
+    """
+    G, before = _hawkes._start_states(model, Y[:b1])
+    for t in range(b0, b1):
+        yield _hawkes._simulate_from(model, G[t], before[t], 1, K,
+                                     _rng.derive(seed, "cal", t))[:, 0]
+
+
 def calibrate(panel, model: _hawkes.HawkesModel, topo: NetworkTopology, cal_bins,
               K: int = 10, seed: int = 0, alpha: float = 0.05) -> ScoreSet:
     """Score every calibration bin, conditioning on the true history.
 
-    Scenario draws for bin t use the derived stream (seed, "cal", t), so any
-    suffix of bins scores identically whether done here or incrementally.
-    Every bin starts from its row of one excitation scan of the panel
-    (``hawkes._start_states``), and its K scenarios are those of
-    ``simulate_bin(model, Y[:t], K, derive(seed, "cal", t))``, bit for bit.
+    Bin t's scenarios come from ``_bin_scenarios`` on a stream derived from
+    seed and t, so any suffix of bins scores identically whether done here
+    or incrementally.
     """
-    Y = _hawkes._panel_counts(panel)
-    T = Y.shape[0]
-    b0, b1 = _hawkes._normalize_bins(cal_bins, T)
-    if Y.shape[1] != model.n:
-        raise PreconditionError(f"panel has {Y.shape[1]} circuits, model has {model.n}")
+    Y = _hawkes._model_counts(panel, model)
+    b0, b1 = _hawkes._normalize_bins(cal_bins, Y.shape[0])
     if topo.n != model.n:
         raise PreconditionError("topology and model disagree on circuit count")
     if model.meta is not None and b0 < model.meta.n_train_bins:
@@ -205,12 +217,9 @@ def calibrate(panel, model: _hawkes.HawkesModel, topo: NetworkTopology, cal_bins
             "training bins"
         )
     scale = training_scale(Y[:b0])
-    G, before = _hawkes._start_states(model, Y[:b1])
     scores = np.empty((topo.m, b1 - b0))
-    for t in range(b0, b1):
-        scen = _hawkes._simulate_from(model, G[t], before[t], 1, K,
-                                      _rng.derive(seed, "cal", t))[:, 0]
-        scores[:, t - b0] = score_bin(Y[t], scen, topo, scale)
+    for j, scen in enumerate(_bin_scenarios(model, Y, b0, b1, K, seed)):
+        scores[:, j] = score_bin(Y[b0 + j], scen, topo, scale)
     return ScoreSet(scores=scores, scale=scale, alpha=alpha)
 
 
@@ -360,7 +369,7 @@ def to_circuits(rows, topo: NetworkTopology, scale=1.0) -> np.ndarray:
 
 
 def build_interval(scenarios, q: QuantileEstimate, scale, topo: NetworkTopology,
-                   alpha: float, t=None) -> IntervalForecast:
+                   t=None) -> IntervalForecast:
     """Scenario min/max envelope widened by (m,) quantiles times (n,) circuit scales."""
     samples = _scenario_matrix(scenarios)
     if samples.shape[1] != topo.n:
@@ -378,7 +387,6 @@ def build_interval(scenarios, q: QuantileEstimate, scale, topo: NetworkTopology,
         upper=upper,
         sub_lower=topo.aggregate(lower),
         sub_upper=topo.aggregate(upper),
-        alpha=alpha,
         t=int(t),
     )
 
@@ -486,7 +494,7 @@ def hst_conformal_pipeline(panel, topo: NetworkTopology, t0: int,
     model, scores = _prepare(Y, topo, t0, settings, seed)
     qest = _quantile_for(scores, settings)
     scen = _hawkes.simulate_bin(model, Y, K=settings.K, seed=_rng.derive(seed, "target"))
-    forecast = build_interval(scen, qest, scores.scale, topo, settings.alpha, t=T)
+    forecast = build_interval(scen, qest, scores.scale, topo, t=T)
     audit = AuditRecord(
         t0=t0,
         alpha=settings.alpha,

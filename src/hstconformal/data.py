@@ -341,8 +341,12 @@ def generate_synthetic(n: int, m: int, T: int, model: _hawkes.HawkesModel | None
     Returns (panel, topology, truth model); deterministic given seed.  The
     default truth draws mu uniform on [0.2, 1), a uniform A with row sums
     0.5, beta 1 and the given ``cap``; pass ``model`` to simulate from a
-    fixed ground truth instead.
+    fixed ground truth instead, whose own cap applies (a finite ``cap`` next
+    to ``model`` is a ``PreconditionError``).
     """
+    if model is not None and not np.isinf(cap):
+        raise PreconditionError(f"cap={cap!r} has no effect with a supplied model, "
+                                "which carries its own cap")
     if m < 1 or n < m:
         raise PreconditionError(f"need n >= m >= 1, got n={n}, m={m}")
     if T < 2:

@@ -1,10 +1,11 @@
 """Rolling one-step evaluation, horizon forecasts, and their CSV writers.
 
 The rolling harness fits once on the training block, then walks the test
-suffix bin by bin: each bin gets an interval built from all data before it,
-and its score joins the calibration pool before the next bin.  A full refit
-per step is available behind ``refit_each_step``.  Coverage at circuit and
-substation level is checked against the truth once the walk is done.
+suffix bin by bin, as calibration does: each bin gets an interval built from
+all data before it, and its score joins the calibration pool before the next
+bin.  A full refit per step is available behind ``refit_each_step``.
+Coverage at circuit and substation level is checked against the truth once
+the walk is done.  Counts are read through ``hawkes._panel_counts``.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ from . import rng as _rng
 from .conformal import (
     IntervalForecast,
     PipelineSettings,
+    _bin_scenarios,
     _prepare,
     _quantile_for,
     build_interval,
     score_bin,
     to_circuits,
 )
-from .data import CountPanel, SplitSpec
+from .data import SplitSpec
 from .errors import PreconditionError
 from .topology import NetworkTopology
 
@@ -79,37 +81,34 @@ def coverage_counts(forecast: IntervalForecast, y_t, topo: NetworkTopology):
     return hits, sub_hits
 
 
-def rolling_evaluate(panel: CountPanel, topo: NetworkTopology, spec: SplitSpec,
+def rolling_evaluate(panel, topo: NetworkTopology, spec: SplitSpec,
                      settings: PipelineSettings = PipelineSettings(),
                      seed: int = 0) -> EvalReport:
     """One-step-ahead intervals over the test suffix; see module docstring.
 
-    Bin t's K scenarios are ``simulate_bin(model, Y[:t], K, derive(seed,
-    "cal", t))``, bit for bit: every bin starts from its row of one
-    excitation scan of the panel (``hawkes._start_states``), which only a
-    ``refit_each_step`` refit, moving beta, makes again.
+    Bin t's K scenarios come from ``conformal._bin_scenarios``, the walk
+    ``calibrate`` takes, bit for bit; a ``refit_each_step`` refit, which
+    moves beta and with it every start state, begins a new walk at t.
     """
-    Y = panel.Y
-    T = panel.T
+    Y = _hawkes._panel_counts(panel)
+    T = Y.shape[0]
     spec.validate(T)
     if spec.test < 1:
         raise PreconditionError("rolling evaluation needs a nonempty test suffix")
     test_start = T - spec.test
-    model, scores = _prepare(panel, topo, spec.t0, settings, seed, cal_stop=test_start)
+    model, scores = _prepare(Y, topo, spec.t0, settings, seed, cal_stop=test_start)
     scale = scores.scale
 
-    G, before = _hawkes._start_states(model, Y)
+    walk = _bin_scenarios(model, Y, test_start, T, settings.K, seed)
     forecasts = []
     for t in range(test_start, T):
         if settings.refit_each_step:
             model = _hawkes.fit(Y[:t], topo,
                                 settings.fit_config(_rng.derive(seed, "fit", t)))
-            # a refit moves beta, and with it every start state: scan again
-            G, before = _hawkes._start_states(model, Y)
+            walk = _bin_scenarios(model, Y, t, T, settings.K, seed)
         qest = _quantile_for(scores, settings)
-        scen = _hawkes._simulate_from(model, G[t], before[t], 1, settings.K,
-                                      _rng.derive(seed, "cal", t))[:, 0]
-        forecasts.append(build_interval(scen, qest, scale, topo, settings.alpha, t=t))
+        scen = next(walk)
+        forecasts.append(build_interval(scen, qest, scale, topo, t=t))
         # the bin's own score joins the pool before the next bin is predicted
         scores = scores.extend(score_bin(Y[t], scen, topo, scale))
 
@@ -126,7 +125,7 @@ def rolling_evaluate(panel: CountPanel, topo: NetworkTopology, spec: SplitSpec,
             "refit_each_step": settings.refit_each_step,
         },
         bins=tuple(range(test_start, T)),
-        circuit_ids=panel.circuit_ids or tuple(topo.circuit_ids),
+        circuit_ids=getattr(panel, "circuit_ids", None) or tuple(topo.circuit_ids),
         substation_ids=tuple(topo.substation_ids),
         truth=truth,
         sub_truth=topo.aggregate(truth),
@@ -147,14 +146,13 @@ class HorizonForecast:
     cum_sub_lower: np.ndarray  # (H, m)
     cum_sub_upper: np.ndarray
     start_bin: int
-    alpha: float
 
     @property
     def horizon(self) -> int:
         return len(self.steps)
 
 
-def horizon_forecast(panel: CountPanel, topo: NetworkTopology, t0: int,
+def horizon_forecast(panel, topo: NetworkTopology, t0: int,
                      settings: PipelineSettings = PipelineSettings(),
                      horizon: int = 1, seed: int = 0) -> HorizonForecast:
     """K recursive trajectories wrapped in calibrated per-step envelopes.
@@ -167,9 +165,9 @@ def horizon_forecast(panel: CountPanel, topo: NetworkTopology, t0: int,
     """
     if horizon < 1:
         raise PreconditionError("need horizon >= 1")
-    Y = panel.Y
-    T = panel.T
-    model, scores = _prepare(panel, topo, t0, settings, seed)
+    Y = _hawkes._panel_counts(panel)
+    T = Y.shape[0]
+    model, scores = _prepare(Y, topo, t0, settings, seed)
     qest = _quantile_for(scores, settings)
     margin = to_circuits(qest.q, topo, scores.scale)
 
@@ -178,7 +176,7 @@ def horizon_forecast(panel: CountPanel, topo: NetworkTopology, t0: int,
     )  # (K, H, n)
 
     steps = tuple(
-        build_interval(traj[:, h, :], qest, scores.scale, topo, settings.alpha, t=T + h)
+        build_interval(traj[:, h, :], qest, scores.scale, topo, t=T + h)
         for h in range(horizon)
     )
     observed = Y.sum(axis=0).astype(np.float64)
@@ -192,7 +190,6 @@ def horizon_forecast(panel: CountPanel, topo: NetworkTopology, t0: int,
         cum_sub_lower=topo.aggregate(cum_lower),
         cum_sub_upper=topo.aggregate(cum_upper),
         start_bin=T,
-        alpha=settings.alpha,
     )
 
 

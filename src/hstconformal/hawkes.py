@@ -14,6 +14,9 @@ exactly to one Poisson draw per circuit per bin.
 
 Likelihood values omit the log(y!) term throughout: it is constant in the
 parameters, so fitting and model comparison are unaffected.
+
+The intensity, the likelihood and every simulation start read their states
+off one scan (``_start_states``), and ``fit`` optimizes one layout (``_pack``).
 """
 
 from __future__ import annotations
@@ -234,9 +237,16 @@ def _history_array(history, n: int) -> np.ndarray:
         )
     return h
 
+def _model_counts(panel, model: HawkesModel) -> np.ndarray:
+    """The counts of ``panel`` as floats, checked against the model's circuits."""
+    Y = _panel_counts(panel)
+    if Y.shape[1] != model.n:
+        raise PreconditionError(f"panel has {Y.shape[1]} circuits, model has {model.n}")
+    return Y.astype(np.float64)
+
 def _count_before(counts: np.ndarray) -> np.ndarray:
-    """Network-wide count of the bins before each bin."""
-    return np.concatenate(([0.0], np.cumsum(counts.sum(axis=1))))[:counts.shape[0]]
+    """T+1 network-wide totals: the count before each bin, then after the panel."""
+    return np.concatenate(([0.0], np.cumsum(counts.sum(axis=1))))
 
 def _gamma_series(before: np.ndarray, cap: float, floor: float):
     """Saturation factors for each bin plus d(gamma)/d(cap), zero where clamped."""
@@ -268,10 +278,9 @@ def intensity(model: HawkesModel, history) -> np.ndarray:
     ``history`` holds counts for all earlier bins, one row per bin; an empty
     or None history gives the pure-baseline first bin.
     """
-    h = _history_array(history, model.n)
-    G = ACTIVE.excitation_series(h, model.beta)[-1]
-    gamma = max(model.sat.floor, 1.0 - float(h.sum()) / model.sat.cap)
-    return gamma * (model.mu + model.A @ G)
+    G, before = _start_states(model, _history_array(history, model.n))
+    gamma = max(model.sat.floor, 1.0 - float(before[-1]) / model.sat.cap)
+    return gamma * (model.mu + model.A @ G[-1])
 
 
 def log_likelihood(model: HawkesModel, panel, bins=None) -> float:
@@ -280,13 +289,10 @@ def log_likelihood(model: HawkesModel, panel, bins=None) -> float:
     The log(y!) term is omitted (constant in parameters).  Returns -inf when
     any selected cell has positive count but zero intensity.
     """
-    Y = _panel_counts(panel)
-    if Y.shape[1] != model.n:
-        raise PreconditionError(f"panel has {Y.shape[1]} circuits, model has {model.n}")
-    b0, b1 = _normalize_bins(bins, Y.shape[0])
-    counts = Y.astype(np.float64)
-    G = ACTIVE.excitation_series(counts, model.beta)
-    gamma, _ = _gamma_series(_count_before(counts), model.sat.cap, model.sat.floor)
+    counts = _model_counts(panel, model)
+    b0, b1 = _normalize_bins(bins, counts.shape[0])
+    G, before = _start_states(model, counts)
+    gamma, _ = _gamma_series(before, model.sat.cap, model.sat.floor)
     return float(ACTIVE.loglik_value(counts, G, gamma, model.mu, model.A, b0, b1))
 
 
@@ -330,11 +336,8 @@ def log_likelihood_gradient(model: HawkesModel, panel, bins=None) -> GradientRes
     Coordinates: log mu, log A (elementwise), inverse-softplus beta, log cap.
     Raises NumericalError when the likelihood is not finite at the point.
     """
-    Y = _panel_counts(panel)
-    if Y.shape[1] != model.n:
-        raise PreconditionError(f"panel has {Y.shape[1]} circuits, model has {model.n}")
-    b0, b1 = _normalize_bins(bins, Y.shape[0])
-    counts = Y.astype(np.float64)
+    counts = _model_counts(panel, model)
+    b0, b1 = _normalize_bins(bins, counts.shape[0])
     ll, grad = _objective(counts, _count_before(counts), model.mu, model.A, model.beta,
                           model.sat.cap, model.sat.floor, b0, b1,
                           work=ACTIVE.workspace(counts, b0, b1))
@@ -355,29 +358,14 @@ def _softplus_inv(x: float) -> float:
     return x + math.log(-math.expm1(-x))
 
 
-class _Packer:
-    """Flat packing of unconstrained parameters for the optimizer."""
+def _pack(u_mu, u_A, u_beta, u_cap) -> np.ndarray:
+    """The optimizer's flat point: log mu, log A, inverse-softplus beta, log cap."""
+    return np.concatenate([u_mu, u_A.ravel(), [u_beta, u_cap]])
 
-    def __init__(self, n: int, fit_cap: bool):
-        self.n = n
-        self.fit_cap = fit_cap
-
-    def pack(self, u_mu, u_A, u_beta, u_cap):
-        parts = [u_mu, u_A.ravel(), [u_beta]]
-        if self.fit_cap:
-            parts.append([u_cap])
-        return np.concatenate(parts)
-
-    def unpack(self, u, cap_fixed):
-        n = self.n
-        u_mu = u[:n]
-        u_A = u[n : n + n * n].reshape(n, n)
-        u_beta = float(u[n + n * n])
-        cap = math.exp(float(u[n + n * n + 1])) if self.fit_cap else cap_fixed
-        mu = np.exp(u_mu)
-        A = np.exp(u_A)
-        beta = _softplus(u_beta)
-        return mu, A, beta, cap
+def _unpack(u: np.ndarray, n: int):
+    """mu, A, beta and cap of a point from ``_pack``."""
+    return (np.exp(u[:n]), np.exp(u[n:n + n * n].reshape(n, n)),
+            _softplus(float(u[n + n * n])), math.exp(float(u[-1])))
 
 
 def fit(panel, topo, cfg: FitConfig = FitConfig()) -> HawkesModel:
@@ -416,20 +404,17 @@ def fit(panel, topo, cfg: FitConfig = FitConfig()) -> HawkesModel:
     A0 = np.full((n, n), 1e-2) * perturb((n, n))
     beta0 = 1.0 * perturb()
     # when the cap is not optimized it stays switched off entirely; a frozen
-    # finite cap would bake a spurious downward trend into every intensity
+    # finite cap would bake a spurious downward trend into every intensity.
+    # Its coordinate is then log inf = inf with gradient 0, which Adam never moves.
     cap0 = max(2.0 * total, 1.0) * perturb() if cfg.fit_cap else math.inf
-
-    packer = _Packer(n, cfg.fit_cap)
-    u = packer.pack(np.log(mu0), np.log(A0), _softplus_inv(float(beta0)),
-                    math.log(cap0) if cfg.fit_cap else 0.0)
+    u = _pack(np.log(mu0), np.log(A0), _softplus_inv(float(beta0)), math.log(cap0))
 
     before = _count_before(counts)
     work = ACTIVE.workspace(counts, 0, T)
 
     def evaluate(uvec):
-        mu, A, beta, cap = packer.unpack(uvec, cap0)
-        ll, grad = _objective(counts, before, mu, A, beta, cap, 0.0, 0, T, work=work)
-        return ll, None if grad is None else packer.pack(*grad)
+        ll, grad = _objective(counts, before, *_unpack(uvec, n), 0.0, 0, T, work=work)
+        return ll, None if grad is None else _pack(*grad)
 
     ll, grads = evaluate(u)
     if not math.isfinite(ll):
@@ -470,7 +455,7 @@ def fit(panel, topo, cfg: FitConfig = FitConfig()) -> HawkesModel:
             break
         ll_prev = ll
 
-    mu, A, beta, cap = packer.unpack(best_u, cap0)
+    mu, A, beta, cap = _unpack(best_u, n)
     meta = FitMeta(
         epochs_run=epochs_run,
         loglik_init=ll_init,
@@ -514,12 +499,11 @@ def _simulate_from(model: HawkesModel, g0, n0: float, horizon: int, K: int,
 
 
 def _start_states(model: HawkesModel, counts):
-    """Simulation start of every bin of ``counts`` from one excitation scan.
+    """The state before each bin of ``counts`` and after the last, from one scan.
 
-    Returns (G, before): bin t starts from ``(G[t], before[t])``, the state
-    ``simulate_bin(model, counts[:t])`` reads off its history.  The scans are
-    prefix-consistent bit for bit, and a network total of integer counts is
-    exact in either order of summation, so both are equal to that rescan.
+    Returns (G, before), T+1 rows each: row t is the excitation and network
+    total of ``counts[:t]`` bit for bit, as the scan is prefix-consistent and
+    a total of integer counts is exact in any order of summation.
     """
     counts = np.asarray(counts, dtype=np.float64)
     return ACTIVE.excitation_series(counts, model.beta), _count_before(counts)
@@ -544,6 +528,5 @@ def simulate_trajectory(model: HawkesModel, history, horizon: int, K: int = 10,
     excitation and network-wide count of ``history``; trajectory k draws from
     the generator (seed, k) and is the same for every K > k (``_simulate_from``).
     """
-    h = _history_array(history, model.n)
-    g0 = ACTIVE.excitation_series(h, model.beta)[-1]
-    return _simulate_from(model, g0, float(h.sum()), horizon, K, seed)
+    G, before = _start_states(model, _history_array(history, model.n))
+    return _simulate_from(model, G[-1], float(before[-1]), horizon, K, seed)

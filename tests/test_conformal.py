@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -60,6 +61,16 @@ def test_score_zero_when_any_scenario_is_exact():
     y = np.array([4, 0, 2])
     scen = np.array([[1, 1, 1], [4, 0, 2], [9, 9, 9]])
     assert nonconformity_score(y, scen, [0, 1, 2], np.ones(3)) == 0.0
+
+
+def test_score_rejects_out_of_range_circuit_indices():
+    # past the last circuit numpy would raise IndexError, and -1 would
+    # silently score the last circuit
+    y = np.array([1, 2, 3])
+    scen = np.array([[1, 1, 1]])
+    for S_row, named in (([5], "[5]"), ([0, -1], "[-1]")):
+        with pytest.raises(PreconditionError, match=re.escape(named)):
+            nonconformity_score(y, scen, S_row, np.ones(3))
 
 
 def test_score_singleton_group_is_standardized_residual():
@@ -400,7 +411,7 @@ def test_interval_hand_example():
     topo = _topo([0])
     scen = np.array([[2], [5]])
     q = QuantileEstimate(q=np.array([1.5]))
-    f = build_interval(scen, q, np.ones(1), topo, alpha=0.1, t=4)
+    f = build_interval(scen, q, np.ones(1), topo, t=4)
     assert f.lower[0] == 0.5 and f.upper[0] == 6.5
     assert f.sub_lower[0] == 0.5 and f.sub_upper[0] == 6.5
     assert f.t == 4
@@ -410,7 +421,7 @@ def test_interval_degenerate_single_scenario_zero_quantile():
     topo = _topo([0, 0])
     scen = np.array([[3, 7]])
     q = QuantileEstimate(q=np.zeros(1))
-    f = build_interval(scen, q, np.ones(2), topo, alpha=0.05)
+    f = build_interval(scen, q, np.ones(2), topo)
     assert np.array_equal(f.lower, [3.0, 7.0])
     assert np.array_equal(f.upper, [3.0, 7.0])
     assert np.array_equal(f.width, [0.0, 0.0])
@@ -421,7 +432,7 @@ def test_interval_substation_rows_are_member_sums():
     scen = np.array([[1, 2, 3], [4, 0, 5]])
     q = QuantileEstimate(q=np.array([1.5, 0.5]))
     s = np.array([1.0, 2.0, 1.0])
-    f = build_interval(scen, q, s, topo, alpha=0.05)
+    f = build_interval(scen, q, s, topo)
     assert np.array_equal(f.lower, [1.0 - 1.5, 0.0 - 3.0, 3.0 - 0.5])
     assert np.allclose(f.sub_lower, [f.lower[0] + f.lower[1], f.lower[2]])
     assert np.allclose(f.sub_upper, [f.upper[0] + f.upper[1], f.upper[2]])
@@ -432,18 +443,18 @@ def test_interval_needs_one_quantile_per_substation():
     scen = np.array([[1, 2, 3]])
     per_circuit = QuantileEstimate(q=np.ones(3))
     with pytest.raises(PreconditionError, match="one quantile per substation"):
-        build_interval(scen, per_circuit, np.ones(3), topo, alpha=0.05)
+        build_interval(scen, per_circuit, np.ones(3), topo)
     per_substation = QuantileEstimate(q=np.ones(2))
     with pytest.raises(PreconditionError, match="one scale per circuit"):
-        build_interval(scen, per_substation, np.ones(2), topo, alpha=0.05)
-    assert build_interval(scen, per_substation, np.ones(3), topo, alpha=0.05).t == 0
+        build_interval(scen, per_substation, np.ones(2), topo)
+    assert build_interval(scen, per_substation, np.ones(3), topo).t == 0
 
 
 def test_interval_clamp_is_reporting_only():
     topo = _topo([0])
     scen = np.array([[0], [1]])
     q = QuantileEstimate(q=np.array([2.0]))
-    f = build_interval(scen, q, np.ones(1), topo, alpha=0.05)
+    f = build_interval(scen, q, np.ones(1), topo)
     assert f.lower[0] == -2.0
     rows = list(f.unit_bounds(("c0",), ("s0",)))
     assert rows == [("circuit", "c0", 0, -2.0, 0.0, 3.0),
@@ -454,8 +465,7 @@ def test_interval_rejects_inverted_bounds():
     with pytest.raises(PreconditionError):
         IntervalForecast(
             lower=np.array([2.0]), upper=np.array([1.0]),
-            sub_lower=np.array([2.0]), sub_upper=np.array([1.0]),
-            alpha=0.05, t=0,
+            sub_lower=np.array([2.0]), sub_upper=np.array([1.0]), t=0,
         )
 
 

@@ -285,6 +285,9 @@ def test_synthetic_with_supplied_truth():
     assert abs(panel.Y.mean() - 0.7) < 0.15
     with pytest.raises(PreconditionError):
         generate_synthetic(4, 2, 10, model=truth)
+    # the supplied model's own cap applies, so a finite cap would do nothing
+    with pytest.raises(PreconditionError, match="cap=50.0"):
+        generate_synthetic(3, 2, 50, model=truth, cap=50.0)
 
 
 def test_synthetic_argument_validation():

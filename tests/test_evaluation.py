@@ -26,13 +26,12 @@ from hstconformal.conformal import build_interval, score_bin
 from hstconformal.hawkes import fit, simulate_bin
 
 
-def _interval(lower, upper, topo, alpha=0.05, t=0):
+def _interval(lower, upper, topo, t=0):
     lower = np.asarray(lower, float)
     upper = np.asarray(upper, float)
     return IntervalForecast(
         lower=lower, upper=upper,
-        sub_lower=topo.aggregate(lower), sub_upper=topo.aggregate(upper),
-        alpha=alpha, t=t,
+        sub_lower=topo.aggregate(lower), sub_upper=topo.aggregate(upper), t=t,
     )
 
 
@@ -178,12 +177,30 @@ def test_rolling_matches_the_per_bin_recount(monkeypatch, small_triple, refit):
         scen = simulate_bin(model, Y[:t], K=settings.K, seed=_rng.derive(seed, "cal", t))
         assert np.array_equal(samples, scen.samples), t
         expect = build_interval(scen, _conformal._quantile_for(scores, settings),
-                                scores.scale, topo, settings.alpha, t=t)
+                                scores.scale, topo, t=t)
         for name in ("lower", "upper", "sub_lower", "sub_upper"):
             assert np.array_equal(getattr(forecast, name), getattr(expect, name)), (t, name)
         assert forecast.t == expect.t == t
         scores = scores.extend(score_bin(Y[t], scen, topo, scores.scale))
     assert len(scored) == spec.test
+
+
+def test_rolling_and_horizon_take_an_array_panel(small_triple, fast_settings):
+    # counts are read like every other entry's: an array works as a panel,
+    # with the topology's circuit ids
+    panel, topo, _ = small_triple
+    spec = SplitSpec(t0=61, test=3)
+    a = rolling_evaluate(panel.Y, topo, spec, fast_settings, seed=2)
+    b = rolling_evaluate(panel, topo, spec, fast_settings, seed=2)
+    for name in ("truth", "sub_truth", "circuit_hits", "sub_hits", "widths_std"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.circuit_ids == tuple(topo.circuit_ids) == tuple(b.circuit_ids)
+    a = horizon_forecast(panel.Y, topo, 61, fast_settings, horizon=2, seed=2)
+    b = horizon_forecast(panel, topo, 61, fast_settings, horizon=2, seed=2)
+    for name in ("cum_lower", "cum_upper", "cum_sub_lower", "cum_sub_upper"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for fa, fb in zip(a.steps, b.steps):
+        assert np.array_equal(fa.lower, fb.lower) and np.array_equal(fa.upper, fb.upper)
 
 
 # -- horizon forecasts ---------------------------------------------------------------

@@ -244,6 +244,8 @@ def test_fit_recovers_baselines_within_tolerance():
     )
     panel, topo, _ = generate_synthetic(5, 2, 500, model=truth, seed=3)
     fitted = fit(panel, topo, FitConfig(epochs=700, seed=1, fit_cap=False))
+    # the unfitted cap sits at log inf = inf with gradient 0: no step moves it
+    assert fitted.sat.cap == math.inf
     rel = np.abs(fitted.mu - truth.mu) / truth.mu
     assert rel.mean() <= 0.25
     assert fitted.meta.loglik_final >= fitted.meta.loglik_init

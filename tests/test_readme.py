@@ -54,3 +54,23 @@ def test_readme_library_usage_runs():
         exec(compile(block.group(1), str(README), "exec"), namespace)
     report = namespace["report"]
     assert 0.0 <= report.val <= 1.0 and report.size > 0.0
+
+
+def test_readme_key_settings_table_names_each_key_with_its_commands():
+    # one row per key (or group of keys), "all" meaning every command; a key
+    # added to or moved between commands without its row fails here
+    section = README.read_text(encoding="utf-8").split("### Key settings", 1)[1]
+    documented = {}
+    for line in section.split("\n## ", 1)[0].splitlines():
+        if not line.startswith("| `"):
+            continue
+        keys, read_by = [c.strip() for c in line.strip("|").split("|")][:2]
+        commands = set(cli._COMMANDS) if read_by == "all" else set(read_by.split(", "))
+        for key in re.findall(r"`([^`]+)`", keys):
+            assert key not in documented, key
+            documented[key] = commands
+    readers = {}
+    for command, (_, _, keys) in cli._COMMANDS.items():
+        for key in keys:
+            readers.setdefault(key, set()).add(command)
+    assert documented == readers
