@@ -25,9 +25,8 @@ import yaml
 from . import conformal as _conformal
 from . import data as _data
 from . import evaluation as _evaluation
-from .errors import (
-    DataValidationError, HstcError, NumericalError, PreconditionError, read_text,
-)
+from .errors import (DataValidationError, HstcError, NumericalError, PreconditionError,
+                     check_circuits, read_text)
 from .topology import NetworkTopology
 
 
@@ -177,10 +176,7 @@ def _load_inputs(cfg: RunConfig):
     topo = NetworkTopology.from_csv(cfg.topology)
     if cfg.panel is not None:
         panel = _data.CountPanel.load(cfg.panel)
-        if panel.n != topo.n:
-            raise DataValidationError(
-                f"panel has {panel.n} circuits, topology has {topo.n}"
-            )
+        check_circuits(panel.n, topo.n, "count", DataValidationError)
         if panel.circuit_ids is not None and tuple(panel.circuit_ids) != tuple(topo.circuit_ids):
             raise DataValidationError("panel circuit ordering disagrees with topology")
     elif cfg.events is not None:

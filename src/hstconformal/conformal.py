@@ -5,9 +5,12 @@ scenarios) substation maximum error, i.e. the largest standardized absolute
 residual among the substation's circuits.  `nonconformity_score` (one
 group) and `score_bin` (every substation) share that one reduction,
 `_group_scores`.  Scores and quantiles are substation rows; `to_circuits` is
-the one place they reach the circuits.  Counts are read through
-`hawkes._panel_counts` and scenario draws through `_scenario_matrix`, each
-with its checks; calibration bins' scenarios through `_bin_scenarios`.
+the one place they reach the circuits.  Each input has one checked reader:
+`hawkes._panel_counts` for counts, `_scenario_matrix` for scenario draws and
+`_scale_vector` for circuit scales; calibration bins' scenarios come from
+`_bin_scenarios`.  `_forecast` is the one forecast core, fit -> calibrate ->
+quantile -> K target trajectories -> one `build_interval` per step, and
+`hst_conformal_pipeline` is its horizon-1 case.
 
 Intervals de-standardize each substation quantile by the circuit's own scale
 and wrap the scenario min/max envelope; substation bounds aggregate the RAW
@@ -26,7 +29,7 @@ import numpy as np
 from . import hawkes as _hawkes
 from . import rng as _rng
 from .data import SplitSpec
-from .errors import PreconditionError, write_json
+from .errors import PreconditionError, check_circuits, write_json
 from .topology import NetworkTopology
 
 _QUANTILE_METHODS = ("empirical", "qr")
@@ -42,13 +45,11 @@ class ScoreSet:
 
     def __post_init__(self):
         s = np.ascontiguousarray(self.scores, dtype=np.float64)
-        sc = np.ascontiguousarray(self.scale, dtype=np.float64)
+        sc = np.ascontiguousarray(_scale_vector(self.scale))
         if s.ndim != 2:
             raise PreconditionError("scores must be (substations, calibration bins)")
         if not np.isfinite(s).all() or (s < 0).any():
             raise PreconditionError("scores must be finite and nonnegative")
-        if not (sc >= 1.0).all():
-            raise PreconditionError("scale entries must be >= 1 (clamped)")
         if not (0.0 < self.alpha < 1.0):
             raise PreconditionError(f"alpha must lie in (0, 1), got {self.alpha}")
         s.flags.writeable = False
@@ -81,8 +82,8 @@ class QuantileEstimate:
 
     def __post_init__(self):
         q = np.ascontiguousarray(self.q, dtype=np.float64)
-        if q.ndim != 1 or (q < 0).any():
-            raise PreconditionError("quantiles must be a nonnegative vector")
+        if q.ndim != 1 or not (np.isfinite(q) & (q >= 0)).all():
+            raise PreconditionError("quantiles must be a finite nonnegative vector")
         q.flags.writeable = False
         object.__setattr__(self, "q", q)
 
@@ -134,27 +135,44 @@ class IntervalForecast:
 
 def training_scale(train_counts) -> np.ndarray:
     """Frozen per-circuit standardization scale: max(1, train std)."""
-    Y = np.asarray(_hawkes._panel_counts(train_counts), dtype=np.float64)
+    Y = _hawkes._panel_counts(train_counts)
     if Y.shape[0] == 0:
         raise PreconditionError("training scale needs at least one training bin")
     return np.maximum(1.0, Y.std(axis=0))
 
 
-def _scenario_matrix(scenarios) -> np.ndarray:
-    """The (K, n) draws of a ``ScenarioSet`` or an array, K >= 1, as floats."""
+def _scenario_matrix(scenarios, n: int) -> np.ndarray:
+    """The finite (K >= 1, n) draws of a ``ScenarioSet`` or an array as floats."""
     samples = np.asarray(getattr(scenarios, "samples", scenarios), dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] < 1:
         raise PreconditionError("need a nonempty (K, n) scenario matrix")
+    check_circuits(samples.shape[1], n, "draw")
+    if not np.isfinite(samples).all():
+        raise PreconditionError("scenario draws must be finite")
     return samples
 
 
-def _group_scores(y_t, scenarios, groups, scale) -> np.ndarray:
+def _scale_vector(scale, n: int | None = None) -> np.ndarray:
+    """The per-circuit scales as floats, finite and >= 1 as ``training_scale``
+    clamps them, one per circuit when ``n`` is given: the one reader of scales."""
+    s = np.asarray(scale, dtype=np.float64)
+    if s.ndim != 1:
+        raise PreconditionError("scale must be a vector")
+    if n is not None:
+        check_circuits(s.shape[0], n, "scale")
+    if not (np.isfinite(s) & (s >= 1.0)).all():
+        raise PreconditionError("scale entries must be finite and >= 1 (clamped)")
+    return s
+
+
+def _group_scores(y_t, scenarios, groups, scale, n: int) -> np.ndarray:
     """Per group of circuit indices: the smallest, over the K scenarios, of the
-    group's largest standardized absolute error.  The one scoring reduction."""
-    samples = _scenario_matrix(scenarios)
+    group's largest standardized absolute error.  The one scoring reduction;
+    the count row, the draws and the scale each hold one entry per circuit."""
+    samples = _scenario_matrix(scenarios, n)
     idx = np.concatenate(groups)
-    y = np.asarray(y_t, dtype=np.float64)[idx]
-    s = np.asarray(scale, dtype=np.float64)[idx]
+    y = _hawkes._panel_counts(np.asarray(y_t)[None], n)[0, idx]
+    s = _scale_vector(scale, n)[idx]
     errs = np.abs(y[None, :] - samples[:, idx]) / s[None, :]
     starts = np.cumsum([0] + [g.size for g in groups[:-1]])
     return np.maximum.reduceat(errs, starts, axis=1).min(axis=0)
@@ -174,7 +192,7 @@ def nonconformity_score(y_t, scenarios, S_row, scale) -> float:
     if bad.size:
         raise PreconditionError(
             f"S_row indices {bad.tolist()} are out of range for {n} circuits")
-    return float(_group_scores(y_t, scenarios, [idx], scale)[0])
+    return float(_group_scores(y_t, scenarios, [idx], scale, n)[0])
 
 
 def score_bin(y_t, scenarios, topo: NetworkTopology, scale) -> np.ndarray:
@@ -183,7 +201,7 @@ def score_bin(y_t, scenarios, topo: NetworkTopology, scale) -> np.ndarray:
     empty = [sid for sid, idx in zip(topo.substation_ids, topo.members) if idx.size == 0]
     if empty:
         raise PreconditionError(f"cannot score substations with no circuits: {empty}")
-    return _group_scores(y_t, scenarios, topo.members, scale)
+    return _group_scores(y_t, scenarios, topo.members, scale, topo.n)
 
 
 def _bin_scenarios(model: _hawkes.HawkesModel, Y, b0: int, b1: int, K: int, seed: int):
@@ -207,10 +225,9 @@ def calibrate(panel, model: _hawkes.HawkesModel, topo: NetworkTopology, cal_bins
     seed and t, so any suffix of bins scores identically whether done here
     or incrementally.
     """
-    Y = _hawkes._model_counts(panel, model)
+    Y = _hawkes._panel_counts(panel, topo.n)
+    check_circuits(model.n, topo.n, "model rate")
     b0, b1 = _hawkes._normalize_bins(cal_bins, Y.shape[0])
-    if topo.n != model.n:
-        raise PreconditionError("topology and model disagree on circuit count")
     if model.meta is not None and b0 < model.meta.n_train_bins:
         raise PreconditionError(
             f"calibration bins [{b0}, {b1}) overlap the {model.meta.n_train_bins} "
@@ -371,12 +388,11 @@ def to_circuits(rows, topo: NetworkTopology, scale=1.0) -> np.ndarray:
 def build_interval(scenarios, q: QuantileEstimate, scale, topo: NetworkTopology,
                    t=None) -> IntervalForecast:
     """Scenario min/max envelope widened by (m,) quantiles times (n,) circuit scales."""
-    samples = _scenario_matrix(scenarios)
-    if samples.shape[1] != topo.n:
-        raise PreconditionError("scenarios must be (K, n) matching the topology")
-    s = np.asarray(scale, dtype=np.float64)
-    if q.q.shape != (topo.m,) or s.shape != (topo.n,):
-        raise PreconditionError("need one quantile per substation and one scale per circuit")
+    samples = _scenario_matrix(scenarios, topo.n)
+    s = _scale_vector(scale, topo.n)
+    if q.q.shape != (topo.m,):
+        raise PreconditionError(
+            f"need one quantile per substation: {q.q.size} for {topo.m} substations")
     margin = to_circuits(q.q, topo, s)
     lower = samples.min(axis=0) - margin
     upper = samples.max(axis=0) + margin
@@ -480,21 +496,33 @@ def _prepare(panel, topo, t0: int, settings: PipelineSettings, seed: int,
     return model, scores
 
 
+def _forecast(Y, topo, t0: int, settings: PipelineSettings, seed: int, horizon: int):
+    """fit -> calibrate -> quantile -> K "target" trajectories of ``horizon``
+    steps after the read counts ``Y`` -> one ``build_interval`` per step.
+
+    Returns (model, scores, quantiles, (K, horizon, n) trajectories, steps).
+    """
+    model, scores = _prepare(Y, topo, t0, settings, seed)
+    qest = _quantile_for(scores, settings)
+    traj = _hawkes.simulate_trajectory(model, Y, horizon=horizon, K=settings.K,
+                                       seed=_rng.derive(seed, "target"))
+    steps = tuple(build_interval(traj[:, h], qest, scores.scale, topo, t=Y.shape[0] + h)
+                  for h in range(horizon))
+    return model, scores, qest, traj, steps
+
+
 def hst_conformal_pipeline(panel, topo: NetworkTopology, t0: int,
                            settings: PipelineSettings = PipelineSettings(),
                            seed: int = 0):
-    """fit -> calibrate -> quantile -> simulate target bin -> intervals.
+    """fit -> calibrate -> quantile -> simulate target bin -> intervals: the
+    horizon-1 case of the forecast core ``_forecast``.
 
     t0 is the 1-based index of the first calibration bin (bins before it
     train the model); the target is the bin after the panel ends.  Returns
     (IntervalForecast, AuditRecord); deterministic given seed.
     """
-    Y = _hawkes._panel_counts(panel)
-    T = Y.shape[0]
-    model, scores = _prepare(Y, topo, t0, settings, seed)
-    qest = _quantile_for(scores, settings)
-    scen = _hawkes.simulate_bin(model, Y, K=settings.K, seed=_rng.derive(seed, "target"))
-    forecast = build_interval(scen, qest, scores.scale, topo, t=T)
+    model, scores, qest, traj, (forecast,) = _forecast(
+        _hawkes._panel_counts(panel), topo, t0, settings, seed, 1)
     audit = AuditRecord(
         t0=t0,
         alpha=settings.alpha,
@@ -506,8 +534,8 @@ def hst_conformal_pipeline(panel, topo: NetworkTopology, t0: int,
         scale=scores.scale,
         scores=to_circuits(scores.scores, topo),
         quantiles=to_circuits(qest.q, topo),
-        target_bin=T,
-        target_scenarios=np.asarray(scen.samples),
+        target_bin=forecast.t,
+        target_scenarios=traj[:, 0],
         model_meta=None if model.meta is None else asdict(model.meta),
     )
     return forecast, audit

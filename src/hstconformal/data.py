@@ -73,15 +73,9 @@ class CountPanel:
     circuit_ids: tuple | None = None
 
     def __post_init__(self):
-        Y = np.asarray(self.Y)
-        if Y.ndim != 2:
+        if np.ndim(self.Y) != 2:
             raise DataValidationError("counts must be a (bins, circuits) matrix")
-        if not np.issubdtype(Y.dtype, np.integer):
-            if not np.all(Y == np.floor(Y)):
-                raise DataValidationError("counts must be integers")
-        Y = Y.astype(np.int64)
-        if (Y < 0).any():
-            raise DataValidationError("counts must be nonnegative")
+        Y = _hawkes._panel_counts(self.Y).astype(np.int64)
         T, n = Y.shape
         times = tuple(_parse_date(t, "bin start") for t in self.bin_start_times)
         if len(times) != T:

@@ -1,8 +1,8 @@
 """Exception hierarchy, mapped to CLI exit codes by cli.main.
 
-``read_text`` reads input files so that undecodable bytes are a data error;
-``write_json`` is the one JSON output format of every document the package
-saves.
+``check_circuits`` is the one circuit-count check; ``read_text`` reads input
+files so that undecodable bytes are a data error; ``write_json`` is the one
+JSON output format of every document the package saves.
 """
 
 import json
@@ -22,6 +22,12 @@ class DataValidationError(HstcError):
 
 class NumericalError(HstcError):
     """A numerical procedure could not make progress (exit code 4)."""
+
+
+def check_circuits(got: int, n: int, what: str, error=PreconditionError):
+    """Raise ``error`` unless ``got`` columns give one ``what`` per circuit of ``n``."""
+    if got != n:
+        raise error(f"need one {what} per circuit: {got} columns for {n} circuits")
 
 
 def read_text(path) -> str:

@@ -5,7 +5,9 @@ suffix bin by bin, as calibration does: each bin gets an interval built from
 all data before it, and its score joins the calibration pool before the next
 bin.  A full refit per step is available behind ``refit_each_step``.
 Coverage at circuit and substation level is checked against the truth once
-the walk is done.  Counts are read through ``hawkes._panel_counts``.
+the walk is done.  Counts are read through ``hawkes._panel_counts``, and
+``horizon_forecast`` is the multi-step case of the forecast core
+``conformal._forecast``, whose horizon-1 case is ``hst_conformal_pipeline``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .conformal import (
     IntervalForecast,
     PipelineSettings,
     _bin_scenarios,
+    _forecast,
     _prepare,
     _quantile_for,
     build_interval,
@@ -158,28 +161,17 @@ def horizon_forecast(panel, topo: NetworkTopology, t0: int,
     """K recursive trajectories wrapped in calibrated per-step envelopes.
 
     Step h's interval applies the one-step calibrated quantile to the
-    min/max envelope of the K trajectories at that step; cumulative
+    min/max envelope of the K trajectories at that step (``conformal._forecast``,
+    whose horizon-1 case is the one-shot pipeline forecast); cumulative
     envelopes add the observed history totals to cumulative trajectory
     counts before enveloping, so they flatten once trajectories saturate.
-    At horizon 1 the first step equals the one-shot pipeline forecast.
     """
     if horizon < 1:
         raise PreconditionError("need horizon >= 1")
     Y = _hawkes._panel_counts(panel)
-    T = Y.shape[0]
-    model, scores = _prepare(Y, topo, t0, settings, seed)
-    qest = _quantile_for(scores, settings)
+    _, scores, qest, traj, steps = _forecast(Y, topo, t0, settings, seed, horizon)
     margin = to_circuits(qest.q, topo, scores.scale)
-
-    traj = _hawkes.simulate_trajectory(
-        model, Y, horizon=horizon, K=settings.K, seed=_rng.derive(seed, "target"),
-    )  # (K, H, n)
-
-    steps = tuple(
-        build_interval(traj[:, h, :], qest, scores.scale, topo, t=T + h)
-        for h in range(horizon)
-    )
-    observed = Y.sum(axis=0).astype(np.float64)
+    observed = Y.sum(axis=0)
     cum_traj = observed[None, None, :] + np.cumsum(traj, axis=1)
     cum_lower = cum_traj.min(axis=0) - margin[None, :]
     cum_upper = cum_traj.max(axis=0) + margin[None, :]
@@ -189,7 +181,7 @@ def horizon_forecast(panel, topo: NetworkTopology, t0: int,
         cum_upper=cum_upper,
         cum_sub_lower=topo.aggregate(cum_lower),
         cum_sub_upper=topo.aggregate(cum_upper),
-        start_bin=T,
+        start_bin=Y.shape[0],
     )
 
 

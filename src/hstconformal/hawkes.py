@@ -15,8 +15,10 @@ exactly to one Poisson draw per circuit per bin.
 Likelihood values omit the log(y!) term throughout: it is constant in the
 parameters, so fitting and model comparison are unaffected.
 
-The intensity, the likelihood and every simulation start read their states
-off one scan (``_start_states``), and ``fit`` optimizes one layout (``_pack``).
+Every entry reads its counts or history through one checked reader,
+``_panel_counts``; the intensity, the likelihood and every simulation start
+read their states off one scan (``_start_states``), and ``fit`` optimizes one
+layout (``_pack``).
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ import numpy as np
 
 from . import rng as _rng
 from ._kernels import ACTIVE
-from .errors import DataValidationError, NumericalError, PreconditionError, write_json
+from .errors import (DataValidationError, NumericalError, PreconditionError, check_circuits,
+                     write_json)
 
 _MODEL_FORMAT = "hstconformal-model-v1"
 _GAMMA_FORM = "linear_saturation_v1"
@@ -90,13 +93,9 @@ class ScenarioSet:
     t: int
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=np.int64)
-        if s.ndim != 2:
-            raise PreconditionError("samples must be a (K, n) matrix")
+        s = _panel_counts(self.samples).astype(np.int64)
         if s.shape[0] < 1:
             raise PreconditionError("need K >= 1 scenarios")
-        if (s < 0).any():
-            raise PreconditionError("scenario counts must be nonnegative")
         s.flags.writeable = False
         object.__setattr__(self, "samples", s)
 
@@ -214,35 +213,25 @@ class HawkesModel:
 # ---------------------------------------------------------------------------
 # Shared helpers.
 
-def _panel_counts(panel) -> np.ndarray:
-    """The (bins, circuits) counts of a ``CountPanel`` or an array: the one
-    place every library entry reads and checks a counts panel."""
-    Y = np.asarray(getattr(panel, "Y", panel))
+def _panel_counts(panel, n: int | None = None) -> np.ndarray:
+    """The nonnegative whole (bins, circuits) counts of a ``CountPanel`` or an
+    array as floats, in ``n`` columns when ``n`` is given, which makes a None or
+    empty history the (0, n) panel: the one reader of counts and histories."""
+    Y = np.asarray([] if panel is None else getattr(panel, "Y", panel))
+    if Y.dtype.kind not in "biuf":  # float64 would parse numeric strings
+        raise DataValidationError("counts must be numbers")
+    Y = Y.astype(np.float64, copy=False)
+    if n is not None and Y.shape == (0,):
+        Y = Y.reshape(0, n)
     if Y.ndim != 2:
         raise PreconditionError("counts must form a (bins, circuits) matrix")
+    if n is not None:
+        check_circuits(Y.shape[1], n, "count")
     if not (Y >= 0).all():  # NaN fails this test too
         raise DataValidationError("counts must be nonnegative")
+    if not (np.isfinite(Y) & (Y == np.floor(Y))).all():
+        raise DataValidationError("counts must be whole numbers")
     return Y
-
-def _history_array(history, n: int) -> np.ndarray:
-    if history is None:
-        return np.zeros((0, n), dtype=np.float64)
-    h = np.asarray(getattr(history, "Y", history), dtype=np.float64)
-    if h.size == 0:
-        return np.zeros((0, n), dtype=np.float64)
-    h = _panel_counts(h)
-    if h.shape[1] != n:
-        raise PreconditionError(
-            f"history must have {n} columns (circuits), got shape {h.shape}"
-        )
-    return h
-
-def _model_counts(panel, model: HawkesModel) -> np.ndarray:
-    """The counts of ``panel`` as floats, checked against the model's circuits."""
-    Y = _panel_counts(panel)
-    if Y.shape[1] != model.n:
-        raise PreconditionError(f"panel has {Y.shape[1]} circuits, model has {model.n}")
-    return Y.astype(np.float64)
 
 def _count_before(counts: np.ndarray) -> np.ndarray:
     """T+1 network-wide totals: the count before each bin, then after the panel."""
@@ -278,7 +267,7 @@ def intensity(model: HawkesModel, history) -> np.ndarray:
     ``history`` holds counts for all earlier bins, one row per bin; an empty
     or None history gives the pure-baseline first bin.
     """
-    G, before = _start_states(model, _history_array(history, model.n))
+    G, before = _start_states(model, _panel_counts(history, model.n))
     gamma = max(model.sat.floor, 1.0 - float(before[-1]) / model.sat.cap)
     return gamma * (model.mu + model.A @ G[-1])
 
@@ -289,7 +278,7 @@ def log_likelihood(model: HawkesModel, panel, bins=None) -> float:
     The log(y!) term is omitted (constant in parameters).  Returns -inf when
     any selected cell has positive count but zero intensity.
     """
-    counts = _model_counts(panel, model)
+    counts = _panel_counts(panel, model.n)
     b0, b1 = _normalize_bins(bins, counts.shape[0])
     G, before = _start_states(model, counts)
     gamma, _ = _gamma_series(before, model.sat.cap, model.sat.floor)
@@ -336,7 +325,7 @@ def log_likelihood_gradient(model: HawkesModel, panel, bins=None) -> GradientRes
     Coordinates: log mu, log A (elementwise), inverse-softplus beta, log cap.
     Raises NumericalError when the likelihood is not finite at the point.
     """
-    counts = _model_counts(panel, model)
+    counts = _panel_counts(panel, model.n)
     b0, b1 = _normalize_bins(bins, counts.shape[0])
     ll, grad = _objective(counts, _count_before(counts), model.mu, model.A, model.beta,
                           model.sat.cap, model.sat.floor, b0, b1,
@@ -387,13 +376,10 @@ def fit(panel, topo, cfg: FitConfig = FitConfig()) -> HawkesModel:
     The fit stops early once the likelihood changes by at most
     ``_CONVERGENCE_TOL`` relative to the previous epoch.
     """
-    Y = _panel_counts(panel)
-    T, n = Y.shape
+    counts = _panel_counts(panel, None if topo is None else topo.n)
+    T, n = counts.shape
     if T < 2:
         raise PreconditionError("need at least 2 training bins")
-    if topo is not None and topo.n != n:
-        raise PreconditionError(f"topology has {topo.n} circuits, panel has {n}")
-    counts = Y.astype(np.float64)
     total = float(counts.sum())
 
     gen = _rng.generator(cfg.seed, "fit")
@@ -498,14 +484,13 @@ def _simulate_from(model: HawkesModel, g0, n0: float, horizon: int, K: int,
     )
 
 
-def _start_states(model: HawkesModel, counts):
-    """The state before each bin of ``counts`` and after the last, from one scan.
+def _start_states(model: HawkesModel, counts: np.ndarray):
+    """The state before each bin of read ``counts`` and after the last, from one scan.
 
     Returns (G, before), T+1 rows each: row t is the excitation and network
     total of ``counts[:t]`` bit for bit, as the scan is prefix-consistent and
     a total of integer counts is exact in any order of summation.
     """
-    counts = np.asarray(counts, dtype=np.float64)
     return ACTIVE.excitation_series(counts, model.beta), _count_before(counts)
 
 
@@ -515,9 +500,9 @@ def simulate_bin(model: HawkesModel, history, K: int = 10, seed: int = 0) -> Sce
     The first step of ``simulate_trajectory`` with the same seed; the
     returned ``t`` is the number of history bins, the index of the drawn bin.
     """
-    h = _history_array(history, model.n)
-    traj = simulate_trajectory(model, h, horizon=1, K=K, seed=seed)
-    return ScenarioSet(samples=traj[:, 0, :], t=h.shape[0])
+    traj = simulate_trajectory(model, history, horizon=1, K=K, seed=seed)  # reads history
+    t = 0 if history is None else len(getattr(history, "Y", history))
+    return ScenarioSet(samples=traj[:, 0, :], t=t)
 
 
 def simulate_trajectory(model: HawkesModel, history, horizon: int, K: int = 10,
@@ -528,5 +513,5 @@ def simulate_trajectory(model: HawkesModel, history, horizon: int, K: int = 10,
     excitation and network-wide count of ``history``; trajectory k draws from
     the generator (seed, k) and is the same for every K > k (``_simulate_from``).
     """
-    G, before = _start_states(model, _history_array(history, model.n))
+    G, before = _start_states(model, _panel_counts(history, model.n))
     return _simulate_from(model, G[-1], float(before[-1]), horizon, K, seed)

@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataValidationError, read_text
+from .errors import DataValidationError, check_circuits, read_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,10 +87,7 @@ class NetworkTopology:
         in exact integer arithmetic.
         """
         v = np.asarray(v)
-        if v.shape[-1] != self.n:
-            raise DataValidationError(
-                f"last axis has length {v.shape[-1]}, expected {self.n} circuits"
-            )
+        check_circuits(v.shape[-1], self.n, "value", DataValidationError)
         cols = [v[..., idx].sum(axis=-1) for idx in self.members]
         return np.stack(cols, axis=-1)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hstconformal import (
+    CountPanel,
     DataValidationError,
     IntervalForecast,
     NetworkTopology,
@@ -15,14 +16,17 @@ from hstconformal import (
     PreconditionError,
     QuantileEstimate,
     ScoreSet,
+    SplitSpec,
     build_interval,
     calibrate,
     empirical_quantile,
     fit,
     generate_synthetic,
+    horizon_forecast,
     hst_conformal_pipeline,
     nonconformity_score,
     qr_quantile,
+    rolling_evaluate,
     score_bin,
     simulate_bin,
     training_scale,
@@ -31,6 +35,7 @@ from hstconformal import _kernels
 from hstconformal import conformal as _conformal
 from hstconformal import hawkes as _hawkes
 from hstconformal import rng as _rng
+from hstconformal.cli import main as cli_main
 from hstconformal.hawkes import FitConfig, HawkesModel, SaturationParams, intensity
 
 
@@ -189,6 +194,13 @@ def test_training_scale_rejects_an_empty_block():
         warnings.simplefilter("error")  # no "Mean of empty slice" on the way
         with pytest.raises(PreconditionError, match="at least one training bin"):
             training_scale(np.zeros((0, 3)))
+
+
+def test_quantile_estimate_rejects_a_nonfinite_q():
+    # a NaN quantile would turn into NaN bounds that pass the order check
+    for bad in (np.nan, np.inf):
+        with pytest.raises(PreconditionError, match="finite"):
+            QuantileEstimate(np.array([bad, 1.0]))
 
 
 def test_score_set_rejects_a_nonfinite_scale():
@@ -714,6 +726,67 @@ def test_pipeline_settings_validation():
         PipelineSettings(learning_rate=0.0)
     with pytest.raises(PreconditionError, match="qr_window"):
         PipelineSettings(quantile_method="qr", qr_window=0)
+
+
+def test_counts_must_be_whole_numbers(small_triple, fast_settings):
+    # arrays follow CountPanel's rule: fractional or infinite counts are data errors
+    panel, topo, _ = small_triple
+    model = HawkesModel(mu=np.ones(topo.n), A=np.zeros((topo.n, topo.n)), beta=1.0)
+    with pytest.raises(DataValidationError, match="whole numbers"):
+        hst_conformal_pipeline(panel.Y + 0.5, topo, 21, settings=fast_settings)
+    with pytest.raises(DataValidationError, match="whole numbers"):
+        simulate_bin(model, np.full((2, topo.n), 0.5))
+    with pytest.raises(DataValidationError, match="whole numbers"):
+        fit(np.full((3, topo.n), math.inf), topo)
+    with pytest.raises(DataValidationError, match="whole numbers"):
+        CountPanel(Y=[[0.5]], bin_start_times=("2020-01-01",))
+    with pytest.raises(DataValidationError, match="numbers"):
+        training_scale([["1", "2"]])
+    # whole floats are counts
+    assert np.array_equal(training_scale(panel.Y.astype(float)), training_scale(panel))
+
+
+def _one_per_circuit(what, got, n):
+    return re.escape(f"need one {what} per circuit: {got} columns for {n} circuits")
+
+
+def test_every_circuit_count_mismatch_has_one_message(small_triple, fast_settings,
+                                                      tmp_path, capsys):
+    panel, topo, _ = small_triple  # 6 circuits
+    topo5 = NetworkTopology.from_assignments(topo.circuit_ids[:5],
+                                             [f"s{j}" for j in (0, 1, 2, 0, 1)])
+    wrong = _one_per_circuit("count", 6, 5)
+    with pytest.raises(PreconditionError, match=wrong):
+        fit(panel, topo5, FitConfig(epochs=5))
+    model = fit(panel.rows(0, 40), topo, FitConfig(epochs=5))
+    with pytest.raises(PreconditionError, match=wrong):
+        calibrate(panel, model, topo5, (40, 50), K=3)
+    with pytest.raises(PreconditionError, match=wrong):
+        rolling_evaluate(panel, topo5, SplitSpec(t0=41, test=3), fast_settings)
+    with pytest.raises(PreconditionError, match=wrong):
+        horizon_forecast(panel, topo5, 41, fast_settings, horizon=2)
+    with pytest.raises(PreconditionError, match=wrong):
+        hst_conformal_pipeline(panel, topo5, 41, fast_settings)
+
+    y = panel.Y[50]
+    with pytest.raises(PreconditionError, match=_one_per_circuit("draw", 7, 6)):
+        score_bin(y, np.ones((2, 7)), topo, np.ones(6))
+    with pytest.raises(PreconditionError, match=_one_per_circuit("scale", 4, 6)):
+        score_bin(y, np.ones((2, 6)), topo, np.ones(4))
+    with pytest.raises(PreconditionError, match=_one_per_circuit("draw", 4, 3)):
+        nonconformity_score([1, 2, 3], [[1, 1, 1, 4]], [2], np.ones(3))
+    with pytest.raises(PreconditionError, match=_one_per_circuit("draw", 7, 6)):
+        build_interval(np.ones((2, 7)), QuantileEstimate(np.ones(3)), np.ones(6), topo)
+
+    # two input files that disagree are a data error of the CLI (exit code 3)
+    panel.save(tmp_path / "panel.json")
+    topo5.to_csv(tmp_path / "topology.csv")
+    code = cli_main(["run", "--panel", str(tmp_path / "panel.json"),
+                     "--topology", str(tmp_path / "topology.csv"), "--t0", "41",
+                     "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert re.search(wrong, err), err
 
 
 def test_library_entries_check_their_counts(small_triple, fast_settings):

@@ -20,6 +20,7 @@ from hstconformal import (
     simulate_trajectory,
 )
 from hstconformal import _kernels
+from hstconformal import hawkes as _hawkes
 from hstconformal import rng as _rng
 from hstconformal.hawkes import (
     _count_before,
@@ -583,3 +584,17 @@ def test_history_counts_are_checked():
     # None and an empty array stay the empty history of the first bin
     for empty in (None, [], np.zeros((0, 1))):
         assert np.array_equal(intensity(m, empty), m.mu)
+
+
+def test_simulate_bin_reads_its_history_once(monkeypatch):
+    m = _model([1.0, 0.5], [[0.2, 0.0], [0.1, 0.3]])
+    history = np.array([[1, 0], [2, 3], [0, 1]])
+    read = []
+    reader = _hawkes._panel_counts
+    monkeypatch.setattr(_hawkes, "_panel_counts",
+                        lambda panel, *a: read.append(np.shape(panel)) or reader(panel, *a))
+    s = simulate_bin(m, history, K=4, seed=2)
+    assert read.count(history.shape) == 1  # the (4, 2) draws are not a history
+    assert s.t == 3
+    for empty in (None, [], np.zeros((0, 2))):
+        assert simulate_bin(m, empty, K=4, seed=2).t == 0
