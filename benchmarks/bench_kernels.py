@@ -2,8 +2,8 @@
 
 Runs every kernel that has both a numba build and a pure build, times each
 side, and cross-checks their outputs.  The RNG kernel is fed identically
-seeded generators, one per scenario, so its draws must agree exactly; the
-dense kernels may differ by float summation order only.
+seeded streams (``rng.streams``, one per scenario), so its draws must agree
+exactly; the dense kernels may differ by float summation order only.
 
 A second table times the pure excitation recursions (one blocked numpy
 scan) and the pure scenario simulation (all K trajectories per numpy step)
@@ -11,11 +11,11 @@ against the loop reference: the numba source run as plain Python, row by
 row, trajectory by trajectory and circuit by circuit.  It needs no numba,
 so it always has numbers; the simulation row's max diff must read 0.
 
-A third table times the per-trajectory stream derivation: the scalar loop
-``[rng.generator(seed, k) for k in range(K)]`` against the batched
-``rng.generators(seed, K)`` at K = 1, 10 and 200.  Its mismatch column
-counts generators whose ``bit_generator.state`` differs from the loop's,
-over a few seeds; it must read 0.
+A third table times the per-trajectory streams and their first uniforms:
+the scalar loop ``[rng.generator(seed, k).random(24) for k in range(K)]``
+against ``rng.streams(seed, K).random(24)`` at K = 1, 10 and 200.  Its
+mismatch column counts rows whose uniforms or final state differ from the
+loop's, over a few seeds; it must read 0.
 
 A fourth table times whole ``fit`` calls at the sizes of the ``run-fit``
 and ``evaluate-qr`` fits, (300, 24) and (300, 96) at the default ``--T``
@@ -45,7 +45,8 @@ Usage:
 Each timing is the best of ``--repeats`` calls, or of as many as fit in
 TIME_BUDGET_S seconds (at least one).  Without numba (not importable, or
 HSTCONFORMAL_NO_NUMBA set) the jit, speedup and diff columns of the first
-table read "jit unavailable".
+table read "jit unavailable".  The script exits with status 1 when a stream
+mismatch count or a simulation max diff is not 0.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from hstconformal._kernels import _LOOP_PURE, ACTIVE, JIT, PURE
 TIME_BUDGET_S = 2.0
 K = 200  # simulated scenarios per simulate_counts call, as in a forecast
 STREAM_KS = (1, 10, 200)  # a synthetic panel, a calibration bin, a forecast
+STREAM_DRAWS = 24  # uniforms per row: one per circuit of a 24-circuit panel
 # small, one-word, two-word and post-pool (four-word) seeds
 STREAM_SEEDS = (0, 5, 2**32 + 1, 2**64 - 1, 2**100 + 3)
 FIT_SIZES = ((300, 24), (300, 96))  # (T, n) at --T 400 --n 24
@@ -98,20 +100,20 @@ def max_abs_diff(a, b) -> float:
 
 
 def build_cases(T: int, n: int, horizon: int):
-    rng = np.random.default_rng(0)
-    counts = rng.poisson(2.0, (T, n)).astype(float)
+    gen = np.random.default_rng(0)
+    counts = gen.poisson(2.0, (T, n)).astype(float)
     beta = 0.8
-    mu = 0.5 + rng.random(n)
-    A = rng.random((n, n)) * (0.5 / n)
+    mu = 0.5 + gen.random(n)
+    A = gen.random((n, n)) * (0.5 / n)
     gamma = np.ones(T)
     dgam = np.zeros(T)
     G = PURE.excitation_series(counts, beta)
     H = PURE.excitation_beta_series(counts, beta, G)
     g0 = np.zeros(n)
 
-    def fresh_gens():
-        # one generator per scenario, consumed by the call
-        return [np.random.default_rng([7, k]) for k in range(K)]
+    def fresh_streams():
+        # one stream per scenario, consumed by the call
+        return rng.streams(7, K)
 
     cases = []
 
@@ -150,27 +152,29 @@ def build_cases(T: int, n: int, horizon: int):
 
     dense("loglik_grads", f"T={T} n={n}", grads)
 
-    def sim(impl, gens):
-        return impl.simulate_counts(gens, mu, A, beta, np.inf, 0.0, g0, 0.0, horizon)
+    def sim(impl, streams):
+        return impl.simulate_counts(streams, mu, A, beta, np.inf, 0.0, g0, 0.0, horizon)
 
     cases.append(
         (
             "simulate_counts",
             f"K={K} h={horizon} n={n}",
-            lambda impl: (lambda gens: sim(impl, gens)),
-            lambda a, b: max_abs_diff(sim(a, fresh_gens()), sim(b, fresh_gens())),
-            lambda: (fresh_gens(),),
+            lambda impl: (lambda streams: sim(impl, streams)),
+            lambda a, b: max_abs_diff(sim(a, fresh_streams()), sim(b, fresh_streams())),
+            lambda: (fresh_streams(),),
         )
     )
     return cases
 
 
-def print_table(cases, base, new, labels, repeats):
-    # speedup is the base time over the new time; max|diff| compares outputs
+def print_table(cases, base, new, labels, repeats) -> dict:
+    # speedup is the base time over the new time; max|diff| compares outputs,
+    # and is returned per kernel
     header = (f"{'kernel':<24}{'size':<20}{labels[0]:>12}{labels[1]:>12}"
               f"{'speedup':>9}{'max|diff|':>12}")
     print(header)
     print("-" * len(header))
+    diffs = {}
     for name, shape, make, check, inputs in cases:
         t_base = best_time(make(base), repeats, inputs)
         row = f"{name:<24}{shape:<20}{t_base * 1e3:>10.3f}ms"
@@ -178,24 +182,39 @@ def print_table(cases, base, new, labels, repeats):
             print(f"{row}  {labels[1]} unavailable")
             continue
         t_new = best_time(make(new), repeats, inputs)
-        print(f"{row}{t_new * 1e3:>10.3f}ms{t_base / t_new:>8.1f}x{check(base, new):>12.3g}")
+        diffs[name] = check(base, new)
+        print(f"{row}{t_new * 1e3:>10.3f}ms{t_base / t_new:>8.1f}x{diffs[name]:>12.3g}")
+    return diffs
 
 
-def print_stream_table(repeats):
-    # speedup is the loop time over the batched time, both for seed 5
-    header = f"{'K':<8}{'scalar loop':>14}{'generators':>14}{'speedup':>9}{'mismatches':>12}"
+def stream_mismatches(seed, k_count) -> int:
+    # rows of rng.streams whose uniforms or final state differ from the loop's
+    streams = rng.streams(seed, k_count)
+    u = streams.random(STREAM_DRAWS)
+    bad = 0
+    for k in range(k_count):
+        gen = rng.generator(seed, k)
+        bad += not (np.array_equal(u[k], gen.random(STREAM_DRAWS))
+                    and streams.generator(k).bit_generator.state == gen.bit_generator.state)
+    return bad
+
+
+def print_stream_table(repeats) -> int:
+    # speedup is the loop time over the streams time, both for seed 5;
+    # returns the total mismatch count
+    header = f"{'K':<8}{'scalar loop':>14}{'streams':>14}{'speedup':>9}{'mismatches':>12}"
     print(header)
     print("-" * len(header))
+    total = 0
     for k_count in STREAM_KS:
-        t_loop = best_time(lambda: [rng.generator(5, k) for k in range(k_count)], repeats)
-        t_batch = best_time(lambda: rng.generators(5, k_count), repeats)
-        bad = sum(
-            g.bit_generator.state != rng.generator(seed, k).bit_generator.state
-            for seed in STREAM_SEEDS
-            for k, g in enumerate(rng.generators(seed, k_count))
-        )
-        print(f"{k_count:<8}{t_loop * 1e3:>12.3f}ms{t_batch * 1e3:>12.3f}ms"
-              f"{t_loop / t_batch:>8.1f}x{bad:>12}")
+        t_loop = best_time(lambda: [rng.generator(5, k).random(STREAM_DRAWS)
+                                    for k in range(k_count)], repeats)
+        t_streams = best_time(lambda: rng.streams(5, k_count).random(STREAM_DRAWS), repeats)
+        bad = sum(stream_mismatches(seed, k_count) for seed in STREAM_SEEDS)
+        total += bad
+        print(f"{k_count:<8}{t_loop * 1e3:>12.3f}ms{t_streams * 1e3:>12.3f}ms"
+              f"{t_loop / t_streams:>8.1f}x{bad:>12}")
+    return total
 
 
 @contextlib.contextmanager
@@ -260,14 +279,19 @@ def main(argv=None) -> int:
         for _, _, make, _, inputs in cases:
             make(JIT)(*inputs())
 
-    print_table(cases, PURE, JIT, ("pure", "jit"), args.repeats)
+    jit_diffs = print_table(cases, PURE, JIT, ("pure", "jit"), args.repeats)
     print()
     looped = [c for c in cases if not c[0].startswith("loglik")]
-    print_table(looped, _LOOP_PURE, PURE, ("loop ref", "pure"), args.repeats)
+    loop_diffs = print_table(looped, _LOOP_PURE, PURE, ("loop ref", "pure"), args.repeats)
     print()
-    print_stream_table(args.repeats)
+    mismatches = print_stream_table(args.repeats)
     print()
     print_fit_table(args.T, args.n, args.repeats)
+    sim_diffs = [d["simulate_counts"] for d in (jit_diffs, loop_diffs) if d]
+    if mismatches or any(sim_diffs):
+        print(f"FAILED: {mismatches} stream mismatches, simulation max diffs {sim_diffs}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

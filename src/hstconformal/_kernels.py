@@ -8,9 +8,9 @@ entry points go through ``ACTIVE``.
 Guarantees relied on by the rest of the package:
 
 * The RNG-consuming kernels (``poisson_draw``, ``simulate_counts``) run the
-  identical draw algorithm on both paths and consume uniforms from each of
-  the caller's ``np.random.Generator`` objects in the same order, so
-  simulated counts are bit-identical regardless of path.
+  identical draw algorithm on both paths and consume the same uniforms of
+  each stream in the same order, so simulated counts are bit-identical
+  regardless of path.
 * The dense kernels (excitation recursions, likelihood, gradients) agree
   across paths to floating-point roundoff; each path is individually
   deterministic.
@@ -35,11 +35,15 @@ Guarantees relied on by the rest of the package:
   workspace for all its epochs: an allocating epoch makes about 32 (T, n)
   temporaries, and glibc hands much of that memory back to the system
   (by unmapping or trimming the heap), so each epoch faults it in anew.
-* ``simulate_counts(gens, ...)`` takes one generator per trajectory and
-  returns (K, horizon, n) counts.  The loop family simulates the
-  trajectories one after another; the pure path advances all K together,
-  one numpy step per bin (``_simulate_counts_np``), and stays bit-identical
-  to the loop, draws and generator states alike, by these rules:
+* ``simulate_counts(streams, ...)`` takes K streams (``rng.Streams``, one
+  per trajectory) and returns (K, horizon, n) counts, leaving each stream
+  after its trajectory's last uniform.  The loop family simulates the
+  trajectories one after another, each on a ``Generator`` at its stream's
+  state (``streams.generator(k)``, written back with ``set_state``); the
+  pure path advances all K together, one numpy step per bin
+  (``_simulate_counts_np``), builds no ``Generator`` but for rows that take
+  PTRS draws, and stays bit-identical to the loop, draws and stream states
+  alike, by these rules:
 
   - all K trajectories start from (g0, n0), so step 0 computes one
     excitation row and one rate row, shared by every trajectory;
@@ -50,13 +54,14 @@ Guarantees relied on by the rest of the package:
   - e^-lambda is ``math.exp`` per positive rate, because ``np.exp`` differs
     in the last ulp on some inputs; the shared rate row of step 0 takes n
     calls, not K * n;
-  - row k takes its uniforms from one ``gens[k].random(m)`` call, m being
-    its count of positive rates: the same values as m scalar calls, and a
-    rate <= 0 consumes none;
+  - one ``streams.random(m)`` call hands every row its uniforms, m_k being
+    row k's count of positive rates: the values of m_k scalar
+    ``Generator.random()`` calls, and a rate <= 0 consumes none;
   - inversion by sequential search runs elementwise on the cells still
     searching, with the loop's cap;
   - a row with a rate >= ``_PTRS_SWITCH`` is drawn by the scalar
-    ``poisson_draw``, because PTRS consumes a variable number of uniforms;
+    ``poisson_draw`` on a ``Generator`` at its stream's state, which is
+    written back, because PTRS consumes a variable number of uniforms;
   - the state update and running totals make the loop's float operations
     in its order.
 
@@ -239,11 +244,14 @@ def build_loop_kernels(jit):
                 tot += out[h, i]
         return out
 
-    def simulate_counts(gens, mu, A, beta, cap, floor, g0, n0, horizon):
-        # one (horizon, n) trajectory per generator, in order
-        out = np.empty((len(gens), horizon, mu.shape[0]), dtype=np.int64)
-        for k, gen in enumerate(gens):
+    def simulate_counts(streams, mu, A, beta, cap, floor, g0, n0, horizon):
+        # one (horizon, n) trajectory per stream, in order, each drawn from a
+        # Generator at its stream's state, whose final state is written back
+        out = np.empty((len(streams), horizon, mu.shape[0]), dtype=np.int64)
+        for k in range(len(streams)):
+            gen = streams.generator(k)
             out[k] = simulate_one(gen, mu, A, beta, cap, floor, g0, n0, horizon)
+            streams.set_state(k, gen)
         return out
 
     return SimpleNamespace(
@@ -409,12 +417,12 @@ def _loglik_grads_np(counts, G, H, gamma, dgam, mu, A, b0, b1, work=None):
     return ll, dmu, dA, dbeta, dcap
 
 
-def _poisson_step(gens, lam):
-    """One draw per rate for each generator: row k equals calling
-    ``poisson_draw(gens[k], x)`` along row k of ``lam`` left to right, in the
-    integers drawn and in the uniforms consumed.  ``lam`` is (K, n), or (1, n):
-    one rate row shared by all K generators."""
-    K = len(gens)
+def _poisson_step(streams, lam):
+    """One draw per rate for each stream: row k equals calling
+    ``poisson_draw`` along row k of ``lam`` left to right on a Generator at
+    stream k's state, in the integers drawn and in the uniforms consumed.
+    ``lam`` is (K, n), or (1, n): one rate row shared by all K streams."""
+    K = len(streams)
     by_scalar = ~(lam < _PTRS_SWITCH).all(axis=1)  # a PTRS (or nan) rate in the row
     pos = (lam > 0.0) & ~by_scalar[:, None]
     rate = lam[pos]
@@ -425,18 +433,18 @@ def _poisson_step(gens, lam):
                                for a in (lam, by_scalar, pos))
         rate, p = np.tile(rate, K), np.tile(p, K)
     draws = np.zeros(lam.shape, dtype=np.int64)
-    chunks = []
-    for k, (gen, scalar, m) in enumerate(zip(gens, by_scalar.tolist(),
-                                             pos.sum(axis=1).tolist())):
-        if scalar:
-            draws[k] = [_LOOP_PURE.poisson_draw(gen, x) for x in lam[k].tolist()]
-        elif m:
-            chunks.append(gen.random(m))
-    if not chunks:
+    for k in np.flatnonzero(by_scalar).tolist():
+        gen = streams.generator(k)
+        draws[k] = [_LOOP_PURE.poisson_draw(gen, x) for x in lam[k].tolist()]
+        streams.set_state(k, gen)
+    if not rate.size:
         return draws
+    m = pos.sum(axis=1)
+    u = streams.random(m)
+    # row k's first m[k] uniforms, row after row: the order of lam[pos]
+    u = u[np.arange(u.shape[1]) < m[:, None]] if u.size > rate.size else u.ravel()
     # inversion by sequential search on every positive rate at once; a cell
     # leaves the search when its uniform is covered, as the scalar loop stops
-    u = np.concatenate(chunks)
     found = np.zeros(rate.size, dtype=np.int64)
     live = np.flatnonzero(u > p)
     rate, p, u = rate[live], p[live], u[live]
@@ -453,10 +461,10 @@ def _poisson_step(gens, lam):
     return draws
 
 
-def _simulate_counts_np(gens, mu, A, beta, cap, floor, g0, n0, horizon):
+def _simulate_counts_np(streams, mu, A, beta, cap, floor, g0, n0, horizon):
     """The loop ``simulate_counts`` with all K trajectories advanced together,
     one numpy step per bin; every row makes the loop's float operations."""
-    K = len(gens)
+    K = len(streams)
     out = np.empty((K, horizon, mu.shape[0]), dtype=np.int64)
     # one state row until the first draws: every trajectory starts at (g0, n0)
     g = g0[None, :]
@@ -467,7 +475,7 @@ def _simulate_counts_np(gens, mu, A, beta, cap, floor, g0, n0, horizon):
         gamma = np.where(gamma < floor, floor, gamma)
         # stacked matmul runs one BLAS gemv per row: the loop's np.dot(A, g)
         excit = np.matmul(A, g[:, :, None])[:, :, 0]
-        draws = _poisson_step(gens, gamma[:, None] * (mu + excit))
+        draws = _poisson_step(streams, gamma[:, None] * (mu + excit))
         out[:, h] = draws
         g = decay * (g + beta * draws)
         # running totals add the draws one circuit at a time, as the loop does

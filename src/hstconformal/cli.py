@@ -20,7 +20,6 @@ import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import yaml
 
 from . import conformal as _conformal
 from . import data as _data
@@ -101,6 +100,8 @@ def _config_value(key, value):
 
 
 def _load_config_file(path) -> dict:
+    import yaml  # here, not at module level: it costs every command's start-up
+
     try:
         doc = yaml.safe_load(read_text(path))
     except OSError as exc:

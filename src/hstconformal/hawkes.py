@@ -468,19 +468,18 @@ def _simulate_from(model: HawkesModel, g0, n0: float, horizon: int, K: int,
     """K trajectories of shape (horizon, n) from excitation state ``g0`` and
     network-wide count ``n0``: the one simulator entry of the package.
 
-    Trajectory k draws from its own derived generator (seed, k), so trajectory
-    k is the same for every K > k.  ``rng.generators`` builds all K in one
-    vectorized SeedSequence hash, each with the state of ``rng.generator(seed,
+    Trajectory k draws from its own derived stream (seed, k), so trajectory
+    k is the same for every K > k.  ``rng.streams`` seeds all K in one
+    vectorized SeedSequence hash, each in the state of ``rng.generator(seed,
     k)`` bit for bit, and one kernel call advances all K together.
     """
     if horizon < 1:
         raise PreconditionError("need horizon >= 1")
     if K < 1:
         raise PreconditionError("need K >= 1")
-    gens = _rng.generators(seed, K)
     return ACTIVE.simulate_counts(
-        gens, model.mu, model.A, model.beta, model.sat.cap, model.sat.floor,
-        g0, n0, horizon,
+        _rng.streams(seed, K), model.mu, model.A, model.beta, model.sat.cap,
+        model.sat.floor, g0, n0, horizon,
     )
 
 

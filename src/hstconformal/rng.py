@@ -8,22 +8,26 @@ derivations are reproducible across platforms and numpy versions.  Seeds
 are nonnegative integers of any size; a negative seed raises
 PreconditionError.
 
-``generators(seed, K)`` returns the K generators ``generator(seed, k)`` for
-k < K with equal ``bit_generator.state``, bit for bit, for every seed that
+``streams(seed, K)`` holds the K streams ``generator(seed, k)``, k < K, as
+one ``Streams`` object of uint64 arrays, bit for bit, for every seed that
 ``generator`` accepts.  It runs numpy's SeedSequence hash (a documented
 algorithm of 32-bit integer arithmetic) for all k at once: the child seed
 ``derive(seed, k)``, then the four 64-bit words that PCG64 asks of
-``SeedSequence(derive(seed, k))``.  Each PCG64 then takes its row of words
-through a ``numpy.random.bit_generator.ISeedSequence``.  That object's
-``bit_generator.seed_seq`` is therefore not a SeedSequence and cannot
-``spawn``; nothing in the package reads it.  ``derive`` and ``generator``
-stay for the scalar streams and are the tests' oracle for ``generators``.
+``SeedSequence(derive(seed, k))``, and seeds each row from its words as
+numpy's ``pcg64_set_seed`` does.  ``Streams.random`` then hands out the
+uniforms of ``Generator.random()`` on PCG64, a 128-bit LCG with XSL-RR
+output (O'Neill 2014), for all rows at once: the j-th next state of a row is
+``MULT**j * state + (sum_{i<j} MULT**i) * inc`` mod 2**128, computed for
+every cell with 128-bit products built from 32-bit halves.  No numpy
+``Generator`` is built per stream; ``Streams.generator`` makes one for a
+row whose draws consume a variable number of uniforms, and
+``Streams.set_state`` takes its state back.  ``derive`` and ``generator``
+stay for the scalar streams and are the tests' oracle for ``streams``.
 """
 
 import zlib
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import PreconditionError
 
@@ -138,25 +142,143 @@ def _words(x: int) -> list:
     return [np.uint32(x >> s & 0xFFFFFFFF) for s in range(0, max(x.bit_length(), 1), 32)]
 
 
-class _PCG64Words(ISeedSequence):
-    """Precomputed words for PCG64, standing in for the SeedSequence that gives them."""
-
-    __slots__ = ("_words",)
-
-    def __init__(self, words: np.ndarray):
-        self._words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != self._words.size or np.dtype(dtype) != np.uint64:
-            raise ValueError("holds only the 4 uint64 words that PCG64 asks for")
-        return self._words
 
 
-def generators(seed: int, K: int) -> list:
-    """``[generator(seed, k) for k in range(K)]``, bit for bit, in one hash pass."""
+# numpy's PCG64 (numpy/random/src/pcg64/pcg64.h): the 128-bit LCG
+# state <- state * _PCG_MULT + inc, whose next64 steps and then takes the
+# XSL-RR output of the new state; Generator.random() is (next64 >> 11) * 2**-53
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_LOW32 = np.uint64(0xFFFFFFFF)
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(v) for v in (1, 11, 32, 58, 63, 64))
+_TO_UNIT = 1.0 / 9007199254740992.0
+
+
+def _split(values: list):
+    """128-bit ints as (hi, lo) uint64 arrays."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & _MASK64 for v in values], dtype=np.uint64))
+
+
+def _mul(xh, xl, yh, yl):
+    """x * y mod 2**128 on (hi, lo) uint64 words, elementwise with broadcasting.
+
+    uint64 products and sums wrap mod 2**64; the high word of xl * yl is
+    summed from the products of their 32-bit halves.
+    """
+    x0, x1 = xl & _LOW32, xl >> _U32
+    y0, y1 = yl & _LOW32, yl >> _U32
+    p00, p01, p10 = x0 * y0, x0 * y1, x1 * y0
+    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    hi = x1 * y1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32) + xl * yh + xh * yl
+    return hi, xl * yl
+
+
+def _add(ah, al, bh, bl):
+    """a + b mod 2**128 on (hi, lo) uint64 words."""
+    lo = al + bl
+    return ah + bh + (lo < al), lo
+
+
+_MULT_WORDS = _split([_PCG_MULT])
+# jump constants for j = 1..J steps, J the largest count asked for so far
+_jumps = (np.empty(0, dtype=np.uint64),) * 4
+
+
+def _jump_constants(M: int):
+    """(A_hi, A_lo, C_hi, C_lo), (M,) each: a state j = 1..M steps on is
+    A_j * state + C_j * inc mod 2**128, A_j = MULT**j, C_j = sum_{i<j} MULT**i.
+
+    Built on demand for the largest M a call needs and kept; a fixed size
+    would be either too small for some panel width or a waste of memory.
+    """
+    global _jumps
+    table = _jumps
+    if table[0].size < M:
+        a, c, rows = 1, 0, []
+        for _ in range(M):
+            a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
+            rows.append((a, c))
+        table = _jumps = _split([a for a, _ in rows]) + _split([c for _, c in rows])
+    return tuple(x[:M] for x in table)
+
+
+class Streams:
+    """K PCG64 streams as uint64 arrays; row k is the stream of ``generator(seed, k)``.
+
+    Each row's 128-bit state and increment are split into high and low
+    words (``hi``, ``lo``, ``inc_hi``, ``inc_lo``, (K,) each).  ``random``
+    hands out the uniforms of ``Generator.random()`` for every row at once;
+    ``generator`` and ``set_state`` move one row into a numpy ``Generator``
+    and back, for draws that consume a variable number of uniforms.
+    """
+
+    __slots__ = ("hi", "lo", "inc_hi", "inc_lo")
+
+    def __init__(self, hi, lo, inc_hi, inc_lo):
+        self.hi, self.lo, self.inc_hi, self.inc_lo = hi, lo, inc_hi, inc_lo
+
+    def __len__(self) -> int:
+        return self.hi.size
+
+    def random(self, m) -> np.ndarray:
+        """The next uniforms of every row, bit for bit those of ``Generator.random()``.
+
+        ``m`` is one count for all rows or a (K,) array of counts.  Returns
+        (K, max m) floats: row k's first m_k are its next m_k uniforms, and
+        row k advances by m_k; the entries after them are not consumed.
+        Every cell is computed at once from its jumped state.
+        """
+        m = np.asarray(m)
+        M = int(m.max()) if m.size else 0
+        if M <= 0:
+            return np.empty((len(self), 0))
+        ah, al, ch, cl = _jump_constants(M)
+        # cell (k, j) is row k's state j + 1 steps on
+        hi, lo = _add(*_mul(self.hi[:, None], self.lo[:, None], ah, al),
+                      *_mul(self.inc_hi[:, None], self.inc_lo[:, None], ch, cl))
+        # XSL-RR: the xor of the halves, rotated right by the top 6 state bits
+        x = hi ^ lo
+        rot = hi >> _U58
+        out = (x >> rot) | (x << ((_U64 - rot) & _U63))
+        if m.ndim == 0 or (m == M).all():
+            self.hi[:], self.lo[:] = hi[:, -1], lo[:, -1]
+        else:
+            rows = np.flatnonzero(m)
+            cols = m[rows] - 1
+            self.hi[rows], self.lo[rows] = hi[rows, cols], lo[rows, cols]
+        return (out >> _U11).astype(np.float64) * _TO_UNIT
+
+    def generator(self, k: int) -> np.random.Generator:
+        """A ``Generator`` at row k's state; ``set_state(k, gen)`` takes it back."""
+        bits = np.random.PCG64(0)
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": int(self.hi[k]) << 64 | int(self.lo[k]),
+                      "inc": int(self.inc_hi[k]) << 64 | int(self.inc_lo[k])},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return np.random.Generator(bits)
+
+    def set_state(self, k: int, gen: np.random.Generator) -> None:
+        """Move row k to the state of ``gen``, which drew only ``random()``."""
+        state = gen.bit_generator.state["state"]["state"]
+        self.hi[k], self.lo[k] = state >> 64, state & _MASK64
+
+
+def streams(seed: int, K: int) -> Streams:
+    """The K streams ``generator(seed, k)``, k < K, in one hash pass."""
     seed = _checked(seed)
     if not 0 <= K <= 2**32:
         raise PreconditionError(f"need 0 <= K <= 2**32 (k is one entropy word), got {K}")
     child = _generate_state(_words(seed) + [np.arange(K, dtype=np.uint32)], K, 1)[:, 0]
-    return [np.random.Generator(np.random.PCG64(_PCG64Words(w)))
-            for w in _pcg64_words(child)]
+    w = _pcg64_words(child)
+    # numpy's pcg64_set_seed on the words (initstate hi, lo, initseq hi, lo):
+    # inc = initseq << 1 | 1, state = (inc + initstate) * MULT + inc
+    inc_hi = (w[:, 2] << _U1) | (w[:, 3] >> _U63)
+    inc_lo = (w[:, 3] << _U1) | _U1
+    hi, lo = _add(*_mul(*_add(inc_hi, inc_lo, w[:, 0], w[:, 1]), *_MULT_WORDS),
+                  inc_hi, inc_lo)
+    return Streams(hi, lo, inc_hi, inc_lo)

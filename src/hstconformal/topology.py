@@ -87,7 +87,7 @@ class NetworkTopology:
         in exact integer arithmetic.
         """
         v = np.asarray(v)
-        check_circuits(v.shape[-1], self.n, "value", DataValidationError)
+        check_circuits(v.shape[-1], self.n, "value")
         cols = [v[..., idx].sum(axis=-1) for idx in self.members]
         return np.stack(cols, axis=-1)
 

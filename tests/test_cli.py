@@ -190,6 +190,16 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     )
     assert code == 3 and "data validation" in err
 
+    # data validation: a topology with fewer circuits than the panel
+    short = tmp_path / "short_topo.csv"
+    short.write_text("circuit_id,substation_id\nc0,s0\nc1,s1\n")
+    code, _, err = _run(
+        ["run", "--panel", str(tmp_path / "panel.json"),
+         "--topology", str(short), "--t0", "11", "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 3 and "per circuit" in err
+
     # i/o problems map to usage errors
     code, _, err = _run(
         ["run", "--panel", str(tmp_path / "missing.json"),

@@ -466,24 +466,24 @@ def test_trajectory_mean_flat_without_excitation_or_cap():
     assert np.all(np.abs(means - 3.0) < 0.2)
 
 
-def test_trajectory_generators_match_the_scalar_streams(monkeypatch):
-    # oracle: the scalar list comprehension that built one generator per k;
-    # rates span the inversion and PTRS draws, and the seeds take both the
-    # in-pool and the post-pool (4+ word) SeedSequence paths
+def test_trajectory_generators_match_the_scalar_streams(monkeypatch, generator_streams):
+    # oracle: numpy's own Generator per trajectory, one random call per row
+    # and step; rates span the inversion and PTRS draws, and the seeds take
+    # both the in-pool and the post-pool (4+ word) SeedSequence paths
     m = _model([2.0, 35.0, 0.5], np.full((3, 3), 0.1), cap=400.0)
     h = np.array([[1, 30, 0], [0, 41, 2]])
 
     def run(build, seed):
         made = []
-        monkeypatch.setattr(_rng, "generators",
+        monkeypatch.setattr(_rng, "streams",
                             lambda s, K: made.append(build(s, K)) or made[-1])
         traj = simulate_trajectory(m, h, horizon=6, K=30, seed=seed)
-        return traj, [g.bit_generator.state for g in made[0]]
+        return traj, [made[0].generator(k).bit_generator.state for k in range(30)]
 
-    batched = _rng.generators
+    streams = _rng.streams
     for seed in (0, 7, 2**64 + 5, 2**100 + 9, _rng.derive(5, "cal", 40)):
-        got, got_states = run(batched, seed)
-        want, want_states = run(lambda s, K: [_rng.generator(s, k) for k in range(K)], seed)
+        got, got_states = run(streams, seed)
+        want, want_states = run(generator_streams, seed)
         assert np.array_equal(got, want), seed
         assert got_states == want_states, seed
 

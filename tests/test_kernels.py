@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hstconformal import _kernels as K
+from hstconformal import rng
 
 needs_jit = pytest.mark.skipif(not K.USING_NUMBA, reason="numba path not active")
 
@@ -23,22 +24,23 @@ def _random_instance(rng, n_max=6, T_max=40):
     return counts, beta, mu, A, gamma, dgam
 
 
-def _generators(seed, K_):
-    return [np.random.Generator(np.random.PCG64([seed, k])) for k in range(K_)]
-
-
-def _assert_simulations_identical(mu, A, beta, cap, floor, g0, n0, horizon, K_, seed):
-    # _LOOP_PURE is the numba source run as plain Python, one trajectory
-    # after another: the batched pure kernel must make the same draws from
-    # the same uniforms, leaving every generator in the same state
-    g_ref, g_new = _generators(seed, K_), _generators(seed, K_)
-    ref = K._LOOP_PURE.simulate_counts(g_ref, mu, A, beta, cap, floor, g0, n0, horizon)
-    got = K.PURE.simulate_counts(g_new, mu, A, beta, cap, floor, g0, n0, horizon)
-    assert got.dtype == ref.dtype == np.int64
-    assert got.shape == ref.shape == (K_, horizon, mu.shape[0])
-    assert np.array_equal(got, ref)
-    for a, b in zip(g_new, g_ref):
-        assert a.bit_generator.state == b.bit_generator.state
+def _assert_simulations_identical(generator_streams, mu, A, beta, cap, floor, g0, n0,
+                                  horizon, K_, seed):
+    # the reference is numpy's own Generator (seed, k) per trajectory, drawn
+    # by _LOOP_PURE, the numba source run as plain Python, one trajectory
+    # after another; the batched pure kernel and the loop kernel on
+    # rng.streams must make the same draws from the same uniforms and leave
+    # every stream in its generator's final state
+    want = generator_streams(seed, K_)
+    ref = K._LOOP_PURE.simulate_counts(want, mu, A, beta, cap, floor, g0, n0, horizon)
+    assert ref.dtype == np.int64 and ref.shape == (K_, horizon, mu.shape[0])
+    for kernels in (K.PURE, K._LOOP_PURE):
+        streams = rng.streams(seed, K_)
+        got = kernels.simulate_counts(streams, mu, A, beta, cap, floor, g0, n0, horizon)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ref)
+        for k, gen in enumerate(want.gens):
+            assert streams.generator(k).bit_generator.state == gen.bit_generator.state, k
     return ref
 
 
@@ -96,13 +98,13 @@ def test_simulate_counts_bit_identical_across_paths():
         A = rng.uniform(0.0, 0.5 / n, size=(n, n))
         beta = 1.0
         g0 = rng.uniform(0.0, 1.0, size=n)
-        gj = _generators(trial, 4)
-        gp = _generators(trial, 4)
-        yj = K.JIT.simulate_counts(gj, mu, A, beta, np.inf, 0.0, g0, 0.0, 6)
-        yp = K.PURE.simulate_counts(gp, mu, A, beta, np.inf, 0.0, g0, 0.0, 6)
+        sj = rng.streams(trial, 4)
+        sp = rng.streams(trial, 4)
+        yj = K.JIT.simulate_counts(sj, mu, A, beta, np.inf, 0.0, g0, 0.0, 6)
+        yp = K.PURE.simulate_counts(sp, mu, A, beta, np.inf, 0.0, g0, 0.0, 6)
         assert yj.shape == (4, 6, n)
         assert np.array_equal(yj, yp)
-        assert [g.random() for g in gj] == [g.random() for g in gp]
+        assert np.array_equal(sj.random(2), sp.random(2))
 
 
 def test_nonpositive_rate_draws_zero_without_consuming_randomness():
@@ -280,7 +282,7 @@ def test_loop_kernels_on_a_reused_workspace_match_their_allocating_calls(family)
             assert np.array_equal(x, y)
 
 
-def test_pure_simulate_counts_matches_the_loop_kernel():
+def test_pure_simulate_counts_matches_the_loop_kernel(generator_streams):
     rng = np.random.default_rng(13)
     for K_ in (1, 3, 200):
         for horizon in (1, 7, 52):
@@ -289,11 +291,13 @@ def test_pure_simulate_counts_matches_the_loop_kernel():
                 A = rng.uniform(0.0, 0.6 / n, size=(n, n))
                 g0 = rng.uniform(0.0, 2.0, size=n)
                 _assert_simulations_identical(
-                    mu, A, 0.8, np.inf, 0.0, g0, 0.0, horizon, K_, seed=K_ * horizon * n,
+                    generator_streams, mu, A, 0.8, np.inf, 0.0, g0, 0.0, horizon, K_,
+                    seed=K_ * horizon * n,
                 )
 
 
-def test_pure_simulate_counts_matches_the_loop_kernel_across_the_ptrs_switch():
+def test_pure_simulate_counts_matches_the_loop_kernel_across_the_ptrs_switch(
+        generator_streams):
     # only circuit 0 can reach _PTRS_SWITCH: it starts just below it and the
     # excitation from circuits 1 and 3 lifts it over in some trajectories and
     # steps only, so one step mixes rows drawn by the scalar fallback with
@@ -303,7 +307,8 @@ def test_pure_simulate_counts_matches_the_loop_kernel_across_the_ptrs_switch():
     A = np.zeros((5, 5))
     A[0, 1] = A[0, 3] = 0.4
     beta, g0, K_ = 1.0, np.zeros(5), 50
-    ref = _assert_simulations_identical(mu, A, beta, np.inf, 0.0, g0, 0.0, 12, K_, seed=5)
+    ref = _assert_simulations_identical(generator_streams, mu, A, beta, np.inf, 0.0, g0, 0.0,
+                                       12, K_, seed=5)
     assert (ref[:, :, 4] == 0).all()
     # replay the rates of the reference draws (gamma is 1 with an infinite
     # cap) and count the rows of each step that hold a PTRS rate
@@ -319,12 +324,13 @@ def test_pure_simulate_counts_matches_the_loop_kernel_across_the_ptrs_switch():
     # a rate exactly at the switch takes PTRS: every row falls back
     mu_at = np.array([S, 0.4, 3.0, 0.0])
     ref = _assert_simulations_identical(
-        mu_at, np.zeros((4, 4)), 1.0, np.inf, 0.0, np.zeros(4), 0.0, 3, 20, seed=6,
+        generator_streams, mu_at, np.zeros((4, 4)), 1.0, np.inf, 0.0, np.zeros(4), 0.0, 3, 20,
+        seed=6,
     )
     assert (ref[:, :, 3] == 0).all()
 
 
-def test_pure_simulate_counts_matches_the_loop_kernel_under_saturation():
+def test_pure_simulate_counts_matches_the_loop_kernel_under_saturation(generator_streams):
     rng = np.random.default_rng(14)
     n = 24
     mu = rng.uniform(0.5, 2.0, size=n)
@@ -333,13 +339,16 @@ def test_pure_simulate_counts_matches_the_loop_kernel_under_saturation():
     # floor 0: gamma reaches 0 once the total passes the cap, and a zero rate
     # must draw 0 without consuming a uniform; n0 is fractional so the
     # running total must add the draws in the loop's order
-    ref = _assert_simulations_identical(mu, A, 0.8, 60.0, 0.0, g0, 0.1, 12, 40, seed=1)
+    ref = _assert_simulations_identical(generator_streams, mu, A, 0.8, 60.0, 0.0, g0, 0.1, 12, 40,
+                                       seed=1)
     capped = ref[:, :-1].sum(axis=(1, 2)) + 0.1 >= 60.0
     assert capped.any() and not ref[capped, -1].any()
-    ref = _assert_simulations_identical(mu, A, 0.8, 60.0, 0.25, g0, 0.1, 12, 40, seed=2)
+    ref = _assert_simulations_identical(generator_streams, mu, A, 0.8, 60.0, 0.25, g0, 0.1, 12, 40,
+                                       seed=2)
     assert (ref[:, -1] > 0).any()
     # a cap already exceeded by the history: every rate is 0 from the start
-    ref = _assert_simulations_identical(mu, A, 0.8, 30.0, 0.0, g0, 31.0, 3, 5, seed=3)
+    ref = _assert_simulations_identical(generator_streams, mu, A, 0.8, 30.0, 0.0, g0, 31.0, 3, 5,
+                                       seed=3)
     assert not ref.any()
 
 
@@ -377,10 +386,22 @@ def test_kernel_benchmark_script_runs():
     assert "fit size" in proc.stdout and "faults" in proc.stdout
 
 
-def test_cli_import_loads_no_scipy():
-    # import scipy.signal alone takes seconds; a kernel importing it would
-    # multiply every command's start-up time
-    code = ("import hstconformal.cli, sys; "
-            "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)")
+def test_cli_import_loads_no_scipy(tmp_path):
+    # import scipy.signal alone takes seconds and yaml about 17 ms, so the CLI
+    # imports neither at start-up (yaml only to read a config file); numpy.ma,
+    # which np.unique imports on its first call, must not load in a command
+    code = "\n".join([
+        "import sys",
+        "import hstconformal.cli as cli",
+        "assert not any(m.split('.')[0] in ('scipy', 'yaml') for m in sys.modules)",
+        f"out = {str(tmp_path)!r}",
+        "def run(*argv): assert cli.main(list(argv)) == 0, argv",
+        "run('synth', '--n', '4', '--m', '2', '--T', '60', '--out', out)",
+        "io = ['--panel', out + '/panel.json', '--topology', out + '/topology.csv', '--out', out]",
+        "run('forecast', *io, '--t0', '31', '--horizon', '5', '--K', '10', '--epochs', '20')",
+        "run('evaluate', *io, '--t0', '41', '--test_len', '2', '--alpha', '0.1', '--K', '5',",
+        "    '--epochs', '20', '--quantile_method', 'qr')",
+        "assert 'numpy.ma' not in sys.modules",
+    ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

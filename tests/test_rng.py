@@ -8,17 +8,46 @@ SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**200 + 3,
          _rng.derive(3, "cal", 0), _rng.derive(3, "cal", 57), _rng.derive(11, "target"))
 
 
+def _assert_rows_match(streams, gens):
+    # each row is in its generator's state, so every later draw agrees
+    assert len(streams) == len(gens)
+    for k, gen in enumerate(gens):
+        assert streams.generator(k).bit_generator.state == gen.bit_generator.state, k
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_generators_match_the_scalar_streams(seed):
     # oracle: generator(seed, k), whose k = 0 entropy word is [0] and whose
     # seeds of four or more words overflow SeedSequence's 4-word pool
     for K in (1, 10, 300):
-        gens = _rng.generators(seed, K)
-        assert len(gens) == K
-        for k, g in enumerate(gens):
-            assert g.bit_generator.state == _rng.generator(seed, k).bit_generator.state, (K, k)
-    # equal states give equal draws
-    assert np.array_equal(gens[-1].random(8), _rng.generator(seed, K - 1).random(8))
+        streams = _rng.streams(seed, K)
+        gens = [_rng.generator(seed, k) for k in range(K)]
+        _assert_rows_match(streams, gens)
+    # successive calls hand out each generator's next uniforms; each wider m
+    # needs more jump constants than the calls before it
+    for m in (1, 24, 96, 300):
+        u = streams.random(m)
+        assert u.shape == (K, m)
+        assert np.array_equal(u, [gen.random(m) for gen in gens]), m
+    _assert_rows_match(streams, gens)
+    # ragged counts, zeros included: row k uses its first m_k and advances by m_k
+    counts = np.arange(K) % 7
+    u = streams.random(counts)
+    assert u.shape == (K, 6)
+    for k, gen in enumerate(gens):
+        assert np.array_equal(u[k, :counts[k]], gen.random(counts[k])), k
+    _assert_rows_match(streams, gens)
+    assert np.array_equal(streams.random(5), [gen.random(5) for gen in gens])
+
+
+def test_stream_rows_move_through_a_generator_and_back():
+    # a row drawn through a Generator (the PTRS draws) continues from there
+    streams, gens = _rng.streams(9, 3), [_rng.generator(9, k) for k in range(3)]
+    row = streams.generator(1)
+    assert np.array_equal(row.random(17), gens[1].random(17))
+    streams.set_state(1, row)
+    assert np.array_equal(streams.random(4), [gen.random(4) for gen in gens])
+    _assert_rows_match(streams, gens)
 
 
 def test_pcg64_words_match_seed_sequence():
@@ -31,15 +60,21 @@ def test_pcg64_words_match_seed_sequence():
 
 
 def test_generators_edge_counts():
-    assert _rng.generators(4, 0) == []
+    empty = _rng.streams(4, 0)
+    assert len(empty) == 0 and empty.random(5).shape == (0, 5)
     with pytest.raises(PreconditionError, match="K"):
-        _rng.generators(4, 2**32 + 1)
+        _rng.streams(4, 2**32 + 1)
+    # a count of 0 hands out and consumes nothing
+    streams, gens = _rng.streams(4, 2), [_rng.generator(4, k) for k in range(2)]
+    assert streams.random(0).shape == (2, 0)
+    assert streams.random(np.zeros(2, dtype=np.int64)).shape == (2, 0)
+    _assert_rows_match(streams, gens)
 
 
 @pytest.mark.parametrize("make", [lambda s: _rng.derive(s, "fit"),
                                   lambda s: _rng.generator(s),
                                   lambda s: _rng.generator(s, "synth", "topo"),
-                                  lambda s: _rng.generators(s, 3)])
+                                  lambda s: _rng.streams(s, 3)])
 def test_negative_seeds_are_precondition_errors(make):
     with pytest.raises(PreconditionError, match="-3"):
         make(-3)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hstconformal import DataValidationError, NetworkTopology
+from hstconformal import DataValidationError, NetworkTopology, PreconditionError
 
 
 def _topo(assign, m=None):
@@ -97,8 +97,10 @@ def test_aggregate_matches_matrix_product():
 
 
 def test_aggregate_rejects_wrong_length():
+    # a wrong-length vector from library code is a caller's mistake, not bad
+    # input data; mismatched input files are rejected earlier, by the CLI
     topo = _topo([0, 0, 1])
-    with pytest.raises(DataValidationError):
+    with pytest.raises(PreconditionError, match="3 circuits"):
         topo.aggregate(np.zeros(4))
 
 
