@@ -270,72 +270,79 @@ def empirical_quantile(scores: ScoreSet) -> QuantileEstimate:
     return QuantileEstimate(q=q)
 
 
-# pinball fit: Adam step size, relative stopping tolerance on the loss, the
-# iteration budget of every row, and the relative residual below which a
-# warm start is already an exact fit
-_PINBALL_LR = 0.02
-_PINBALL_TOL = 1e-6
-_PINBALL_MAX_ITER = 2000
-_PINBALL_EXACT = 1e-12
+# pinball fit: the relative duality gap at which a row is solved, the
+# iteration cap of every row, and the fraction of the step to the boundary
+_PINBALL_GAP = 1e-12
+_PINBALL_MAX_ITER = 50
+_PINBALL_STEP = 0.99995
 
 
-def _pinball_residual(D, y, theta):
-    # stacked matmul runs one BLAS gemv per row, the kernel of a 2-D @ 1-D
-    return y - np.matmul(D, theta[:, :, None])[:, :, 0]
+def _pinv(a):
+    # stacked pseudo-inverses at matrix_rank's tolerance: the one rank rule, for
+    # rank-deficient designs and for the Newton matrices of a degenerate optimum
+    return np.linalg.pinv(a, rcond=max(a.shape[-2:]) * np.finfo(np.float64).eps)
 
 
-def _pinball_loss(r, tau):
-    return np.where(r >= 0.0, tau * r, (tau - 1.0) * r).mean(axis=1)
+def _step(*pairs):
+    # per row: _PINBALL_STEP of the largest step keeping all v + step * dv >= 0, at most 1
+    ratio = np.min([np.divide(-v, dv, out=np.full_like(v, np.inf), where=dv < 0.0).min(axis=1)
+                    for v, dv in pairs], axis=0)
+    return np.minimum(1.0, _PINBALL_STEP * ratio)[:, None]
 
 
 def _pinball_fit(D, y, tau):
     """Fit every row's linear pinball regression together; returns (theta, exhausted).
 
-    D is (rows, nwin, p) and y is (rows, nwin).  Each row gets a
-    least-squares warm start.  A row whose warm-start residual is zero to
-    rounding, max|r| <= _PINBALL_EXACT * (1 + max|y|), is already fitted and
-    keeps its warm start.  Every other row runs adaptive-moment subgradient
-    descent with best-loss tracking, and stops on its own once its loss
-    changes by at most _PINBALL_TOL relative; the returned (rows, p) thetas
-    are the best points ever visited.  One numpy step advances all rows
-    still running, and each row's arithmetic is that of fitting it alone,
-    bit for bit.  `exhausted` flags the rows that used up _PINBALL_MAX_ITER
-    iterations without meeting the tolerance.
+    D is (rows, nwin, p) and y is (rows, nwin).  Each row solves Koenker's
+    bounded dual, max yᵀa subject to Dᵀa = (1-tau)Dᵀ1 and 0 <= a <= 1, whose
+    multipliers are theta, by Frisch-Newton steps with Mehrotra's corrector.
+    It leaves the batch once its duality gap is at most _PINBALL_GAP (1 + |yᵀa|),
+    bit for bit as if fitted alone, or is `exhausted` after _PINBALL_MAX_ITER.
     """
-    rows, nwin, _ = D.shape
-    theta = np.stack([np.linalg.lstsq(D[i], y[i], rcond=None)[0] for i in range(rows)])
-    r = _pinball_residual(D, y, theta)
-    best_loss = _pinball_loss(r, tau)
-    best_theta = theta.copy()
-    exact = np.abs(r).max(axis=1) <= _PINBALL_EXACT * (1.0 + np.abs(y).max(axis=1))
-    live = np.flatnonzero(~exact)  # original row of each running row
-    D, y, r, theta = D[live], y[live], r[live], theta[live]
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    prev = best_loss[live]
-    for k in range(1, _PINBALL_MAX_ITER + 1):
-        if live.size == 0:
+    rows, nwin, p = D.shape
+    theta = np.matmul(_pinv(D), y[:, :, None])[:, :, 0]  # least squares
+    e = y - np.matmul(D, theta[:, :, None])[:, :, 0]
+    a = np.full((rows, nwin), 1.0 - tau)  # feasible
+    s = np.full((rows, nwin), tau)  # 1 - a, kept apart for its precision near a = 1
+    w = np.maximum(e, 0.0) + 1.0  # bound slacks z, w > 0 with w - z = e: dual feasible
+    z = w - e
+    out = np.empty((rows, p))
+    live = np.arange(rows)  # original row of each running row
+    for k in range(_PINBALL_MAX_ITER + 1):
+        gap = (a * z).sum(axis=1) + (s * w).sum(axis=1)
+        run = gap > _PINBALL_GAP * (1.0 + np.abs((y * a).sum(axis=1)))
+        out[live[~run]] = theta[~run]
+        live, D, y, a, s, z, w, theta, gap = (
+            v[run] for v in (live, D, y, a, s, z, w, theta, gap))
+        if live.size == 0 or k == _PINBALL_MAX_ITER:
             break
-        # r is the residual at theta from the previous loss evaluation
-        dpred = np.where(r > 0.0, -tau, np.where(r < 0.0, 1.0 - tau, 0.0))
-        g = np.matmul(dpred[:, None, :], D)[:, 0, :] / nwin
-        m = 0.9 * m + 0.1 * g
-        v = 0.999 * v + 0.001 * g * g
-        theta = theta - _PINBALL_LR * (m / (1.0 - 0.9**k)) / (
-            np.sqrt(v / (1.0 - 0.999**k)) + 1e-8)
-        r = _pinball_residual(D, y, theta)
-        cur = _pinball_loss(r, tau)
-        better = cur < best_loss[live]
-        best_loss[live[better]] = cur[better]
-        best_theta[live[better]] = theta[better]
-        run = ~(np.abs(cur - prev) <= _PINBALL_TOL * (1.0 + np.abs(prev)))
-        if not run.all():
-            live, D, y, r, theta, m, v = (a[run] for a in (live, D, y, r, theta, m, v))
-            cur = cur[run]
-        prev = cur
-    exhausted = np.zeros(rows, dtype=bool)
-    exhausted[live] = True
-    return best_theta, exhausted
+        q = 1.0 / (z / a + w / s)
+        P = _pinv(np.matmul(D.transpose(0, 2, 1) * q[:, None, :], D))
+
+        def newton(raz, rsw):
+            # the step that changes a∘z by raz and (1-a)∘w by rsw, to first order,
+            # and its length: one for a and theta, as separate lengths can grow the gap
+            rho = raz / a - rsw / s
+            dtheta = np.matmul(P, np.matmul((q * rho)[:, None, :], D)[:, 0, :, None])[:, :, 0]
+            da = q * (rho - np.matmul(D, dtheta[:, :, None])[:, :, 0])
+            dz, dw = (raz - z * da) / a, (rsw + w * da) / s
+            return dtheta, da, dz, dw, _step((a, da), (s, -da), (z, dz), (w, dw))
+
+        dtheta, da, dz, dw, t = newton(-a * z, -s * w)  # predictor
+        aff = ((a + t * da) * (z + t * dz) + (s - t * da) * (w + t * dw)).sum(axis=1)
+        mu = (gap * (aff / gap) ** 3 / (2 * nwin))[:, None]  # Mehrotra's centring
+        dtheta, da, dz, dw, t = newton(mu - a * z - da * dz, mu - s * w + da * dw)
+        a, s, z, w = a + t * da, s - t * da, z + t * dz, w + t * dw
+        theta = theta + t * dtheta
+    out[live] = theta
+    return out, np.isin(np.arange(rows), live)
+
+
+def _check_qr_history(n_cal: int, window: int):
+    if n_cal < window + 1:
+        raise PreconditionError(
+            f"qr_window={window} needs at least {window + 1} calibration scores per "
+            f"substation, have {n_cal}; use quantile_method: empirical instead")
 
 
 def qr_quantile(scores: ScoreSet, window: int = 10) -> QuantileEstimate:
@@ -344,18 +351,12 @@ def qr_quantile(scores: ScoreSet, window: int = 10) -> QuantileEstimate:
     Per substation, each sliding window of `window` scores predicts the next
     score at level 1-alpha; the fitted model is evaluated on the most recent
     window.  Negative predictions are clamped to 0.  All substation rows are
-    fitted in one `_pinball_fit` call, and each row's quantile is bit for bit
-    the one of fitting that row alone.  A row whose fit runs out of
-    iterations keeps its best point, with a UserWarning naming the rows.
+    fitted in one `_pinball_fit` call, bit for bit as if fitted alone; rows
+    that reach its iteration cap keep their last iterate, named in a UserWarning.
     """
     if window < 1:
         raise PreconditionError("window must be >= 1")
-    if scores.n_cal < window + 1:
-        raise PreconditionError(
-            f"quantile regression needs at least window+1={window + 1} scores per "
-            f"substation, have {scores.n_cal}; use empirical_quantile instead"
-        )
-    tau = 1.0 - scores.alpha
+    _check_qr_history(scores.n_cal, window)
     nwin = scores.n_cal - window
     X = np.lib.stride_tricks.sliding_window_view(scores.scores, window, axis=1)[:, :nwin]
     mean = X.mean(axis=1)
@@ -364,13 +365,12 @@ def qr_quantile(scores: ScoreSet, window: int = 10) -> QuantileEstimate:
     D = np.ones((scores.n, nwin, window + 1))  # standardized windows, then intercept
     np.subtract(X, mean[:, None], out=D[:, :, :-1])
     np.divide(D[:, :, :-1], std[:, None], out=D[:, :, :-1])
-    theta, exhausted = _pinball_fit(D, scores.scores[:, window:], tau)
+    theta, exhausted = _pinball_fit(D, scores.scores[:, window:], 1.0 - scores.alpha)
     if exhausted.any():
         warnings.warn(
             f"pinball fit of substation rows {np.flatnonzero(exhausted).tolist()} "
-            f"stopped at its budget of {_PINBALL_MAX_ITER} iterations without "
-            f"meeting the tolerance {_PINBALL_TOL!r}; their quantiles use the best "
-            "point visited",
+            f"reached its cap of {_PINBALL_MAX_ITER} iterations with a relative "
+            f"duality gap above {_PINBALL_GAP!r}; their quantiles use the last iterate",
             UserWarning,
             stacklevel=2,
         )
@@ -488,6 +488,8 @@ def _prepare(panel, topo, t0: int, settings: PipelineSettings, seed: int,
     T = Y.shape[0]
     SplitSpec(t0=t0, test=0).validate(T)
     stop = T if cal_stop is None else cal_stop
+    if settings.quantile_method == "qr":
+        _check_qr_history(stop - (t0 - 1), settings.qr_window)
     model = _hawkes.fit(Y[: t0 - 1], topo, settings.fit_config(_rng.derive(seed, "fit")))
     scores = calibrate(
         Y, model, topo, (t0 - 1, stop), K=settings.K, seed=seed,

@@ -382,6 +382,28 @@ def test_inputs_without_effect_are_usage_errors(tmp_path, capsys):
                  "--out", str(tmp_path / "qr")], capsys)[0] == 0
 
 
+def test_qr_without_enough_calibration_bins_fails_before_the_fit(tmp_path, capsys,
+                                                                 monkeypatch):
+    # bins 44-49 give 6 calibration scores, fewer than qr_window + 1 = 11
+    from hstconformal import hawkes
+
+    _synth(tmp_path, capsys)
+    fits = []
+    real_fit = hawkes.fit
+    monkeypatch.setattr(hawkes, "fit", lambda *a, **k: fits.append(1) or real_fit(*a, **k))
+    files = ["--panel", str(tmp_path / "panel.json"),
+             "--topology", str(tmp_path / "topology.csv"),
+             "--t0", "45", "--epochs", "20", "--quantile_method", "qr"]
+    for command, extra in (("run", []), ("evaluate", ["--test_len", "2"]),
+                           ("forecast", ["--horizon", "2"])):
+        out = tmp_path / command
+        code, _, err = _run([command, *files, *extra, "--out", str(out)], capsys)
+        assert code == 2, (command, err)
+        assert "qr_window=10" in err and "quantile_method: empirical" in err, err
+        assert "empirical_quantile" not in err
+        assert fits == [] and not out.exists()
+
+
 def test_missing_required_keys_are_usage_errors(tmp_path, capsys):
     code, _, err = _run(["synth", "--n", "4", "--m", "2"], capsys)
     assert code == 2 and "T" in err

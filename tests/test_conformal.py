@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -258,13 +259,13 @@ def test_empirical_quantile_all_equal_scores():
 def test_qr_quantile_constant_sequence_recovers_constant():
     seq = np.full((1, 15), 2.5)
     q = qr_quantile(_scores(seq), window=5)
-    assert abs(q.q[0] - 2.5) <= 1e-6
+    assert abs(q.q[0] - 2.5) <= 1e-12
 
 
 def test_qr_quantile_extrapolates_linear_trend():
     seq = np.arange(1.0, 21.0)[None, :]  # 1..20, next value 21
     q = qr_quantile(_scores(seq), window=3)
-    assert abs(q.q[0] - 21.0) < 1e-4
+    assert abs(q.q[0] - 21.0) <= 1e-12 * 21.0
     # a rising trend must not predict below the recent empirical level
     assert q.q[0] >= seq[0, -3:].max() - 1e-6
 
@@ -278,58 +279,85 @@ def test_qr_quantile_never_negative():
 
 
 def test_qr_quantile_needs_enough_history():
-    with pytest.raises(PreconditionError, match="empirical_quantile"):
+    with pytest.raises(PreconditionError, match="qr_window=10 needs at least 11 .*"
+                       "quantile_method: empirical"):
         qr_quantile(_scores(np.ones((1, 5))), window=10)
 
 
-def _pinball_fit_one_row(D, y, tau, max_iter, tol=1e-6, lr=0.02, exact=1e-12):
-    # oracle: the scalar Adam loop that fitted one substation row at a time;
-    # returns the best theta, the iterations run and whether it met tol; a
-    # warm start that fits to rounding is kept without iterating
-    def loss(theta):
-        r = y - D @ theta
-        return float(np.where(r >= 0.0, tau * r, (tau - 1.0) * r).mean())
-
-    theta, *_ = np.linalg.lstsq(D, y, rcond=None)
-    if np.abs(y - D @ theta).max() <= exact * (1.0 + np.abs(y).max()):
-        return theta, 0, True
-    best_theta, best_loss = theta.copy(), loss(theta)
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    prev = best_loss
-    for k in range(1, max_iter + 1):
-        r = y - D @ theta
-        dpred = np.where(r > 0.0, -tau, np.where(r < 0.0, 1.0 - tau, 0.0))
-        g = D.T @ dpred / D.shape[0]
-        m = 0.9 * m + 0.1 * g
-        v = 0.999 * v + 0.001 * g * g
-        theta = theta - lr * (m / (1.0 - 0.9**k)) / (np.sqrt(v / (1.0 - 0.999**k)) + 1e-8)
-        cur = loss(theta)
-        if cur < best_loss:
-            best_loss, best_theta = cur, theta.copy()
-        if abs(cur - prev) <= tol * (1.0 + abs(prev)):
-            return best_theta, k, True
-        prev = cur
-    return best_theta, max_iter, False
-
-
-def _qr_quantile_one_row(seq, alpha, window, max_iter=2000):
-    # oracle: one row's design, fit and final prediction, as qr_quantile did
-    # per row; returns (q, iterations, met tol)
+def _qr_design(seq, window):
+    # one row's design and targets, as qr_quantile builds them
     nwin = seq.size - window
     X = np.lib.stride_tricks.sliding_window_view(seq, window)[:nwin]
-    mean = X.mean(axis=0)
     std = X.std(axis=0)
-    std = np.where(std > 1e-12, std, 1.0)
-    D = np.hstack([(X - mean) / std, np.ones((nwin, 1))])
-    theta, iters, met = _pinball_fit_one_row(D, seq[window:], 1.0 - alpha, max_iter)
-    x_last = (seq[-window:] - mean) / std
-    return max(0.0, float(x_last @ theta[:-1] + theta[-1])), iters, met
+    D = np.hstack([(X - X.mean(axis=0)) / np.where(std > 1e-12, std, 1.0),
+                   np.ones((nwin, 1))])
+    return D, seq[window:]
+
+
+def _pinball_loss(D, y, theta, tau):
+    # the loss of each coefficient vector in the last axis of theta
+    r = y - theta @ D.T
+    return np.where(r >= 0.0, tau * r, (tau - 1.0) * r).sum(axis=-1)
+
+
+def _vertex_optimum(D, y, tau):
+    # oracle: a full-rank pinball LP attains its optimum at a vertex, where p
+    # residuals are zero; the smallest loss over every exactly fitted p-subset
+    nwin, p = D.shape
+    subsets = np.array(list(itertools.combinations(range(nwin), p)))
+    subsets = subsets[np.linalg.matrix_rank(D[subsets]) == p]
+    thetas = np.linalg.solve(D[subsets], y[subsets][:, :, None])[:, :, 0]
+    return _pinball_loss(D, y, thetas, tau).min()
+
+
+def test_pinball_fit_reaches_the_vertex_optimum():
+    # the exact optimum on full-rank designs, including tied 0/k rows whose
+    # Newton matrices become singular to rounding near their degenerate optimum
+    rng = np.random.default_rng(31)
+    cases = [
+        (np.array([0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0]), 1, 0.5),
+        (np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]),
+         2, 0.2),
+        (np.array([3.0, 0.0, 3.0, 0.0, 0.0, 0.0, 3.0, 0.0]), 3, 0.5),
+        (np.array([0.0, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 2.0, 0.0, 0.0, 0.0]), 3, 0.1),
+    ]
+    for window in (1, 2, 3):
+        for n_cal in (window + 5, window + 12, window + 20):
+            for alpha in (0.05, 0.1, 0.5):
+                cases += [(seq, window, alpha) for seq in _score_rows(n_cal, rng)]
+    checked = 0
+    for seq, window, alpha in cases:
+        D, y = _qr_design(seq, window)
+        if np.linalg.matrix_rank(D) < D.shape[1]:
+            continue
+        tau = 1.0 - alpha
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta, exhausted = _conformal._pinball_fit(D[None], y[None], tau)
+        best = _vertex_optimum(D, y, tau)
+        assert not exhausted[0] and best > 0.0
+        assert _pinball_loss(D, y, theta[0], tau) == pytest.approx(best, rel=1e-9), \
+            (seq, window, alpha)
+        checked += 1
+    assert checked >= 200
+
+
+def test_qr_quantile_fits_rank_deficient_designs_exactly():
+    # periodic rows repeat their windows, so the standardized window columns
+    # are linearly dependent; the rank rule still fits them exactly
+    for seq, window, expect in ((np.tile([0.0, 1.0], 20), 2, 0.0),
+                                (np.tile([0.5, 2.0, 1.0], 14), 4, 0.5)):
+        D, _ = _qr_design(seq, window)
+        assert np.linalg.matrix_rank(D) < D.shape[1]
+        for alpha in (0.05, 0.1, 0.5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                q = qr_quantile(_scores(seq[None], alpha=alpha), window=window)
+            assert abs(q.q[0] - expect) <= 1e-12, (seq, window, alpha)
 
 
 def _score_rows(n_cal, rng):
-    # a constant row, a trend row, and noisy rows of several shapes whose fits
-    # stop far apart
+    # a constant row, a trend row, and noisy rows of several shapes
     t = np.arange(n_cal, dtype=np.float64)
     rows = [np.full(n_cal, 1.75), 0.5 + 0.1 * t]
     for shape, level in ((0.5, 1.0), (2.0, 0.3), (5.0, 2.0), (1.0, 0.05)):
@@ -343,49 +371,47 @@ def _score_rows(n_cal, rng):
     return np.array(rows)
 
 
+def _qr_alone(rows, alpha, window):
+    # oracle: each row's quantile from a qr_quantile call that fits it alone
+    return [qr_quantile(_scores(rows[i:i + 1], alpha=alpha), window=window).q[0]
+            for i in range(len(rows))]
+
+
 def test_qr_quantile_matches_the_per_row_fit():
-    # the batched fit reproduces the one-row loop bit for bit, a row's
-    # quantile does not depend on the rows fitted with it, and exactly the
-    # rows that the loop leaves short of the tolerance are reported
+    # a row's quantile does not depend on the rows fitted with it, bit for
+    # bit, and every row meets the gap tolerance within the iteration cap
     rng = np.random.default_rng(29)
-    spread = 0
     for window in (1, 3, 10):
         for n_cal in (window + 1, 40, 99):
             pool = _score_rows(n_cal, rng)
             for j, alpha in enumerate((0.05, 0.1, 0.5)):
-                oracle = [_qr_quantile_one_row(seq, alpha, window) for seq in pool]
-                stopped = [k for _, k, met in oracle if met]
-                spread = max(spread, max(stopped) - min(stopped))
-                for m in (1, 3, 12):
-                    rows = (np.arange(m) * 5 + j) % len(pool)  # all 12 rows when m = 12
-                    with warnings.catch_warnings(record=True) as caught:
-                        warnings.simplefilter("always")
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    oracle = _qr_alone(pool, alpha, window)
+                    for m in (1, 3, 12):
+                        rows = (np.arange(m) * 5 + j) % len(pool)  # all 12 rows when m = 12
                         got = qr_quantile(_scores(pool[rows], alpha=alpha), window=window).q
-                    assert np.array_equal(got, [oracle[i][0] for i in rows]), \
-                        (window, n_cal, alpha, m)
-                    short = [r for r, i in enumerate(rows) if not oracle[i][2]]
-                    messages = [str(w.message) for w in caught]
-                    if short:
-                        assert len(messages) == 1 and f"rows {short} " in messages[0]
-                    else:
-                        assert messages == []
-                    if m == len(pool) and alpha == 0.1:
-                        for r, i in enumerate(rows):
-                            with warnings.catch_warnings():
-                                warnings.simplefilter("ignore", UserWarning)
-                                alone = qr_quantile(_scores(pool[i:i + 1], alpha=alpha),
-                                                    window=window)
-                            assert alone.q[0] == got[r]
-    # some batches hold rows that meet the tolerance hundreds of iterations apart
-    assert spread >= 300
+                        assert np.array_equal(got, [oracle[i] for i in rows]), \
+                            (window, n_cal, alpha, m)
 
 
 def test_qr_quantile_warns_when_a_fit_runs_out_of_iterations(monkeypatch):
     rng = np.random.default_rng(29)
     mat = _score_rows(40, rng)[1:6]
-    oracle = [_qr_quantile_one_row(seq, 0.1, 3) for seq in mat]
-    iters = [k for _, k, _ in oracle]
-    # a budget that one row meets on its last iteration
+    uncapped = _qr_alone(mat, 0.1, 3)
+    # the smallest cap under which each row, fitted alone, does not warn
+    iters = []
+    for i in range(len(mat)):
+        for cap in range(1, 51):
+            monkeypatch.setattr(_conformal, "_PINBALL_MAX_ITER", cap)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                qr_quantile(_scores(mat[i:i + 1], alpha=0.1), window=3)
+            if not caught:
+                iters.append(cap)
+                break
+    assert len(iters) == len(mat)
+    # a cap that one row meets on its last iteration
     budget = sorted(iters)[1]
     monkeypatch.setattr(_conformal, "_PINBALL_MAX_ITER", budget)
     with pytest.warns(UserWarning, match="iterations") as caught:
@@ -394,18 +420,20 @@ def test_qr_quantile_warns_when_a_fit_runs_out_of_iterations(monkeypatch):
     short = [i for i, k in enumerate(iters) if k > budget]
     assert 1 <= len(short) < len(iters) - 1
     assert f"rows {short} " in str(w.message)
-    assert f"budget of {budget} iterations" in str(w.message)
+    assert f"cap of {budget} iterations" in str(w.message)
     assert w.filename == __file__
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        capped = _qr_alone(mat, 0.1, 3)
     for i, k in enumerate(iters):
-        expect = _qr_quantile_one_row(mat[i], 0.1, 3, max_iter=budget)[0]
-        assert q.q[i] == expect
+        assert q.q[i] == capped[i]
         if k <= budget:
-            assert q.q[i] == oracle[i][0]
+            assert q.q[i] == uncapped[i]
 
 
 def test_qr_quantile_keeps_an_exact_warm_start():
-    # a constant row is fitted exactly by its least-squares warm start, up to
-    # rounding: it takes no Adam iterations and raises no budget warning
+    # a constant row is fitted exactly by its least-squares start, up to
+    # rounding, and the interior-point steps keep it, with no cap warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         q = qr_quantile(ScoreSet(np.full((1, 40), 1.75), np.ones(1), 0.05), window=1)
