@@ -178,8 +178,6 @@ def _load_inputs(cfg: RunConfig):
     if cfg.panel is not None:
         panel = _data.CountPanel.load(cfg.panel)
         check_circuits(panel.n, topo.n, "count", DataValidationError)
-        if panel.circuit_ids is not None and tuple(panel.circuit_ids) != tuple(topo.circuit_ids):
-            raise DataValidationError("panel circuit ordering disagrees with topology")
     elif cfg.events is not None:
         _require(cfg, "end")
         panel = _data.ingest_events(cfg.events, topo, cfg.bin_length, cfg.start, cfg.end)

@@ -6,11 +6,12 @@ residual among the substation's circuits.  `nonconformity_score` (one
 group) and `score_bin` (every substation) share that one reduction,
 `_group_scores`.  Scores and quantiles are substation rows; `to_circuits` is
 the one place they reach the circuits.  Each input has one checked reader:
-`hawkes._panel_counts` for counts, `_scenario_matrix` for scenario draws and
-`_scale_vector` for circuit scales; calibration bins' scenarios come from
-`_bin_scenarios`.  `_forecast` is the one forecast core, fit -> calibrate ->
-quantile -> K target trajectories -> one `build_interval` per step, and
-`hst_conformal_pipeline` is its horizon-1 case.
+`hawkes._panel_counts` for counts, which `hawkes._topology_counts` also holds
+to the topology's circuit order, `_scenario_matrix` for scenario draws, a
+(K, n) array, and `_scale_vector` for circuit scales; calibration bins'
+scenarios come from `_bin_scenarios`.  `_forecast` is the one forecast core,
+fit -> calibrate -> quantile -> K target trajectories -> one `build_interval`
+per step, and `hst_conformal_pipeline` is its horizon-1 case.
 
 Intervals de-standardize each substation quantile by the circuit's own scale
 and wrap the scenario min/max envelope; substation bounds aggregate the RAW
@@ -142,8 +143,8 @@ def training_scale(train_counts) -> np.ndarray:
 
 
 def _scenario_matrix(scenarios, n: int) -> np.ndarray:
-    """The finite (K >= 1, n) draws of a ``ScenarioSet`` or an array as floats."""
-    samples = np.asarray(getattr(scenarios, "samples", scenarios), dtype=np.float64)
+    """The finite (K >= 1, n) array of scenario draws as floats."""
+    samples = np.asarray(scenarios, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] < 1:
         raise PreconditionError("need a nonempty (K, n) scenario matrix")
     check_circuits(samples.shape[1], n, "draw")
@@ -225,7 +226,7 @@ def calibrate(panel, model: _hawkes.HawkesModel, topo: NetworkTopology, cal_bins
     seed and t, so any suffix of bins scores identically whether done here
     or incrementally.
     """
-    Y = _hawkes._panel_counts(panel, topo.n)
+    Y = _hawkes._topology_counts(panel, topo)
     check_circuits(model.n, topo.n, "model rate")
     b0, b1 = _hawkes._normalize_bins(cal_bins, Y.shape[0])
     if model.meta is not None and b0 < model.meta.n_train_bins:
@@ -386,8 +387,9 @@ def to_circuits(rows, topo: NetworkTopology, scale=1.0) -> np.ndarray:
 
 
 def build_interval(scenarios, q: QuantileEstimate, scale, topo: NetworkTopology,
-                   t=None) -> IntervalForecast:
-    """Scenario min/max envelope widened by (m,) quantiles times (n,) circuit scales."""
+                   t: int) -> IntervalForecast:
+    """Bin t's interval: the min/max envelope of its (K, n) scenario draws widened
+    by (m,) quantiles times (n,) circuit scales."""
     samples = _scenario_matrix(scenarios, topo.n)
     s = _scale_vector(scale, topo.n)
     if q.q.shape != (topo.m,):
@@ -396,8 +398,6 @@ def build_interval(scenarios, q: QuantileEstimate, scale, topo: NetworkTopology,
     margin = to_circuits(q.q, topo, s)
     lower = samples.min(axis=0) - margin
     upper = samples.max(axis=0) + margin
-    if t is None:
-        t = int(getattr(scenarios, "t", 0))
     return IntervalForecast(
         lower=lower,
         upper=upper,
@@ -453,7 +453,7 @@ class AuditRecord:
     K: int
     quantile_method: str
     seed: int
-    circuit_ids: tuple | None
+    circuit_ids: tuple
     scale: np.ndarray
     scores: np.ndarray
     quantiles: np.ndarray
@@ -524,15 +524,14 @@ def hst_conformal_pipeline(panel, topo: NetworkTopology, t0: int,
     (IntervalForecast, AuditRecord); deterministic given seed.
     """
     model, scores, qest, traj, (forecast,) = _forecast(
-        _hawkes._panel_counts(panel), topo, t0, settings, seed, 1)
+        _hawkes._topology_counts(panel, topo), topo, t0, settings, seed, 1)
     audit = AuditRecord(
         t0=t0,
         alpha=settings.alpha,
         K=settings.K,
         quantile_method=settings.quantile_method,
         seed=seed,
-        circuit_ids=getattr(panel, "circuit_ids", None) or
-        (model.circuit_ids if model.circuit_ids else None),
+        circuit_ids=topo.circuit_ids,
         scale=scores.scale,
         scores=to_circuits(scores.scores, topo),
         quantiles=to_circuits(qest.q, topo),

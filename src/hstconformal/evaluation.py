@@ -5,9 +5,10 @@ suffix bin by bin, as calibration does: each bin gets an interval built from
 all data before it, and its score joins the calibration pool before the next
 bin.  A full refit per step is available behind ``refit_each_step``.
 Coverage at circuit and substation level is checked against the truth once
-the walk is done.  Counts are read through ``hawkes._panel_counts``, and
-``horizon_forecast`` is the multi-step case of the forecast core
-``conformal._forecast``, whose horizon-1 case is ``hst_conformal_pipeline``.
+the walk is done.  Counts are read through ``hawkes._topology_counts``, in
+the topology's circuit order, and ``horizon_forecast`` is the multi-step case
+of the forecast core ``conformal._forecast``, whose horizon-1 case is
+``hst_conformal_pipeline``.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ class EvalReport:
 
 
 def coverage_counts(forecast: IntervalForecast, y_t, topo: NetworkTopology):
-    """Coverage indicators for one bin, from RAW bounds at both levels."""
-    y = np.asarray(y_t, dtype=np.float64)
+    """Coverage indicators for one bin's count row, from RAW bounds at both levels."""
+    y = _hawkes._panel_counts(np.asarray(y_t)[None], topo.n)[0]
     hits = (forecast.lower <= y) & (y <= forecast.upper)
     sub_y = topo.aggregate(y)
     sub_hits = (forecast.sub_lower <= sub_y) & (sub_y <= forecast.sub_upper)
@@ -93,7 +94,7 @@ def rolling_evaluate(panel, topo: NetworkTopology, spec: SplitSpec,
     ``calibrate`` takes, bit for bit; a ``refit_each_step`` refit, which
     moves beta and with it every start state, begins a new walk at t.
     """
-    Y = _hawkes._panel_counts(panel)
+    Y = _hawkes._topology_counts(panel, topo)
     T = Y.shape[0]
     spec.validate(T)
     if spec.test < 1:
@@ -128,7 +129,7 @@ def rolling_evaluate(panel, topo: NetworkTopology, spec: SplitSpec,
             "refit_each_step": settings.refit_each_step,
         },
         bins=tuple(range(test_start, T)),
-        circuit_ids=getattr(panel, "circuit_ids", None) or tuple(topo.circuit_ids),
+        circuit_ids=topo.circuit_ids,
         substation_ids=tuple(topo.substation_ids),
         truth=truth,
         sub_truth=topo.aggregate(truth),
@@ -168,7 +169,7 @@ def horizon_forecast(panel, topo: NetworkTopology, t0: int,
     """
     if horizon < 1:
         raise PreconditionError("need horizon >= 1")
-    Y = _hawkes._panel_counts(panel)
+    Y = _hawkes._topology_counts(panel, topo)
     _, scores, qest, traj, steps = _forecast(Y, topo, t0, settings, seed, horizon)
     margin = to_circuits(qest.q, topo, scores.scale)
     observed = Y.sum(axis=0)

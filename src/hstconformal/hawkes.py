@@ -16,9 +16,11 @@ Likelihood values omit the log(y!) term throughout: it is constant in the
 parameters, so fitting and model comparison are unaffected.
 
 Every entry reads its counts or history through one checked reader,
-``_panel_counts``; the intensity, the likelihood and every simulation start
-read their states off one scan (``_start_states``), and ``fit`` optimizes one
-layout (``_pack``).
+``_panel_counts``; where a panel meets a topology, ``_topology_counts`` also
+holds it to the topology's circuit order.  Simulations return plain int64
+arrays: (K, horizon, n) trajectories, or (K, n) draws of one bin.  The
+intensity, the likelihood and every simulation start read their states off
+one scan (``_start_states``), and ``fit`` optimizes one layout (``_pack``).
 """
 
 from __future__ import annotations
@@ -83,29 +85,6 @@ class FitMeta:
     converged: bool
     seed: int
     n_train_bins: int
-
-
-@dataclass(frozen=True, eq=False)
-class ScenarioSet:
-    """K joint count draws for one target bin."""
-
-    samples: np.ndarray  # (K, n) int64
-    t: int
-
-    def __post_init__(self):
-        s = _panel_counts(self.samples).astype(np.int64)
-        if s.shape[0] < 1:
-            raise PreconditionError("need K >= 1 scenarios")
-        s.flags.writeable = False
-        object.__setattr__(self, "samples", s)
-
-    @property
-    def K(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.samples.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,6 +210,16 @@ def _panel_counts(panel, n: int | None = None) -> np.ndarray:
         raise DataValidationError("counts must be nonnegative")
     if not (np.isfinite(Y) & (Y == np.floor(Y))).all():
         raise DataValidationError("counts must be whole numbers")
+    return Y
+
+def _topology_counts(panel, topo) -> np.ndarray:
+    """``_panel_counts`` of ``panel`` with one column per circuit of ``topo``, in
+    its order: a ``CountPanel`` that names its circuits must name the topology's
+    in the same order.  The one check wherever a panel meets a topology."""
+    Y = _panel_counts(panel, topo.n)
+    ids = panel.circuit_ids if hasattr(panel, "Y") else None  # read as _panel_counts does
+    if ids is not None and ids != topo.circuit_ids:
+        raise DataValidationError("panel circuit ordering disagrees with topology")
     return Y
 
 def _count_before(counts: np.ndarray) -> np.ndarray:
@@ -376,7 +365,7 @@ def fit(panel, topo, cfg: FitConfig = FitConfig()) -> HawkesModel:
     The fit stops early once the likelihood changes by at most
     ``_CONVERGENCE_TOL`` relative to the previous epoch.
     """
-    counts = _panel_counts(panel, None if topo is None else topo.n)
+    counts = _panel_counts(panel) if topo is None else _topology_counts(panel, topo)
     T, n = counts.shape
     if T < 2:
         raise PreconditionError("need at least 2 training bins")
@@ -493,15 +482,11 @@ def _start_states(model: HawkesModel, counts: np.ndarray):
     return ACTIVE.excitation_series(counts, model.beta), _count_before(counts)
 
 
-def simulate_bin(model: HawkesModel, history, K: int = 10, seed: int = 0) -> ScenarioSet:
-    """K independent joint count draws for the bin after ``history``.
-
-    The first step of ``simulate_trajectory`` with the same seed; the
-    returned ``t`` is the number of history bins, the index of the drawn bin.
-    """
-    traj = simulate_trajectory(model, history, horizon=1, K=K, seed=seed)  # reads history
-    t = 0 if history is None else len(getattr(history, "Y", history))
-    return ScenarioSet(samples=traj[:, 0, :], t=t)
+# kept only because perfbench/tracing.py and tests/test_tracing.py bind the name
+def simulate_bin(model: HawkesModel, history, K: int = 10, seed: int = 0) -> np.ndarray:
+    """K independent (K, n) joint count draws for the bin after ``history``:
+    the first step of ``simulate_trajectory`` with the same seed."""
+    return simulate_trajectory(model, history, horizon=1, K=K, seed=seed)[:, 0]
 
 
 def simulate_trajectory(model: HawkesModel, history, horizon: int, K: int = 10,

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from hstconformal.cli import main
 
@@ -90,13 +91,14 @@ def test_run_reruns_are_byte_identical(tmp_path, capsys):
 
 def test_evaluate_summary_matches_metrics_file(tmp_path, capsys):
     _synth(tmp_path, capsys)
-    code, out, err = _run(
-        ["evaluate", "--panel", str(tmp_path / "panel.json"),
-         "--topology", str(tmp_path / "topology.csv"),
-         "--t0", "31", "--test_len", "5", "--epochs", "80",
-         "--out", str(tmp_path)],
-        capsys,
-    )
+    with pytest.warns(UserWarning, match="needs conformal rank"):
+        code, out, err = _run(
+            ["evaluate", "--panel", str(tmp_path / "panel.json"),
+             "--topology", str(tmp_path / "topology.csv"),
+             "--t0", "31", "--test_len", "5", "--epochs", "80",
+             "--out", str(tmp_path)],
+            capsys,
+        )
     assert code == 0, err
     metrics = dict(
         line.split("=", 1)
@@ -151,13 +153,14 @@ def test_events_ingestion_path(tmp_path, capsys):
 
     panel = CountPanel.load(tmp_path / "panel.json")
     write_events(panel, tmp_path / "events.csv")
-    code, out, err = _run(
-        ["run", "--events", str(tmp_path / "events.csv"),
-         "--topology", str(tmp_path / "topology.csv"),
-         "--start", "2020-01-01", "--end", "2022-01-01",
-         "--t0", "3", "--epochs", "40", "--out", str(tmp_path / "ev")],
-        capsys,
-    )
+    with pytest.warns(UserWarning, match="needs conformal rank"):
+        code, out, err = _run(
+            ["run", "--events", str(tmp_path / "events.csv"),
+             "--topology", str(tmp_path / "topology.csv"),
+             "--start", "2020-01-01", "--end", "2022-01-01",
+             "--t0", "3", "--epochs", "40", "--out", str(tmp_path / "ev")],
+            capsys,
+        )
     assert code == 0, err
 
 
@@ -285,6 +288,24 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     assert code == 0 and "--config" in out
 
 
+def test_panel_file_in_another_circuit_order_is_a_data_error(tmp_path, capsys):
+    _synth(tmp_path, capsys)
+    path = tmp_path / "panel.json"
+    doc = json.loads(path.read_text())
+    ids = doc["circuit_ids"]
+    doc["circuit_ids"] = [ids[1], ids[0], *ids[2:]]
+    path.write_text(json.dumps(doc))
+    files = ["--panel", str(path), "--topology", str(tmp_path / "topology.csv"),
+             "--t0", "31", "--out", str(tmp_path / "o")]
+    for argv in (["run", *files], ["evaluate", *files, "--test_len", "5"],
+                 ["forecast", *files, "--horizon", "3"]):
+        code, _, err = _run(argv, capsys)
+        assert code == 3, err
+        assert "data validation error" in err
+        assert "panel circuit ordering disagrees with topology" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_covariates_and_threads_are_rejected(tmp_path, capsys):
     # the model has no covariate term, the package runs on one thread and the
     # synthetic generator has one truth model, not a choice of presets
@@ -335,10 +356,10 @@ def test_each_command_accepts_only_its_keys(tmp_path, capsys):
         code, _, err = _run(argv, capsys)
         assert code == 2 and f"config key '{key}' is not read by '{command}'" in err, err
     # the commands that read them still take them
-    assert _run(base, capsys)[0] == 0
     tail = base[1:] + ["--test_len", "2", "--refit_each_step", "true"]
-    assert _run(["evaluate", *tail], capsys)[0] == 0
-    assert _run(["forecast", *base[1:], "--horizon", "2"], capsys)[0] == 0
+    for argv in (base, ["evaluate", *tail], ["forecast", *base[1:], "--horizon", "2"]):
+        with pytest.warns(UserWarning, match="needs conformal rank"):
+            assert _run(argv, capsys)[0] == 0
 
 
 def test_inputs_without_effect_are_usage_errors(tmp_path, capsys):

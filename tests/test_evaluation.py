@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hstconformal import (
+    DataValidationError,
     IntervalForecast,
     NetworkTopology,
     PipelineSettings,
@@ -58,8 +59,24 @@ def test_coverage_counts_use_raw_bounds():
     # raw lower bounds may be negative; they are the ones that must count
     topo = _topo([0])
     f = _interval([-5.0], [1.0], topo)
-    hits, shits = coverage_counts(f, np.array([-1.0]), topo)
+    hits, shits = coverage_counts(f, np.array([0.0]), topo)
     assert hits[0] and shits[0]
+
+
+def test_coverage_counts_read_the_row_as_counts():
+    # the truth row goes through the one count reader, as scoring reads it
+    topo = _topo([0, 0, 1, 1, 2, 2])
+    wide = _interval([-10] * 6, [50] * 6, topo)
+    for row, error, match in (
+        ([np.nan, 1, 1, 1, 1, 1], DataValidationError, "nonnegative"),
+        ([-5, 2, 1, 1, 1, 1], DataValidationError, "nonnegative"),
+        ([0, 2.5, 1, 1, 1, 1], DataValidationError, "whole"),
+        ([1, 1, 1, 1, 1], PreconditionError, "one count per circuit: 5 columns for 6"),
+    ):
+        with pytest.raises(error, match=match):
+            coverage_counts(wide, np.array(row), topo)
+    hits, shits = coverage_counts(wide, [0, 2, 1, 1, 1, 1], topo)
+    assert hits.all() and shits.all()
 
 
 def test_coverage_counts_aggregate_before_comparing():
@@ -175,7 +192,7 @@ def test_rolling_matches_the_per_bin_recount(monkeypatch, small_triple, refit):
             model = fit(panel.rows(0, t), topo,
                         settings.fit_config(_rng.derive(seed, "fit", t)))
         scen = simulate_bin(model, Y[:t], K=settings.K, seed=_rng.derive(seed, "cal", t))
-        assert np.array_equal(samples, scen.samples), t
+        assert np.array_equal(samples, scen), t
         expect = build_interval(scen, _conformal._quantile_for(scores, settings),
                                 scores.scale, topo, t=t)
         for name in ("lower", "upper", "sub_lower", "sub_upper"):
@@ -190,8 +207,10 @@ def test_rolling_and_horizon_take_an_array_panel(small_triple, fast_settings):
     # with the topology's circuit ids
     panel, topo, _ = small_triple
     spec = SplitSpec(t0=61, test=3)
-    a = rolling_evaluate(panel.Y, topo, spec, fast_settings, seed=2)
-    b = rolling_evaluate(panel, topo, spec, fast_settings, seed=2)
+    with pytest.warns(UserWarning, match="needs conformal rank"):
+        a = rolling_evaluate(panel.Y, topo, spec, fast_settings, seed=2)
+    with pytest.warns(UserWarning, match="needs conformal rank"):
+        b = rolling_evaluate(panel, topo, spec, fast_settings, seed=2)
     for name in ("truth", "sub_truth", "circuit_hits", "sub_hits", "widths_std"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.circuit_ids == tuple(topo.circuit_ids) == tuple(b.circuit_ids)

@@ -412,17 +412,16 @@ def test_fit_rejects_tiny_panels():
 def test_simulate_bin_zero_model_draws_zero():
     m = _model([0.0, 0.0], np.zeros((2, 2)))
     s = simulate_bin(m, np.zeros((3, 2), dtype=int), K=50, seed=1)
-    assert s.samples.shape == (50, 2)
-    assert np.all(s.samples == 0)
-    assert s.t == 3
+    assert s.shape == (50, 2) and s.dtype == np.int64
+    assert np.all(s == 0)
 
 
 def test_simulate_bin_moments_match_poisson():
     m = _model([4.0], [[0.0]])
     s = simulate_bin(m, None, K=20_000, seed=0)
-    mean = s.samples.mean()
+    mean = s.mean()
     assert abs(mean - 4.0) < 0.05
-    assert abs(s.samples.var() - 4.0) < 0.15
+    assert abs(s.var() - 4.0) < 0.15
 
 
 def test_simulate_bin_deterministic_per_seed():
@@ -431,8 +430,8 @@ def test_simulate_bin_deterministic_per_seed():
     a = simulate_bin(m, h, K=40, seed=9)
     b = simulate_bin(m, h, K=40, seed=9)
     c = simulate_bin(m, h, K=40, seed=10)
-    assert np.array_equal(a.samples, b.samples)
-    assert not np.array_equal(a.samples, c.samples)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_trajectory_first_step_equals_single_bin_simulation():
@@ -441,7 +440,7 @@ def test_trajectory_first_step_equals_single_bin_simulation():
     traj = simulate_trajectory(m, h, horizon=4, K=25, seed=7)
     s = simulate_bin(m, h, K=25, seed=7)
     assert traj.shape == (25, 4, 2)
-    assert np.array_equal(traj[:, 0, :], s.samples)
+    assert np.array_equal(traj[:, 0, :], s)
 
 
 def test_trajectory_respects_saturation_cap():
@@ -595,6 +594,7 @@ def test_simulate_bin_reads_its_history_once(monkeypatch):
                         lambda panel, *a: read.append(np.shape(panel)) or reader(panel, *a))
     s = simulate_bin(m, history, K=4, seed=2)
     assert read.count(history.shape) == 1  # the (4, 2) draws are not a history
-    assert s.t == 3
-    for empty in (None, [], np.zeros((0, 2))):
-        assert simulate_bin(m, empty, K=4, seed=2).t == 0
+    assert s.shape == (4, 2)
+    for empty in ([], np.zeros((0, 2))):
+        assert np.array_equal(simulate_bin(m, empty, K=4, seed=2),
+                              simulate_bin(m, None, K=4, seed=2))

@@ -1,5 +1,6 @@
 """Source hygiene that a linter would check, with the standard library's ast:
-no module-level private name is left unused and no import is unused."""
+no module-level private name is left unused, no import is unused, and every
+name in the package's ``__all__`` is bound there and listed once."""
 
 import ast
 from collections import Counter
@@ -79,3 +80,12 @@ def test_every_imported_name_is_used():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 unused += [f"{fname}: {name}" for name in _bound(node) if name not in loaded]
     assert not unused, unused
+
+
+def test_every_exported_name_is_bound_once():
+    # a listed name that is not bound breaks `from hstconformal import *`
+    import hstconformal
+
+    listed = hstconformal.__all__
+    assert [name for name, k in Counter(listed).items() if k > 1] == []
+    assert [name for name in listed if not hasattr(hstconformal, name)] == []
