@@ -233,12 +233,12 @@ def allocating_fit_kernels():
 
 def fit_usage(counts, runs):
     # per-fit means of wall seconds, system seconds and minor faults
-    cfg = FitConfig(epochs=FIT_EPOCHS, seed=0)
+    cfg = FitConfig(epochs=FIT_EPOCHS)
     before = resource.getrusage(resource.RUSAGE_SELF)
     t0 = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # supercritical fits
-        epochs = [fit(counts, None, cfg).meta.epochs_run for _ in range(runs)]
+        epochs = [fit(counts, None, cfg, seed=0).meta.epochs_run for _ in range(runs)]
     wall = time.perf_counter() - t0
     after = resource.getrusage(resource.RUSAGE_SELF)
     return (max(epochs), wall / runs, (after.ru_stime - before.ru_stime) / runs,

@@ -30,7 +30,7 @@ import numpy as np
 from . import hawkes as _hawkes
 from . import rng as _rng
 from .data import SplitSpec
-from .errors import PreconditionError, check_circuits, write_json
+from .errors import DataValidationError, PreconditionError, check_circuits, write_json
 from .topology import NetworkTopology
 
 _QUANTILE_METHODS = ("empirical", "qr")
@@ -224,10 +224,13 @@ def calibrate(panel, model: _hawkes.HawkesModel, topo: NetworkTopology, cal_bins
 
     Bin t's scenarios come from ``_bin_scenarios`` on a stream derived from
     seed and t, so any suffix of bins scores identically whether done here
-    or incrementally.
+    or incrementally.  A model that names its circuits must name the
+    topology's, in its order.
     """
     Y = _hawkes._topology_counts(panel, topo)
     check_circuits(model.n, topo.n, "model rate")
+    if model.circuit_ids is not None and tuple(model.circuit_ids) != topo.circuit_ids:
+        raise DataValidationError("model circuit ordering disagrees with topology")
     b0, b1 = _hawkes._normalize_bins(cal_bins, Y.shape[0])
     if model.meta is not None and b0 < model.meta.n_train_bins:
         raise PreconditionError(
@@ -411,14 +414,14 @@ def build_interval(scenarios, q: QuantileEstimate, scale, topo: NetworkTopology,
 # End-to-end pipeline.
 
 @dataclass(frozen=True)
-class PipelineSettings:
+class PipelineSettings(_hawkes.FitConfig):
+    """``FitConfig``'s fit settings, which ``fit`` reads off it, plus calibration's
+    level, scenario count and quantile method and the rolling evaluation's refit."""
+
     alpha: float = 0.05
     K: int = 10
     quantile_method: str = "empirical"
     qr_window: int = 10
-    epochs: int = 1000
-    learning_rate: float = 0.01
-    fit_cap: bool = True
     refit_each_step: bool = False
 
     def __post_init__(self):
@@ -433,15 +436,7 @@ class PipelineSettings:
             )
         if self.qr_window < 1:
             raise PreconditionError("qr_window must be >= 1")
-        self.fit_config(0)  # checks epochs and learning_rate
-
-    def fit_config(self, seed: int) -> _hawkes.FitConfig:
-        return _hawkes.FitConfig(
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            seed=seed,
-            fit_cap=self.fit_cap,
-        )
+        super().__post_init__()
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,16 +476,14 @@ def _quantile_for(scores: ScoreSet, settings: PipelineSettings) -> QuantileEstim
     return empirical_quantile(scores)
 
 
-def _prepare(panel, topo, t0: int, settings: PipelineSettings, seed: int,
-             cal_stop=None):
-    """Fit on bins before t0 and score calibration bins up to cal_stop."""
-    Y = _hawkes._panel_counts(panel)
+def _prepare(Y, topo, t0: int, settings: PipelineSettings, seed: int, cal_stop=None):
+    """Fit on read counts ``Y`` before t0 and score calibration bins up to cal_stop."""
     T = Y.shape[0]
     SplitSpec(t0=t0, test=0).validate(T)
     stop = T if cal_stop is None else cal_stop
     if settings.quantile_method == "qr":
         _check_qr_history(stop - (t0 - 1), settings.qr_window)
-    model = _hawkes.fit(Y[: t0 - 1], topo, settings.fit_config(_rng.derive(seed, "fit")))
+    model = _hawkes.fit(Y[: t0 - 1], topo, settings, _rng.derive(seed, "fit"))
     scores = calibrate(
         Y, model, topo, (t0 - 1, stop), K=settings.K, seed=seed,
         alpha=settings.alpha,

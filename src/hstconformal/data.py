@@ -8,8 +8,6 @@ An event exactly on a boundary belongs to the later bin.
 from __future__ import annotations
 
 import csv
-import io
-import json
 import re
 import warnings
 from dataclasses import dataclass
@@ -19,7 +17,8 @@ import numpy as np
 
 from . import hawkes as _hawkes
 from . import rng as _rng
-from .errors import DataValidationError, PreconditionError, read_text, write_json
+from .errors import (DataValidationError, PreconditionError, document_numbers, read_csv_pairs,
+                     read_json, write_json)
 from .topology import NetworkTopology
 
 _PANEL_FORMAT = "hstconformal-panel-v1"
@@ -137,14 +136,8 @@ class CountPanel:
             raise DataValidationError("bin_start_times must be a list of dates")
         if cids is not None and not isinstance(cids, list):
             raise DataValidationError("circuit_ids must be a list")
-        try:
-            Y = np.array(doc.get("counts"))
-        except ValueError:  # ragged rows
-            Y = None
-        # integral floats go on to the constructor's check; a missing key,
-        # ragged rows, strings, nulls and booleans stop here
-        if Y is None or Y.dtype.kind not in "iuf":
-            raise DataValidationError("counts must be a rectangular matrix of integers")
+        # integral floats go on to the constructor's check
+        Y = document_numbers(doc.get("counts"), "counts must be a rectangular matrix of integers")
         return cls(
             Y=Y,
             bin_start_times=tuple(times),
@@ -157,16 +150,7 @@ class CountPanel:
 
     @classmethod
     def load(cls, path) -> "CountPanel":
-        try:
-            doc = json.loads(read_text(path))
-        except json.JSONDecodeError as exc:
-            raise DataValidationError(
-                f"{path}:{exc.lineno}: not a JSON document: {exc.msg}"
-            ) from None
-        try:
-            return cls.from_dict(doc)
-        except DataValidationError as exc:
-            raise DataValidationError(f"{path}: {exc}") from None
+        return read_json(path, cls.from_dict)
 
 
 @dataclass(frozen=True)
@@ -202,7 +186,7 @@ def split(panel: CountPanel, spec: SplitSpec):
 
 def _parse_timestamp(text: str, where: str):
     try:
-        ts = datetime.fromisoformat(text.strip())
+        ts = datetime.fromisoformat(text)
     except ValueError:
         raise DataValidationError(f"{where}: unparseable timestamp {text!r}") from None
     if ts.tzinfo is not None:
@@ -240,32 +224,17 @@ def ingest_events(events_file, topo: NetworkTopology, bin_length: str = "6M",
 
     unknown = set()
     dropped = 0
-    with io.StringIO(read_text(events_file), newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataValidationError(f"{events_file}: empty events file") from None
-        if [h.strip() for h in header] != ["circuit_id", "timestamp"]:
-            raise DataValidationError(
-                f"{events_file}: expected header circuit_id,timestamp, got {header}"
-            )
-        for ln, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 2:
-                raise DataValidationError(f"{events_file}:{ln}: expected 2 columns")
-            cid = row[0].strip()
-            ts = _parse_timestamp(row[1], f"{events_file}:{ln}")
-            i = index.get(cid)
-            if i is None:
-                unknown.add(cid)
-                continue
-            if not (start_dt <= ts < end_dt):
-                dropped += 1
-                continue
-            t = _months_between(start, ts.date()) // step
-            Y[t, i] += 1
+    for ln, cid, stamp in read_csv_pairs(events_file, ("circuit_id", "timestamp"), "events"):
+        ts = _parse_timestamp(stamp, f"{events_file}:{ln}")
+        i = index.get(cid)
+        if i is None:
+            unknown.add(cid)
+            continue
+        if not (start_dt <= ts < end_dt):
+            dropped += 1
+            continue
+        t = _months_between(start, ts.date()) // step
+        Y[t, i] += 1
     if unknown:
         raise DataValidationError(
             f"{events_file}: unknown circuit ids: {sorted(unknown)[:10]}"

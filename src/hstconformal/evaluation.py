@@ -107,8 +107,7 @@ def rolling_evaluate(panel, topo: NetworkTopology, spec: SplitSpec,
     forecasts = []
     for t in range(test_start, T):
         if settings.refit_each_step:
-            model = _hawkes.fit(Y[:t], topo,
-                                settings.fit_config(_rng.derive(seed, "fit", t)))
+            model = _hawkes.fit(Y[:t], topo, settings, _rng.derive(seed, "fit", t))
             walk = _bin_scenarios(model, Y, t, T, settings.K, seed)
         qest = _quantile_for(scores, settings)
         scen = next(walk)

@@ -25,7 +25,6 @@ one scan (``_start_states``), and ``fit`` optimizes one layout (``_pack``).
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -35,10 +34,13 @@ import numpy as np
 from . import rng as _rng
 from ._kernels import ACTIVE
 from .errors import (DataValidationError, NumericalError, PreconditionError, check_circuits,
-                     write_json)
+                     document_numbers, read_json, write_json)
 
 _MODEL_FORMAT = "hstconformal-model-v1"
 _GAMMA_FORM = "linear_saturation_v1"
+# the numbers of a model document: key, dimensions, and what they must be
+_MODEL_NUMBERS = (("mu", 1, "a list of numbers"), ("A", 2, "a matrix of numbers"),
+                  ("beta", 0, "a number"), ("cap", 0, "a number"), ("floor", 0, "a number"))
 
 _ADAM_B1 = 0.9
 _ADAM_B2 = 0.999
@@ -63,11 +65,11 @@ class SaturationParams:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Adam epoch budget and step size, fit seed, and whether to fit the cap."""
+    """Adam epoch budget and step size, and whether to fit the cap: the one
+    declaration of the fit settings, extended by ``PipelineSettings``."""
 
     epochs: int = 1000
     learning_rate: float = 0.01
-    seed: int = 0
     fit_cap: bool = True
 
     def __post_init__(self):
@@ -157,36 +159,36 @@ class HawkesModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "HawkesModel":
+        if not isinstance(doc, dict):
+            raise DataValidationError("model document must be a JSON object")
         if doc.get("format") != _MODEL_FORMAT:
             raise DataValidationError(f"unsupported model format {doc.get('format')!r}")
         if doc.get("gamma_form") != _GAMMA_FORM:
-            raise DataValidationError(
-                f"unsupported saturation form {doc.get('gamma_form')!r}"
-            )
+            raise DataValidationError(f"unsupported saturation form {doc.get('gamma_form')!r}")
         if doc.get("cov_coef") is not None:
             raise DataValidationError("model has cov_coef; the model has no covariate term")
-        cap = doc["cap"]
-        cap = math.inf if cap == "inf" else float(cap)
-        meta = None
-        if doc.get("meta") is not None:
-            meta = FitMeta(**doc["meta"])
+        try:
+            meta = None if doc.get("meta") is None else FitMeta(**doc["meta"])
+        except TypeError:
+            raise DataValidationError("meta must hold the FitMeta fields") from None
+        missing = [k for k, _, _ in _MODEL_NUMBERS if k not in doc]
+        if missing:
+            raise DataValidationError(f"model document has no {missing}")
+        # "inf" is the document's spelling of an infinite cap
+        mu, A, beta, cap, floor = (
+            document_numbers(math.inf if doc[k] == "inf" else doc[k],
+                             f"model {k} must be {what}", ndim)
+            for k, ndim, what in _MODEL_NUMBERS)
         cids = doc.get("circuit_ids")
-        return cls(
-            mu=np.array(doc["mu"], dtype=np.float64),
-            A=np.array(doc["A"], dtype=np.float64),
-            beta=float(doc["beta"]),
-            sat=SaturationParams(cap=cap, floor=float(doc["floor"])),
-            circuit_ids=None if cids is None else tuple(cids),
-            meta=meta,
-        )
+        return cls(mu=mu, A=A, beta=float(beta), circuit_ids=None if cids is None else tuple(cids),
+                   sat=SaturationParams(cap=float(cap), floor=float(floor)), meta=meta)
 
     def save(self, path):
         write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "HawkesModel":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return read_json(path, cls.from_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +348,14 @@ def _unpack(u: np.ndarray, n: int):
             _softplus(float(u[n + n * n])), math.exp(float(u[-1])))
 
 
-def fit(panel, topo, cfg: FitConfig = FitConfig()) -> HawkesModel:
+def fit(panel, topo, cfg: FitConfig = FitConfig(), seed: int = 0) -> HawkesModel:
     """Maximize the likelihood by adaptive-moment gradient ascent.
 
     Fits mu, the full coupling matrix A, beta and, with ``cfg.fit_cap``,
     the cap; the saturation floor is 0.  Parameters are optimized in
     unconstrained space (exponential map for mu, A, cap; softplus for beta)
-    from a scale-aware initialization with a seeded +/-10% perturbation.
+    from a scale-aware initialization with a +/-10% perturbation drawn from
+    ``seed`` (recorded in ``FitMeta.seed``); ``cfg`` may be ``PipelineSettings``.
     The returned model is the best point seen, so its likelihood never
     falls below the initialization value.  Steps that land on a non-finite
     likelihood are retried with halved length.
@@ -371,7 +374,7 @@ def fit(panel, topo, cfg: FitConfig = FitConfig()) -> HawkesModel:
         raise PreconditionError("need at least 2 training bins")
     total = float(counts.sum())
 
-    gen = _rng.generator(cfg.seed, "fit")
+    gen = _rng.generator(seed, "fit")
     def perturb(shape=None):
         return 1.0 + 0.1 * gen.uniform(-1.0, 1.0, shape)
 
@@ -436,7 +439,7 @@ def fit(panel, topo, cfg: FitConfig = FitConfig()) -> HawkesModel:
         loglik_init=ll_init,
         loglik_final=best_ll,
         converged=converged,
-        seed=cfg.seed,
+        seed=seed,
         n_train_bins=T,
     )
     return HawkesModel(

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import csv
-import io
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DataValidationError, check_circuits, read_text
+from .errors import DataValidationError, check_circuits, read_csv_pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,27 +114,12 @@ class NetworkTopology:
     @classmethod
     def from_csv(cls, path) -> "NetworkTopology":
         """Load a two-column mapping file with header circuit_id,substation_id."""
-        with io.StringIO(read_text(path), newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataValidationError(f"{path}: empty topology file") from None
-            if [h.strip() for h in header] != ["circuit_id", "substation_id"]:
-                raise DataValidationError(
-                    f"{path}: expected header circuit_id,substation_id, got {header}"
-                )
-            circuits, subs = [], []
-            for ln, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) != 2:
-                    raise DataValidationError(f"{path}:{ln}: expected 2 columns")
-                cid, sid = row[0].strip(), row[1].strip()
-                if not cid or not sid:
-                    raise DataValidationError(f"{path}:{ln}: blank identifier")
-                circuits.append(cid)
-                subs.append(sid)
+        circuits, subs = [], []
+        for ln, cid, sid in read_csv_pairs(path, ("circuit_id", "substation_id"), "topology"):
+            if not cid or not sid:
+                raise DataValidationError(f"{path}:{ln}: blank identifier")
+            circuits.append(cid)
+            subs.append(sid)
         if len(set(circuits)) != len(circuits):
             dupes = sorted({c for c in circuits if circuits.count(c) > 1})
             raise DataValidationError(f"{path}: duplicate circuit ids {dupes[:5]}")

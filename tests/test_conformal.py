@@ -4,6 +4,7 @@ import json
 import math
 import re
 import warnings
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 import numpy as np
@@ -542,7 +543,7 @@ def test_calibrate_names_empty_substations():
 
 def test_calibrate_matches_manual_recount(small_triple):
     panel, topo, _ = small_triple
-    model = fit(panel.rows(0, 40), topo, FitConfig(epochs=60, seed=0))
+    model = fit(panel.rows(0, 40), topo, FitConfig(epochs=60), seed=0)
     ss = calibrate(panel, model, topo, (40, 44), K=5, seed=3)
     scale = training_scale(panel.Y[:40])
     assert np.array_equal(ss.scale, scale)
@@ -634,7 +635,7 @@ def test_calibrate_without_training_bins_fails_clearly():
 
 def test_calibrate_rejects_overlap_with_training(small_triple):
     panel, topo, _ = small_triple
-    model = fit(panel.rows(0, 40), topo, FitConfig(epochs=30, seed=0))
+    model = fit(panel.rows(0, 40), topo, FitConfig(epochs=30), seed=0)
     with pytest.raises(PreconditionError, match="overlap"):
         calibrate(panel, model, topo, (30, 50), K=3, seed=0)
 
@@ -643,7 +644,7 @@ def test_quantiles_fit_once_per_substation_and_match_per_circuit_rows(monkeypatc
     # each substation's score row is fitted once, and broadcasting the
     # substation quantiles reproduces quantiles computed on one row per circuit
     panel, topo, _ = generate_synthetic(8, 3, 60, seed=4)
-    model = fit(panel.rows(0, 20), topo, FitConfig(epochs=40, seed=0))
+    model = fit(panel.rows(0, 20), topo, FitConfig(epochs=40), seed=0)
     ss = calibrate(panel, model, topo, (20, 60), K=5, seed=1)
     assert ss.scores.shape == (3, 40)
     per_circuit = ScoreSet(scores=_conformal.to_circuits(ss.scores, topo),
@@ -763,6 +764,20 @@ def test_pipeline_settings_validation():
         PipelineSettings(quantile_method="qr", qr_window=0)
 
 
+def test_pipeline_settings_take_the_fit_settings_from_fit_config():
+    # epochs, learning_rate and fit_cap are declared, defaulted and checked once
+    for bad in ({"epochs": 0}, {"learning_rate": 0}):
+        with pytest.raises(PreconditionError) as by_fit:
+            FitConfig(**bad)
+        with pytest.raises(PreconditionError) as by_settings:
+            PipelineSettings(**bad)
+        assert str(by_settings.value) == str(by_fit.value)
+    defaults = PipelineSettings()
+    assert isinstance(defaults, FitConfig)
+    assert {f.name: getattr(defaults, f.name) for f in fields(FitConfig)} == asdict(FitConfig())
+    assert [f.name for f in fields(FitConfig)] == ["epochs", "learning_rate", "fit_cap"]
+
+
 def test_counts_must_be_whole_numbers(small_triple, fast_settings):
     # arrays follow CountPanel's rule: fractional or infinite counts are data errors
     panel, topo, _ = small_triple
@@ -850,9 +865,29 @@ def test_every_entry_holds_a_panel_to_the_topology_circuit_order(small_triple,
     assert fit(swapped.rows(0, 40), None, FitConfig(epochs=5)).circuit_ids is None
 
 
+def test_calibrate_holds_a_model_to_the_topology_circuit_order(small_triple):
+    # a model fitted on c000, c001, ... must not score against a topology that
+    # lists c001, c000, ...: its rates would land on the other circuit
+    panel, topo, _ = small_triple
+    order = [1, 0, 2, 3, 4, 5]
+    reordered = NetworkTopology.from_assignments(
+        [topo.circuit_ids[i] for i in order],
+        [topo.substation_ids[topo.substation_of[i]] for i in order])
+    model = fit(panel.rows(0, 40), topo, FitConfig(epochs=5))
+    assert model.circuit_ids == topo.circuit_ids
+    with pytest.raises(DataValidationError,
+                       match="^model circuit ordering disagrees with topology$"):
+        calibrate(panel.Y[:, order], model, reordered, (40, 50), K=3)
+    # a model without ids is taken in the topology's order
+    unnamed = HawkesModel(mu=model.mu, A=model.A, beta=model.beta, sat=model.sat,
+                          meta=model.meta)
+    named = calibrate(panel, model, topo, (40, 50), K=3)
+    assert np.array_equal(calibrate(panel, unnamed, topo, (40, 50), K=3).scores, named.scores)
+
+
 def test_library_entries_check_their_counts(small_triple, fast_settings):
     panel, topo, _ = small_triple
-    model = fit(panel.rows(0, 40), topo, FitConfig(epochs=5, seed=0))
+    model = fit(panel.rows(0, 40), topo, FitConfig(epochs=5), seed=0)
     negative = panel.Y.copy()
     negative[45, 0] = -1
     with pytest.raises(DataValidationError, match="nonnegative"):

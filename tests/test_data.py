@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from datetime import date
 
@@ -213,6 +214,33 @@ def test_ingest_requires_whole_bins_and_explicit_range(tmp_path):
         ingest_events(p, _topo2())
     with pytest.raises(DataValidationError):
         ingest_events(p, _topo2(), start="2020-01-01", end="2020-06-01")
+
+
+# the two CSV inputs: header, two good rows, reader, and what it reads from them
+_CSV_INPUTS = {
+    "topology": ("circuit_id,substation_id", ["ca,s0", "cb,s1"],
+                 lambda p: NetworkTopology.from_csv(p).circuit_ids, ("ca", "cb")),
+    "events": ("circuit_id,timestamp", ["ca,2020-02-02", "cb,2020-08-01"],
+               lambda p: ingest_events(p, _topo2(), start="2020-01-01",
+                                       end="2021-01-01").Y.tolist(), [[1, 0], [0, 1]]),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_CSV_INPUTS))
+def test_csv_inputs_share_one_reader(tmp_path, what):
+    header, (row1, row2), read, expected = _CSV_INPUTS[what]
+    p = tmp_path / f"{what}.csv"
+    for text, message in (
+        ("", f"{p}: empty {what} file"),
+        (f"circuit,other\n{row1}\n", f"{p}: expected header {header}, got ['circuit', 'other']"),
+        (f"{header}\n{row1}\n{row2}\nca,x,y\n", f"{p}:4: expected 2 columns"),
+    ):
+        p.write_text(text)
+        with pytest.raises(DataValidationError, match=f"^{re.escape(message)}$"):
+            read(p)
+    # empty, whitespace-only and all-blank rows are skipped, and cells are stripped
+    p.write_text(f" {header.replace(',', ' , ')} \n\n  \n{row1}\n , \n\t{row2} \n\n")
+    assert read(p) == expected
 
 
 def test_event_round_trip_is_exact(tmp_path):

@@ -185,12 +185,11 @@ def test_rolling_matches_the_per_bin_recount(monkeypatch, small_triple, refit):
     monkeypatch.undo()
 
     # the calibration block before the test suffix has its own recount tests
-    model, scores = _conformal._prepare(panel, topo, spec.t0, settings, seed,
+    model, scores = _conformal._prepare(Y, topo, spec.t0, settings, seed,
                                         cal_stop=T - spec.test)
     for t, forecast, samples in zip(report.bins, report.forecasts, scored):
         if refit:
-            model = fit(panel.rows(0, t), topo,
-                        settings.fit_config(_rng.derive(seed, "fit", t)))
+            model = fit(panel.rows(0, t), topo, settings, _rng.derive(seed, "fit", t))
         scen = simulate_bin(model, Y[:t], K=settings.K, seed=_rng.derive(seed, "cal", t))
         assert np.array_equal(samples, scen), t
         expect = build_interval(scen, _conformal._quantile_for(scores, settings),

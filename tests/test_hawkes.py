@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -244,7 +245,7 @@ def test_fit_recovers_baselines_within_tolerance():
         beta=1.0,
     )
     panel, topo, _ = generate_synthetic(5, 2, 500, model=truth, seed=3)
-    fitted = fit(panel, topo, FitConfig(epochs=700, seed=1, fit_cap=False))
+    fitted = fit(panel, topo, FitConfig(epochs=700, fit_cap=False), seed=1)
     # the unfitted cap sits at log inf = inf with gradient 0: no step moves it
     assert fitted.sat.cap == math.inf
     rel = np.abs(fitted.mu - truth.mu) / truth.mu
@@ -254,25 +255,25 @@ def test_fit_recovers_baselines_within_tolerance():
 
 def test_fit_all_zero_panel_drives_baselines_to_zero():
     Y = np.zeros((50, 3), dtype=int)
-    m = fit(Y, None, FitConfig(epochs=500, seed=0))
+    m = fit(Y, None, FitConfig(epochs=500), seed=0)
     assert np.all(m.mu < 1e-3)
 
 
 def test_fit_is_deterministic_for_a_seed():
     panel, topo, _ = generate_synthetic(4, 2, 60, seed=8)
-    cfg = FitConfig(epochs=80, seed=5)
-    a = fit(panel, topo, cfg)
-    b = fit(panel, topo, cfg)
+    cfg = FitConfig(epochs=80)
+    a = fit(panel, topo, cfg, seed=5)
+    b = fit(panel, topo, cfg, seed=5)
     assert np.array_equal(a.mu, b.mu)
     assert np.array_equal(a.A, b.A)
     assert a.beta == b.beta and a.sat.cap == b.sat.cap
-    c = fit(panel, topo, FitConfig(epochs=80, seed=6))
+    c = fit(panel, topo, cfg, seed=6)
     assert not np.array_equal(a.mu, c.mu)
 
 
 def test_fit_meta_reports_run_length_and_improvement():
     panel, topo, _ = generate_synthetic(3, 1, 50, seed=2)
-    m = fit(panel, topo, FitConfig(epochs=60, seed=0))
+    m = fit(panel, topo, FitConfig(epochs=60), seed=0)
     assert m.meta.epochs_run <= 60
     assert m.meta.n_train_bins == 50
     assert m.meta.loglik_final >= m.meta.loglik_init
@@ -290,7 +291,7 @@ def test_fit_evaluates_the_objective_once_per_epoch(monkeypatch):
         monkeypatch.setattr(_kernels.ACTIVE, name, counted)
     panel, topo, _ = generate_synthetic(4, 2, 60, seed=8)
     epochs = 25
-    m = fit(panel, topo, FitConfig(epochs=epochs, seed=5))
+    m = fit(panel, topo, FitConfig(epochs=epochs), seed=5)
     # every epoch ran and none halved its step, else there would be more calls
     assert m.meta.epochs_run == epochs and not m.meta.converged
     assert calls == {"loglik_grads": epochs + 1, "loglik_value": 0}
@@ -366,13 +367,13 @@ def _without_work(monkeypatch):
 @pytest.mark.parametrize("n, m, T, epochs", [(24, 6, 300, 50), (96, 12, 300, 20)])
 def test_fit_on_a_workspace_equals_the_allocating_fit(monkeypatch, n, m, T, epochs):
     panel, topo, _ = generate_synthetic(n, m, T, seed=4)
-    cfg = FitConfig(epochs=epochs, seed=2)
+    cfg = FitConfig(epochs=epochs)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        a = fit(panel, topo, cfg)
+        a = fit(panel, topo, cfg, seed=2)
         with monkeypatch.context() as mp:
             _without_work(mp)
-            b = fit(panel, topo, cfg)
+            b = fit(panel, topo, cfg, seed=2)
     assert np.array_equal(a.mu, b.mu) and np.array_equal(a.A, b.A)
     assert a.beta == b.beta and a.sat.cap == b.sat.cap and a.meta == b.meta
     assert a.meta.epochs_run == epochs
@@ -522,6 +523,45 @@ def test_model_json_rejects_cov_coef():
     assert HawkesModel.from_dict(dict(doc, cov_coef=None)).n == 1
     with pytest.raises(DataValidationError, match="cov_coef"):
         HawkesModel.from_dict(dict(doc, cov_coef=[0.5]))
+
+
+def _without(key):
+    return lambda doc: json.dumps({k: v for k, v in doc.items() if k != key}).encode()
+
+
+def _with(**changes):
+    return lambda doc: json.dumps(dict(doc, **changes)).encode()
+
+
+# edit of a saved model document's bytes -> what the error says besides the file
+_MALFORMED_MODELS = {
+    **{f"no {key}": (_without(key), f"model document has no ['{key}']")
+       for key in ("mu", "A", "beta", "cap", "floor")},
+    "text beta": (_with(beta="x"), "model beta must be a number"),
+    "null in mu": (_with(mu=[1.0, None]), "model mu must be a list of numbers"),
+    "ragged A": (_with(A=[[0.1], [0.0, 0.1]]), "model A must be a matrix of numbers"),
+    "listed floor": (_with(floor=[0.0]), "model floor must be a number"),
+    "cov_coef": (_with(cov_coef=[0.5]), "model has cov_coef"),
+    "not a mapping": (lambda doc: b"[1, 2]", "model document must be a JSON object"),
+    "not UTF-8": (lambda doc: b'{"mu": "\xff"}', ":1: not UTF-8 text"),
+    "truncated": (lambda doc: json.dumps(doc, indent=2).encode()[:-20], ": not a JSON document"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_MODELS))
+def test_model_load_rejects_a_malformed_document_naming_the_file(tmp_path, case):
+    # as for a panel document: a data error naming the file, where a missing
+    # key, a text value and bad JSON raised a bare KeyError, ValueError and
+    # JSONDecodeError
+    edit, message = _MALFORMED_MODELS[case]
+    doc = _model([1.0, 2.0], [[0.1, 0.0], [0.0, 0.1]], cap=50.0).to_dict()
+    path = tmp_path / "model.json"
+    path.write_bytes(_with()(doc))  # the unedited document loads
+    assert HawkesModel.load(path).sat.cap == 50.0
+    path.write_bytes(edit(doc))
+    with pytest.raises(DataValidationError) as caught:
+        HawkesModel.load(path)
+    assert str(caught.value).startswith(str(path)) and message in str(caught.value)
 
 
 def test_explosive_parameters_warn():

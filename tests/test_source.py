@@ -1,6 +1,7 @@
 """Source hygiene that a linter would check, with the standard library's ast:
-no module-level private name is left unused, no import is unused, and every
-name in the package's ``__all__`` is bound there and listed once."""
+no module-level private name is left unused, no import is unused, every
+name in the package's ``__all__`` is bound there and listed once, and only
+``errors.py`` parses input files."""
 
 import ast
 from collections import Counter
@@ -89,3 +90,27 @@ def test_every_exported_name_is_bound_once():
     listed = hstconformal.__all__
     assert [name for name, k in Counter(listed).items() if k > 1] == []
     assert [name for name in listed if not hasattr(hstconformal, name)] == []
+
+
+_PARSERS = {("json", "load"), ("json", "loads"), ("csv", "reader")}
+
+
+def _parses_input(call):
+    """Whether ``call`` parses JSON or CSV, or opens a file without a write mode."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return (func.value.id, func.attr) in _PARSERS
+    if not (isinstance(func, ast.Name) and func.id == "open"):
+        return False
+    mode = [k.value for k in call.keywords if k.arg == "mode"] + call.args[1:2]
+    # a mode that is not a literal cannot be shown to write
+    return not (mode and isinstance(mode[0], ast.Constant)
+                and set(str(mode[0].value)) & set("wax+"))
+
+
+def test_only_the_errors_module_parses_input():
+    # one reader per input format: every file the package reads goes through errors.py
+    found = [f"{fname}:{node.lineno}" for fname, tree in _modules().items()
+             if fname != "errors.py" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _parses_input(node)]
+    assert not found, found
