@@ -41,7 +41,6 @@ from .hawkes import (
     FitConfig,
     FitMeta,
     HawkesModel,
-    SaturationParams,
     fit,
     intensity,
     log_likelihood,
@@ -69,7 +68,6 @@ __all__ = [
     "PipelineSettings",
     "PreconditionError",
     "QuantileEstimate",
-    "SaturationParams",
     "ScoreSet",
     "SplitSpec",
     "USING_NUMBA",

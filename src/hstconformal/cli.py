@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 usage/precondition, 3 data validation, 4 numerical.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import os
 import sys
@@ -215,17 +216,16 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def _write_interval_tables(cfg: RunConfig, forecast, topo):
-    lines = {"circuit": [], "substation": []}
+    rows = {"circuit": [], "substation": []}
     for kind, uid, _, lo, lo_c, up in forecast.unit_bounds(topo.circuit_ids,
                                                            topo.substation_ids):
-        lines[kind].append(
-            f"{uid},{forecast.t},{_fmt(lo)},{_fmt(lo_c)},{_fmt(up)},{_fmt(up - lo)}\n"
-        )
-    for kind, rows in lines.items():
+        rows[kind].append([uid, forecast.t, _fmt(lo), _fmt(lo_c), _fmt(up), _fmt(up - lo)])
+    for kind, table in rows.items():
         with open(_outpath(cfg, f"{kind}_intervals.csv"), "w", encoding="utf-8",
                   newline="") as fh:
-            fh.write("id,bin,lower_raw,lower_clamped,upper,width\n")
-            fh.writelines(rows)
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["id", "bin", "lower_raw", "lower_clamped", "upper", "width"])
+            writer.writerows(table)
 
 
 def cmd_run(cfg: RunConfig) -> int:

@@ -199,9 +199,6 @@ def nonconformity_score(y_t, scenarios, S_row, scale) -> float:
 def score_bin(y_t, scenarios, topo: NetworkTopology, scale) -> np.ndarray:
     """One bin's (m,) scores, one per substation in ``topo.substation_ids`` order:
     ``nonconformity_score`` of every substation's members at once."""
-    empty = [sid for sid, idx in zip(topo.substation_ids, topo.members) if idx.size == 0]
-    if empty:
-        raise PreconditionError(f"cannot score substations with no circuits: {empty}")
     return _group_scores(y_t, scenarios, topo.members, scale, topo.n)
 
 

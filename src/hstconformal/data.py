@@ -2,7 +2,9 @@
 
 Bins are left-closed right-open on a monthly grid: bin_length "6M" means
 each bin spans six calendar months and starts on the first of a month.
-An event exactly on a boundary belongs to the later bin.
+An event exactly on a boundary belongs to the later bin.  A synthetic
+topology is a shuffled round-robin circuit→substation assignment, so every
+substation has a circuit.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import csv
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date, datetime
 
 import numpy as np
@@ -293,7 +295,7 @@ def _truth_model(n: int, cap: float, gen) -> _hawkes.HawkesModel:
     mu = gen.uniform(0.2, 1.0, n)
     A = gen.uniform(0.0, 1.0, (n, n))
     A *= (0.5 / beta) / A.sum(axis=1, keepdims=True)
-    return _hawkes.HawkesModel(mu=mu, A=A, beta=beta, sat=_hawkes.SaturationParams(cap=cap))
+    return _hawkes.HawkesModel(mu=mu, A=A, beta=beta, cap=cap)
 
 
 def generate_synthetic(n: int, m: int, T: int, model: _hawkes.HawkesModel | None = None,
@@ -304,8 +306,9 @@ def generate_synthetic(n: int, m: int, T: int, model: _hawkes.HawkesModel | None
     Returns (panel, topology, truth model); deterministic given seed.  The
     default truth draws mu uniform on [0.2, 1), a uniform A with row sums
     0.5, beta 1 and the given ``cap``; pass ``model`` to simulate from a
-    fixed ground truth instead, whose own cap applies (a finite ``cap`` next
-    to ``model`` is a ``PreconditionError``).
+    fixed ground truth instead, whose own cap and floor apply (a finite
+    ``cap`` next to ``model`` is a ``PreconditionError``).  The truth returned
+    is labelled with the topology's circuit ids.
     """
     if model is not None and not np.isinf(cap):
         raise PreconditionError(f"cap={cap!r} has no effect with a supplied model, "
@@ -321,10 +324,7 @@ def generate_synthetic(n: int, m: int, T: int, model: _hawkes.HawkesModel | None
         if model.n != n:
             raise PreconditionError(f"supplied model has n={model.n}, requested n={n}")
         truth = model
-    truth = _hawkes.HawkesModel(
-        mu=truth.mu, A=truth.A, beta=truth.beta, sat=truth.sat,
-        circuit_ids=topo.circuit_ids, meta=truth.meta,
-    )
+    truth = replace(truth, circuit_ids=topo.circuit_ids)
     Y = _hawkes.simulate_trajectory(
         truth, None, horizon=T, K=1, seed=_rng.derive(seed, "synth", "panel")
     )[0]

@@ -52,25 +52,28 @@ def read_text(path) -> str:
 
 def read_csv_pairs(path, header: tuple, what: str):
     """Yield (line, first, second), cells stripped, for each row of a two-column
-    CSV file with header ``header``, skipping blank rows.  An empty ``what``
-    file, another header or another row width is a DataValidationError."""
+    CSV file with header ``header``, skipping blank rows; line is the file line
+    on which the row starts.  An empty ``what`` file, another header or another
+    row width is a DataValidationError."""
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     first = next(reader, None)
     if first is None:
         raise DataValidationError(f"{path}: empty {what} file")
     if [h.strip() for h in first] != list(header):
         raise DataValidationError(f"{path}: expected header {','.join(header)}, got {first}")
-    for ln, row in enumerate(reader, start=2):
-        if not any(c.strip() for c in row):
-            continue
-        if len(row) != 2:
-            raise DataValidationError(f"{path}:{ln}: expected 2 columns")
-        yield ln, row[0].strip(), row[1].strip()
+    ln = reader.line_num + 1  # the file line on which the next record starts
+    for row in reader:
+        if any(c.strip() for c in row):
+            if len(row) != 2:
+                raise DataValidationError(f"{path}:{ln}: expected 2 columns")
+            yield ln, row[0].strip(), row[1].strip()
+        ln = reader.line_num + 1
 
 
 def read_json(path, parse):
-    """``parse`` of the JSON document in the file at ``path``: malformed JSON, or
-    a DataValidationError from ``parse``, is a DataValidationError naming the file."""
+    """``parse`` of the JSON document in the file at ``path``: malformed JSON, or a
+    DataValidationError or PreconditionError from ``parse``, is a DataValidationError
+    naming the file."""
     try:
         doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
@@ -78,7 +81,7 @@ def read_json(path, parse):
             f"{path}:{exc.lineno}: not a JSON document: {exc.msg}") from None
     try:
         return parse(doc)
-    except DataValidationError as exc:
+    except (DataValidationError, PreconditionError) as exc:
         raise DataValidationError(f"{path}: {exc}") from None
 
 

@@ -7,10 +7,11 @@ bin-t intensity for circuit i is
                             * beta * exp(-beta * (t - t')) )
 
 with saturation factor gamma_t = max(floor, 1 - N_{<t}/cap) where N_{<t} is
-the network-wide cumulative count before t.  Counts in bin t are Poisson
-with mean lambda_it given the history; events within a bin share the bin
-timestamp, so thinning over the piecewise-constant intensity reduces
-exactly to one Poisson draw per circuit per bin.
+the network-wide cumulative count before t; ``HawkesModel`` holds the cap and
+floor next to mu, A and beta.  Counts in bin t are Poisson with mean lambda_it
+given the history; events within a bin share the bin timestamp, so thinning
+over the piecewise-constant intensity reduces exactly to one Poisson draw per
+circuit per bin.
 
 Likelihood values omit the log(y!) term throughout: it is constant in the
 parameters, so fitting and model comparison are unaffected.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,26 +42,13 @@ _GAMMA_FORM = "linear_saturation_v1"
 # the numbers of a model document: key, dimensions, and what they must be
 _MODEL_NUMBERS = (("mu", 1, "a list of numbers"), ("A", 2, "a matrix of numbers"),
                   ("beta", 0, "a number"), ("cap", 0, "a number"), ("floor", 0, "a number"))
+_INF = "inf"  # the document's spelling of an infinite cap
 
 _ADAM_B1 = 0.9
 _ADAM_B2 = 0.999
 _ADAM_EPS = 1e-8
 _MAX_HALVINGS = 60
 _CONVERGENCE_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class SaturationParams:
-    """Network-wide adoption cap and lower clamp for the saturation factor."""
-
-    cap: float = math.inf
-    floor: float = 0.0
-
-    def __post_init__(self):
-        if not self.cap > 0:
-            raise PreconditionError(f"cap must be positive, got {self.cap}")
-        if not (0.0 <= self.floor < 1.0):
-            raise PreconditionError(f"floor must lie in [0, 1), got {self.floor}")
 
 
 @dataclass(frozen=True)
@@ -91,16 +79,23 @@ class FitMeta:
 
 @dataclass(frozen=True, eq=False)
 class HawkesModel:
-    """Immutable parameter set; see the module docstring for the intensity."""
+    """Immutable parameter set; see the module docstring for the intensity.
+
+    ``cap`` is the network-wide adoption cap and ``floor`` the lower clamp of
+    the saturation factor.
+    """
 
     mu: np.ndarray
     A: np.ndarray
     beta: float
-    sat: SaturationParams = field(default_factory=SaturationParams)
+    cap: float = math.inf
+    floor: float = 0.0
     circuit_ids: tuple | None = None
     meta: FitMeta | None = None
 
     def __post_init__(self):
+        for k in ("beta", "cap", "floor"):
+            object.__setattr__(self, k, float(getattr(self, k)))
         mu = np.ascontiguousarray(self.mu, dtype=np.float64)
         A = np.ascontiguousarray(self.A, dtype=np.float64)
         if mu.ndim != 1:
@@ -115,6 +110,10 @@ class HawkesModel:
             raise PreconditionError("mu and A must be nonnegative")
         if not 0 < self.beta < math.inf:
             raise PreconditionError("beta must be positive and finite")
+        if not self.cap > 0:
+            raise PreconditionError(f"cap must be positive, got {self.cap}")
+        if not (0.0 <= self.floor < 1.0):
+            raise PreconditionError(f"floor must lie in [0, 1), got {self.floor}")
         if self.circuit_ids is not None and len(self.circuit_ids) != n:
             raise PreconditionError("circuit_ids length must match mu")
         rowsum = float(A.sum(axis=1).max()) if n else 0.0
@@ -134,7 +133,6 @@ class HawkesModel:
         A.flags.writeable = False
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "beta", float(self.beta))
 
     @property
     def n(self) -> int:
@@ -143,17 +141,13 @@ class HawkesModel:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        cap = self.sat.cap
+        numbers = {k: np.asarray(getattr(self, k)).tolist() for k, _, _ in _MODEL_NUMBERS}
         return {
             "format": _MODEL_FORMAT,
             "gamma_form": _GAMMA_FORM,
             "n": self.n,
             "circuit_ids": list(self.circuit_ids) if self.circuit_ids else None,
-            "mu": self.mu.tolist(),
-            "A": self.A.tolist(),
-            "beta": self.beta,
-            "cap": "inf" if math.isinf(cap) else cap,
-            "floor": self.sat.floor,
+            **{k: _INF if v == math.inf else v for k, v in numbers.items()},
             "meta": None if self.meta is None else asdict(self.meta),
         }
 
@@ -174,14 +168,11 @@ class HawkesModel:
         missing = [k for k, _, _ in _MODEL_NUMBERS if k not in doc]
         if missing:
             raise DataValidationError(f"model document has no {missing}")
-        # "inf" is the document's spelling of an infinite cap
-        mu, A, beta, cap, floor = (
-            document_numbers(math.inf if doc[k] == "inf" else doc[k],
-                             f"model {k} must be {what}", ndim)
-            for k, ndim, what in _MODEL_NUMBERS)
+        numbers = {k: document_numbers(math.inf if doc[k] == _INF else doc[k],
+                                       f"model {k} must be {what}", ndim)
+                   for k, ndim, what in _MODEL_NUMBERS}
         cids = doc.get("circuit_ids")
-        return cls(mu=mu, A=A, beta=float(beta), circuit_ids=None if cids is None else tuple(cids),
-                   sat=SaturationParams(cap=float(cap), floor=float(floor)), meta=meta)
+        return cls(**numbers, circuit_ids=None if cids is None else tuple(cids), meta=meta)
 
     def save(self, path):
         write_json(path, self.to_dict())
@@ -259,7 +250,7 @@ def intensity(model: HawkesModel, history) -> np.ndarray:
     or None history gives the pure-baseline first bin.
     """
     G, before = _start_states(model, _panel_counts(history, model.n))
-    gamma = max(model.sat.floor, 1.0 - float(before[-1]) / model.sat.cap)
+    gamma = max(model.floor, 1.0 - float(before[-1]) / model.cap)
     return gamma * (model.mu + model.A @ G[-1])
 
 
@@ -272,7 +263,7 @@ def log_likelihood(model: HawkesModel, panel, bins=None) -> float:
     counts = _panel_counts(panel, model.n)
     b0, b1 = _normalize_bins(bins, counts.shape[0])
     G, before = _start_states(model, counts)
-    gamma, _ = _gamma_series(before, model.sat.cap, model.sat.floor)
+    gamma, _ = _gamma_series(before, model.cap, model.floor)
     return float(ACTIVE.loglik_value(counts, G, gamma, model.mu, model.A, b0, b1))
 
 
@@ -319,7 +310,7 @@ def log_likelihood_gradient(model: HawkesModel, panel, bins=None) -> GradientRes
     counts = _panel_counts(panel, model.n)
     b0, b1 = _normalize_bins(bins, counts.shape[0])
     ll, grad = _objective(counts, _count_before(counts), model.mu, model.A, model.beta,
-                          model.sat.cap, model.sat.floor, b0, b1,
+                          model.cap, model.floor, b0, b1,
                           work=ACTIVE.workspace(counts, b0, b1))
     if grad is None:
         raise NumericalError("log likelihood is not finite at this parameter point")
@@ -446,7 +437,7 @@ def fit(panel, topo, cfg: FitConfig = FitConfig(), seed: int = 0) -> HawkesModel
         mu=mu,
         A=A,
         beta=beta,
-        sat=SaturationParams(cap=cap),
+        cap=cap,
         circuit_ids=None if topo is None else tuple(topo.circuit_ids),
         meta=meta,
     )
@@ -470,8 +461,8 @@ def _simulate_from(model: HawkesModel, g0, n0: float, horizon: int, K: int,
     if K < 1:
         raise PreconditionError("need K >= 1")
     return ACTIVE.simulate_counts(
-        _rng.streams(seed, K), model.mu, model.A, model.beta, model.sat.cap,
-        model.sat.floor, g0, n0, horizon,
+        _rng.streams(seed, K), model.mu, model.A, model.beta, model.cap,
+        model.floor, g0, n0, horizon,
     )
 
 

@@ -20,7 +20,6 @@ from hstconformal import (
     HawkesModel,
     NetworkTopology,
     PipelineSettings,
-    SaturationParams,
     ScoreSet,
     SplitSpec,
     empirical_quantile,
@@ -131,11 +130,11 @@ def _fd_gradient(model, Y, eps=1e-5):
     u_mu = np.log(model.mu)
     u_A = np.log(model.A)
     u_beta = _softplus_inv(model.beta)
-    u_cap = math.log(model.sat.cap)
+    u_cap = math.log(model.cap)
 
     def ll_at(um, uA, ub, uc):
         m = HawkesModel(mu=np.exp(um), A=np.exp(uA), beta=_softplus(ub),
-                        sat=SaturationParams(cap=math.exp(uc)))
+                        cap=math.exp(uc))
         return log_likelihood(m, Y)
 
     n = model.n
@@ -171,7 +170,7 @@ def test_criterion_4_gradient_vs_finite_differences():
             mu=rng.uniform(0.2, 1.5, n),
             A=rng.uniform(0.01, 0.4 / n, (n, n)),
             beta=float(rng.uniform(0.5, 1.5)),
-            sat=SaturationParams(cap=float(max(Y.sum(), 1) * rng.uniform(2.0, 4.0))),
+            cap=float(max(Y.sum(), 1) * rng.uniform(2.0, 4.0)),
         )
         g = log_likelihood_gradient(model, Y)
         fd_mu, fd_A, fd_beta, fd_cap = _fd_gradient(model, Y, eps=1e-5)
@@ -192,7 +191,7 @@ def test_criterion_5_sampler_moments_and_saturation():
 
     capped = HawkesModel(
         mu=np.full(5, 1.0), A=np.full((5, 5), 0.04), beta=1.0,
-        sat=SaturationParams(cap=50.0),
+        cap=50.0,
     )
     traj = simulate_trajectory(capped, None, horizon=40, K=500, seed=1)
     violations = 0

@@ -77,6 +77,31 @@ def test_run_outputs_and_substation_recount(tmp_path, capsys):
     assert len(audit["scale"]) == 6
 
 
+def test_run_quotes_ids_with_commas_and_quotes(tmp_path, capsys):
+    # ids are CSV cells: a comma or a quote in one must not split the row
+    _synth(tmp_path, capsys, n=4, m=2)
+    rename = {}
+    with open(tmp_path / "topology.csv", newline="") as fh:
+        rows = [[rename.setdefault(c, f'{c},"x"') for c in row] for row in csv.reader(fh)]
+    with open(tmp_path / "topology.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([["circuit_id", "substation_id"], *rows[1:]])
+    doc = json.loads((tmp_path / "panel.json").read_text())
+    doc["circuit_ids"] = [rename[c] for c in doc["circuit_ids"]]
+    (tmp_path / "panel.json").write_text(json.dumps(doc))
+    code, _, err = _run(
+        ["run", "--panel", str(tmp_path / "panel.json"),
+         "--topology", str(tmp_path / "topology.csv"),
+         "--t0", "31", "--epochs", "20", "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0, err
+    for kind, column in (("circuit", 0), ("substation", 1)):
+        with open(tmp_path / f"{kind}_intervals.csv", newline="") as fh:
+            table = list(csv.DictReader(fh))
+        assert all(None not in r for r in table)  # no row wider than the header
+        assert [r["id"] for r in table] == list(dict.fromkeys(r[column] for r in rows[1:]))
+
+
 def test_run_reruns_are_byte_identical(tmp_path, capsys):
     _synth(tmp_path, capsys)
     args = ["run", "--panel", str(tmp_path / "panel.json"),

@@ -39,7 +39,7 @@ from hstconformal import conformal as _conformal
 from hstconformal import hawkes as _hawkes
 from hstconformal import rng as _rng
 from hstconformal.cli import main as cli_main
-from hstconformal.hawkes import FitConfig, HawkesModel, SaturationParams, intensity
+from hstconformal.hawkes import FitConfig, HawkesModel, intensity
 
 
 def _topo(assign):
@@ -178,11 +178,9 @@ def test_score_bin_equals_one_nonconformity_score_per_substation():
 
 
 def test_score_bin_names_empty_substations():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        topo = NetworkTopology(("a", "b"), ("s0", "s1"), np.array([[1, 0], [1, 0]]))
-    with pytest.raises(PreconditionError, match=r"no circuits: \['s1'\]"):
-        score_bin([1, 2], [[0, 0]], topo, np.ones(2))
+    # a topology with an empty substation cannot be built, so none reaches score_bin
+    with pytest.raises(DataValidationError, match=r"no circuits: \['s1'\]"):
+        NetworkTopology(("a", "b"), ("s0", "s1"), np.array([0, 0]))
 
 
 def test_training_scale_clamps_at_one():
@@ -531,14 +529,9 @@ def test_calibrate_zero_model_scores_standardized_group_max():
 
 
 def test_calibrate_names_empty_substations():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        topo = NetworkTopology(("a", "b"), ("s0", "s1", "s2"),
-                               np.array([[1, 0, 0], [0, 0, 1]]))
-    model = HawkesModel(mu=np.zeros(2), A=np.zeros((2, 2)), beta=1.0)
-    Y = np.array([[0, 0], [1, 0], [2, 5]])
-    with pytest.raises(PreconditionError, match=r"no circuits: \['s1'\]"):
-        calibrate(Y, model, topo, (2, 3), K=2, seed=0)
+    # the empty substation is named where the topology is built, before calibrate
+    with pytest.raises(DataValidationError, match=r"no circuits: \['s1'\]"):
+        NetworkTopology(("a", "b"), ("s0", "s1", "s2"), np.array([0, 2]))
 
 
 def test_calibrate_matches_manual_recount(small_triple):
@@ -588,7 +581,7 @@ def test_calibrate_matches_the_recount_when_saturation_reaches_its_floor(monkeyp
     before = np.concatenate(([0], np.cumsum(Y.sum(axis=1))))
     cap = before[60] / 0.7
     model = HawkesModel(mu=np.full(6, 0.4), A=np.full((6, 6), 0.05), beta=0.9,
-                        sat=SaturationParams(cap=cap, floor=0.3))
+                        cap=cap, floor=0.3)
     assert 1.0 - before[45] / cap > 0.3 >= 1.0 - before[75] / cap
     _assert_calibrate_matches_recount(monkeypatch, Y, model, topo, (45, 75), 50, 4)
 
@@ -879,8 +872,8 @@ def test_calibrate_holds_a_model_to_the_topology_circuit_order(small_triple):
                        match="^model circuit ordering disagrees with topology$"):
         calibrate(panel.Y[:, order], model, reordered, (40, 50), K=3)
     # a model without ids is taken in the topology's order
-    unnamed = HawkesModel(mu=model.mu, A=model.A, beta=model.beta, sat=model.sat,
-                          meta=model.meta)
+    unnamed = HawkesModel(mu=model.mu, A=model.A, beta=model.beta, cap=model.cap,
+                          floor=model.floor, meta=model.meta)
     named = calibrate(panel, model, topo, (40, 50), K=3)
     assert np.array_equal(calibrate(panel, unnamed, topo, (40, 50), K=3).scores, named.scores)
 

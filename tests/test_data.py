@@ -207,6 +207,15 @@ def test_ingest_reports_line_of_bad_timestamp(tmp_path):
         ingest_events(p, _topo2(), start="2020-01-01", end="2021-01-01")
 
 
+def test_ingest_reports_the_file_line_after_a_multi_line_id(tmp_path):
+    # the bad timestamp is on file line 5, the third record after the header
+    topo = NetworkTopology.from_assignments(["ca", "c\nb"], ["s0", "s0"])
+    p = tmp_path / "events.csv"
+    p.write_text('circuit_id,timestamp\nca,2020-02-02\n"c\nb",2020-03-03\nca,not-a-date\n')
+    with pytest.raises(DataValidationError, match=r"events\.csv:5:"):
+        ingest_events(p, topo, start="2020-01-01", end="2021-01-01")
+
+
 def test_ingest_requires_whole_bins_and_explicit_range(tmp_path):
     p = tmp_path / "events.csv"
     p.write_text("circuit_id,timestamp\n")
@@ -275,7 +284,7 @@ def test_synthetic_is_deterministic_and_nontrivial():
     b_panel, b_topo, b_truth = generate_synthetic(6, 3, 30, seed=5)
     assert np.array_equal(a_panel.Y, b_panel.Y)
     assert a_topo.circuit_ids == b_topo.circuit_ids
-    assert np.array_equal(a_topo.C, b_topo.C)
+    assert np.array_equal(a_topo.substation_of, b_topo.substation_of)
     assert np.array_equal(a_truth.mu, b_truth.mu)
     assert a_panel.Y.sum() > 0
     c_panel, _, _ = generate_synthetic(6, 3, 30, seed=6)
@@ -285,7 +294,7 @@ def test_synthetic_is_deterministic_and_nontrivial():
 def test_synthetic_shapes_and_topology_cover_all_substations():
     panel, topo, truth = generate_synthetic(9, 4, 12, seed=0)
     assert panel.Y.shape == (12, 9)
-    assert topo.C.shape == (9, 4)
+    assert np.eye(topo.m, dtype=int)[topo.substation_of].shape == (9, 4)
     assert all(len(g) >= 1 for g in topo.members)
     assert truth.circuit_ids == topo.circuit_ids
     assert panel.circuit_ids == topo.circuit_ids
@@ -296,7 +305,7 @@ def test_synthetic_respects_cap():
     per_bin = panel.Y.sum(axis=1)
     cum = per_bin.cumsum()
     over = np.nonzero(cum >= 50)[0]
-    assert math.isclose(truth.sat.cap, 50.0)
+    assert math.isclose(truth.cap, 50.0)
     if over.size:
         first = over[0]
         assert cum[-1] <= 50 + per_bin[first]

@@ -111,7 +111,8 @@ def test_rolling_report_internally_consistent(tmp_path, small_triple, fast_setti
     assert np.array_equal(shits, rep.sub_hits)
     assert rep.val == hits.mean()
     assert rep.agg_val == shits.mean()
-    assert np.array_equal(rep.sub_truth, rep.truth @ topo.C)
+    C = np.eye(topo.m, dtype=int)[topo.substation_of]  # the (n, m) incidence matrix
+    assert np.array_equal(rep.sub_truth, rep.truth @ C)
 
     assert rep.config["t0"] == 41 and rep.config["test"] == 10
 

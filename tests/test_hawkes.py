@@ -11,7 +11,6 @@ from hstconformal import (
     HawkesModel,
     NumericalError,
     PreconditionError,
-    SaturationParams,
     fit,
     generate_synthetic,
     intensity,
@@ -37,7 +36,7 @@ def _model(mu, A, beta=1.0, cap=math.inf, floor=0.0):
         mu=np.asarray(mu, float),
         A=np.asarray(A, float),
         beta=beta,
-        sat=SaturationParams(cap=cap, floor=floor),
+        cap=cap, floor=floor,
     )
 
 
@@ -141,7 +140,7 @@ def _random_point(rng, n_max=5, T_max=50):
         mu=rng.uniform(0.2, 1.5, n),
         A=rng.uniform(0.01, 0.4 / n, (n, n)),
         beta=float(rng.uniform(0.5, 1.5)),
-        sat=SaturationParams(cap=float(max(total, 1) * rng.uniform(2.0, 4.0))),
+        cap=float(max(total, 1) * rng.uniform(2.0, 4.0)),
     )
     return m, Y
 
@@ -151,12 +150,12 @@ def _fd_gradient(model, Y, eps=1e-5):
     u_mu = np.log(model.mu)
     u_A = np.log(model.A)
     u_beta = _softplus_inv(model.beta)
-    u_cap = math.log(model.sat.cap)
+    u_cap = math.log(model.cap)
 
     def rebuild(um, uA, ub, uc):
         return HawkesModel(
             mu=np.exp(um), A=np.exp(uA), beta=_softplus(ub),
-            sat=SaturationParams(cap=math.exp(uc), floor=model.sat.floor),
+            cap=math.exp(uc), floor=model.floor,
         )
 
     def ll_at(um, uA, ub, uc):
@@ -247,7 +246,7 @@ def test_fit_recovers_baselines_within_tolerance():
     panel, topo, _ = generate_synthetic(5, 2, 500, model=truth, seed=3)
     fitted = fit(panel, topo, FitConfig(epochs=700, fit_cap=False), seed=1)
     # the unfitted cap sits at log inf = inf with gradient 0: no step moves it
-    assert fitted.sat.cap == math.inf
+    assert fitted.cap == math.inf
     rel = np.abs(fitted.mu - truth.mu) / truth.mu
     assert rel.mean() <= 0.25
     assert fitted.meta.loglik_final >= fitted.meta.loglik_init
@@ -266,7 +265,7 @@ def test_fit_is_deterministic_for_a_seed():
     b = fit(panel, topo, cfg, seed=5)
     assert np.array_equal(a.mu, b.mu)
     assert np.array_equal(a.A, b.A)
-    assert a.beta == b.beta and a.sat.cap == b.sat.cap
+    assert a.beta == b.beta and a.cap == b.cap
     c = fit(panel, topo, cfg, seed=6)
     assert not np.array_equal(a.mu, c.mu)
 
@@ -375,7 +374,7 @@ def test_fit_on_a_workspace_equals_the_allocating_fit(monkeypatch, n, m, T, epoc
             _without_work(mp)
             b = fit(panel, topo, cfg, seed=2)
     assert np.array_equal(a.mu, b.mu) and np.array_equal(a.A, b.A)
-    assert a.beta == b.beta and a.sat.cap == b.sat.cap and a.meta == b.meta
+    assert a.beta == b.beta and a.cap == b.cap and a.meta == b.meta
     assert a.meta.epochs_run == epochs
 
 
@@ -508,13 +507,13 @@ def test_model_save_load_round_trip_is_value_exact(tmp_path):
     assert np.array_equal(back.mu, meta_model.mu)
     assert np.array_equal(back.A, meta_model.A)
     assert back.beta == meta_model.beta
-    assert back.sat.cap == meta_model.sat.cap
+    assert back.cap == meta_model.cap
     assert back.meta.loglik_final == meta_model.meta.loglik_final
 
     inf_model = _model([1.0], [[0.2]])
     p2 = tmp_path / "inf.json"
     inf_model.save(p2)
-    assert math.isinf(HawkesModel.load(p2).sat.cap)
+    assert math.isinf(HawkesModel.load(p2).cap)
 
 
 def test_model_json_rejects_cov_coef():
@@ -542,6 +541,12 @@ _MALFORMED_MODELS = {
     "ragged A": (_with(A=[[0.1], [0.0, 0.1]]), "model A must be a matrix of numbers"),
     "listed floor": (_with(floor=[0.0]), "model floor must be a number"),
     "cov_coef": (_with(cov_coef=[0.5]), "model has cov_coef"),
+    # out-of-range values: the model's own checks, reported as data errors
+    "negative cap": (_with(cap=-5), "cap must be positive, got -5.0"),
+    "floor above 1": (_with(floor=2.0), "floor must lie in [0, 1), got 2.0"),
+    "zero beta": (_with(beta=0), "beta must be positive and finite"),
+    "negative mu": (_with(mu=[1.0, -2.0]), "mu and A must be nonnegative"),
+    "short circuit_ids": (_with(circuit_ids=["c0"]), "circuit_ids length must match mu"),
     "not a mapping": (lambda doc: b"[1, 2]", "model document must be a JSON object"),
     "not UTF-8": (lambda doc: b'{"mu": "\xff"}', ":1: not UTF-8 text"),
     "truncated": (lambda doc: json.dumps(doc, indent=2).encode()[:-20], ": not a JSON document"),
@@ -557,7 +562,7 @@ def test_model_load_rejects_a_malformed_document_naming_the_file(tmp_path, case)
     doc = _model([1.0, 2.0], [[0.1, 0.0], [0.0, 0.1]], cap=50.0).to_dict()
     path = tmp_path / "model.json"
     path.write_bytes(_with()(doc))  # the unedited document loads
-    assert HawkesModel.load(path).sat.cap == 50.0
+    assert HawkesModel.load(path).cap == 50.0
     path.write_bytes(edit(doc))
     with pytest.raises(DataValidationError) as caught:
         HawkesModel.load(path)
@@ -586,10 +591,10 @@ def test_model_validation_rejects_bad_shapes():
         HawkesModel(mu=np.array([-1.0]), A=np.zeros((1, 1)), beta=1.0)
     with pytest.raises(PreconditionError):
         HawkesModel(mu=np.array([1.0]), A=np.zeros((1, 1)), beta=0.0)
-    with pytest.raises(PreconditionError):
-        SaturationParams(cap=0.0)
-    with pytest.raises(PreconditionError):
-        SaturationParams(floor=1.0)
+    with pytest.raises(PreconditionError, match=r"^cap must be positive, got 0\.0$"):
+        HawkesModel(mu=np.array([1.0]), A=np.zeros((1, 1)), beta=1.0, cap=0)
+    with pytest.raises(PreconditionError, match=r"^floor must lie in \[0, 1\), got 1\.0$"):
+        HawkesModel(mu=np.array([1.0]), A=np.zeros((1, 1)), beta=1.0, floor=1.0)
 
 
 def test_model_rejects_non_finite_parameters():

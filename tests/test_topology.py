@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -11,14 +9,16 @@ def _topo(assign, m=None):
     n = len(assign)
     if m is None:
         m = max(assign) + 1
-    C = np.zeros((n, m), dtype=np.int64)
-    for i, j in enumerate(assign):
-        C[i, j] = 1
     return NetworkTopology(
         circuit_ids=tuple(f"c{i}" for i in range(n)),
         substation_ids=tuple(f"s{j}" for j in range(m)),
-        C=C,
+        substation_of=np.array(assign, dtype=np.int64),
     )
+
+
+def _incidence(topo):
+    """The (n, m) 0/1 incidence matrix C: C[i, j] = 1 when circuit i is in substation j."""
+    return np.eye(topo.m, dtype=int)[topo.substation_of]
 
 
 def _same_substation(topo):
@@ -93,7 +93,7 @@ def test_aggregate_matches_matrix_product():
     assign[:4] = np.arange(4)
     topo = _topo(assign.tolist(), m=4)
     M = rng.normal(size=(5, 9))
-    assert np.allclose(topo.aggregate(M), M @ topo.C)
+    assert np.allclose(topo.aggregate(M), M @ _incidence(topo))
 
 
 def test_aggregate_rejects_wrong_length():
@@ -105,38 +105,55 @@ def test_aggregate_rejects_wrong_length():
 
 
 def test_rejects_row_with_no_substation():
-    C = np.array([[1, 0], [0, 0]], dtype=np.int64)
-    with pytest.raises(DataValidationError):
-        NetworkTopology(("a", "b"), ("s0", "s1"), C)
+    # circuit b has no substation index
+    with pytest.raises(DataValidationError, match="one integer substation index per circuit"):
+        NetworkTopology(("a", "b"), ("s0", "s1"), np.array([0]))
 
 
 def test_rejects_row_with_two_substations():
-    C = np.array([[1, 1], [0, 1]], dtype=np.int64)
-    with pytest.raises(DataValidationError):
-        NetworkTopology(("a", "b"), ("s0", "s1"), C)
+    # a circuit's assignment is one index, so two per circuit is the wrong shape
+    with pytest.raises(DataValidationError, match=r"shape \(2, 2\) for 2 circuits"):
+        NetworkTopology(("a", "b"), ("s0", "s1"), np.array([[0, 1], [1, 1]]))
 
 
 def test_rejects_non_binary_entries():
-    C = np.array([[2, 0], [0, 1]], dtype=np.int64)
-    with pytest.raises(DataValidationError):
-        NetworkTopology(("a", "b"), ("s0", "s1"), C)
+    # an index past the last substation names no substation
+    with pytest.raises(DataValidationError, match=r"outside \[0, 2\) for circuits \['a'\]"):
+        NetworkTopology(("a", "b"), ("s0", "s1"), np.array([2, 1]))
+
+
+@pytest.mark.parametrize("sub, message", [
+    ([0, 1, 1], r"int64 array of shape \(3,\) for 2 circuits"),
+    ([0, -1], r"outside \[0, 2\) for circuits \['b'\]"),
+    ([0, 5], r"outside \[0, 2\) for circuits \['b'\]"),
+    ([0.0, 1.0], r"float64 array of shape \(2,\)"),
+])
+def test_rejects_malformed_substation_of(sub, message):
+    with pytest.raises(DataValidationError, match=message):
+        NetworkTopology(("a", "b"), ("s0", "s1"), np.array(sub))
+
+
+def test_substation_of_is_a_read_only_copy():
+    sub = np.array([1, 0])
+    topo = NetworkTopology(("a", "b"), ("s0", "s1"), sub)
+    sub[0] = 0
+    assert topo.substation_of.tolist() == [1, 0]
+    assert topo.substation_of.dtype == np.int64
+    assert not topo.substation_of.flags.writeable
 
 
 def test_rejects_duplicate_ids():
-    C = np.eye(2, dtype=np.int64)
-    with pytest.raises(DataValidationError):
-        NetworkTopology(("a", "a"), ("s0", "s1"), C)
-    with pytest.raises(DataValidationError):
-        NetworkTopology(("a", "b"), ("s0", "s0"), C)
+    sub = np.array([0, 1])
+    with pytest.raises(DataValidationError, match=r"duplicate circuit ids \['a'\]"):
+        NetworkTopology(("a", "a"), ("s0", "s1"), sub)
+    with pytest.raises(DataValidationError, match=r"duplicate substation ids \['s0'\]"):
+        NetworkTopology(("a", "b"), ("s0", "s0"), sub)
 
 
 def test_empty_substation_warns():
-    C = np.array([[1, 0], [1, 0]], dtype=np.int64)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        topo = NetworkTopology(("a", "b"), ("s0", "s1"), C)
-    assert any("s1" in str(w.message) for w in caught)
-    assert topo.members[1].size == 0
+    # an empty substation is rejected where the topology is built, naming it
+    with pytest.raises(DataValidationError, match=r"substations with no circuits: \['s1'\]"):
+        NetworkTopology(("a", "b"), ("s0", "s1"), np.array([0, 0]))
 
 
 def test_from_assignments_orders_substations_by_first_appearance():
@@ -154,7 +171,7 @@ def test_csv_round_trip(tmp_path):
     back = NetworkTopology.from_csv(path)
     assert back.circuit_ids == topo.circuit_ids
     assert back.substation_ids == topo.substation_ids
-    assert np.array_equal(back.C, topo.C)
+    assert np.array_equal(back.substation_of, topo.substation_of)
 
 
 def test_csv_rejects_duplicates_and_bad_header(tmp_path):
@@ -166,3 +183,14 @@ def test_csv_rejects_duplicates_and_bad_header(tmp_path):
     q.write_text("circuit,substation\na,s0\n")
     with pytest.raises(DataValidationError):
         NetworkTopology.from_csv(q)
+
+
+def test_csv_errors_name_the_file_line_of_the_row(tmp_path):
+    # a quoted id that spans two lines moves every later row down a line
+    p = tmp_path / "t.csv"
+    p.write_text('circuit_id,substation_id\n"c\n1",s0\nc2\n')
+    with pytest.raises(DataValidationError, match=r"t\.csv:4: expected 2 columns"):
+        NetworkTopology.from_csv(p)
+    p.write_text('circuit_id,substation_id\n"c\n1",s0\n\nc2,\n')
+    with pytest.raises(DataValidationError, match=r"t\.csv:5: blank identifier"):
+        NetworkTopology.from_csv(p)
