@@ -38,22 +38,36 @@ fits fault about 100 times each, while the 1000-epoch (301, 24) fit of a
 ``run-fit`` command faulted 95,000-108,000 times.  So compare the two
 columns of one run, and measure a command with ``getrusage`` around it.
 
+A fifth table times the calibration walk: the per-bin walk, one
+``simulate_bin`` and one ``score_bin`` per bin, against ``calibrate``,
+which simulates and scores blocks of consecutive bins with one kernel call
+and one scoring reduction each.  It runs on a synthetic panel and its
+truth model, scoring the last quarter of the bins, at (n, K) = (24, 10),
+(96, 10) and (24, 200) for --n 24, n scaled with --n; the default --T
+gives 100 calibration bins.  The per-bin walk rescans each bin's history,
+as ``simulate_bin`` does, where ``calibrate`` scans the panel once.  Its
+mismatch column counts bins whose scores differ from the per-bin walk's;
+it must read 0.  ``--json PATH`` writes this table to PATH with the
+versions and kernel path it ran on (``benchmarks/BENCH_calibrate.json``).
+
 Usage:
     python3 benchmarks/bench_kernels.py [--T 400] [--n 24] [--horizon 52]
-        [--repeats 200]
+        [--repeats 200] [--json PATH]
 
 Each timing is the best of ``--repeats`` calls, or of as many as fit in
 TIME_BUDGET_S seconds (at least one).  Without numba (not importable, or
 HSTCONFORMAL_NO_NUMBA set) the jit, speedup and diff columns of the first
 table read "jit unavailable".  The script exits with status 1 when a stream
-mismatch count or a simulation max diff is not 0.
+or calibration mismatch count or a simulation max diff is not 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import math
+import platform
 import resource
 import sys
 import time
@@ -61,8 +75,9 @@ import warnings
 
 import numpy as np
 
-from hstconformal import FitConfig, fit, rng
-from hstconformal._kernels import _LOOP_PURE, ACTIVE, JIT, PURE
+from hstconformal import (FitConfig, calibrate, fit, generate_synthetic, rng, score_bin,
+                          simulate_bin, training_scale)
+from hstconformal._kernels import _LOOP_PURE, ACTIVE, JIT, PURE, USING_NUMBA
 
 TIME_BUDGET_S = 2.0
 K = 200  # simulated scenarios per simulate_counts call, as in a forecast
@@ -73,6 +88,10 @@ STREAM_SEEDS = (0, 5, 2**32 + 1, 2**64 - 1, 2**100 + 3)
 FIT_SIZES = ((300, 24), (300, 96))  # (T, n) at --T 400 --n 24
 FIT_EPOCHS = 100
 FIT_RUNS = 3  # fits per cell, fewer when --repeats is smaller
+# (n, m, K) at --n 24: the forecast-sim and evaluate-qr panels at the
+# default scenario count, and forecast-sim's 200 scenarios
+CAL_SIZES = ((24, 6, 10), (96, 12, 10), (24, 6, 200))
+CAL_SEED = 5
 
 
 def best_time(fn, repeats: int, inputs=tuple) -> float:
@@ -109,7 +128,8 @@ def build_cases(T: int, n: int, horizon: int):
     dgam = np.zeros(T)
     G = PURE.excitation_series(counts, beta)
     H = PURE.excitation_beta_series(counts, beta, G)
-    g0 = np.zeros(n)
+    g0 = np.zeros((1, n))  # one start row for all K trajectories
+    n0 = np.zeros(1)
 
     def fresh_streams():
         # one stream per scenario, consumed by the call
@@ -153,7 +173,7 @@ def build_cases(T: int, n: int, horizon: int):
     dense("loglik_grads", f"T={T} n={n}", grads)
 
     def sim(impl, streams):
-        return impl.simulate_counts(streams, mu, A, beta, np.inf, 0.0, g0, 0.0, horizon)
+        return impl.simulate_counts(streams, mu, A, beta, np.inf, 0.0, g0, n0, horizon)
 
     cases.append(
         (
@@ -264,12 +284,66 @@ def print_fit_table(T, n, repeats):
         print(f"{row:<16}{epochs:>7}{cells}")
 
 
+def per_bin_walk(Y, topo, model, b0, b1, k_count):
+    # the (m, bins) scores of one simulate_bin and one score_bin per bin
+    scale = training_scale(Y[:b0])
+    return np.column_stack([
+        score_bin(Y[t], simulate_bin(model, Y[:t], K=k_count,
+                                     seed=rng.derive(CAL_SEED, "cal", t)), topo, scale)
+        for t in range(b0, b1)])
+
+
+def print_calibrate_table(T, n, repeats) -> list:
+    # speedup is the per-bin time over the calibrate time; returns the rows
+    header = (f"{'calibration':<24}{'bins':>6}{'per-bin walk':>15}{'calibrate':>12}"
+              f"{'speedup':>9}{'mismatches':>12}")
+    print(header)
+    print("-" * len(header))
+    rows = []
+    for n_base, m_base, k_count in CAL_SIZES:
+        size = max(1, n_base * n // 24)
+        panel, topo, model = generate_synthetic(size, max(1, min(size, m_base * n // 24)),
+                                                T, seed=CAL_SEED)
+        Y = panel.Y
+        b0 = T - max(1, T // 4)
+        want = per_bin_walk(Y, topo, model, b0, T, k_count)
+        got = calibrate(Y, model, topo, (b0, T), K=k_count, seed=CAL_SEED).scores
+        bad = int((got != want).any(axis=0).sum())
+        t_bin = best_time(lambda: per_bin_walk(Y, topo, model, b0, T, k_count), repeats)
+        t_cal = best_time(lambda: calibrate(Y, model, topo, (b0, T), K=k_count,
+                                            seed=CAL_SEED), repeats)
+        rows.append({"n": size, "m": topo.m, "K": k_count, "bins": T - b0,
+                     "per_bin_walk_ms": round(t_bin * 1e3, 3),
+                     "calibrate_ms": round(t_cal * 1e3, 3), "mismatches": bad})
+        print(f"{f'n={size} K={k_count}':<24}{T - b0:>6}{t_bin * 1e3:>13.3f}ms"
+              f"{t_cal * 1e3:>10.3f}ms{t_bin / t_cal:>8.1f}x{bad:>12}")
+    return rows
+
+
+def write_calibrate_json(path, rows, args):
+    doc = {
+        "benchmark": "calibration walk: per-bin simulate_bin + score_bin against calibrate",
+        "command": (f"python3 benchmarks/bench_kernels.py --T {args.T} --n {args.n} "
+                    f"--horizon {args.horizon} --repeats {args.repeats} --json {path}"),
+        "timing": f"best of --repeats calls or of {TIME_BUDGET_S} s of calls",
+        "kernel_path": "numba" if USING_NUMBA else "pure numpy",
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "rows": rows,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--T", type=int, default=400, help="panel length")
     parser.add_argument("--n", type=int, default=24, help="circuit count")
     parser.add_argument("--horizon", type=int, default=52, help="simulation bins")
     parser.add_argument("--repeats", type=int, default=200, help="timing repeats")
+    parser.add_argument("--json", help="write the calibration table to this file")
     args = parser.parse_args(argv)
 
     cases = build_cases(args.T, args.n, args.horizon)
@@ -287,10 +361,15 @@ def main(argv=None) -> int:
     mismatches = print_stream_table(args.repeats)
     print()
     print_fit_table(args.T, args.n, args.repeats)
+    print()
+    cal_rows = print_calibrate_table(args.T, args.n, args.repeats)
+    if args.json:
+        write_calibrate_json(args.json, cal_rows, args)
+    cal_mismatches = sum(r["mismatches"] for r in cal_rows)
     sim_diffs = [d["simulate_counts"] for d in (jit_diffs, loop_diffs) if d]
-    if mismatches or any(sim_diffs):
-        print(f"FAILED: {mismatches} stream mismatches, simulation max diffs {sim_diffs}",
-              file=sys.stderr)
+    if mismatches or cal_mismatches or any(sim_diffs):
+        print(f"FAILED: {mismatches} stream mismatches, {cal_mismatches} calibration "
+              f"mismatches, simulation max diffs {sim_diffs}", file=sys.stderr)
         return 1
     return 0
 

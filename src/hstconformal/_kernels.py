@@ -35,25 +35,29 @@ Guarantees relied on by the rest of the package:
   workspace for all its epochs: an allocating epoch makes about 32 (T, n)
   temporaries, and glibc hands much of that memory back to the system
   (by unmapping or trimming the heap), so each epoch faults it in anew.
-* ``simulate_counts(streams, ...)`` takes K streams (``rng.Streams``, one
-  per trajectory) and returns (K, horizon, n) counts, leaving each stream
-  after its trajectory's last uniform.  The loop family simulates the
-  trajectories one after another, each on a ``Generator`` at its stream's
-  state (``streams.generator(k)``, written back with ``set_state``); the
-  pure path advances all K together, one numpy step per bin
+* ``simulate_counts(streams, mu, A, beta, cap, floor, g0, n0, horizon)``
+  takes R start rows, the excitation states ``g0`` (R, n) and network
+  totals ``n0`` (R,), and R*K streams (``rng.Streams``, one per
+  trajectory): streams r*K .. r*K + K-1 start from row r.  It returns
+  (R*K, horizon, n) counts, leaving each stream after its trajectory's last
+  uniform.  A calibration block is R bins of K scenarios each; a forecast
+  is one start row.  The loop family simulates the trajectories one after
+  another, each on a ``Generator`` at its stream's state
+  (``streams.generator(k)``, written back with ``set_state``); the pure
+  path advances all R*K together, one numpy step per bin
   (``_simulate_counts_np``), builds no ``Generator`` but for rows that take
   PTRS draws, and stays bit-identical to the loop, draws and stream states
   alike, by these rules:
 
-  - all K trajectories start from (g0, n0), so step 0 computes one
-    excitation row and one rate row, shared by every trajectory;
+  - the K trajectories of a start row share it until their first draws, so
+    step 0 computes R excitation rows and R rate rows, one per start;
   - every excitation row is one BLAS gemv, the kernel of the loop's
-    ``np.dot(A, g)``: steps >= 1 make them with one stacked
+    ``np.dot(A, g)``: each step makes them with one stacked
     ``np.matmul(A, g[:, :, None])``, which runs one gemv per row, not one
     gemm over the rows, which BLAS may round differently;
   - e^-lambda is ``math.exp`` per positive rate, because ``np.exp`` differs
-    in the last ulp on some inputs; the shared rate row of step 0 takes n
-    calls, not K * n;
+    in the last ulp on some inputs; the shared rate rows of step 0 take
+    R * n calls, not R * K * n;
   - one ``streams.random(m)`` call hands every row its uniforms, m_k being
     row k's count of positive rates: the values of m_k scalar
     ``Generator.random()`` calls, and a rate <= 0 consumes none;
@@ -246,11 +250,14 @@ def build_loop_kernels(jit):
 
     def simulate_counts(streams, mu, A, beta, cap, floor, g0, n0, horizon):
         # one (horizon, n) trajectory per stream, in order, each drawn from a
-        # Generator at its stream's state, whose final state is written back
+        # Generator at its stream's state, whose final state is written back;
+        # start row r of g0 and n0 feeds the streams r*K .. r*K + K-1
         out = np.empty((len(streams), horizon, mu.shape[0]), dtype=np.int64)
+        K = len(streams) // g0.shape[0]
         for k in range(len(streams)):
             gen = streams.generator(k)
-            out[k] = simulate_one(gen, mu, A, beta, cap, floor, g0, n0, horizon)
+            out[k] = simulate_one(gen, mu, A, beta, cap, floor, g0[k // K], n0[k // K],
+                                  horizon)
             streams.set_state(k, gen)
         return out
 
@@ -421,17 +428,20 @@ def _poisson_step(streams, lam):
     """One draw per rate for each stream: row k equals calling
     ``poisson_draw`` along row k of ``lam`` left to right on a Generator at
     stream k's state, in the integers drawn and in the uniforms consumed.
-    ``lam`` is (K, n), or (1, n): one rate row shared by all K streams."""
-    K = len(streams)
+    ``lam`` is (R, n) with R dividing the stream count: rate row r is shared
+    by the K = len(streams) / R streams r*K .. r*K + K-1."""
     by_scalar = ~(lam < _PTRS_SWITCH).all(axis=1)  # a PTRS (or nan) rate in the row
     pos = (lam > 0.0) & ~by_scalar[:, None]
     rate = lam[pos]
     # e^-rate once per positive rate of lam: a shared row takes n calls, not K*n
     p = np.fromiter(map(math.exp, (-rate).tolist()), np.float64, rate.size)
-    if lam.shape[0] < K:
-        lam, by_scalar, pos = (np.broadcast_to(a, (K,) + a.shape[1:])
-                               for a in (lam, by_scalar, pos))
-        rate, p = np.tile(rate, K), np.tile(p, K)
+    if lam.shape[0] < len(streams):
+        K = len(streams) // lam.shape[0]
+        exp = np.zeros(lam.shape)
+        exp[pos] = p
+        lam, by_scalar, pos, exp = (np.repeat(a, K, axis=0)
+                                    for a in (lam, by_scalar, pos, exp))
+        rate, p = lam[pos], exp[pos]
     draws = np.zeros(lam.shape, dtype=np.int64)
     for k in np.flatnonzero(by_scalar).tolist():
         gen = streams.generator(k)
@@ -462,13 +472,12 @@ def _poisson_step(streams, lam):
 
 
 def _simulate_counts_np(streams, mu, A, beta, cap, floor, g0, n0, horizon):
-    """The loop ``simulate_counts`` with all K trajectories advanced together,
+    """The loop ``simulate_counts`` with all trajectories advanced together,
     one numpy step per bin; every row makes the loop's float operations."""
-    K = len(streams)
-    out = np.empty((K, horizon, mu.shape[0]), dtype=np.int64)
-    # one state row until the first draws: every trajectory starts at (g0, n0)
-    g = g0[None, :]
-    tot = np.full(1, n0, dtype=np.float64)
+    out = np.empty((len(streams), horizon, mu.shape[0]), dtype=np.int64)
+    # one state row per start until the first draws, then one per trajectory
+    g = g0
+    tot = np.asarray(n0, dtype=np.float64)
     decay = np.exp(-beta)
     for h in range(horizon):
         gamma = 1.0 - tot / cap
@@ -477,10 +486,12 @@ def _simulate_counts_np(streams, mu, A, beta, cap, floor, g0, n0, horizon):
         excit = np.matmul(A, g[:, :, None])[:, :, 0]
         draws = _poisson_step(streams, gamma[:, None] * (mu + excit))
         out[:, h] = draws
+        if h == 0:
+            K = len(streams) // g0.shape[0]
+            g, tot = np.repeat(g, K, axis=0), np.repeat(tot, K)
         g = decay * (g + beta * draws)
         # running totals add the draws one circuit at a time, as the loop does
-        tot = np.add.accumulate(np.column_stack((np.broadcast_to(tot, K), draws)),
-                                axis=1)[:, -1]
+        tot = np.add.accumulate(np.column_stack((tot, draws)), axis=1)[:, -1]
     return out
 
 

@@ -3,15 +3,17 @@
 One calibration score per substation per bin: the smallest (over K
 scenarios) substation maximum error, i.e. the largest standardized absolute
 residual among the substation's circuits.  `nonconformity_score` (one
-group) and `score_bin` (every substation) share that one reduction,
-`_group_scores`.  Scores and quantiles are substation rows; `to_circuits` is
-the one place they reach the circuits.  Each input has one checked reader:
+group), `score_bin` (every substation of one bin) and `calibrate` (every
+substation of a block of bins) share that one reduction, `_group_scores`.
+Scores and quantiles are substation rows; `to_circuits` is the one place
+they reach the circuits.  Each input has one checked reader:
 `hawkes._panel_counts` for counts, which `hawkes._topology_counts` also holds
 to the topology's circuit order, `_scenario_matrix` for scenario draws, a
 (K, n) array, and `_scale_vector` for circuit scales; calibration bins'
-scenarios come from `_bin_scenarios`.  `_forecast` is the one forecast core,
-fit -> calibrate -> quantile -> K target trajectories -> one `build_interval`
-per step, and `hst_conformal_pipeline` is its horizon-1 case.
+scenarios come from `_bin_scenarios`, in blocks of consecutive bins.
+`_forecast` is the one forecast core, fit -> calibrate -> quantile -> K
+target trajectories -> one `build_interval` per step, and
+`hst_conformal_pipeline` is its horizon-1 case.
 
 Intervals de-standardize each substation quantile by the circuit's own scale
 and wrap the scenario min/max envelope; substation bounds aggregate the RAW
@@ -30,7 +32,8 @@ import numpy as np
 from . import hawkes as _hawkes
 from . import rng as _rng
 from .data import SplitSpec
-from .errors import DataValidationError, PreconditionError, check_circuits, write_json
+from .errors import (DataValidationError, PreconditionError, check_circuits, check_integer,
+                     write_json)
 from .topology import NetworkTopology
 
 _QUANTILE_METHODS = ("empirical", "qr")
@@ -68,7 +71,11 @@ class ScoreSet:
 
     def extend(self, new_scores) -> "ScoreSet":
         """Append one bin's (m,) score column (time order preserved)."""
-        return ScoreSet(np.column_stack([self.scores, new_scores]), self.scale, self.alpha)
+        column = np.asarray(new_scores, dtype=np.float64)
+        if column.shape != (self.n,):
+            raise PreconditionError(
+                f"need one score per substation: shape {column.shape} for {self.n} substations")
+        return ScoreSet(np.column_stack([self.scores, column]), self.scale, self.alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,17 +173,18 @@ def _scale_vector(scale, n: int | None = None) -> np.ndarray:
     return s
 
 
-def _group_scores(y_t, scenarios, groups, scale, n: int) -> np.ndarray:
-    """Per group of circuit indices: the smallest, over the K scenarios, of the
-    group's largest standardized absolute error.  The one scoring reduction;
-    the count row, the draws and the scale each hold one entry per circuit."""
-    samples = _scenario_matrix(scenarios, n)
+def _group_scores(y, samples, groups, scale, n: int) -> np.ndarray:
+    """Per bin and group of circuit indices: the smallest, over the bin's K
+    scenarios, of the group's largest standardized absolute error.  The one
+    scoring reduction, over a leading bin axis: ``y`` holds R count rows
+    (R, n), ``samples`` their draws (R, K, n) and ``scale`` one entry per
+    circuit; returns (R, groups)."""
     idx = np.concatenate(groups)
-    y = _hawkes._panel_counts(np.asarray(y_t)[None], n)[0, idx]
+    y = _hawkes._panel_counts(y, n)[:, idx]
     s = _scale_vector(scale, n)[idx]
-    errs = np.abs(y[None, :] - samples[:, idx]) / s[None, :]
+    errs = np.abs(y[:, None, :] - samples[:, :, idx]) / s
     starts = np.cumsum([0] + [g.size for g in groups[:-1]])
-    return np.maximum.reduceat(errs, starts, axis=1).min(axis=0)
+    return np.maximum.reduceat(errs, starts, axis=2).min(axis=1)
 
 
 def nonconformity_score(y_t, scenarios, S_row, scale) -> float:
@@ -193,26 +201,44 @@ def nonconformity_score(y_t, scenarios, S_row, scale) -> float:
     if bad.size:
         raise PreconditionError(
             f"S_row indices {bad.tolist()} are out of range for {n} circuits")
-    return float(_group_scores(y_t, scenarios, [idx], scale, n)[0])
+    return float(_group_scores(np.asarray(y_t)[None], _scenario_matrix(scenarios, n)[None],
+                               [idx], scale, n)[0, 0])
 
 
 def score_bin(y_t, scenarios, topo: NetworkTopology, scale) -> np.ndarray:
     """One bin's (m,) scores, one per substation in ``topo.substation_ids`` order:
     ``nonconformity_score`` of every substation's members at once."""
-    return _group_scores(y_t, scenarios, topo.members, scale, topo.n)
+    return _group_scores(np.asarray(y_t)[None], _scenario_matrix(scenarios, topo.n)[None],
+                         topo.members, scale, topo.n)[0]
+
+
+# the most draw cells (scenario rows x circuits) that one block of the
+# calibration walk simulates and scores at once: the larger the block, the
+# fewer kernel calls, and the more memory the block's temporaries take
+_BLOCK_CELLS = 8192
 
 
 def _bin_scenarios(model: _hawkes.HawkesModel, Y, b0: int, b1: int, K: int, seed: int):
-    """Yield the (K, n) scenarios of bins b0, ..., b1-1, one bin at a time.
+    """Yield the scenarios of bins b0, ..., b1-1 in blocks of consecutive bins:
+    (t, (R, K, n) draws of bins t, ..., t+R-1), R*K*n at most ``_BLOCK_CELLS``
+    unless R is 1.
 
     Bin t starts from row t of one scan of ``Y[:b1]`` (``hawkes._start_states``)
     and draws from its own derived stream, so its scenarios are bit for bit
-    those of ``simulate_bin`` on ``Y[:t]`` with that stream's seed.
+    those of ``simulate_bin`` on ``Y[:t]`` with that stream's seed.  One hash
+    seeds the streams of every bin, and one kernel call simulates each block.
     """
+    if K < 1:
+        raise PreconditionError("need K >= 1")
+    n = model.n
     G, before = _hawkes._start_states(model, Y[:b1])
-    for t in range(b0, b1):
-        yield _hawkes._simulate_from(model, G[t], before[t], 1, K,
-                                     _rng.derive(seed, "cal", t))[:, 0]
+    streams = _rng.streams([_rng.derive(seed, "cal", t) for t in range(b0, b1)], K)
+    bins = max(1, _BLOCK_CELLS // (K * n))
+    for t in range(b0, b1, bins):
+        stop = min(t + bins, b1)
+        draws = _hawkes._simulate_from(model, G[t:stop], before[t:stop], 1,
+                                       streams[(t - b0) * K:(stop - b0) * K])
+        yield t, draws.reshape(stop - t, K, n)
 
 
 def calibrate(panel, model: _hawkes.HawkesModel, topo: NetworkTopology, cal_bins,
@@ -221,8 +247,9 @@ def calibrate(panel, model: _hawkes.HawkesModel, topo: NetworkTopology, cal_bins
 
     Bin t's scenarios come from ``_bin_scenarios`` on a stream derived from
     seed and t, so any suffix of bins scores identically whether done here
-    or incrementally.  A model that names its circuits must name the
-    topology's, in its order.
+    or incrementally, and each block of bins is scored by one
+    ``_group_scores`` call, bit for bit ``score_bin`` on each of its bins.
+    A model that names its circuits must name the topology's, in its order.
     """
     Y = _hawkes._topology_counts(panel, topo)
     check_circuits(model.n, topo.n, "model rate")
@@ -236,8 +263,10 @@ def calibrate(panel, model: _hawkes.HawkesModel, topo: NetworkTopology, cal_bins
         )
     scale = training_scale(Y[:b0])
     scores = np.empty((topo.m, b1 - b0))
-    for j, scen in enumerate(_bin_scenarios(model, Y, b0, b1, K, seed)):
-        scores[:, j] = score_bin(Y[b0 + j], scen, topo, scale)
+    for t, scen in _bin_scenarios(model, Y, b0, b1, K, seed):
+        stop = t + scen.shape[0]
+        scores[:, t - b0:stop - b0] = _group_scores(Y[t:stop], scen, topo.members, scale,
+                                                    topo.n).T
     return ScoreSet(scores=scores, scale=scale, alpha=alpha)
 
 
@@ -424,6 +453,7 @@ class PipelineSettings(_hawkes.FitConfig):
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise PreconditionError(f"alpha must lie in (0, 1), got {self.alpha}")
+        check_integer(self.K, "K")
         if self.K < 1:
             raise PreconditionError("need K >= 1 scenarios")
         if self.quantile_method not in _QUANTILE_METHODS:
@@ -431,6 +461,7 @@ class PipelineSettings(_hawkes.FitConfig):
                 f"quantile_method must be one of {_QUANTILE_METHODS}, "
                 f"got {self.quantile_method!r}"
             )
+        check_integer(self.qr_window, "qr_window")
         if self.qr_window < 1:
             raise PreconditionError("qr_window must be >= 1")
         super().__post_init__()

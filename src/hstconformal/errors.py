@@ -1,6 +1,7 @@
 """Exception hierarchy, mapped to CLI exit codes by cli.main.
 
-``check_circuits`` is the one circuit-count check.  Every input file is read
+``check_circuits`` is the one circuit-count check and ``check_integer`` the
+one check that a count setting is an integer.  Every input file is read
 here, through ``read_text``, so undecodable bytes are a data error: CSV inputs
 by ``read_csv_pairs``, JSON documents by ``read_json``, and the numbers in
 those documents by ``document_numbers``.  ``write_json`` is the one JSON output
@@ -34,6 +35,12 @@ def check_circuits(got: int, n: int, what: str, error=PreconditionError):
     """Raise ``error`` unless ``got`` columns give one ``what`` per circuit of ``n``."""
     if got != n:
         raise error(f"need one {what} per circuit: {got} columns for {n} circuits")
+
+
+def check_integer(value, name: str):
+    """Raise PreconditionError unless ``value`` is a Python or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise PreconditionError(f"{name} must be an integer, got {value!r}")
 
 
 def read_text(path) -> str:

@@ -1,9 +1,10 @@
 """Rolling one-step evaluation, horizon forecasts, and their CSV writers.
 
 The rolling harness fits once on the training block, then walks the test
-suffix bin by bin, as calibration does: each bin gets an interval built from
-all data before it, and its score joins the calibration pool before the next
-bin.  A full refit per step is available behind ``refit_each_step``.
+suffix with calibration's walk, which simulates blocks of bins at once: each
+bin gets an interval built from all data before it, and its score joins the
+calibration pool before the next bin.  A full refit per step is available
+behind ``refit_each_step``; each refit simulates its own bin only.
 Coverage at circuit and substation level is checked against the truth once
 the walk is done.  Counts are read through ``hawkes._topology_counts``, in
 the topology's circuit order, and ``horizon_forecast`` is the multi-step case
@@ -91,8 +92,9 @@ def rolling_evaluate(panel, topo: NetworkTopology, spec: SplitSpec,
     """One-step-ahead intervals over the test suffix; see module docstring.
 
     Bin t's K scenarios come from ``conformal._bin_scenarios``, the walk
-    ``calibrate`` takes, bit for bit; a ``refit_each_step`` refit, which
-    moves beta and with it every start state, begins a new walk at t.
+    ``calibrate`` takes, bit for bit, in blocks of bins; a
+    ``refit_each_step`` refit, which moves beta and with it every start
+    state, walks bin t alone.
     """
     Y = _hawkes._topology_counts(panel, topo)
     T = Y.shape[0]
@@ -103,14 +105,19 @@ def rolling_evaluate(panel, topo: NetworkTopology, spec: SplitSpec,
     model, scores = _prepare(Y, topo, spec.t0, settings, seed, cal_stop=test_start)
     scale = scores.scale
 
-    walk = _bin_scenarios(model, Y, test_start, T, settings.K, seed)
+    def walk(model, b0, b1):
+        # each bin's (K, n) scenarios, one at a time
+        return (scen for _, block in _bin_scenarios(model, Y, b0, b1, settings.K, seed)
+                for scen in block)
+
+    bins = walk(model, test_start, T)
     forecasts = []
     for t in range(test_start, T):
         if settings.refit_each_step:
             model = _hawkes.fit(Y[:t], topo, settings, _rng.derive(seed, "fit", t))
-            walk = _bin_scenarios(model, Y, t, T, settings.K, seed)
+            bins = walk(model, t, t + 1)
         qest = _quantile_for(scores, settings)
-        scen = next(walk)
+        scen = next(bins)
         forecasts.append(build_interval(scen, qest, scale, topo, t=t))
         # the bin's own score joins the pool before the next bin is predicted
         scores = scores.extend(score_bin(Y[t], scen, topo, scale))

@@ -35,7 +35,7 @@ import numpy as np
 from . import rng as _rng
 from ._kernels import ACTIVE
 from .errors import (DataValidationError, NumericalError, PreconditionError, check_circuits,
-                     document_numbers, read_json, write_json)
+                     check_integer, document_numbers, read_json, write_json)
 
 _MODEL_FORMAT = "hstconformal-model-v1"
 _GAMMA_FORM = "linear_saturation_v1"
@@ -61,6 +61,7 @@ class FitConfig:
     fit_cap: bool = True
 
     def __post_init__(self):
+        check_integer(self.epochs, "epochs")
         if self.epochs < 1:
             raise PreconditionError("epochs must be >= 1")
         if not self.learning_rate > 0:
@@ -446,24 +447,17 @@ def fit(panel, topo, cfg: FitConfig = FitConfig(), seed: int = 0) -> HawkesModel
 # ---------------------------------------------------------------------------
 # Simulation.
 
-def _simulate_from(model: HawkesModel, g0, n0: float, horizon: int, K: int,
-                   seed: int) -> np.ndarray:
-    """K trajectories of shape (horizon, n) from excitation state ``g0`` and
-    network-wide count ``n0``: the one simulator entry of the package.
+def _simulate_from(model: HawkesModel, g0, n0, horizon: int, streams) -> np.ndarray:
+    """Trajectories of shape (horizon, n) from R start rows, the excitation
+    states ``g0`` (R, n) and network-wide counts ``n0`` (R,), K from each:
+    the one simulator entry of the package.
 
-    Trajectory k draws from its own derived stream (seed, k), so trajectory
-    k is the same for every K > k.  ``rng.streams`` seeds all K in one
-    vectorized SeedSequence hash, each in the state of ``rng.generator(seed,
-    k)`` bit for bit, and one kernel call advances all K together.
+    ``streams`` (``rng.streams``) holds R*K streams, and trajectory r*K + k
+    starts from row r and draws from stream r*K + k alone.  One kernel call
+    advances all R*K together.
     """
-    if horizon < 1:
-        raise PreconditionError("need horizon >= 1")
-    if K < 1:
-        raise PreconditionError("need K >= 1")
-    return ACTIVE.simulate_counts(
-        _rng.streams(seed, K), model.mu, model.A, model.beta, model.cap,
-        model.floor, g0, n0, horizon,
-    )
+    return ACTIVE.simulate_counts(streams, model.mu, model.A, model.beta, model.cap,
+                                  model.floor, g0, n0, horizon)
 
 
 def _start_states(model: HawkesModel, counts: np.ndarray):
@@ -489,7 +483,13 @@ def simulate_trajectory(model: HawkesModel, history, horizon: int, K: int = 10,
 
     Each trajectory extends its own simulated history bin by bin, from the
     excitation and network-wide count of ``history``; trajectory k draws from
-    the generator (seed, k) and is the same for every K > k (``_simulate_from``).
+    the generator (seed, k) and is the same for every K > k.  ``rng.streams``
+    seeds all K in one vectorized SeedSequence hash, each in the state of
+    ``rng.generator(seed, k)`` bit for bit.
     """
     G, before = _start_states(model, _panel_counts(history, model.n))
-    return _simulate_from(model, G[-1], float(before[-1]), horizon, K, seed)
+    if horizon < 1:
+        raise PreconditionError("need horizon >= 1")
+    if K < 1:
+        raise PreconditionError("need K >= 1")
+    return _simulate_from(model, G[-1:], before[-1:], horizon, _rng.streams(seed, K))

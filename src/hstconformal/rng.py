@@ -10,11 +10,15 @@ PreconditionError.
 
 ``streams(seed, K)`` holds the K streams ``generator(seed, k)``, k < K, as
 one ``Streams`` object of uint64 arrays, bit for bit, for every seed that
-``generator`` accepts.  It runs numpy's SeedSequence hash (a documented
-algorithm of 32-bit integer arithmetic) for all k at once: the child seed
-``derive(seed, k)``, then the four 64-bit words that PCG64 asks of
-``SeedSequence(derive(seed, k))``, and seeds each row from its words as
-numpy's ``pcg64_set_seed`` does.  ``Streams.random`` then hands out the
+``generator`` accepts; ``streams(seeds, K)`` holds those of R seeds, row
+r*K + k being ``generator(seeds[r], k)``.  It runs numpy's SeedSequence hash
+(a documented algorithm of 32-bit integer arithmetic) for all rows at once:
+the child seed ``derive(seed, k)``, then the four 64-bit words that PCG64
+asks of ``SeedSequence(derive(seed, k))``, and seeds each row from its words
+as numpy's ``pcg64_set_seed`` does.  ``derive(seed, k)`` hashes the seed's
+32-bit words and then k, so k is the second word of a seed below 2**32 and
+the third of one below 2**64: rows whose seeds have as many words share one
+hash.  ``Streams.random`` then hands out the
 uniforms of ``Generator.random()`` on PCG64, a 128-bit LCG with XSL-RR
 output (O'Neill 2014), for all rows at once: the j-th next state of a row is
 ``MULT**j * state + (sum_{i<j} MULT**i) * inc`` mod 2**128, computed for
@@ -94,8 +98,8 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _pool(entropy: list, K: int) -> np.ndarray:
     """SeedSequence's mixed pool, (4, K) uint32, for K entropy columns.
 
-    ``entropy`` lists the entropy words in order, each a uint32 scalar
-    shared by every column or a (K,) array with one word per column.
+    ``entropy`` lists the entropy words in order, each a (K,) uint32 array
+    with one word per column.
     """
     n_extra = max(0, len(entropy) - _POOL)
     # 4 pool-filling hashes, 12 mixing hashes, 4 per word beyond the pool
@@ -139,9 +143,21 @@ def _pcg64_words(child: np.ndarray) -> np.ndarray:
 
 def _words(x: int) -> list:
     # numpy's entropy words of a nonnegative int: 32-bit limbs, low first; [0] for 0
-    return [np.uint32(x >> s & 0xFFFFFFFF) for s in range(0, max(x.bit_length(), 1), 32)]
+    return [x >> s & 0xFFFFFFFF for s in range(0, max(x.bit_length(), 1), 32)]
 
 
+def _children(seeds: list, K: int) -> np.ndarray:
+    """``derive(seeds[r], k)`` at entry r*K + k, (R*K,) uint64, one hash per word count."""
+    k = np.arange(K, dtype=np.uint32)
+    words = [_words(s) for s in seeds]
+    child = np.empty(len(seeds) * K, dtype=np.uint64)
+    for size in set(map(len, words)):
+        rows = [r for r, w in enumerate(words) if len(w) == size]
+        cols = (np.array(rows)[:, None] * K + k).ravel()
+        entropy = [np.repeat(np.array([words[r][i] for r in rows], dtype=np.uint32), K)
+                   for i in range(size)]
+        child[cols] = _generate_state(entropy + [np.tile(k, len(rows))], cols.size, 1)[:, 0]
+    return child
 
 
 # numpy's PCG64 (numpy/random/src/pcg64/pcg64.h): the 128-bit LCG
@@ -222,6 +238,10 @@ class Streams:
     def __len__(self) -> int:
         return self.hi.size
 
+    def __getitem__(self, rows: slice) -> "Streams":
+        """The rows of a slice as views: drawing from them advances these rows."""
+        return Streams(self.hi[rows], self.lo[rows], self.inc_hi[rows], self.inc_lo[rows])
+
     def random(self, m) -> np.ndarray:
         """The next uniforms of every row, bit for bit those of ``Generator.random()``.
 
@@ -268,13 +288,15 @@ class Streams:
         self.hi[k], self.lo[k] = state >> 64, state & _MASK64
 
 
-def streams(seed: int, K: int) -> Streams:
-    """The K streams ``generator(seed, k)``, k < K, in one hash pass."""
-    seed = _checked(seed)
+def streams(seeds, K: int) -> Streams:
+    """The K streams ``generator(s, k)``, k < K, of one seed or of each of a
+    1-D sequence of R seeds, in one hash pass; row r*K + k is stream k of
+    ``seeds[r]``."""
+    seeds = [seeds] if isinstance(seeds, (int, np.integer)) else seeds
+    seeds = [_checked(s) for s in seeds]
     if not 0 <= K <= 2**32:
         raise PreconditionError(f"need 0 <= K <= 2**32 (k is one entropy word), got {K}")
-    child = _generate_state(_words(seed) + [np.arange(K, dtype=np.uint32)], K, 1)[:, 0]
-    w = _pcg64_words(child)
+    w = _pcg64_words(_children(seeds, K))
     # numpy's pcg64_set_seed on the words (initstate hi, lo, initseq hi, lo):
     # inc = initseq << 1 | 1, state = (inc + initstate) * MULT + inc
     inc_hi = (w[:, 2] << _U1) | (w[:, 3] >> _U63)

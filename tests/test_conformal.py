@@ -211,6 +211,14 @@ def test_score_set_rejects_a_nonfinite_scale():
             ScoreSet(scores=np.ones((1, 2)), scale=np.array([1.0, bad]), alpha=0.1)
 
 
+def test_score_set_extend_takes_one_score_per_substation():
+    ss = ScoreSet(scores=np.ones((3, 2)), scale=np.ones(4), alpha=0.1)
+    assert np.array_equal(ss.extend([0.5, 1.0, 2.0]).scores[:, -1], [0.5, 1.0, 2.0])
+    for bad in (np.ones(2), np.ones(4), np.ones((3, 1)), 1.0):
+        with pytest.raises(PreconditionError, match="one score per substation"):
+            ss.extend(bad)
+
+
 # -- quantiles -----------------------------------------------------------------
 
 def test_empirical_quantile_hand_ranks():
@@ -548,20 +556,25 @@ def test_calibrate_matches_manual_recount(small_triple):
 
 def _assert_calibrate_matches_recount(monkeypatch, Y, model, topo, bins, K, seed):
     # every bin's scenarios and scores equal those of simulating it from its
-    # own history, the rescan calibrate replaces with one scan of the panel
-    scored = []
-    score = _conformal.score_bin
-    monkeypatch.setattr(_conformal, "score_bin",
-                        lambda y, scen, *a: scored.append(np.array(scen)) or score(y, scen, *a))
+    # own history and scoring it alone, the per-bin rescan that calibrate
+    # replaces with one scan of the panel and one kernel call per block;
+    # returns the block lengths
+    blocks = []
+    walk = _conformal._bin_scenarios
+    monkeypatch.setattr(_conformal, "_bin_scenarios", lambda *a: (
+        blocks.append((t, np.array(scen))) or (t, scen) for t, scen in walk(*a)))
     ss = calibrate(Y, model, topo, bins, K=K, seed=seed)
     monkeypatch.undo()
     scale = training_scale(Y[:bins[0]])
     assert np.array_equal(ss.scale, scale)
+    assert [t for t, _ in blocks] == list(np.cumsum([bins[0]] + [len(b) for _, b in blocks[:-1]]))
+    scored = np.concatenate([b for _, b in blocks])
     assert len(scored) == bins[1] - bins[0]
     for t, samples in zip(range(*bins), scored):
         scen = simulate_bin(model, Y[:t], K=K, seed=_rng.derive(seed, "cal", t))
         assert np.array_equal(samples, scen), t
         assert np.array_equal(ss.scores[:, t - bins[0]], score_bin(Y[t], scen, topo, scale)), t
+    return [len(b) for _, b in blocks]
 
 
 @pytest.mark.parametrize("K", [1, 200])
@@ -570,6 +583,19 @@ def test_calibrate_matches_the_per_bin_recount(monkeypatch, small_triple, K):
     panel, topo, _ = small_triple
     model = HawkesModel(mu=np.full(6, 0.3), A=np.full((6, 6), 0.12), beta=0.8)
     _assert_calibrate_matches_recount(monkeypatch, panel.Y, model, topo, (30, 80), K, 11)
+
+
+def test_calibrate_matches_the_recount_across_blocks(monkeypatch, small_triple):
+    # blocks of as many bins as fit _BLOCK_CELLS: two whole blocks, then a
+    # partial one, each bin still drawn as if simulated alone
+    panel, topo, _ = small_triple
+    model = HawkesModel(mu=np.full(6, 0.3), A=np.full((6, 6), 0.12), beta=0.8)
+    K = 300
+    per_block = _conformal._BLOCK_CELLS // (K * 6)
+    assert per_block >= 2
+    lengths = _assert_calibrate_matches_recount(monkeypatch, panel.Y, model, topo,
+                                                (30, 31 + 2 * per_block), K, 6)
+    assert lengths == [per_block, per_block, 1]
 
 
 def test_calibrate_matches_the_recount_when_saturation_reaches_its_floor(monkeypatch,
@@ -755,6 +781,21 @@ def test_pipeline_settings_validation():
         PipelineSettings(learning_rate=0.0)
     with pytest.raises(PreconditionError, match="qr_window"):
         PipelineSettings(quantile_method="qr", qr_window=0)
+
+
+def test_count_settings_must_be_integers():
+    # a float or bool count would fail later in range or np.arange with a raw
+    # TypeError; numpy integers are integers
+    for bad in ({"K": 2.5}, {"K": True}, {"epochs": 2.5}, {"epochs": False},
+                {"qr_window": 1.5}, {"qr_window": np.float64(3.0)}):
+        (name, value), = bad.items()
+        with pytest.raises(PreconditionError, match=f"{name} must be an integer, got"):
+            PipelineSettings(**bad)
+    for bad in (2.5, True, "3"):
+        with pytest.raises(PreconditionError, match="epochs must be an integer"):
+            FitConfig(epochs=bad)
+    settings = PipelineSettings(K=np.int64(3), epochs=np.int32(5), qr_window=np.uint8(2))
+    assert (settings.K, settings.epochs, settings.qr_window) == (3, 5, 2)
 
 
 def test_pipeline_settings_take_the_fit_settings_from_fit_config():

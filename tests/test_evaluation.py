@@ -20,6 +20,7 @@ from hstconformal import (
     write_forecast_csv,
     write_metrics,
 )
+from hstconformal import _kernels
 from hstconformal import conformal as _conformal
 from hstconformal import evaluation as _evaluation
 from hstconformal import rng as _rng
@@ -200,6 +201,25 @@ def test_rolling_matches_the_per_bin_recount(monkeypatch, small_triple, refit):
         assert forecast.t == expect.t == t
         scores = scores.extend(score_bin(Y[t], scen, topo, scores.scale))
     assert len(scored) == spec.test
+
+
+@pytest.mark.parametrize("refit", [False, True])
+def test_rolling_draws_the_scenarios_of_each_bin_once(monkeypatch, small_triple, refit):
+    # K simulated rows per calibration and test bin: a refit walks its bin
+    # alone, and no walk draws bins it does not score
+    panel, topo, _ = small_triple
+    spec = SplitSpec(t0=41, test=4)
+    settings = PipelineSettings(epochs=40, K=30, refit_each_step=refit)
+    rows = []
+    simulate = _kernels.ACTIVE.simulate_counts
+    monkeypatch.setattr(_kernels.ACTIVE, "simulate_counts",
+                        lambda streams, *a: rows.append(len(streams)) or simulate(streams, *a))
+    rolling_evaluate(panel, topo, spec, settings, seed=3)
+    monkeypatch.undo()
+    n_cal = panel.T - spec.test - (spec.t0 - 1)
+    assert sum(rows) == settings.K * (n_cal + spec.test)
+    if refit:
+        assert rows[-spec.test:] == [settings.K] * spec.test
 
 
 def test_rolling_and_horizon_take_an_array_panel(small_triple, fast_settings):

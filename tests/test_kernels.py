@@ -26,20 +26,29 @@ def _random_instance(rng, n_max=6, T_max=40):
 
 def _assert_simulations_identical(generator_streams, mu, A, beta, cap, floor, g0, n0,
                                   horizon, K_, seed):
-    # the reference is numpy's own Generator (seed, k) per trajectory, drawn
-    # by _LOOP_PURE, the numba source run as plain Python, one trajectory
-    # after another; the batched pure kernel and the loop kernel on
-    # rng.streams must make the same draws from the same uniforms and leave
-    # every stream in its generator's final state
-    want = generator_streams(seed, K_)
-    ref = K._LOOP_PURE.simulate_counts(want, mu, A, beta, cap, floor, g0, n0, horizon)
-    assert ref.dtype == np.int64 and ref.shape == (K_, horizon, mu.shape[0])
+    # g0 and n0 are one start state, or R start rows (R, n) and (R,) with one
+    # seed per row.  The reference is numpy's own Generator (seed, k) per
+    # trajectory, drawn by _LOOP_PURE, the numba source run as plain Python,
+    # one trajectory after another, in a separate call per start row; the
+    # batched pure kernel and the loop kernel on the R*K rows of rng.streams
+    # must make the same draws from the same uniforms and leave every stream
+    # in its generator's final state
+    g0, n0 = np.atleast_2d(g0), np.atleast_1d(np.asarray(n0, dtype=np.float64))
+    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+    refs, want = [], []
+    for r, s in enumerate(seeds):
+        gens = generator_streams(s, K_)
+        refs.append(K._LOOP_PURE.simulate_counts(gens, mu, A, beta, cap, floor,
+                                                 g0[r:r + 1], n0[r:r + 1], horizon))
+        want += gens.gens
+    ref = np.concatenate(refs)
+    assert ref.dtype == np.int64 and ref.shape == (len(seeds) * K_, horizon, mu.shape[0])
     for kernels in (K.PURE, K._LOOP_PURE):
-        streams = rng.streams(seed, K_)
+        streams = rng.streams(seeds, K_)
         got = kernels.simulate_counts(streams, mu, A, beta, cap, floor, g0, n0, horizon)
         assert got.dtype == np.int64
         assert np.array_equal(got, ref)
-        for k, gen in enumerate(want.gens):
+        for k, gen in enumerate(want):
             assert streams.generator(k).bit_generator.state == gen.bit_generator.state, k
     return ref
 
@@ -91,18 +100,19 @@ def test_poisson_draws_bit_identical_across_paths():
 
 @needs_jit
 def test_simulate_counts_bit_identical_across_paths():
-    rng = np.random.default_rng(5)
+    gen = np.random.default_rng(5)
     for trial in range(10):
-        n = int(rng.integers(1, 5))
-        mu = rng.uniform(0.2, 3.0, size=n)
-        A = rng.uniform(0.0, 0.5 / n, size=(n, n))
+        n = int(gen.integers(1, 5))
+        mu = gen.uniform(0.2, 3.0, size=n)
+        A = gen.uniform(0.0, 0.5 / n, size=(n, n))
         beta = 1.0
-        g0 = rng.uniform(0.0, 1.0, size=n)
-        sj = rng.streams(trial, 4)
-        sp = rng.streams(trial, 4)
-        yj = K.JIT.simulate_counts(sj, mu, A, beta, np.inf, 0.0, g0, 0.0, 6)
-        yp = K.PURE.simulate_counts(sp, mu, A, beta, np.inf, 0.0, g0, 0.0, 6)
-        assert yj.shape == (4, 6, n)
+        g0 = gen.uniform(0.0, 1.0, size=(2, n))
+        n0 = np.array([0.0, 3.0])
+        sj = rng.streams([trial, trial + 100], 4)
+        sp = rng.streams([trial, trial + 100], 4)
+        yj = K.JIT.simulate_counts(sj, mu, A, beta, 40.0, 0.0, g0, n0, 6)
+        yp = K.PURE.simulate_counts(sp, mu, A, beta, 40.0, 0.0, g0, n0, 6)
+        assert yj.shape == (8, 6, n)
         assert np.array_equal(yj, yp)
         assert np.array_equal(sj.random(2), sp.random(2))
 
@@ -350,6 +360,36 @@ def test_pure_simulate_counts_matches_the_loop_kernel_under_saturation(generator
     ref = _assert_simulations_identical(generator_streams, mu, A, 0.8, 30.0, 0.0, g0, 31.0, 3, 5,
                                        seed=3)
     assert not ref.any()
+
+
+def test_simulate_counts_from_start_rows_matches_separate_calls(generator_streams):
+    # R start rows in one call: each row's K trajectories are those of a
+    # call from that row alone, across the PTRS switch and the saturation floor
+    S = K._PTRS_SWITCH
+    mu = np.array([S - 0.5, 0.4, 0.5, 3.0, 0.0])
+    A = np.zeros((5, 5))
+    A[0, 1] = A[0, 3] = 0.4
+    # the circuit-1 excitation of rows 1 and 3 lifts circuit 0 over the switch
+    # at step 0, so that step mixes rows drawn by PTRS and by inversion
+    g0 = np.zeros((4, 5))
+    g0[1, 1], g0[2, 3], g0[3, 1] = 2.0, 0.5, 1.5
+    assert [(mu + A @ g)[0] >= S for g in g0] == [False, True, False, True]
+    seeds = [3, 2**40 + 1, 0, rng.derive(5, "cal", 9)]
+    ref = _assert_simulations_identical(generator_streams, mu, A, 1.0, np.inf, 0.0, g0,
+                                        np.zeros(4), 5, 20, seeds)
+    assert (ref[:, :, 4] == 0).all()
+    # start totals below, near and past a cap of 60: gamma starts at 1 - n0/60,
+    # at the floor 0.25 and at the floor; with floor 0 the last row draws nothing
+    gen = np.random.default_rng(15)
+    n = 24
+    mu = gen.uniform(0.5, 2.0, size=n)
+    A = gen.uniform(0.0, 0.5 / n, size=(n, n))
+    g0 = gen.uniform(0.0, 1.0, size=(4, n))
+    n0 = np.array([0.1, 30.0, 50.0, 61.0])
+    for floor in (0.25, 0.0):
+        ref = _assert_simulations_identical(generator_streams, mu, A, 0.8, 60.0, floor, g0,
+                                            n0, 6, 30, [1, 2, 3, 4])
+        assert (ref[90:] > 0).any() == (floor > 0)
 
 
 def test_excitation_series_matches_closed_form_single_pulse():

@@ -40,6 +40,28 @@ def test_generators_match_the_scalar_streams(seed):
     assert np.array_equal(streams.random(5), [gen.random(5) for gen in gens])
 
 
+@pytest.mark.parametrize("K", [0, 1, 9])
+def test_streams_of_many_seeds_match_the_scalar_streams(K):
+    # row r*K + k is generator(seeds[r], k): a seed below 2**32 hashes as one
+    # entropy word, so its k is the second word, and the third for a two-word seed
+    seeds = [0, 5, 2**40 + 3, 2**64 - 1]
+    streams = _rng.streams(seeds, K)
+    gens = [_rng.generator(s, k) for s in seeds for k in range(K)]
+    _assert_rows_match(streams, gens)
+    u = streams.random(7)
+    assert u.shape == (len(seeds) * K, 7)
+    assert np.array_equal(u, np.reshape([g.random(7) for g in gens], (-1, 7)))
+    _assert_rows_match(streams, gens)
+    # a numpy array of seeds, and a slice of rows drawn on its own: views
+    # whose draws advance the rows of the whole
+    streams = _rng.streams(np.array(seeds, dtype=np.uint64), K)
+    gens = [_rng.generator(s, k) for s in seeds for k in range(K)]
+    block = streams[K:3 * K]
+    assert np.array_equal(block.random(4), np.reshape([g.random(4) for g in gens[K:3 * K]],
+                                                      (-1, 4)))
+    _assert_rows_match(streams, gens)
+
+
 def test_stream_rows_move_through_a_generator_and_back():
     # a row drawn through a Generator (the PTRS draws) continues from there
     streams, gens = _rng.streams(9, 3), [_rng.generator(9, k) for k in range(3)]
