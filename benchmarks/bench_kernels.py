@@ -9,7 +9,9 @@ A second table times the pure excitation recursions (one blocked numpy
 scan) and the pure scenario simulation (all K trajectories per numpy step)
 against the loop reference: the numba source run as plain Python, row by
 row, trajectory by trajectory and circuit by circuit.  It needs no numba,
-so it always has numbers; the simulation row's max diff must read 0.
+so it always has numbers; the simulation rows' max diffs must read 0.  The
+simulation runs at ``--horizon`` steps, a forecast, and at one step, a
+calibration block of one bin; both tables have a row for each.
 
 A third table times the per-trajectory streams and their first uniforms:
 the scalar loop ``[rng.generator(seed, k).random(24) for k in range(K)]``
@@ -47,8 +49,9 @@ truth model, scoring the last quarter of the bins, at (n, K) = (24, 10),
 gives 100 calibration bins.  The per-bin walk rescans each bin's history,
 as ``simulate_bin`` does, where ``calibrate`` scans the panel once.  Its
 mismatch column counts bins whose scores differ from the per-bin walk's;
-it must read 0.  ``--json PATH`` writes this table to PATH with the
-versions and kernel path it ran on (``benchmarks/BENCH_calibrate.json``).
+it must read 0.  ``--json PATH`` writes the second table's simulation
+rows, the stream table and this table to PATH, with the versions and
+kernel path they ran on (``benchmarks/BENCH_simulate.json``).
 
 Usage:
     python3 benchmarks/bench_kernels.py [--T 400] [--n 24] [--horizon 52]
@@ -172,29 +175,32 @@ def build_cases(T: int, n: int, horizon: int):
 
     dense("loglik_grads", f"T={T} n={n}", grads)
 
-    def sim(impl, streams):
-        return impl.simulate_counts(streams, mu, A, beta, np.inf, 0.0, g0, n0, horizon)
+    def sim(impl, streams, steps):
+        return impl.simulate_counts(streams, mu, A, beta, np.inf, 0.0, g0, n0, steps)
 
-    cases.append(
-        (
-            "simulate_counts",
-            f"K={K} h={horizon} n={n}",
-            lambda impl: (lambda streams: sim(impl, streams)),
-            lambda a, b: max_abs_diff(sim(a, fresh_streams()), sim(b, fresh_streams())),
-            lambda: (fresh_streams(),),
+    # a forecast, and a calibration block of one bin
+    for steps in dict.fromkeys((horizon, 1)):
+        cases.append(
+            (
+                "simulate_counts",
+                f"K={K} h={steps} n={n}",
+                lambda impl, steps=steps: (lambda streams: sim(impl, streams, steps)),
+                lambda a, b, steps=steps: max_abs_diff(sim(a, fresh_streams(), steps),
+                                                       sim(b, fresh_streams(), steps)),
+                lambda: (fresh_streams(),),
+            )
         )
-    )
     return cases
 
 
-def print_table(cases, base, new, labels, repeats) -> dict:
-    # speedup is the base time over the new time; max|diff| compares outputs,
-    # and is returned per kernel
+def print_table(cases, base, new, labels, repeats) -> list:
+    # speedup is the base time over the new time; max|diff| compares outputs;
+    # returns the rows that have both sides
     header = (f"{'kernel':<24}{'size':<20}{labels[0]:>12}{labels[1]:>12}"
               f"{'speedup':>9}{'max|diff|':>12}")
     print(header)
     print("-" * len(header))
-    diffs = {}
+    rows = []
     for name, shape, make, check, inputs in cases:
         t_base = best_time(make(base), repeats, inputs)
         row = f"{name:<24}{shape:<20}{t_base * 1e3:>10.3f}ms"
@@ -202,9 +208,12 @@ def print_table(cases, base, new, labels, repeats) -> dict:
             print(f"{row}  {labels[1]} unavailable")
             continue
         t_new = best_time(make(new), repeats, inputs)
-        diffs[name] = check(base, new)
-        print(f"{row}{t_new * 1e3:>10.3f}ms{t_base / t_new:>8.1f}x{diffs[name]:>12.3g}")
-    return diffs
+        diff = check(base, new)
+        base_key, new_key = (f"{label.replace(' ', '_')}_ms" for label in labels)
+        rows.append({"kernel": name, "size": shape, base_key: round(t_base * 1e3, 3),
+                     new_key: round(t_new * 1e3, 3), "max_diff": diff})
+        print(f"{row}{t_new * 1e3:>10.3f}ms{t_base / t_new:>8.1f}x{diff:>12.3g}")
+    return rows
 
 
 def stream_mismatches(seed, k_count) -> int:
@@ -219,22 +228,24 @@ def stream_mismatches(seed, k_count) -> int:
     return bad
 
 
-def print_stream_table(repeats) -> int:
+def print_stream_table(repeats) -> list:
     # speedup is the loop time over the streams time, both for seed 5;
-    # returns the total mismatch count
+    # returns the rows
     header = f"{'K':<8}{'scalar loop':>14}{'streams':>14}{'speedup':>9}{'mismatches':>12}"
     print(header)
     print("-" * len(header))
-    total = 0
+    rows = []
     for k_count in STREAM_KS:
         t_loop = best_time(lambda: [rng.generator(5, k).random(STREAM_DRAWS)
                                     for k in range(k_count)], repeats)
         t_streams = best_time(lambda: rng.streams(5, k_count).random(STREAM_DRAWS), repeats)
         bad = sum(stream_mismatches(seed, k_count) for seed in STREAM_SEEDS)
-        total += bad
+        rows.append({"K": k_count, "draws": STREAM_DRAWS,
+                     "scalar_loop_ms": round(t_loop * 1e3, 3),
+                     "streams_ms": round(t_streams * 1e3, 3), "mismatches": bad})
         print(f"{k_count:<8}{t_loop * 1e3:>12.3f}ms{t_streams * 1e3:>12.3f}ms"
               f"{t_loop / t_streams:>8.1f}x{bad:>12}")
-    return total
+    return rows
 
 
 @contextlib.contextmanager
@@ -320,9 +331,11 @@ def print_calibrate_table(T, n, repeats) -> list:
     return rows
 
 
-def write_calibrate_json(path, rows, args):
+def write_json(path, simulate_rows, stream_rows, calibrate_rows, args):
     doc = {
-        "benchmark": "calibration walk: per-bin simulate_bin + score_bin against calibrate",
+        "benchmark": ("pure scenario simulation against the loop reference, PCG64 "
+                      "streams against numpy Generators, and the calibration walk: "
+                      "per-bin simulate_bin + score_bin against calibrate"),
         "command": (f"python3 benchmarks/bench_kernels.py --T {args.T} --n {args.n} "
                     f"--horizon {args.horizon} --repeats {args.repeats} --json {path}"),
         "timing": f"best of --repeats calls or of {TIME_BUDGET_S} s of calls",
@@ -330,7 +343,9 @@ def write_calibrate_json(path, rows, args):
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
-        "rows": rows,
+        "simulate_rows": simulate_rows,
+        "stream_rows": stream_rows,
+        "calibrate_rows": calibrate_rows,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
@@ -343,7 +358,8 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, default=24, help="circuit count")
     parser.add_argument("--horizon", type=int, default=52, help="simulation bins")
     parser.add_argument("--repeats", type=int, default=200, help="timing repeats")
-    parser.add_argument("--json", help="write the calibration table to this file")
+    parser.add_argument("--json", help="write the simulation, stream and calibration "
+                        "tables to this file")
     args = parser.parse_args(argv)
 
     cases = build_cases(args.T, args.n, args.horizon)
@@ -353,20 +369,22 @@ def main(argv=None) -> int:
         for _, _, make, _, inputs in cases:
             make(JIT)(*inputs())
 
-    jit_diffs = print_table(cases, PURE, JIT, ("pure", "jit"), args.repeats)
+    jit_rows = print_table(cases, PURE, JIT, ("pure", "jit"), args.repeats)
     print()
     looped = [c for c in cases if not c[0].startswith("loglik")]
-    loop_diffs = print_table(looped, _LOOP_PURE, PURE, ("loop ref", "pure"), args.repeats)
+    loop_rows = print_table(looped, _LOOP_PURE, PURE, ("loop ref", "pure"), args.repeats)
     print()
-    mismatches = print_stream_table(args.repeats)
+    stream_rows = print_stream_table(args.repeats)
     print()
     print_fit_table(args.T, args.n, args.repeats)
     print()
     cal_rows = print_calibrate_table(args.T, args.n, args.repeats)
+    sim_rows = [r for r in loop_rows if r["kernel"] == "simulate_counts"]
     if args.json:
-        write_calibrate_json(args.json, cal_rows, args)
+        write_json(args.json, sim_rows, stream_rows, cal_rows, args)
+    mismatches = sum(r["mismatches"] for r in stream_rows)
     cal_mismatches = sum(r["mismatches"] for r in cal_rows)
-    sim_diffs = [d["simulate_counts"] for d in (jit_diffs, loop_diffs) if d]
+    sim_diffs = [r["max_diff"] for r in jit_rows + loop_rows if r["kernel"] == "simulate_counts"]
     if mismatches or cal_mismatches or any(sim_diffs):
         print(f"FAILED: {mismatches} stream mismatches, {cal_mismatches} calibration "
               f"mismatches, simulation max diffs {sim_diffs}", file=sys.stderr)

@@ -55,9 +55,13 @@ Guarantees relied on by the rest of the package:
     ``np.dot(A, g)``: each step makes them with one stacked
     ``np.matmul(A, g[:, :, None])``, which runs one gemv per row, not one
     gemm over the rows, which BLAS may round differently;
-  - e^-lambda is ``math.exp`` per positive rate, because ``np.exp`` differs
-    in the last ulp on some inputs; the shared rate rows of step 0 take
-    R * n calls, not R * K * n;
+  - e^-lambda of the shared rate rows of step 0 is ``math.exp`` per
+    positive rate, R * n calls, not R * K * n; the rows of every later step
+    take ``np.exp``, which differs from ``math.exp`` in the last ulp on
+    some inputs, and a guarded search (``_inversion``) redoes from
+    ``math.exp`` each cell whose uniform lies within a relative 2**-30 of a
+    threshold it is compared with, so every cell makes the loop's
+    comparisons;
   - one ``streams.random(m)`` call hands every row its uniforms, m_k being
     row k's count of positive rates: the values of m_k scalar
     ``Generator.random()`` calls, and a rate <= 0 consumes none;
@@ -424,6 +428,66 @@ def _loglik_grads_np(counts, G, H, gamma, dgam, mu, A, b0, b1, work=None):
     return ll, dmu, dA, dbeta, dcap
 
 
+# a uniform within this relative distance of a threshold that the search
+# built from np.exp's e^-rate is redone from math.exp (_search, _inversion)
+_GUARD = 2.0**-30
+
+
+def _exp_each(rate):
+    """e^-rate by ``math.exp``, as ``poisson_draw`` takes it, one call per rate."""
+    return np.fromiter(map(math.exp, (-rate).tolist()), np.float64, rate.size)
+
+
+def _search(rate, p, u, guard=False):
+    """Inversion by sequential search on every cell at once, making
+    ``poisson_draw``'s float operations for rate[i] on uniform u[i] from
+    p[i] as e^-rate; a cell leaves when its uniform is covered.  Returns the
+    counts and the indices of the cells the guard flags (none without it).
+
+    Without ``guard``, p is ``math.exp(-rate)`` and the counts are the
+    loop's.  With it, a cell goes on only while its uniform exceeds the
+    threshold by a relative ``_GUARD``, and is flagged unless its uniform is
+    below its last threshold by as much.  The thresholds only grow, so an
+    unflagged cell clears every one it meets by the margin, and its count is
+    the one from any p within 2**-40 of ``math.exp``'s: thresholds from the
+    two drift apart by at most about 2**-40 + 4j * 2**-53 relative, below
+    the margin for every j up to ``_INVERSION_MAX``.
+    """
+    found = np.zeros(rate.size, dtype=np.int64)
+    above = u * (1.0 - _GUARD) if guard else u
+    last = p.copy() if guard else None  # the last threshold each cell is compared with
+    live = np.flatnonzero(above > p)
+    rate, p, above = rate[live], p[live], above[live]
+    c = p
+    j = 0
+    while live.size and j < _INVERSION_MAX:
+        j += 1
+        p = p * (rate / j)
+        c = c + p
+        found[live] = j
+        if guard:
+            last[live] = c
+        more = above > c
+        live, rate, p, c, above = live[more], rate[more], p[more], c[more], above[more]
+    if not guard:
+        return found, np.empty(0, dtype=np.intp)
+    return found, np.flatnonzero(u * (1.0 + _GUARD) > last)
+
+
+def _inversion(rate, u):
+    """``poisson_draw``'s counts for positive rates below ``_PTRS_SWITCH``
+    on the uniforms u, from ``np.exp``'s e^-rate, which differs from
+    ``math.exp``'s in the last ulp on some inputs: ``_search``'s guard flags
+    the cells whose comparisons could differ (a uniform lands within 2**-30
+    of a threshold about once in 2**29 comparisons at most), and they are
+    redone from ``math.exp``.
+    """
+    found, flagged = _search(rate, np.exp(-rate), u, guard=True)
+    if flagged.size:
+        found[flagged] = _search(rate[flagged], _exp_each(rate[flagged]), u[flagged])[0]
+    return found
+
+
 def _poisson_step(streams, lam):
     """One draw per rate for each stream: row k equals calling
     ``poisson_draw`` along row k of ``lam`` left to right on a Generator at
@@ -432,16 +496,15 @@ def _poisson_step(streams, lam):
     by the K = len(streams) / R streams r*K .. r*K + K-1."""
     by_scalar = ~(lam < _PTRS_SWITCH).all(axis=1)  # a PTRS (or nan) rate in the row
     pos = (lam > 0.0) & ~by_scalar[:, None]
-    rate = lam[pos]
-    # e^-rate once per positive rate of lam: a shared row takes n calls, not K*n
-    p = np.fromiter(map(math.exp, (-rate).tolist()), np.float64, rate.size)
-    if lam.shape[0] < len(streams):
+    shared = lam.shape[0] < len(streams)
+    if shared:
+        # e^-rate once per positive rate of lam: a shared row takes n calls, not K*n
         K = len(streams) // lam.shape[0]
         exp = np.zeros(lam.shape)
-        exp[pos] = p
+        exp[pos] = _exp_each(lam[pos])
         lam, by_scalar, pos, exp = (np.repeat(a, K, axis=0)
                                     for a in (lam, by_scalar, pos, exp))
-        rate, p = lam[pos], exp[pos]
+    rate = lam[pos]
     draws = np.zeros(lam.shape, dtype=np.int64)
     for k in np.flatnonzero(by_scalar).tolist():
         gen = streams.generator(k)
@@ -453,21 +516,7 @@ def _poisson_step(streams, lam):
     u = streams.random(m)
     # row k's first m[k] uniforms, row after row: the order of lam[pos]
     u = u[np.arange(u.shape[1]) < m[:, None]] if u.size > rate.size else u.ravel()
-    # inversion by sequential search on every positive rate at once; a cell
-    # leaves the search when its uniform is covered, as the scalar loop stops
-    found = np.zeros(rate.size, dtype=np.int64)
-    live = np.flatnonzero(u > p)
-    rate, p, u = rate[live], p[live], u[live]
-    c = p
-    j = 0
-    while live.size and j < _INVERSION_MAX:
-        j += 1
-        p = p * (rate / j)
-        c = c + p
-        found[live] = j
-        more = u > c
-        live, rate, p, c, u = live[more], rate[more], p[more], c[more], u[more]
-    draws[pos] = found
+    draws[pos] = _search(rate, exp[pos], u)[0] if shared else _inversion(rate, u)
     return draws
 
 

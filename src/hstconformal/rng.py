@@ -9,7 +9,7 @@ are nonnegative integers of any size; a negative seed raises
 PreconditionError.
 
 ``streams(seed, K)`` holds the K streams ``generator(seed, k)``, k < K, as
-one ``Streams`` object of uint64 arrays, bit for bit, for every seed that
+one ``Streams`` object, a uint64 array, bit for bit, for every seed that
 ``generator`` accepts; ``streams(seeds, K)`` holds those of R seeds, row
 r*K + k being ``generator(seeds[r], k)``.  It runs numpy's SeedSequence hash
 (a documented algorithm of 32-bit integer arithmetic) for all rows at once:
@@ -22,7 +22,10 @@ hash.  ``Streams.random`` then hands out the
 uniforms of ``Generator.random()`` on PCG64, a 128-bit LCG with XSL-RR
 output (O'Neill 2014), for all rows at once: the j-th next state of a row is
 ``MULT**j * state + (sum_{i<j} MULT**i) * inc`` mod 2**128, computed for
-every cell with 128-bit products built from 32-bit halves.  No numpy
+every cell by one float64 matmul of the rows' 16-bit limbs with weights
+made of the jump constants' limbs, exact because every partial sum is an
+integer below 2**52, and three uint64 carries; seeding is the same jump
+with its own constants.  No numpy
 ``Generator`` is built per stream; ``Streams.generator`` makes one for a
 row whose draws consume a variable number of uniforms, and
 ``Streams.set_state`` takes its state back.  ``derive`` and ``generator``
@@ -169,78 +172,99 @@ _MASK128 = (1 << 128) - 1
 _LOW32 = np.uint64(0xFFFFFFFF)
 _U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(v) for v in (1, 11, 32, 58, 63, 64))
 _TO_UNIT = 1.0 / 9007199254740992.0
+# an integer-valued double x < 2**52 plus 2**52 holds x in its mantissa bits
+# under these exponent bits
+_TWO52 = 2.0**52
+_TWO52_BITS = np.uint64(0x4330000000000000)
 
 
-def _split(values: list):
-    """128-bit ints as (hi, lo) uint64 arrays."""
-    return (np.array([v >> 64 for v in values], dtype=np.uint64),
-            np.array([v & _MASK64 for v in values], dtype=np.uint64))
+def _weights(pairs: list) -> np.ndarray:
+    """The (4, M, 16) float64 weights of M jumps (A_j, C_j), 128-bit ints.
 
-
-def _mul(xh, xl, yh, yl):
-    """x * y mod 2**128 on (hi, lo) uint64 words, elementwise with broadcasting.
-
-    uint64 products and sums wrap mod 2**64; the high word of xl * yl is
-    summed from the products of their 32-bit halves.
+    Entry (q, j, c*8 + i) is a_{2q-i} + 2**16 * a_{2q+1-i}, a_l being 16-bit
+    limb l of A_j (c = 0) or C_j (c = 1), 0 for l < 0.  Times limb i of a
+    row's state (c = 0) or increment (c = 1), summed, it gives the limb
+    products of A_j * state + C_j * inc on limbs 2q and 2q + 1, over 2**(32q).
     """
-    x0, x1 = xl & _LOW32, xl >> _U32
-    y0, y1 = yl & _LOW32, yl >> _U32
-    p00, p01, p10 = x0 * y0, x0 * y1, x1 * y0
-    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
-    hi = x1 * y1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32) + xl * yh + xh * yl
-    return hi, xl * yl
+    limbs = np.array([[x >> s & 0xFFFF for s in range(0, 128, 16)]
+                      for pair in pairs for x in pair], dtype=np.float64)
+    padded = np.zeros((len(pairs), 2, 16))
+    padded[:, :, 8:] = limbs.reshape(len(pairs), 2, 8)  # limb l at 8 + l, zeros below
+    at = 8 + 2 * np.arange(4)[:, None] - np.arange(8)  # (q, i) -> 8 + 2q - i
+    w = padded[:, :, at] + 65536.0 * padded[:, :, at + 1]  # (M, 2, 4, 8)
+    return np.ascontiguousarray(w.transpose(2, 0, 1, 3)).reshape(4, len(pairs), 16)
 
 
-def _add(ah, al, bh, bl):
-    """a + b mod 2**128 on (hi, lo) uint64 words."""
-    lo = al + bl
-    return ah + bh + (lo < al), lo
+def _jump(words: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """A_j * state + C_j * inc mod 2**128 for each jump of ``weights`` and
+    each row of ``words``, (K, 4) uint64 as in ``Streams``.  Returns (4, M, K)
+    uint64: entries 0 and 2 of cell (j, k) are its low and high words, 1 and
+    3 scratch for the caller.
+
+    Each product of a limb and a weight is below 2**48 and each sum adds 16,
+    so every partial sum of the matmul is an integer below 2**52: exact
+    under any summation order, blocking or FMA.  Three carries, in place on
+    contiguous (M, K) slabs, join the four sums into the two words.
+    """
+    limbs = np.ascontiguousarray(words, dtype="<u8").view("<u2").astype(np.float64)
+    sums = np.matmul(weights, limbs.T)
+    sums += _TWO52
+    cells = sums.view(np.uint64)
+    cells ^= _TWO52_BITS
+    lo, mid, hi, top = cells
+    top <<= _U32
+    hi += top
+    mid += np.right_shift(lo, _U32, out=top)
+    lo &= _LOW32
+    lo |= np.left_shift(mid, _U32, out=top)
+    hi += np.right_shift(mid, _U32, out=top)
+    return cells
 
 
-_MULT_WORDS = _split([_PCG_MULT])
-# jump constants for j = 1..J steps, J the largest count asked for so far
-_jumps = (np.empty(0, dtype=np.uint64),) * 4
+# the weights of jumps j = 1..J, J the largest count asked for so far
+_jumps = np.empty((4, 0, 16))
+# seeding is one jump from the state initstate: (initstate + inc) * MULT + inc
+_SEED_WEIGHTS = _weights([(_PCG_MULT, _PCG_MULT + 1)])
 
 
-def _jump_constants(M: int):
-    """(A_hi, A_lo, C_hi, C_lo), (M,) each: a state j = 1..M steps on is
+def _jump_weights(M: int) -> np.ndarray:
+    """``_weights`` of the jumps j = 1..M steps on: the state j steps on is
     A_j * state + C_j * inc mod 2**128, A_j = MULT**j, C_j = sum_{i<j} MULT**i.
 
     Built on demand for the largest M a call needs and kept; a fixed size
     would be either too small for some panel width or a waste of memory.
     """
     global _jumps
-    table = _jumps
-    if table[0].size < M:
-        a, c, rows = 1, 0, []
+    if _jumps.shape[1] < M:
+        a, c, pairs = 1, 0, []
         for _ in range(M):
             a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
-            rows.append((a, c))
-        table = _jumps = _split([a for a, _ in rows]) + _split([c for _, c in rows])
-    return tuple(x[:M] for x in table)
+            pairs.append((a, c))
+        _jumps = _weights(pairs)
+    return _jumps[:, :M]
 
 
 class Streams:
-    """K PCG64 streams as uint64 arrays; row k is the stream of ``generator(seed, k)``.
+    """K PCG64 streams as one uint64 array; row k is the stream of ``generator(seed, k)``.
 
-    Each row's 128-bit state and increment are split into high and low
-    words (``hi``, ``lo``, ``inc_hi``, ``inc_lo``, (K,) each).  ``random``
-    hands out the uniforms of ``Generator.random()`` for every row at once;
+    ``words`` is (K, 4): each row's 128-bit state and increment as low and
+    high words, (state lo, state hi, inc lo, inc hi).  ``random`` hands out
+    the uniforms of ``Generator.random()`` for every row at once;
     ``generator`` and ``set_state`` move one row into a numpy ``Generator``
     and back, for draws that consume a variable number of uniforms.
     """
 
-    __slots__ = ("hi", "lo", "inc_hi", "inc_lo")
+    __slots__ = ("words",)
 
-    def __init__(self, hi, lo, inc_hi, inc_lo):
-        self.hi, self.lo, self.inc_hi, self.inc_lo = hi, lo, inc_hi, inc_lo
+    def __init__(self, words):
+        self.words = words
 
     def __len__(self) -> int:
-        return self.hi.size
+        return len(self.words)
 
     def __getitem__(self, rows: slice) -> "Streams":
         """The rows of a slice as views: drawing from them advances these rows."""
-        return Streams(self.hi[rows], self.lo[rows], self.inc_hi[rows], self.inc_lo[rows])
+        return Streams(self.words[rows])
 
     def random(self, m) -> np.ndarray:
         """The next uniforms of every row, bit for bit those of ``Generator.random()``.
@@ -248,35 +272,39 @@ class Streams:
         ``m`` is one count for all rows or a (K,) array of counts.  Returns
         (K, max m) floats: row k's first m_k are its next m_k uniforms, and
         row k advances by m_k; the entries after them are not consumed.
-        Every cell is computed at once from its jumped state.
+        Every cell is computed at once from its jumped state, and the
+        output is built in the cells' scratch entries.
         """
         m = np.asarray(m)
         M = int(m.max()) if m.size else 0
         if M <= 0:
             return np.empty((len(self), 0))
-        ah, al, ch, cl = _jump_constants(M)
-        # cell (k, j) is row k's state j + 1 steps on
-        hi, lo = _add(*_mul(self.hi[:, None], self.lo[:, None], ah, al),
-                      *_mul(self.inc_hi[:, None], self.inc_lo[:, None], ch, cl))
-        # XSL-RR: the xor of the halves, rotated right by the top 6 state bits
-        x = hi ^ lo
-        rot = hi >> _U58
-        out = (x >> rot) | (x << ((_U64 - rot) & _U63))
+        # cell (j, k) is row k's state j + 1 steps on
+        lo, x, hi, rot = _jump(self.words, _jump_weights(M))
         if m.ndim == 0 or (m == M).all():
-            self.hi[:], self.lo[:] = hi[:, -1], lo[:, -1]
+            self.words[:, 0], self.words[:, 1] = lo[-1], hi[-1]
         else:
             rows = np.flatnonzero(m)
             cols = m[rows] - 1
-            self.hi[rows], self.lo[rows] = hi[rows, cols], lo[rows, cols]
-        return (out >> _U11).astype(np.float64) * _TO_UNIT
+            self.words[rows, 0], self.words[rows, 1] = lo[cols, rows], hi[cols, rows]
+        # XSL-RR: the xor of the halves, rotated right by the top 6 state bits
+        np.bitwise_xor(hi, lo, out=x)
+        np.right_shift(hi, _U58, out=rot)
+        np.right_shift(x, rot, out=lo)
+        np.subtract(_U64, rot, out=rot)
+        rot &= _U63
+        out = np.left_shift(x, rot, out=hi)
+        out |= lo
+        out >>= _U11
+        return np.multiply(out.T, _TO_UNIT, out=np.empty((len(self), M)))
 
     def generator(self, k: int) -> np.random.Generator:
         """A ``Generator`` at row k's state; ``set_state(k, gen)`` takes it back."""
+        lo, hi, inc_lo, inc_hi = (int(w) for w in self.words[k])
         bits = np.random.PCG64(0)
         bits.state = {
             "bit_generator": "PCG64",
-            "state": {"state": int(self.hi[k]) << 64 | int(self.lo[k]),
-                      "inc": int(self.inc_hi[k]) << 64 | int(self.inc_lo[k])},
+            "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
             "has_uint32": 0,
             "uinteger": 0,
         }
@@ -285,7 +313,7 @@ class Streams:
     def set_state(self, k: int, gen: np.random.Generator) -> None:
         """Move row k to the state of ``gen``, which drew only ``random()``."""
         state = gen.bit_generator.state["state"]["state"]
-        self.hi[k], self.lo[k] = state >> 64, state & _MASK64
+        self.words[k, 0], self.words[k, 1] = state & _MASK64, state >> 64
 
 
 def streams(seeds, K: int) -> Streams:
@@ -299,8 +327,10 @@ def streams(seeds, K: int) -> Streams:
     w = _pcg64_words(_children(seeds, K))
     # numpy's pcg64_set_seed on the words (initstate hi, lo, initseq hi, lo):
     # inc = initseq << 1 | 1, state = (inc + initstate) * MULT + inc
-    inc_hi = (w[:, 2] << _U1) | (w[:, 3] >> _U63)
-    inc_lo = (w[:, 3] << _U1) | _U1
-    hi, lo = _add(*_mul(*_add(inc_hi, inc_lo, w[:, 0], w[:, 1]), *_MULT_WORDS),
-                  inc_hi, inc_lo)
-    return Streams(hi, lo, inc_hi, inc_lo)
+    words = np.empty((len(w), 4), dtype=np.uint64)
+    words[:, 0], words[:, 1] = w[:, 1], w[:, 0]
+    words[:, 2] = (w[:, 3] << _U1) | _U1
+    words[:, 3] = (w[:, 2] << _U1) | (w[:, 3] >> _U63)
+    cells = _jump(words, _SEED_WEIGHTS)
+    words[:, 0], words[:, 1] = cells[0, 0], cells[2, 0]
+    return Streams(words)

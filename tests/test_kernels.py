@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -146,6 +147,40 @@ def test_inversion_consumes_exactly_one_uniform_below_switch():
             c += p
         assert k == j
         assert gen.random() == ref.random()
+
+
+class _Uniforms:
+    """A generator stand-in whose ``random()`` hands out the given values."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+def test_guarded_inversion_redoes_cells_on_a_threshold():
+    # a rate whose np.exp(-rate) is below math.exp(-rate) (in [0.5, 1), so a
+    # multiple of 2**-53 that Generator.random() can return): the uniform
+    # equal to math.exp's threshold c_0, and one equal to the loop's c_2,
+    # fall on the loop's thresholds, and np.exp's thresholds sit on the
+    # other side of the first; the guard must flag both and redo them
+    grid = np.arange(1, 694) / 1000.0
+    lams = grid[np.exp(-grid) < K._exp_each(grid)]
+    if not lams.size:
+        pytest.skip("np.exp(-x) is math.exp(-x) on the grid")
+    lam = float(lams[0])
+    p = c = math.exp(-lam)
+    u = [c]
+    for j in (1, 2):
+        p *= lam / j
+        c += p
+    u.append(c)
+    rate = np.full(2, lam)
+    want = [K._LOOP_PURE.poisson_draw(_Uniforms([x]), lam) for x in u]
+    assert want == [0, 2]
+    assert K._search(rate, np.exp(-rate), np.array(u), guard=True)[1].tolist() == [0, 1]
+    assert K._inversion(rate, np.array(u)).tolist() == want
 
 
 def test_poisson_moments_small_rate():

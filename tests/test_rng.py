@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -100,3 +102,50 @@ def test_generators_edge_counts():
 def test_negative_seeds_are_precondition_errors(make):
     with pytest.raises(PreconditionError, match="-3"):
         make(-3)
+
+
+def _pcg64(state: int, inc: int) -> np.random.Generator:
+    bits = np.random.PCG64(0)
+    bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                  "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bits)
+
+
+def test_limb_products_stay_exact_at_their_bound(monkeypatch):
+    # every 16-bit limb at 0xFFFF in the state, the increment and the jump
+    # makes the largest partial sums, within 2**37 of the 2**52 that the
+    # conversion to uint64 allows
+    ones = 2**128 - 1
+    pairs = [(ones, ones), (0, 1), (ones, 1), (0, ones), (2**64 + 5, 2**127 + 1)]
+    words = np.array([[x & _rng._MASK64, x >> 64, i & _rng._MASK64, i >> 64] for x, i in pairs],
+                     dtype=np.uint64)
+    jumps = [(ones, ones), (ones, 0), (0, ones), (1, 0), (_rng._PCG_MULT, _rng._PCG_MULT + 1)]
+    sums = np.matmul(_rng._weights(jumps), words.view("<u2").astype(np.float64).T)
+    assert 2**52 - 2**37 < sums.max() < 2**52
+    cells = _rng._jump(words, _rng._weights(jumps))
+    for j, (a, c) in enumerate(jumps):
+        for k, (x, i) in enumerate(pairs):
+            assert int(cells[2, j, k]) << 64 | int(cells[0, j, k]) == (a * x + c * i) % 2**128
+    # the same rows as streams against numpy's Generator at their states, the
+    # jump weights rebuilt from none and grown by each wider call
+    monkeypatch.setattr(_rng, "_jumps", _rng._jumps[:, :0])
+    streams = _rng.Streams(words)
+    gens = [_pcg64(x, i) for x, i in pairs]
+    for m in (1, 24, 300):
+        assert np.array_equal(streams.random(m), [gen.random(m) for gen in gens]), m
+        assert _rng._jumps.shape[1] == m
+        _assert_rows_match(streams, gens)
+
+
+def test_stream_uniforms_take_little_memory():
+    # the jump's four words per cell and the output uniform: 40 bytes per
+    # uniform, plus each row's 16 limbs while the matmul runs
+    streams = _rng.streams(list(range(100)), 200)
+    streams.random(24)
+    tracemalloc.start()
+    try:
+        u = streams.random(24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / u.size <= 44, peak / u.size
