@@ -55,10 +55,9 @@ Guarantees relied on by the rest of the package:
     ``np.dot(A, g)``: each step makes them with one stacked
     ``np.matmul(A, g[:, :, None])``, which runs one gemv per row, not one
     gemm over the rows, which BLAS may round differently;
-  - e^-lambda of the shared rate rows of step 0 is ``math.exp`` per
-    positive rate, R * n calls, not R * K * n; the rows of every later step
-    take ``np.exp``, which differs from ``math.exp`` in the last ulp on
-    some inputs, and a guarded search (``_inversion``) redoes from
+  - e^-lambda is ``np.exp``, taken on step 0's R shared rate rows
+    before they are repeated, which differs from ``math.exp`` in the last
+    ulp on some inputs, and a guarded search (``_inversion``) redoes from
     ``math.exp`` each cell whose uniform lies within a relative 2**-30 of a
     threshold it is compared with, so every cell makes the loop's
     comparisons;
@@ -474,15 +473,15 @@ def _search(rate, p, u, guard=False):
     return found, np.flatnonzero(u * (1.0 + _GUARD) > last)
 
 
-def _inversion(rate, u):
+def _inversion(rate, p, u):
     """``poisson_draw``'s counts for positive rates below ``_PTRS_SWITCH``
-    on the uniforms u, from ``np.exp``'s e^-rate, which differs from
+    on the uniforms u, from p, ``np.exp``'s e^-rate, which differs from
     ``math.exp``'s in the last ulp on some inputs: ``_search``'s guard flags
     the cells whose comparisons could differ (a uniform lands within 2**-30
     of a threshold about once in 2**29 comparisons at most), and they are
     redone from ``math.exp``.
     """
-    found, flagged = _search(rate, np.exp(-rate), u, guard=True)
+    found, flagged = _search(rate, p, u, guard=True)
     if flagged.size:
         found[flagged] = _search(rate[flagged], _exp_each(rate[flagged]), u[flagged])[0]
     return found
@@ -496,12 +495,11 @@ def _poisson_step(streams, lam):
     by the K = len(streams) / R streams r*K .. r*K + K-1."""
     by_scalar = ~(lam < _PTRS_SWITCH).all(axis=1)  # a PTRS (or nan) rate in the row
     pos = (lam > 0.0) & ~by_scalar[:, None]
-    shared = lam.shape[0] < len(streams)
-    if shared:
-        # e^-rate once per positive rate of lam: a shared row takes n calls, not K*n
+    # e^-rate before the repeat: a shared row takes n exps, not K*n
+    exp = np.zeros(lam.shape)
+    exp[pos] = np.exp(-lam[pos])
+    if lam.shape[0] < len(streams):
         K = len(streams) // lam.shape[0]
-        exp = np.zeros(lam.shape)
-        exp[pos] = _exp_each(lam[pos])
         lam, by_scalar, pos, exp = (np.repeat(a, K, axis=0)
                                     for a in (lam, by_scalar, pos, exp))
     rate = lam[pos]
@@ -516,7 +514,7 @@ def _poisson_step(streams, lam):
     u = streams.random(m)
     # row k's first m[k] uniforms, row after row: the order of lam[pos]
     u = u[np.arange(u.shape[1]) < m[:, None]] if u.size > rate.size else u.ravel()
-    draws[pos] = _search(rate, exp[pos], u)[0] if shared else _inversion(rate, u)
+    draws[pos] = _inversion(rate, exp[pos], u)
     return draws
 
 

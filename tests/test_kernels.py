@@ -180,7 +180,7 @@ def test_guarded_inversion_redoes_cells_on_a_threshold():
     want = [K._LOOP_PURE.poisson_draw(_Uniforms([x]), lam) for x in u]
     assert want == [0, 2]
     assert K._search(rate, np.exp(-rate), np.array(u), guard=True)[1].tolist() == [0, 1]
-    assert K._inversion(rate, np.array(u)).tolist() == want
+    assert K._inversion(rate, np.exp(-rate), np.array(u)).tolist() == want
 
 
 def test_poisson_moments_small_rate():
