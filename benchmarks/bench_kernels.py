@@ -14,10 +14,14 @@ simulation runs at ``--horizon`` steps, a forecast, and at one step, a
 calibration block of one bin; both tables have a row for each.
 
 A third table times the per-trajectory streams and their first uniforms:
-the scalar loop ``[rng.generator(seed, k).random(24) for k in range(K)]``
-against ``rng.streams(seed, K).random(24)`` at K = 1, 10 and 200.  Its
-mismatch column counts rows whose uniforms or final state differ from the
-loop's, over a few seeds; it must read 0.
+the scalar loop ``[rng.generator(s, k).random(24) for s in seeds for k in
+range(K)]`` against ``rng.streams(seeds, K).random(24)``, and the seeding
+``rng.streams(seeds, K)`` alone.  It runs one seed at K = 1, 10 and 200,
+and the 100 seeds that ``calibrate`` derives for 100 calibration bins at
+K = 10 and 200, as the ``calibrate`` calls of the CLI commands seed them.
+Its mismatch column counts rows whose uniforms or final state differ from
+the loop's, over five seeds of one to four 32-bit words in the one-seed
+rows; it must read 0.
 
 A fourth table times whole ``fit`` calls at the sizes of the ``run-fit``
 and ``evaluate-qr`` fits, (300, 24) and (300, 96) at the default ``--T``
@@ -84,7 +88,9 @@ from hstconformal._kernels import _LOOP_PURE, ACTIVE, JIT, PURE, USING_NUMBA
 
 TIME_BUDGET_S = 2.0
 K = 200  # simulated scenarios per simulate_counts call, as in a forecast
-STREAM_KS = (1, 10, 200)  # a synthetic panel, a calibration bin, a forecast
+# (seeds, K): a synthetic panel, a calibration bin and a forecast, then the
+# calibration bins of a command at its default and forecast scenario counts
+STREAM_SIZES = ((1, 1), (1, 10), (1, 200), (100, 10), (100, 200))
 STREAM_DRAWS = 24  # uniforms per row: one per circuit of a 24-circuit panel
 # small, one-word, two-word and post-pool (four-word) seeds
 STREAM_SEEDS = (0, 5, 2**32 + 1, 2**64 - 1, 2**100 + 3)
@@ -216,35 +222,45 @@ def print_table(cases, base, new, labels, repeats) -> list:
     return rows
 
 
-def stream_mismatches(seed, k_count) -> int:
+def stream_seeds(count, seed) -> list:
+    # the seed, or the seeds calibrate derives for count calibration bins
+    return [seed] if count == 1 else [rng.derive(seed, "cal", t) for t in range(count)]
+
+
+def stream_mismatches(seeds, k_count) -> int:
     # rows of rng.streams whose uniforms or final state differ from the loop's
-    streams = rng.streams(seed, k_count)
+    streams = rng.streams(seeds, k_count)
     u = streams.random(STREAM_DRAWS)
+    gens = [rng.generator(s, k) for s in seeds for k in range(k_count)]
     bad = 0
-    for k in range(k_count):
-        gen = rng.generator(seed, k)
-        bad += not (np.array_equal(u[k], gen.random(STREAM_DRAWS))
-                    and streams.generator(k).bit_generator.state == gen.bit_generator.state)
+    for row, gen in enumerate(gens):
+        bad += not (np.array_equal(u[row], gen.random(STREAM_DRAWS))
+                    and streams.generator(row).bit_generator.state == gen.bit_generator.state)
     return bad
 
 
 def print_stream_table(repeats) -> list:
-    # speedup is the loop time over the streams time, both for seed 5;
+    # speedup is the loop time over the streams time, both for base seed 5;
     # returns the rows
-    header = f"{'K':<8}{'scalar loop':>14}{'streams':>14}{'speedup':>9}{'mismatches':>12}"
+    header = (f"{'seeds':<7}{'K':<6}{'scalar loop':>14}{'seeding':>12}{'streams':>12}"
+              f"{'speedup':>9}{'mismatches':>12}")
     print(header)
     print("-" * len(header))
     rows = []
-    for k_count in STREAM_KS:
-        t_loop = best_time(lambda: [rng.generator(5, k).random(STREAM_DRAWS)
-                                    for k in range(k_count)], repeats)
-        t_streams = best_time(lambda: rng.streams(5, k_count).random(STREAM_DRAWS), repeats)
-        bad = sum(stream_mismatches(seed, k_count) for seed in STREAM_SEEDS)
-        rows.append({"K": k_count, "draws": STREAM_DRAWS,
+    for count, k_count in STREAM_SIZES:
+        seeds = stream_seeds(count, 5)
+        t_loop = best_time(lambda: [rng.generator(s, k).random(STREAM_DRAWS)
+                                    for s in seeds for k in range(k_count)], repeats)
+        t_seed = best_time(lambda: rng.streams(seeds, k_count), repeats)
+        t_streams = best_time(lambda: rng.streams(seeds, k_count).random(STREAM_DRAWS), repeats)
+        checked = [[s] for s in STREAM_SEEDS] if count == 1 else [seeds]
+        bad = sum(stream_mismatches(s, k_count) for s in checked)
+        rows.append({"seeds": count, "K": k_count, "draws": STREAM_DRAWS,
                      "scalar_loop_ms": round(t_loop * 1e3, 3),
+                     "seeding_ms": round(t_seed * 1e3, 3),
                      "streams_ms": round(t_streams * 1e3, 3), "mismatches": bad})
-        print(f"{k_count:<8}{t_loop * 1e3:>12.3f}ms{t_streams * 1e3:>12.3f}ms"
-              f"{t_loop / t_streams:>8.1f}x{bad:>12}")
+        print(f"{count:<7}{k_count:<6}{t_loop * 1e3:>12.3f}ms{t_seed * 1e3:>10.3f}ms"
+              f"{t_streams * 1e3:>10.3f}ms{t_loop / t_streams:>8.1f}x{bad:>12}")
     return rows
 
 

@@ -437,24 +437,25 @@ def _exp_each(rate):
     return np.fromiter(map(math.exp, (-rate).tolist()), np.float64, rate.size)
 
 
-def _search(rate, p, u, guard=False):
+def _search(rate, p, u, margin):
     """Inversion by sequential search on every cell at once, making
     ``poisson_draw``'s float operations for rate[i] on uniform u[i] from
-    p[i] as e^-rate; a cell leaves when its uniform is covered.  Returns the
-    counts and the indices of the cells the guard flags (none without it).
+    p[i] as e^-rate: a cell goes on while its uniform exceeds the threshold
+    by a relative ``margin`` and leaves when it does not.  Returns the counts
+    and the indices of the cells whose uniform is not below their last
+    threshold by that margin, the cells the margin flags.
 
-    Without ``guard``, p is ``math.exp(-rate)`` and the counts are the
-    loop's.  With it, a cell goes on only while its uniform exceeds the
-    threshold by a relative ``_GUARD``, and is flagged unless its uniform is
-    below its last threshold by as much.  The thresholds only grow, so an
-    unflagged cell clears every one it meets by the margin, and its count is
-    the one from any p within 2**-40 of ``math.exp``'s: thresholds from the
-    two drift apart by at most about 2**-40 + 4j * 2**-53 relative, below
-    the margin for every j up to ``_INVERSION_MAX``.
+    With margin 0 the search makes the loop's comparisons, and its counts
+    are the loop's when p is ``math.exp(-rate)``.  With ``_GUARD``, the
+    thresholds only grow, so an unflagged cell clears every one it meets by
+    the margin, and its count is the one from any p within 2**-40 of
+    ``math.exp``'s: thresholds from the two drift apart by at most about
+    2**-40 + 4j * 2**-53 relative, below the margin for every j up to
+    ``_INVERSION_MAX``.
     """
     found = np.zeros(rate.size, dtype=np.int64)
-    above = u * (1.0 - _GUARD) if guard else u
-    last = p.copy() if guard else None  # the last threshold each cell is compared with
+    above = u * (1.0 - margin)
+    last = p.copy()  # the last threshold each cell is compared with
     live = np.flatnonzero(above > p)
     rate, p, above = rate[live], p[live], above[live]
     c = p
@@ -464,26 +465,23 @@ def _search(rate, p, u, guard=False):
         p = p * (rate / j)
         c = c + p
         found[live] = j
-        if guard:
-            last[live] = c
+        last[live] = c
         more = above > c
         live, rate, p, c, above = live[more], rate[more], p[more], c[more], above[more]
-    if not guard:
-        return found, np.empty(0, dtype=np.intp)
-    return found, np.flatnonzero(u * (1.0 + _GUARD) > last)
+    return found, np.flatnonzero(u * (1.0 + margin) > last)
 
 
 def _inversion(rate, p, u):
     """``poisson_draw``'s counts for positive rates below ``_PTRS_SWITCH``
     on the uniforms u, from p, ``np.exp``'s e^-rate, which differs from
-    ``math.exp``'s in the last ulp on some inputs: ``_search``'s guard flags
-    the cells whose comparisons could differ (a uniform lands within 2**-30
-    of a threshold about once in 2**29 comparisons at most), and they are
-    redone from ``math.exp``.
+    ``math.exp``'s in the last ulp on some inputs: ``_search`` with margin
+    ``_GUARD`` flags the cells whose comparisons could differ (a uniform
+    lands within 2**-30 of a threshold about once in 2**29 comparisons at
+    most), and they are redone from ``math.exp`` with margin 0.
     """
-    found, flagged = _search(rate, p, u, guard=True)
+    found, flagged = _search(rate, p, u, _GUARD)
     if flagged.size:
-        found[flagged] = _search(rate[flagged], _exp_each(rate[flagged]), u[flagged])[0]
+        found[flagged] = _search(rate[flagged], _exp_each(rate[flagged]), u[flagged], 0.0)[0]
     return found
 
 

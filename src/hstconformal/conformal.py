@@ -231,6 +231,7 @@ def _bin_scenarios(model: _hawkes.HawkesModel, Y, b0: int, b1: int, K: int, seed
     those of ``simulate_bin`` on ``Y[:t]`` with that stream's seed.  One hash
     seeds the streams of every bin, and one kernel call simulates each block.
     """
+    check_integer(K, "K")
     if K < 1:
         raise PreconditionError("need K >= 1")
     n = model.n
@@ -387,6 +388,7 @@ def qr_quantile(scores: ScoreSet, window: int = 10) -> QuantileEstimate:
     fitted in one `_pinball_fit` call, bit for bit as if fitted alone; rows
     that reach its iteration cap keep their last iterate, named in a UserWarning.
     """
+    check_integer(window, "window")
     if window < 1:
         raise PreconditionError("window must be >= 1")
     _check_qr_history(scores.n_cal, window)

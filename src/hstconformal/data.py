@@ -19,8 +19,8 @@ import numpy as np
 
 from . import hawkes as _hawkes
 from . import rng as _rng
-from .errors import (DataValidationError, PreconditionError, document_numbers, read_csv_pairs,
-                     read_json, write_json)
+from .errors import (DataValidationError, PreconditionError, check_integer, document_numbers,
+                     read_csv_pairs, read_json, write_json)
 from .topology import NetworkTopology
 
 _PANEL_FORMAT = "hstconformal-panel-v1"
@@ -165,6 +165,8 @@ class SplitSpec:
     test: int = 0
 
     def validate(self, T: int):
+        check_integer(self.t0, "t0")
+        check_integer(self.test, "test")
         if self.test < 0:
             raise PreconditionError("test length must be nonnegative")
         if not (1 < self.t0 < T):
@@ -313,6 +315,8 @@ def generate_synthetic(n: int, m: int, T: int, model: _hawkes.HawkesModel | None
     if model is not None and not np.isinf(cap):
         raise PreconditionError(f"cap={cap!r} has no effect with a supplied model, "
                                 "which carries its own cap")
+    for value, name in ((n, "n"), (m, "m"), (T, "T")):
+        check_integer(value, name)
     if m < 1 or n < m:
         raise PreconditionError(f"need n >= m >= 1, got n={n}, m={m}")
     if T < 2:

@@ -33,7 +33,7 @@ from .conformal import (
     to_circuits,
 )
 from .data import SplitSpec
-from .errors import PreconditionError
+from .errors import PreconditionError, check_integer
 from .topology import NetworkTopology
 
 
@@ -173,6 +173,7 @@ def horizon_forecast(panel, topo: NetworkTopology, t0: int,
     envelopes add the observed history totals to cumulative trajectory
     counts before enveloping, so they flatten once trajectories saturate.
     """
+    check_integer(horizon, "horizon")
     if horizon < 1:
         raise PreconditionError("need horizon >= 1")
     Y = _hawkes._topology_counts(panel, topo)

@@ -189,7 +189,9 @@ class HawkesModel:
 def _panel_counts(panel, n: int | None = None) -> np.ndarray:
     """The nonnegative whole (bins, circuits) counts of a ``CountPanel`` or an
     array as floats, in ``n`` columns when ``n`` is given, which makes a None or
-    empty history the (0, n) panel: the one reader of counts and histories."""
+    empty history the (0, n) panel: the one reader of counts and histories.
+    Counts from 2**53 on are rejected: float64 holds whole numbers exactly
+    only below it."""
     Y = np.asarray([] if panel is None else getattr(panel, "Y", panel))
     if Y.dtype.kind not in "biuf":  # float64 would parse numeric strings
         raise DataValidationError("counts must be numbers")
@@ -202,8 +204,8 @@ def _panel_counts(panel, n: int | None = None) -> np.ndarray:
         check_circuits(Y.shape[1], n, "count")
     if not (Y >= 0).all():  # NaN fails this test too
         raise DataValidationError("counts must be nonnegative")
-    if not (np.isfinite(Y) & (Y == np.floor(Y))).all():
-        raise DataValidationError("counts must be whole numbers")
+    if not ((Y < 2.0**53) & (Y == np.floor(Y))).all():  # inf fails the bound
+        raise DataValidationError("counts must be whole numbers below 2**53")
     return Y
 
 def _topology_counts(panel, topo) -> np.ndarray:
@@ -238,6 +240,8 @@ def _normalize_bins(bins, T: int):
         if bins.step != 1:
             raise PreconditionError("bin range must have step 1")
     else:
+        check_integer(bins[0], "bin range start")
+        check_integer(bins[1], "bin range stop")
         b0, b1 = int(bins[0]), int(bins[1])
     if not (0 <= b0 < b1 <= T):
         raise PreconditionError(f"bin range [{b0}, {b1}) outside panel of {T} bins")
@@ -488,8 +492,10 @@ def simulate_trajectory(model: HawkesModel, history, horizon: int, K: int = 10,
     ``rng.generator(seed, k)`` bit for bit.
     """
     G, before = _start_states(model, _panel_counts(history, model.n))
+    check_integer(horizon, "horizon")
     if horizon < 1:
         raise PreconditionError("need horizon >= 1")
+    check_integer(K, "K")
     if K < 1:
         raise PreconditionError("need K >= 1")
     return _simulate_from(model, G[-1:], before[-1:], horizon, _rng.streams(seed, K))

@@ -11,24 +11,23 @@ PreconditionError.
 ``streams(seed, K)`` holds the K streams ``generator(seed, k)``, k < K, as
 one ``Streams`` object, a uint64 array, bit for bit, for every seed that
 ``generator`` accepts; ``streams(seeds, K)`` holds those of R seeds, row
-r*K + k being ``generator(seeds[r], k)``.  It runs numpy's SeedSequence hash
-(a documented algorithm of 32-bit integer arithmetic) for all rows at once:
-the child seed ``derive(seed, k)``, then the four 64-bit words that PCG64
-asks of ``SeedSequence(derive(seed, k))``, and seeds each row from its words
-as numpy's ``pcg64_set_seed`` does.  ``derive(seed, k)`` hashes the seed's
-32-bit words and then k, so k is the second word of a seed below 2**32 and
-the third of one below 2**64: rows whose seeds have as many words share one
-hash.  ``Streams.random`` then hands out the
-uniforms of ``Generator.random()`` on PCG64, a 128-bit LCG with XSL-RR
-output (O'Neill 2014), for all rows at once: the j-th next state of a row is
-``MULT**j * state + (sum_{i<j} MULT**i) * inc`` mod 2**128, computed for
-every cell by one float64 matmul of the rows' 16-bit limbs with weights
-made of the jump constants' limbs, exact because every partial sum is an
-integer below 2**52, and three uint64 carries; seeding is the same jump
-with its own constants.  No numpy
-``Generator`` is built per stream; ``Streams.generator`` makes one for a
-row whose draws consume a variable number of uniforms, and
-``Streams.set_state`` takes its state back.  ``derive`` and ``generator``
+r*K + k being ``generator(seeds[r], k)``.  It runs numpy's SeedSequence
+loops (32-bit integer arithmetic) word by word, each step on a uint32 column
+of all rows at once: the child seed ``derive(seed, k)``, then the four
+64-bit words that PCG64 asks of ``SeedSequence(derive(seed, k))``, and seeds
+each row from its words as numpy's ``pcg64_set_seed`` does.
+``derive(seed, k)`` hashes the seed's 32-bit words and then k, so k is the
+second word of a seed below 2**32 and the third of one below 2**64: rows
+whose seeds have as many words share one hash.  ``Streams.random`` then
+hands out the uniforms of ``Generator.random()`` on PCG64, a 128-bit LCG
+with XSL-RR output (O'Neill 2014), for all rows at once: the j-th next
+state of a row is ``MULT**j * state + (sum_{i<j} MULT**i) * inc`` mod
+2**128, computed for every cell by one float64 matmul of the rows' 16-bit
+limbs with weights made of the jump constants' limbs, exact because every
+partial sum is an integer below 2**52, and three uint64 carries; seeding is
+the same jump with its own constants.  No numpy ``Generator`` is built per
+stream; ``Streams.generator`` makes one for a row whose draws consume a
+variable number of uniforms, and ``Streams.set_state`` takes its state back.  ``derive`` and ``generator``
 stay for the scalar streams and are the tests' oracle for ``streams``.
 """
 
@@ -36,7 +35,7 @@ import zlib
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, check_integer
 
 
 def _as_int(part) -> int:
@@ -71,26 +70,14 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _POOL = 4
-# the pool rows other than each source row, in destination order
-_OTHERS = [np.array([d for d in range(_POOL) if d != s]) for s in range(_POOL)]
 
 
-def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
-    # init * mult**j mod 2**32 for j = 0..n, as a column
-    out = [init]
-    for _ in range(n):
-        out.append(out[-1] * mult & 0xFFFFFFFF)
-    return np.array(out, dtype=np.uint32)[:, None]
-
-
-# generate_state reads at most 8 words here, one B constant pair each
-_HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
-
-
-def _hashmix(value, consts: np.ndarray, j: int, n: int) -> np.ndarray:
-    # hash calls j..j+n-1 of one hash-constant sequence, one per row
-    v = (value ^ consts[j:j + n]) * consts[j + 1:j + n + 1]
-    return v ^ (v >> _XSHIFT)
+def _hashmix(value: np.ndarray, const: int, mult: int):
+    """numpy's hashmix of a uint32 column at the running hash constant
+    ``const``; returns the hashed column and the constant after the call."""
+    after = const * mult & 0xFFFFFFFF
+    v = (value ^ np.uint32(const)) * np.uint32(after)
+    return v ^ (v >> _XSHIFT), after
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -98,50 +85,35 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> _XSHIFT)
 
 
-def _pool(entropy: list, K: int) -> np.ndarray:
-    """SeedSequence's mixed pool, (4, K) uint32, for K entropy columns.
+def _generate_state(entropy: list, n_words: int) -> np.ndarray:
+    """SeedSequence(entropy).generate_state(n_words, np.uint64) for each column.
 
     ``entropy`` lists the entropy words in order, each a (K,) uint32 array
-    with one word per column.
+    with one word per column.  numpy's mix_entropy and generate_state loops
+    run word by word, each on whole columns.  Returns (K, n_words) uint64,
+    one C-contiguous row per column.
     """
-    n_extra = max(0, len(entropy) - _POOL)
-    # 4 pool-filling hashes, 12 mixing hashes, 4 per word beyond the pool
-    hash_a = _hash_constants(_INIT_A, _MULT_A, 4 * (_POOL + n_extra))
-    words = np.zeros((_POOL, K), dtype=np.uint32)
-    for i, w in enumerate(entropy[:_POOL]):
-        words[i] = w
-    pool = _hashmix(words, hash_a, 0, _POOL)
-    j = _POOL
-    # every bit reaches every word: each source word feeds the other three
+    const, pool = _INIT_A, []
+    for i in range(_POOL):  # past the entropy, the pool hashes zeros
+        word = entropy[i] if i < len(entropy) else np.zeros_like(entropy[0])
+        word, const = _hashmix(word, const, _MULT_A)
+        pool.append(word)
+    # every bit reaches every word: each pool word feeds the other three
     for src in range(_POOL):
-        dst = _OTHERS[src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], hash_a, j, _POOL - 1))
-        j += _POOL - 1
+        for dst in range(_POOL):
+            if dst != src:
+                word, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
     # entropy beyond the pool mixes into all four words
-    for w in entropy[_POOL:]:
-        pool = _mix(pool, _hashmix(w, hash_a, j, _POOL))
-        j += _POOL
-    return pool
-
-
-def _generate_state(entropy: list, K: int, n_words: int) -> np.ndarray:
-    """SeedSequence(entropy).generate_state(n_words, np.uint64) for K columns.
-
-    Returns (K, n_words) uint64, one C-contiguous row per column.
-    """
-    pool = _pool(entropy, K)
-    n32 = 2 * n_words
-    w = _hashmix(pool[np.arange(n32) % _POOL], _HASH_B, 0, n32).astype(np.uint64)
-    return np.ascontiguousarray((w[0::2] | w[1::2] << np.uint64(32)).T)
-
-
-def _pcg64_words(child: np.ndarray) -> np.ndarray:
-    """The words PCG64 asks of SeedSequence(d) for each uint64 d, as (K, 4) rows."""
-    # d's entropy words are (low, high), or (low,) below 2**32; the pool pads
-    # with zeros, so both hash as (low, high)
-    low = child.astype(np.uint32)
-    high = (child >> np.uint64(32)).astype(np.uint32)
-    return _generate_state([low, high], child.size, 4)
+    for extra in entropy[_POOL:]:
+        for dst in range(_POOL):
+            word, const = _hashmix(extra, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], word)
+    const, out = _INIT_B, []
+    for i in range(2 * n_words):  # uint32 words, low then high of each uint64
+        word, const = _hashmix(pool[i % _POOL], const, _MULT_B)
+        out.append(word.astype(np.uint64))
+    return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(out[0::2], out[1::2])], axis=1)
 
 
 def _words(x: int) -> list:
@@ -159,7 +131,7 @@ def _children(seeds: list, K: int) -> np.ndarray:
         cols = (np.array(rows)[:, None] * K + k).ravel()
         entropy = [np.repeat(np.array([words[r][i] for r in rows], dtype=np.uint32), K)
                    for i in range(size)]
-        child[cols] = _generate_state(entropy + [np.tile(k, len(rows))], cols.size, 1)[:, 0]
+        child[cols] = _generate_state(entropy + [np.tile(k, len(rows))], 1)[:, 0]
     return child
 
 
@@ -322,9 +294,14 @@ def streams(seeds, K: int) -> Streams:
     ``seeds[r]``."""
     seeds = [seeds] if isinstance(seeds, (int, np.integer)) else seeds
     seeds = [_checked(s) for s in seeds]
+    check_integer(K, "K")
     if not 0 <= K <= 2**32:
         raise PreconditionError(f"need 0 <= K <= 2**32 (k is one entropy word), got {K}")
-    w = _pcg64_words(_children(seeds, K))
+    child = _children(seeds, K)
+    # the words PCG64 asks of SeedSequence(d) for each child d: d's entropy
+    # words are (low, high), or (low,) below 2**32; the pool pads with zeros,
+    # so both hash as (low, high)
+    w = _generate_state([child.astype(np.uint32), (child >> _U32).astype(np.uint32)], 4)
     # numpy's pcg64_set_seed on the words (initstate hi, lo, initseq hi, lo):
     # inc = initseq << 1 | 1, state = (inc + initstate) * MULT + inc
     words = np.empty((len(w), 4), dtype=np.uint64)

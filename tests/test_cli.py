@@ -313,6 +313,24 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     assert code == 0 and "--config" in out
 
 
+def test_panel_counts_from_2_53_on_fail_at_loading(tmp_path, capsys):
+    # JSON reads 10**19 as uint64 and 2**62 as int64; counts are read as
+    # float64, so both are data errors naming the file, with no cast warning
+    _synth(tmp_path, capsys, n=4, m=2, T=20)
+    doc = json.loads((tmp_path / "panel.json").read_text())
+    for count in (10**19, 2**62):
+        doc["counts"][3][1] = count
+        path = tmp_path / f"big_{count}.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = _run(["run", "--panel", str(path), "--topology",
+                             str(tmp_path / "topology.csv"), "--t0", "11",
+                             "--out", str(tmp_path / "o")], capsys)
+        assert code == 3, err
+        assert f"[load inputs] {path}: counts must be whole numbers below 2**53" in err
+        assert "Warning" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_panel_file_in_another_circuit_order_is_a_data_error(tmp_path, capsys):
     _synth(tmp_path, capsys)
     path = tmp_path / "panel.json"

@@ -27,11 +27,13 @@ from hstconformal import (
     generate_synthetic,
     horizon_forecast,
     hst_conformal_pipeline,
+    log_likelihood,
     nonconformity_score,
     qr_quantile,
     rolling_evaluate,
     score_bin,
     simulate_bin,
+    simulate_trajectory,
     training_scale,
 )
 from hstconformal import _kernels
@@ -828,6 +830,67 @@ def test_counts_must_be_whole_numbers(small_triple, fast_settings):
         training_scale([["1", "2"]])
     # whole floats are counts
     assert np.array_equal(training_scale(panel.Y.astype(float)), training_scale(panel))
+
+
+def test_counts_from_2_53_on_are_data_errors():
+    # counts are read as float64, which holds whole numbers exactly only below
+    # 2**53; a JSON count above 2**63 arrives as uint64
+    times = ("2020-01-01",)
+    assert CountPanel(Y=[[2**53 - 1]], bin_start_times=times).Y[0, 0] == 2**53 - 1
+    for big in (2**53, 2**62, np.array([[10**19]], dtype=np.uint64), 1e300):
+        with pytest.raises(DataValidationError, match="below 2\\*\\*53"):
+            CountPanel(Y=np.broadcast_to(big, (1, 1)), bin_start_times=times)
+    with pytest.raises(DataValidationError, match="below 2\\*\\*53"):
+        training_scale([[1.0, 2.0**60]])
+
+
+_COUNT_ARGUMENTS = [  # the argument named, and a call on the panel, topology and truth
+    pytest.param("K", lambda p, t, m: simulate_trajectory(m, p.Y[:10], 3, K=2.5),
+                 id="simulate_trajectory-K"),
+    pytest.param("K", lambda p, t, m: simulate_trajectory(m, p.Y[:10], 3, K=True),
+                 id="simulate_trajectory-K-bool"),
+    pytest.param("horizon", lambda p, t, m: simulate_trajectory(m, p.Y[:10], 2.5),
+                 id="simulate_trajectory-horizon"),
+    pytest.param("K", lambda p, t, m: calibrate(p, m, t, (20, 30), K=2.5),
+                 id="calibrate-K"),
+    pytest.param("bin range start", lambda p, t, m: calibrate(p, m, t, (20.5, 30)),
+                 id="calibrate-bin_range_start"),
+    pytest.param("bin range start", lambda p, t, m: log_likelihood(m, p.Y, bins=(0.9, 3)),
+                 id="log_likelihood-bin_range_start"),
+    pytest.param("bin range stop", lambda p, t, m: log_likelihood(m, p.Y, bins=(0, 3.0)),
+                 id="log_likelihood-bin_range_stop"),
+    pytest.param("window", lambda p, t, m: qr_quantile(_scores(np.ones((2, 30))), window=2.5),
+                 id="qr_quantile-window"),
+    pytest.param("horizon", lambda p, t, m: horizon_forecast(p, t, 21, horizon=2.0),
+                 id="horizon_forecast-horizon"),
+    pytest.param("t0", lambda p, t, m: horizon_forecast(p, t, 21.5),
+                 id="horizon_forecast-t0"),
+    pytest.param("test", lambda p, t, m: rolling_evaluate(p, t, SplitSpec(t0=21, test=2.5)),
+                 id="rolling_evaluate-test"),
+    pytest.param("n", lambda p, t, m: generate_synthetic(4.5, 2, 30),
+                 id="generate_synthetic-n"),
+    pytest.param("m", lambda p, t, m: generate_synthetic(4, 2.0, 30),
+                 id="generate_synthetic-m"),
+    pytest.param("T", lambda p, t, m: generate_synthetic(4, 2, np.float64(30)),
+                 id="generate_synthetic-T"),
+    pytest.param("K", lambda p, t, m: _rng.streams(5, True), id="streams-K-bool"),
+]
+
+
+@pytest.mark.parametrize("argument, call", _COUNT_ARGUMENTS)
+def test_count_arguments_must_be_integers(small_triple, argument, call):
+    # a float or bool count is a precondition error naming the argument, not
+    # a TypeError from deep inside, one stream or a truncated bin
+    with pytest.raises(PreconditionError, match=f"^{argument} must be an integer"):
+        call(*small_triple)
+
+
+def test_numpy_integer_counts_are_counts(small_triple):
+    panel, topo, truth = small_triple
+    traj = simulate_trajectory(truth, panel.Y[:10], np.int64(2), K=np.uint8(3))
+    assert np.array_equal(traj, simulate_trajectory(truth, panel.Y[:10], 2, K=3))
+    assert np.array_equal(calibrate(panel, truth, topo, (np.int32(20), np.int64(30))).scores,
+                          calibrate(panel, truth, topo, (20, 30)).scores)
 
 
 def _one_per_circuit(what, got, n):

@@ -179,7 +179,7 @@ def test_guarded_inversion_redoes_cells_on_a_threshold():
     rate = np.full(2, lam)
     want = [K._LOOP_PURE.poisson_draw(_Uniforms([x]), lam) for x in u]
     assert want == [0, 2]
-    assert K._search(rate, np.exp(-rate), np.array(u), guard=True)[1].tolist() == [0, 1]
+    assert K._search(rate, np.exp(-rate), np.array(u), K._GUARD)[1].tolist() == [0, 1]
     assert K._inversion(rate, np.exp(-rate), np.array(u)).tolist() == want
 
 

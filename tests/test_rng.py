@@ -74,13 +74,29 @@ def test_stream_rows_move_through_a_generator_and_back():
     _assert_rows_match(streams, gens)
 
 
-def test_pcg64_words_match_seed_sequence():
-    # the second hash level: the words PCG64 asks of SeedSequence(d), for
-    # children of one entropy word (d < 2**32, d = 0 included) and of two
-    ds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
-    words = _rng._pcg64_words(np.array(ds, dtype=np.uint64))
-    for d, row in zip(ds, words):
-        assert np.array_equal(row, np.random.SeedSequence(d).generate_state(4, np.uint64)), d
+@pytest.mark.parametrize("n_words", [1, 4])
+@pytest.mark.parametrize("size", range(1, 8))
+def test_generate_state_matches_seed_sequence(size, n_words):
+    # entropy of 1-3 words leaves the pool's last words to hash zeros, and
+    # 5-7 words mix in after the pool; column 0 is all 0 words, column 1 all
+    # 0xFFFFFFFF words, and column 2 ends in a 0 word
+    gen = np.random.default_rng(size)
+    entropy = gen.integers(0, 2**32, (size, 50), dtype=np.uint32)
+    entropy[:, 0], entropy[:, 1] = 0, 0xFFFFFFFF
+    entropy[-1, 2] = 0
+    state = _rng._generate_state(list(entropy), n_words)
+    assert state.shape == (50, n_words) and state.flags.c_contiguous
+    for k, row in enumerate(state):
+        want = np.random.SeedSequence(entropy[:, k].tolist()).generate_state(n_words, np.uint64)
+        assert np.array_equal(row, want), k
+    if size == 2:
+        # a child d < 2**32 has the one entropy word (d,); streams hashes it as
+        # (d, 0) since the pool pads with zeros
+        d = entropy[0]
+        state = _rng._generate_state([d, np.zeros_like(d)], n_words)
+        for k, row in enumerate(state):
+            want = np.random.SeedSequence(int(d[k])).generate_state(n_words, np.uint64)
+            assert np.array_equal(row, want), k
 
 
 def test_generators_edge_counts():
