@@ -9,16 +9,18 @@ Scores and quantiles are substation rows; `to_circuits` is the one place
 they reach the circuits.  Each input has one checked reader:
 `hawkes._panel_counts` for counts, which `hawkes._topology_counts` also holds
 to the topology's circuit order, `_scenario_matrix` for scenario draws, a
-(K, n) array, and `_scale_vector` for circuit scales; calibration bins'
-scenarios come from `_bin_scenarios`, in blocks of consecutive bins.
-`_forecast` is the one forecast core, fit -> calibrate -> quantile -> K
-target trajectories -> one `build_interval` per step, and
-`hst_conformal_pipeline` is its horizon-1 case.
+(K, n) array, and `_scale_vector` for circuit scales.  Every scenario
+comes from the simulator walk `hawkes._walk`; `_bin_scenarios` only names
+the seed of each calibration bin.  `_forecast` is the one forecast core,
+fit -> calibrate -> quantile -> K target trajectories -> per-step and
+cumulative envelopes, and `hst_conformal_pipeline` is its horizon-1 case.
 
-Intervals de-standardize each substation quantile by the circuit's own scale
-and wrap the scenario min/max envelope; substation bounds aggregate the RAW
-circuit bounds so the Cᵀ relationship is exact.  The nonnegativity clamp on
-lower bounds exists only in the reported view.
+Every bound comes from `_envelope`: the scenario min/max widened by each
+substation quantile de-standardized by the circuit's own scale, with
+substation bounds that aggregate the RAW circuit bounds so the Cᵀ
+relationship is exact.  `build_interval` is its checked one-bin case, and
+`_forecast` widens every step and cumulative count by one margin.  The
+nonnegativity clamp on lower bounds exists only in the reported view.
 """
 
 from __future__ import annotations
@@ -48,8 +50,9 @@ class ScoreSet:
     alpha: float
 
     def __post_init__(self):
-        s = np.ascontiguousarray(self.scores, dtype=np.float64)
-        sc = np.ascontiguousarray(_scale_vector(self.scale))
+        # copies, so that freezing them leaves the caller's arrays writable
+        s = np.array(self.scores, dtype=np.float64, order="C")
+        sc = np.array(_scale_vector(self.scale), order="C")
         if s.ndim != 2:
             raise PreconditionError("scores must be (substations, calibration bins)")
         if not np.isfinite(s).all() or (s < 0).any():
@@ -89,7 +92,7 @@ class QuantileEstimate:
     q: np.ndarray  # (m,)
 
     def __post_init__(self):
-        q = np.ascontiguousarray(self.q, dtype=np.float64)
+        q = np.array(self.q, dtype=np.float64, order="C")  # a copy, as ScoreSet's
         if q.ndim != 1 or not (np.isfinite(q) & (q >= 0)).all():
             raise PreconditionError("quantiles must be a finite nonnegative vector")
         q.flags.writeable = False
@@ -107,20 +110,16 @@ class IntervalForecast:
     t: int
 
     def __post_init__(self):
-        lo = np.ascontiguousarray(self.lower, dtype=np.float64)
-        up = np.ascontiguousarray(self.upper, dtype=np.float64)
-        slo = np.ascontiguousarray(self.sub_lower, dtype=np.float64)
-        sup = np.ascontiguousarray(self.sub_upper, dtype=np.float64)
+        names = ("lower", "upper", "sub_lower", "sub_upper")
+        # copies, as ScoreSet's
+        lo, up, slo, sup = (np.array(getattr(self, k), dtype=np.float64, order="C") for k in names)
         if lo.shape != up.shape or slo.shape != sup.shape:
             raise PreconditionError("bound shape mismatch")
         if (lo > up).any() or (slo > sup).any():
             raise PreconditionError("lower bounds must not exceed upper bounds")
-        for a in (lo, up, slo, sup):
+        for name, a in zip(names, (lo, up, slo, sup)):
             a.flags.writeable = False
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
-        object.__setattr__(self, "sub_lower", slo)
-        object.__setattr__(self, "sub_upper", sup)
+            object.__setattr__(self, name, a)
 
     @property
     def width(self) -> np.ndarray:
@@ -212,37 +211,12 @@ def score_bin(y_t, scenarios, topo: NetworkTopology, scale) -> np.ndarray:
                          topo.members, scale, topo.n)[0]
 
 
-# the most draw cells (scenario rows x circuits) that one block of the
-# calibration walk simulates and scores at once: the larger the block, the
-# fewer kernel calls, and the more memory the block's temporaries take.
-# Streams.random peaks at 40-48 bytes per uniform (tracemalloc, 200 to
-# 20,000 rows of 24), and 24,576 cells still raise run-fit's peak RSS by
-# 1.1-1.3 MiB (3%)
-_BLOCK_CELLS = 8192
-
-
 def _bin_scenarios(model: _hawkes.HawkesModel, Y, b0: int, b1: int, K: int, seed: int):
-    """Yield the scenarios of bins b0, ..., b1-1 in blocks of consecutive bins:
-    (t, (R, K, n) draws of bins t, ..., t+R-1), R*K*n at most ``_BLOCK_CELLS``
-    unless R is 1.
-
-    Bin t starts from row t of one scan of ``Y[:b1]`` (``hawkes._start_states``)
-    and draws from its own derived stream, so its scenarios are bit for bit
-    those of ``simulate_bin`` on ``Y[:t]`` with that stream's seed.  One hash
-    seeds the streams of every bin, and one kernel call simulates each block.
-    """
-    check_integer(K, "K")
-    if K < 1:
-        raise PreconditionError("need K >= 1")
-    n = model.n
-    G, before = _hawkes._start_states(model, Y[:b1])
-    streams = _rng.streams([_rng.derive(seed, "cal", t) for t in range(b0, b1)], K)
-    bins = max(1, _BLOCK_CELLS // (K * n))
-    for t in range(b0, b1, bins):
-        stop = min(t + bins, b1)
-        draws = _hawkes._simulate_from(model, G[t:stop], before[t:stop], 1,
-                                       streams[(t - b0) * K:(stop - b0) * K])
-        yield t, draws.reshape(stop - t, K, n)
+    """The walk (``hawkes._walk``) of calibration bins b0, ..., b1-1, one step
+    from each: (t, (R, K, n) draws of bins t, ..., t+R-1) blocks, where bin t
+    draws from the seed ``rng.derive(seed, "cal", t)``."""
+    seeds = [_rng.derive(seed, "cal", t) for t in range(b0, b1)]
+    return ((t, block[:, :, 0]) for t, block in _hawkes._walk(model, Y, b0, b1, seeds, K, 1))
 
 
 def calibrate(panel, model: _hawkes.HawkesModel, topo: NetworkTopology, cal_bins,
@@ -420,25 +394,25 @@ def to_circuits(rows, topo: NetworkTopology, scale=1.0) -> np.ndarray:
     return np.asarray(rows)[topo.substation_of] * scale
 
 
+def _envelope(samples, margin, topo: NetworkTopology):
+    """The min and max of ``samples`` along its leading axis, widened by the
+    (n,) circuit ``margin``, with their substation sums: (lower, upper,
+    sub_lower, sub_upper), the one rule behind every interval bound."""
+    lower = samples.min(axis=0) - margin
+    upper = samples.max(axis=0) + margin
+    return lower, upper, topo.aggregate(lower), topo.aggregate(upper)
+
+
 def build_interval(scenarios, q: QuantileEstimate, scale, topo: NetworkTopology,
                    t: int) -> IntervalForecast:
-    """Bin t's interval: the min/max envelope of its (K, n) scenario draws widened
+    """Bin t's interval: the ``_envelope`` of its (K, n) scenario draws widened
     by (m,) quantiles times (n,) circuit scales."""
     samples = _scenario_matrix(scenarios, topo.n)
     s = _scale_vector(scale, topo.n)
     if q.q.shape != (topo.m,):
         raise PreconditionError(
             f"need one quantile per substation: {q.q.size} for {topo.m} substations")
-    margin = to_circuits(q.q, topo, s)
-    lower = samples.min(axis=0) - margin
-    upper = samples.max(axis=0) + margin
-    return IntervalForecast(
-        lower=lower,
-        upper=upper,
-        sub_lower=topo.aggregate(lower),
-        sub_upper=topo.aggregate(upper),
-        t=int(t),
-    )
+    return IntervalForecast(*_envelope(samples, to_circuits(q.q, topo, s), topo), t=int(t))
 
 
 # ---------------------------------------------------------------------------
@@ -526,17 +500,24 @@ def _prepare(Y, topo, t0: int, settings: PipelineSettings, seed: int, cal_stop=N
 
 def _forecast(Y, topo, t0: int, settings: PipelineSettings, seed: int, horizon: int):
     """fit -> calibrate -> quantile -> K "target" trajectories of ``horizon``
-    steps after the read counts ``Y`` -> one ``build_interval`` per step.
+    steps after the read counts ``Y`` -> the ``_envelope`` of every step and
+    of the cumulative counts, both widened by one circuit margin.
 
-    Returns (model, scores, quantiles, (K, horizon, n) trajectories, steps).
+    Returns (model, scores, quantiles, (K, horizon, n) trajectories, steps,
+    cumulative), steps holding one ``IntervalForecast`` per step and
+    cumulative the (horizon, n) and (horizon, m) bounds of the observed
+    totals plus the cumulative trajectories.
     """
     model, scores = _prepare(Y, topo, t0, settings, seed)
     qest = _quantile_for(scores, settings)
     traj = _hawkes.simulate_trajectory(model, Y, horizon=horizon, K=settings.K,
                                        seed=_rng.derive(seed, "target"))
-    steps = tuple(build_interval(traj[:, h], qest, scores.scale, topo, t=Y.shape[0] + h)
+    margin = to_circuits(qest.q, topo, scores.scale)
+    bounds = _envelope(traj, margin, topo)
+    steps = tuple(IntervalForecast(*(b[h] for b in bounds), t=Y.shape[0] + h)
                   for h in range(horizon))
-    return model, scores, qest, traj, steps
+    cumulative = _envelope(Y.sum(axis=0) + np.cumsum(traj, axis=1), margin, topo)
+    return model, scores, qest, traj, steps, cumulative
 
 
 def hst_conformal_pipeline(panel, topo: NetworkTopology, t0: int,
@@ -549,7 +530,7 @@ def hst_conformal_pipeline(panel, topo: NetworkTopology, t0: int,
     train the model); the target is the bin after the panel ends.  Returns
     (IntervalForecast, AuditRecord); deterministic given seed.
     """
-    model, scores, qest, traj, (forecast,) = _forecast(
+    model, scores, qest, traj, (forecast,), _ = _forecast(
         _hawkes._topology_counts(panel, topo), topo, t0, settings, seed, 1)
     audit = AuditRecord(
         t0=t0,

@@ -1,15 +1,17 @@
 """Rolling one-step evaluation, horizon forecasts, and their CSV writers.
 
 The rolling harness fits once on the training block, then walks the test
-suffix with calibration's walk, which simulates blocks of bins at once: each
-bin gets an interval built from all data before it, and its score joins the
-calibration pool before the next bin.  A full refit per step is available
-behind ``refit_each_step``; each refit simulates its own bin only.
-Coverage at circuit and substation level is checked against the truth once
-the walk is done.  Counts are read through ``hawkes._topology_counts``, in
-the topology's circuit order, and ``horizon_forecast`` is the multi-step case
-of the forecast core ``conformal._forecast``, whose horizon-1 case is
-``hst_conformal_pipeline``.
+suffix with calibration's walk (``conformal._bin_scenarios`` over the
+simulator walk ``hawkes._walk``), which simulates blocks of bins at once:
+each bin gets an interval (``build_interval``) built from all data before
+it, and its score joins the calibration pool before the next bin.  A full
+refit per step is available behind ``refit_each_step``; each refit
+simulates its own bin only.  Coverage at circuit and substation level is
+checked against the truth once the walk is done.  Counts are read through
+``hawkes._topology_counts``, in the topology's circuit order.
+``horizon_forecast`` packs the per-step and cumulative bounds of the
+forecast core ``conformal._forecast``, whose horizon-1 case is
+``hst_conformal_pipeline``; this module makes no bound of its own.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .conformal import (
     _quantile_for,
     build_interval,
     score_bin,
-    to_circuits,
 )
 from .data import SplitSpec
 from .errors import PreconditionError, check_integer
@@ -171,26 +172,15 @@ def horizon_forecast(panel, topo: NetworkTopology, t0: int,
     min/max envelope of the K trajectories at that step (``conformal._forecast``,
     whose horizon-1 case is the one-shot pipeline forecast); cumulative
     envelopes add the observed history totals to cumulative trajectory
-    counts before enveloping, so they flatten once trajectories saturate.
+    counts before enveloping with the same margin, so they flatten once
+    trajectories saturate.
     """
     check_integer(horizon, "horizon")
     if horizon < 1:
         raise PreconditionError("need horizon >= 1")
     Y = _hawkes._topology_counts(panel, topo)
-    _, scores, qest, traj, steps = _forecast(Y, topo, t0, settings, seed, horizon)
-    margin = to_circuits(qest.q, topo, scores.scale)
-    observed = Y.sum(axis=0)
-    cum_traj = observed[None, None, :] + np.cumsum(traj, axis=1)
-    cum_lower = cum_traj.min(axis=0) - margin[None, :]
-    cum_upper = cum_traj.max(axis=0) + margin[None, :]
-    return HorizonForecast(
-        steps=steps,
-        cum_lower=cum_lower,
-        cum_upper=cum_upper,
-        cum_sub_lower=topo.aggregate(cum_lower),
-        cum_sub_upper=topo.aggregate(cum_upper),
-        start_bin=Y.shape[0],
-    )
+    *_, steps, cumulative = _forecast(Y, topo, t0, settings, seed, horizon)
+    return HorizonForecast(steps, *cumulative, start_bin=Y.shape[0])
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,11 @@ parameters, so fitting and model comparison are unaffected.
 Every entry reads its counts or history through one checked reader,
 ``_panel_counts``; where a panel meets a topology, ``_topology_counts`` also
 holds it to the topology's circuit order.  Simulations return plain int64
-arrays: (K, horizon, n) trajectories, or (K, n) draws of one bin.  The
-intensity, the likelihood and every simulation start read their states off
-one scan (``_start_states``), and ``fit`` optimizes one layout (``_pack``).
+arrays: (K, horizon, n) trajectories, or (K, n) draws of one bin.  Every
+scenario, calibration's too, comes from one walk (``_walk``), whose one-row
+case is ``simulate_trajectory``.  The intensity, the likelihood and the walk
+read their states off one scan (``_start_states``), and ``fit`` optimizes
+one layout (``_pack``).
 """
 
 from __future__ import annotations
@@ -97,8 +99,9 @@ class HawkesModel:
     def __post_init__(self):
         for k in ("beta", "cap", "floor"):
             object.__setattr__(self, k, float(getattr(self, k)))
-        mu = np.ascontiguousarray(self.mu, dtype=np.float64)
-        A = np.ascontiguousarray(self.A, dtype=np.float64)
+        # copies, so that freezing them leaves the caller's arrays writable
+        mu = np.array(self.mu, dtype=np.float64, order="C")
+        A = np.array(self.A, dtype=np.float64, order="C")
         if mu.ndim != 1:
             raise PreconditionError("mu must be a vector")
         n = mu.shape[0]
@@ -240,9 +243,13 @@ def _normalize_bins(bins, T: int):
         if bins.step != 1:
             raise PreconditionError("bin range must have step 1")
     else:
-        check_integer(bins[0], "bin range start")
-        check_integer(bins[1], "bin range stop")
-        b0, b1 = int(bins[0]), int(bins[1])
+        try:
+            b0, b1 = bins
+        except (TypeError, ValueError):
+            raise PreconditionError("bin range must be a range or a (start, stop) pair") from None
+        check_integer(b0, "bin range start")
+        check_integer(b1, "bin range stop")
+        b0, b1 = int(b0), int(b1)
     if not (0 <= b0 < b1 <= T):
         raise PreconditionError(f"bin range [{b0}, {b1}) outside panel of {T} bins")
     return b0, b1
@@ -451,19 +458,6 @@ def fit(panel, topo, cfg: FitConfig = FitConfig(), seed: int = 0) -> HawkesModel
 # ---------------------------------------------------------------------------
 # Simulation.
 
-def _simulate_from(model: HawkesModel, g0, n0, horizon: int, streams) -> np.ndarray:
-    """Trajectories of shape (horizon, n) from R start rows, the excitation
-    states ``g0`` (R, n) and network-wide counts ``n0`` (R,), K from each:
-    the one simulator entry of the package.
-
-    ``streams`` (``rng.streams``) holds R*K streams, and trajectory r*K + k
-    starts from row r and draws from stream r*K + k alone.  One kernel call
-    advances all R*K together.
-    """
-    return ACTIVE.simulate_counts(streams, model.mu, model.A, model.beta, model.cap,
-                                  model.floor, g0, n0, horizon)
-
-
 def _start_states(model: HawkesModel, counts: np.ndarray):
     """The state before each bin of read ``counts`` and after the last, from one scan.
 
@@ -487,15 +481,47 @@ def simulate_trajectory(model: HawkesModel, history, horizon: int, K: int = 10,
 
     Each trajectory extends its own simulated history bin by bin, from the
     excitation and network-wide count of ``history``; trajectory k draws from
-    the generator (seed, k) and is the same for every K > k.  ``rng.streams``
-    seeds all K in one vectorized SeedSequence hash, each in the state of
-    ``rng.generator(seed, k)`` bit for bit.
+    the generator (seed, k) and is the same for every K > k.  The one-row
+    case of ``_walk``, which starts from the state after the last bin.
     """
-    G, before = _start_states(model, _panel_counts(history, model.n))
-    check_integer(horizon, "horizon")
-    if horizon < 1:
-        raise PreconditionError("need horizon >= 1")
+    counts = _panel_counts(history, model.n)
+    ((_, traj),) = _walk(model, counts, len(counts), len(counts) + 1, [seed], K, horizon)
+    return traj[0]
+
+
+# the most draw cells (trajectories x steps x circuits) that one block of a
+# walk simulates at once: the larger the block, the fewer kernel calls, and
+# the more memory the block's temporaries take.  Streams.random peaks at
+# 40-48 bytes per uniform (tracemalloc, 200 to 20,000 rows of 24), and
+# 24,576 cells still raise run-fit's peak RSS by 1.1-1.3 MiB (3%)
+_BLOCK_CELLS = 8192
+
+
+def _walk(model: HawkesModel, counts: np.ndarray, b0: int, b1: int, seeds, K: int,
+          horizon: int):
+    """Yield K trajectories of ``horizon`` steps from each start bin b0, ..., b1-1
+    of the read ``counts`` in blocks of consecutive start bins: (t, (R, K,
+    horizon, n) draws from bins t, ..., t+R-1), R*K*horizon*n at most
+    ``_BLOCK_CELLS`` unless R is 1.  The one simulator of the package.
+
+    Start bin t is row t of one scan of ``counts[:b1]`` (``_start_states``),
+    the state after ``counts[:t]``, so b1 may be one past the last bin.  Its
+    trajectory k draws from the generator (``seeds[t - b0]``, k), as
+    ``simulate_trajectory`` on ``counts[:t]`` with that seed does, bit for
+    bit.  One ``rng.streams`` hash seeds every stream.
+    """
     check_integer(K, "K")
     if K < 1:
         raise PreconditionError("need K >= 1")
-    return _simulate_from(model, G[-1:], before[-1:], horizon, _rng.streams(seed, K))
+    check_integer(horizon, "horizon")
+    if horizon < 1:
+        raise PreconditionError("need horizon >= 1")
+    G, before = _start_states(model, counts[:b1])
+    streams = _rng.streams(seeds, K)
+    bins = max(1, _BLOCK_CELLS // max(1, K * horizon * model.n))
+    for t in range(b0, b1, bins):
+        stop = min(t + bins, b1)
+        draws = ACTIVE.simulate_counts(streams[(t - b0) * K:(stop - b0) * K], model.mu,
+                                       model.A, model.beta, model.cap, model.floor,
+                                       G[t:stop], before[t:stop], horizon)
+        yield t, draws.reshape(stop - t, K, horizon, model.n)

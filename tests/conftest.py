@@ -38,6 +38,10 @@ class _GeneratorStreams:
     def __len__(self):
         return len(self.gens)
 
+    def __getitem__(self, rows):
+        # the same Generators, as rng.Streams slices are views of its rows
+        return _GeneratorStreams(self.gens[rows])
+
     def random(self, m):
         m = np.broadcast_to(m, (len(self.gens),)).tolist()
         out = np.zeros((len(self.gens), max(m, default=0)))

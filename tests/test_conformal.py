@@ -593,7 +593,7 @@ def test_calibrate_matches_the_recount_across_blocks(monkeypatch, small_triple):
     panel, topo, _ = small_triple
     model = HawkesModel(mu=np.full(6, 0.3), A=np.full((6, 6), 0.12), beta=0.8)
     K = 300
-    per_block = _conformal._BLOCK_CELLS // (K * 6)
+    per_block = _hawkes._BLOCK_CELLS // (K * 6)
     assert per_block >= 2
     lengths = _assert_calibrate_matches_recount(monkeypatch, panel.Y, model, topo,
                                                 (30, 31 + 2 * per_block), K, 6)
@@ -883,6 +883,35 @@ def test_count_arguments_must_be_integers(small_triple, argument, call):
     # a TypeError from deep inside, one stream or a truncated bin
     with pytest.raises(PreconditionError, match=f"^{argument} must be an integer"):
         call(*small_triple)
+
+
+def test_bin_ranges_must_be_pairs(small_triple):
+    # a third entry was ignored, so (0, 3, 99) read as (0, 3)
+    panel, topo, truth = small_triple
+    pair = re.escape("bin range must be a range or a (start, stop) pair")
+    for bins in ((0, 3, 99), [0, 3, 99], (3,), np.arange(3), 3):
+        with pytest.raises(PreconditionError, match=pair):
+            log_likelihood(truth, panel.Y, bins=bins)
+    with pytest.raises(PreconditionError, match=pair):
+        calibrate(panel, truth, topo, (20, 30, 99))
+    assert log_likelihood(truth, panel.Y, bins=np.array([0, 3])) == log_likelihood(
+        truth, panel.Y, bins=(0, 3))
+
+
+def test_constructors_leave_the_callers_arrays_writable():
+    # each class freezes its own copy: freezing the given array made the
+    # caller's next write raise "assignment destination is read-only"
+    given = [np.ones(3), np.zeros((3, 3)), np.ones((2, 4)), np.ones(3), np.ones(2),
+             np.zeros(3), np.ones(3), np.zeros(2), np.ones(2)]
+    mu, A, scores, scale, q, lo, up, slo, sup = given
+    made = [HawkesModel(mu=mu, A=A, beta=1.0), ScoreSet(scores, scale, 0.1),
+            QuantileEstimate(q), IntervalForecast(lo, up, slo, sup, t=0)]
+    kept = [made[0].mu, made[0].A, made[1].scores, made[1].scale, made[2].q,
+            made[3].lower, made[3].upper, made[3].sub_lower, made[3].sub_upper]
+    for a, b in zip(given, kept):
+        before = a.copy()
+        a += 1.0
+        assert np.array_equal(b, before) and not b.flags.writeable
 
 
 def test_numpy_integer_counts_are_counts(small_triple):

@@ -25,7 +25,7 @@ from hstconformal import conformal as _conformal
 from hstconformal import evaluation as _evaluation
 from hstconformal import rng as _rng
 from hstconformal.conformal import build_interval, score_bin
-from hstconformal.hawkes import fit, simulate_bin
+from hstconformal.hawkes import fit, simulate_bin, simulate_trajectory
 
 
 def _interval(lower, upper, topo, t=0):
@@ -254,6 +254,32 @@ def test_horizon_first_step_equals_single_bin_pipeline(small_triple, fast_settin
     assert np.array_equal(first.upper, f.upper)
     assert hf.horizon == 3
     assert hf.start_bin == panel.T
+
+
+def test_horizon_forecast_matches_the_per_step_recount(small_triple, fast_settings):
+    # every step is build_interval on that step's draws, and the cumulative
+    # bounds are the envelope of the observed totals plus the cumulative
+    # trajectories, widened by the same margin, with substation sums
+    panel, topo, _ = small_triple
+    seed, horizon = 4, 5
+    hf = horizon_forecast(panel, topo, 41, fast_settings, horizon=horizon, seed=seed)
+    model, scores = _conformal._prepare(panel.Y, topo, 41, fast_settings, seed)
+    qest = _conformal._quantile_for(scores, fast_settings)
+    traj = simulate_trajectory(model, panel.Y, horizon, K=fast_settings.K,
+                               seed=_rng.derive(seed, "target"))
+    for h, step in enumerate(hf.steps):
+        expect = build_interval(traj[:, h], qest, scores.scale, topo, t=panel.T + h)
+        for name in ("lower", "upper", "sub_lower", "sub_upper"):
+            assert np.array_equal(getattr(step, name), getattr(expect, name)), (h, name)
+        assert step.t == expect.t
+    margin = np.array([qest.q[topo.substation_of[i]] * scores.scale[i] for i in range(topo.n)])
+    cum = panel.Y.sum(axis=0) + np.cumsum(traj, axis=1)
+    lower, upper = cum.min(axis=0) - margin, cum.max(axis=0) + margin
+    assert np.array_equal(hf.cum_lower, lower)
+    assert np.array_equal(hf.cum_upper, upper)
+    for j, idx in enumerate(topo.members):
+        assert np.array_equal(hf.cum_sub_lower[:, j], lower[:, idx].sum(axis=1)), j
+        assert np.array_equal(hf.cum_sub_upper[:, j], upper[:, idx].sum(axis=1)), j
 
 
 def test_horizon_cumulative_envelopes_are_monotone(small_triple, fast_settings):

@@ -474,8 +474,9 @@ def test_trajectory_generators_match_the_scalar_streams(monkeypatch, generator_s
 
     def run(build, seed):
         made = []
+        # the walk seeds with one seed per start bin: here the one start
         monkeypatch.setattr(_rng, "streams",
-                            lambda s, K: made.append(build(s, K)) or made[-1])
+                            lambda seeds, K: made.append(build(*seeds, K)) or made[-1])
         traj = simulate_trajectory(m, h, horizon=6, K=30, seed=seed)
         return traj, [made[0].generator(k).bit_generator.state for k in range(30)]
 
@@ -485,6 +486,25 @@ def test_trajectory_generators_match_the_scalar_streams(monkeypatch, generator_s
         want, want_states = run(generator_streams, seed)
         assert np.array_equal(got, want), seed
         assert got_states == want_states, seed
+
+
+def test_walk_draws_each_start_bin_as_its_own_trajectory(monkeypatch):
+    # several start bins of several steps each, in blocks whose cells count
+    # the horizon, the last start one past the panel: every start's K
+    # trajectories are those of simulate_trajectory on its own prefix and seed
+    m = _model([0.4, 2.0, 0.1], np.full((3, 3), 0.15), beta=0.8, cap=300.0)
+    Y = np.random.default_rng(3).poisson(1.0, size=(12, 3)).astype(float)
+    K, horizon = 3, 4
+    monkeypatch.setattr(_hawkes, "_BLOCK_CELLS", 2 * K * horizon * 3 + 1)
+    seeds = [_rng.derive(9, t) for t in range(5, 13)]
+    blocks = list(_hawkes._walk(m, Y, 5, 13, seeds, K, horizon))
+    assert [t for t, _ in blocks] == [5, 7, 9, 11]
+    assert all(b.shape == (2, K, horizon, 3) for _, b in blocks)
+    for t, got in zip(range(5, 13), np.concatenate([b for _, b in blocks])):
+        want = simulate_trajectory(m, Y[:t], horizon, K=K, seed=seeds[t - 5])
+        assert np.array_equal(got, want), t
+    # a model of no circuits has no draw cells, and its walk still runs
+    assert simulate_trajectory(_model([], np.zeros((0, 0))), None, 3, K=2).shape == (2, 3, 0)
 
 
 def test_simulation_argument_validation():
