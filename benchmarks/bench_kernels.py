@@ -9,8 +9,10 @@ A second table times the pure excitation recursions (one blocked numpy
 scan) and the pure scenario simulation (all K trajectories per numpy step)
 against the loop reference: the numba source run as plain Python, row by
 row, trajectory by trajectory and circuit by circuit.  It needs no numba,
-so it always has numbers; the simulation rows' max diffs must read 0.  The
-simulation runs at ``--horizon`` steps, a forecast, and at one step, a
+so it always has numbers; the simulation rows' max diffs must read 0, and
+the recursion rows' must be at most RECURSION_RTOL times the larger of 1
+and the reference's largest entry, the bound of the tier-1 recursion test.
+The simulation runs at ``--horizon`` steps, a forecast, and at one step, a
 calibration block of one bin; both tables have a row for each.
 
 A third table times the per-trajectory streams and their first uniforms:
@@ -53,9 +55,10 @@ truth model, scoring the last quarter of the bins, at (n, K) = (24, 10),
 gives 100 calibration bins.  The per-bin walk rescans each bin's history,
 as ``simulate_bin`` does, where ``calibrate`` scans the panel once.  Its
 mismatch column counts bins whose scores differ from the per-bin walk's;
-it must read 0.  ``--json PATH`` writes the second table's simulation
-rows, the stream table and this table to PATH, with the versions and
-kernel path they ran on (``benchmarks/BENCH_simulate.json``).
+it must read 0.  ``--json PATH`` writes the second table's recursion and
+simulation rows, the stream table, the fit table and this table to PATH,
+with the versions and kernel path they ran on
+(``benchmarks/BENCH_simulate.json``).
 
 Usage:
     python3 benchmarks/bench_kernels.py [--T 400] [--n 24] [--horizon 52]
@@ -65,7 +68,8 @@ Each timing is the best of ``--repeats`` calls, or of as many as fit in
 TIME_BUDGET_S seconds (at least one).  Without numba (not importable, or
 HSTCONFORMAL_NO_NUMBA set) the jit, speedup and diff columns of the first
 table read "jit unavailable".  The script exits with status 1 when a stream
-or calibration mismatch count or a simulation max diff is not 0.
+or calibration mismatch count or a simulation max diff is not 0, or when a
+recursion max diff exceeds its bound.
 """
 
 from __future__ import annotations
@@ -101,6 +105,7 @@ FIT_RUNS = 3  # fits per cell, fewer when --repeats is smaller
 # default scenario count, and forecast-sim's 200 scenarios
 CAL_SIZES = ((24, 6, 10), (96, 12, 10), (24, 6, 200))
 CAL_SEED = 5
+RECURSION_RTOL = 1e-12  # pure G and H off the loop reference, times max(1, max|ref|)
 
 
 def best_time(fn, repeats: int, inputs=tuple) -> float:
@@ -121,10 +126,15 @@ def best_time(fn, repeats: int, inputs=tuple) -> float:
     return best
 
 
-def max_abs_diff(a, b) -> float:
+def max_abs(a) -> float:
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return float(np.max(np.abs(a - b))) if a.size else 0.0
+    return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+def compare(ref, got) -> tuple:
+    # the largest difference from the reference, and the reference's largest entry
+    ref = np.asarray(ref, dtype=float)
+    return max_abs(ref - np.asarray(got, dtype=float)), max_abs(ref)
 
 
 def build_cases(T: int, n: int, horizon: int):
@@ -152,7 +162,7 @@ def build_cases(T: int, n: int, horizon: int):
                 name,
                 shape,
                 lambda impl: (lambda: getter(impl)),
-                lambda a, b: max_abs_diff(getter(a), getter(b)),
+                lambda a, b: compare(getter(a), getter(b)),
                 tuple,
             )
         )
@@ -191,8 +201,8 @@ def build_cases(T: int, n: int, horizon: int):
                 "simulate_counts",
                 f"K={K} h={steps} n={n}",
                 lambda impl, steps=steps: (lambda streams: sim(impl, streams, steps)),
-                lambda a, b, steps=steps: max_abs_diff(sim(a, fresh_streams(), steps),
-                                                       sim(b, fresh_streams(), steps)),
+                lambda a, b, steps=steps: compare(sim(a, fresh_streams(), steps),
+                                                  sim(b, fresh_streams(), steps)),
                 lambda: (fresh_streams(),),
             )
         )
@@ -200,8 +210,9 @@ def build_cases(T: int, n: int, horizon: int):
 
 
 def print_table(cases, base, new, labels, repeats) -> list:
-    # speedup is the base time over the new time; max|diff| compares outputs;
-    # returns the rows that have both sides
+    # speedup is the base time over the new time; max|diff| compares outputs,
+    # max_abs_ref is the largest entry of the base's; returns the rows that
+    # have both sides
     header = (f"{'kernel':<24}{'size':<20}{labels[0]:>12}{labels[1]:>12}"
               f"{'speedup':>9}{'max|diff|':>12}")
     print(header)
@@ -214,10 +225,10 @@ def print_table(cases, base, new, labels, repeats) -> list:
             print(f"{row}  {labels[1]} unavailable")
             continue
         t_new = best_time(make(new), repeats, inputs)
-        diff = check(base, new)
+        diff, ref = check(base, new)
         base_key, new_key = (f"{label.replace(' ', '_')}_ms" for label in labels)
         rows.append({"kernel": name, "size": shape, base_key: round(t_base * 1e3, 3),
-                     new_key: round(t_new * 1e3, 3), "max_diff": diff})
+                     new_key: round(t_new * 1e3, 3), "max_diff": diff, "max_abs_ref": ref})
         print(f"{row}{t_new * 1e3:>10.3f}ms{t_base / t_new:>8.1f}x{diff:>12.3g}")
     return rows
 
@@ -292,13 +303,15 @@ def fit_usage(counts, runs):
             (after.ru_minflt - before.ru_minflt) / runs)
 
 
-def print_fit_table(T, n, repeats):
+def print_fit_table(T, n, repeats) -> list:
+    # returns the rows
     header = (f"{'fit size':<16}{'epochs':>7}{'allocating':>30}{'workspace':>30}")
     sub = f"{'':<23}" + f"{'wall':>10}{'sys':>10}{'faults':>10}" * 2
     print(header)
     print(sub)
     print("-" * len(sub))
     runs = max(1, min(repeats, FIT_RUNS))
+    rows = []
     for t_base, n_base in FIT_SIZES:
         size = (max(2, t_base * T // 400), max(1, n_base * n // 24))
         counts = np.random.default_rng(0).poisson(1.0, size).astype(float)
@@ -309,6 +322,12 @@ def print_fit_table(T, n, repeats):
         cells = "".join(f"{w * 1e3:>8.1f}ms{s * 1e3:>8.1f}ms{f:>10.0f}"
                         for w, s, f in (alloc, work))
         print(f"{row:<16}{epochs:>7}{cells}")
+        record = {"T": size[0], "n": size[1], "epochs": epochs, "fits": runs}
+        for side, (w, s, f) in (("allocating", alloc), ("workspace", work)):
+            record.update({f"{side}_wall_ms": round(w * 1e3, 3),
+                           f"{side}_sys_ms": round(s * 1e3, 3), f"{side}_faults": round(f, 1)})
+        rows.append(record)
+    return rows
 
 
 def per_bin_walk(Y, topo, model, b0, b1, k_count):
@@ -347,10 +366,12 @@ def print_calibrate_table(T, n, repeats) -> list:
     return rows
 
 
-def write_json(path, simulate_rows, stream_rows, calibrate_rows, args):
+def write_json(path, recursion_rows, simulate_rows, stream_rows, fit_rows, calibrate_rows,
+               args):
     doc = {
-        "benchmark": ("pure scenario simulation against the loop reference, PCG64 "
-                      "streams against numpy Generators, and the calibration walk: "
+        "benchmark": ("pure excitation recursions and scenario simulation against the "
+                      "loop reference, PCG64 streams against numpy Generators, whole "
+                      "fits allocating and on one workspace, and the calibration walk: "
                       "per-bin simulate_bin + score_bin against calibrate"),
         "command": (f"python3 benchmarks/bench_kernels.py --T {args.T} --n {args.n} "
                     f"--horizon {args.horizon} --repeats {args.repeats} --json {path}"),
@@ -359,8 +380,10 @@ def write_json(path, simulate_rows, stream_rows, calibrate_rows, args):
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
+        "recursion_rows": recursion_rows,
         "simulate_rows": simulate_rows,
         "stream_rows": stream_rows,
+        "fit_rows": fit_rows,
         "calibrate_rows": calibrate_rows,
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -374,8 +397,8 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, default=24, help="circuit count")
     parser.add_argument("--horizon", type=int, default=52, help="simulation bins")
     parser.add_argument("--repeats", type=int, default=200, help="timing repeats")
-    parser.add_argument("--json", help="write the simulation, stream and calibration "
-                        "tables to this file")
+    parser.add_argument("--json", help="write the recursion, simulation, stream, fit and "
+                        "calibration tables to this file")
     args = parser.parse_args(argv)
 
     cases = build_cases(args.T, args.n, args.horizon)
@@ -392,18 +415,24 @@ def main(argv=None) -> int:
     print()
     stream_rows = print_stream_table(args.repeats)
     print()
-    print_fit_table(args.T, args.n, args.repeats)
+    fit_rows = print_fit_table(args.T, args.n, args.repeats)
     print()
     cal_rows = print_calibrate_table(args.T, args.n, args.repeats)
+    rec_rows = [r for r in loop_rows if r["kernel"].startswith("excitation")]
     sim_rows = [r for r in loop_rows if r["kernel"] == "simulate_counts"]
     if args.json:
-        write_json(args.json, sim_rows, stream_rows, cal_rows, args)
+        write_json(args.json, rec_rows, sim_rows, stream_rows, fit_rows, cal_rows, args)
     mismatches = sum(r["mismatches"] for r in stream_rows)
     cal_mismatches = sum(r["mismatches"] for r in cal_rows)
     sim_diffs = [r["max_diff"] for r in jit_rows + loop_rows if r["kernel"] == "simulate_counts"]
-    if mismatches or cal_mismatches or any(sim_diffs):
+    # the bound of the tier-1 recursion test, relative to the loop reference
+    rec_over = [r["kernel"] for r in rec_rows
+                if not r["max_diff"] <= RECURSION_RTOL * max(1.0, r["max_abs_ref"])]
+    if mismatches or cal_mismatches or any(sim_diffs) or rec_over:
         print(f"FAILED: {mismatches} stream mismatches, {cal_mismatches} calibration "
-              f"mismatches, simulation max diffs {sim_diffs}", file=sys.stderr)
+              f"mismatches, simulation max diffs {sim_diffs}, recursions off the loop "
+              f"reference by more than {RECURSION_RTOL:g} relative: {rec_over}",
+              file=sys.stderr)
         return 1
     return 0
 

@@ -20,21 +20,29 @@ Guarantees relied on by the rest of the package:
   (at most 5e-15 times the largest entry over the tested sizes and decays;
   the tests allow 1e-12), and its row t depends only on the first t input
   rows, bit for bit: the excitation of a history equals the matching row
-  of the full panel's.
+  of the full panel's.  It walks groups of whole blocks, about 256 KiB
+  each, as contiguous row ranges, and adds -0.0 where a doubling step's
+  term would cross into the next block, which leaves every row as a scan
+  of each block alone would.
+* The pure likelihood takes log lambda directly when every rate is
+  positive and finite, which leaves every term as the masked form has it;
+  otherwise it masks the rates <= 0, which add no log term and have the
+  gradient's -1, and a zero rate on a count makes the value -inf.
 * ``workspace(counts, b0, b1)`` builds the arrays that the dense kernels
   ``excitation_series``, ``excitation_beta_series`` and ``loglik_grads``
   write on that panel and bin range; each family builds its own.  Passed
   as the trailing keyword ``work``, it replaces every (T, n) and (n, n)
   array those calls would allocate: the loop family writes G, H and dA
-  into it, the pure family also the scan temporaries and every likelihood
-  and gradient intermediate, with the ``Y > 0`` masks computed once.  The
-  returned G, H and dA are views into the workspace, valid until the next
-  call with the same workspace.  The float operations, their operand order
-  and the shapes of the reductions are those of the allocating call, so
-  the results are bit-identical with or without it.  ``fit`` holds one
-  workspace for all its epochs: an allocating epoch makes about 32 (T, n)
-  temporaries, and glibc hands much of that memory back to the system
-  (by unmapping or trimming the heap), so each epoch faults it in anew.
+  into it, the pure family also one scan group's temporary, the block-end
+  rows, and every likelihood and gradient intermediate, with the ``Y > 0``
+  masks computed once.  The returned G, H and dA are views into the
+  workspace, valid until the next call with the same workspace.  The float
+  operations, their operand order and the shapes of the reductions are
+  those of the allocating call, so the results are bit-identical with or
+  without it.  ``fit`` holds one workspace for all its epochs: an
+  allocating epoch makes about 32 (T, n) temporaries, and glibc hands much
+  of that memory back to the system (by unmapping or trimming the heap), so
+  each epoch faults it in anew.
 * ``simulate_counts(streams, mu, A, beta, cap, floor, g0, n0, horizon)``
   takes R start rows, the excitation states ``g0`` (R, n) and network
   totals ``n0`` (R,), and R*K streams (``rng.Streams``, one per
@@ -279,6 +287,8 @@ def build_loop_kernels(jit):
 # Vectorized numpy fallbacks: the dense kernels and the batched simulation.
 
 _SCAN_BLOCK = 16
+# 256 KiB of float64: a group of blocks and its temporary stay in cache
+_SCAN_GROUP_CELLS = 32768
 
 
 def _scan_output(T, n):
@@ -287,10 +297,11 @@ def _scan_output(T, n):
 
 
 def _scan_scratch(T, n):
-    # room for each step's contiguous (nb, B-s, n) temporary, and the
-    # block-end rows with their temporary
+    # the contiguous temporary of a group of blocks, as many as fit
+    # _SCAN_GROUP_CELLS and at least one, and the block-end rows with theirs
     nb = -(-T // _SCAN_BLOCK)
-    return np.empty((nb, _SCAN_BLOCK, n)), np.empty((2, nb, n))
+    group = max(1, _SCAN_GROUP_CELLS // (_SCAN_BLOCK * max(n, 1)))
+    return np.empty((min(nb, group) * _SCAN_BLOCK, n)), np.empty((2, nb, n))
 
 
 def _decayed_scan(out, T, decay, scratch=None):
@@ -300,38 +311,52 @@ def _decayed_scan(out, T, decay, scratch=None):
     is ``out[:T+1]``, whose row 0 is zero, like the loop kernels' output.
     ``scratch`` comes from ``_scan_scratch`` and is built when not given.
 
-    A two-level blocked scan: the rows are viewed as (nb, B, n) blocks, each
-    block is scanned by doubling (step s adds ``decay**s`` times the row s
-    back), the block-end rows are scanned the same way with factor
-    ``decay**B``, and each block gets its predecessor's end row back with
-    factors ``decay**(1..B)``.  Every step reads only earlier rows, in an
-    order that does not depend on T, so row t is bitwise the same for any
-    panel that shares the first t rows.
+    A two-level blocked scan on blocks of B rows: each block is scanned by
+    doubling (step s adds ``decay**s`` times the row s back), the block-end
+    rows are scanned the same way with factor ``decay**B``, and each block
+    gets its predecessor's end row back with factors ``decay**(1..B)``.
+    Every step reads only earlier rows, in an order that does not depend on
+    T, so row t is bitwise the same for any panel that shares the first t
+    rows.  The doubling and the carry walk groups of whole blocks, as many
+    as the scratch's temporary holds, as contiguous row ranges: a doubling
+    step multiplies every row of the group into the temporary, sets the
+    entries that would cross into the next block to -0.0, and adds it in;
+    x + (-0.0) is x for every x, -0.0 and +0.0 included, so each row makes
+    the same float operations in the same order as a scan of each block
+    alone.
     """
     n = out.shape[1]
     B = _SCAN_BLOCK
     nb = -(-T // B)
-    blocks, (ends, tmp) = _scan_scratch(T, n) if scratch is None else scratch
-    np.multiply(out[1:T + 1], decay, out=out[1:T + 1])
+    tmp, (ends, etmp) = _scan_scratch(T, n) if scratch is None else scratch
+    g = max(1, len(tmp) // B)  # blocks per group
     out[T + 1:] = 0.0  # as when fresh: padding rows feed no row <= T, but would grow
-    y = out[1:].reshape(nb, B, n)
-    flat = blocks.reshape(-1)
-    s = 1
-    while s < B:
-        step = flat[:nb * (B - s) * n].reshape(nb, B - s, n)
-        np.multiply(decay**s, y[:, :-s], out=step)
-        y[:, s:] += step
-        s *= 2
-    np.copyto(ends, y[:, -1])
+    y = out[1:]
+    for b in range(0, nb, g):
+        rows = y[b * B:(b + g) * B]
+        part = tmp[:len(rows)]
+        blocks = part.reshape(len(rows) // B, B, n)
+        np.multiply(rows, decay, out=rows)
+        s = 1
+        while s < B:
+            np.multiply(decay**s, rows[:-s], out=part[:-s])
+            blocks[:, B - s:] = -0.0
+            rows[s:] += part[:-s]
+            s *= 2
+    np.copyto(ends, y[B - 1::B])
     factor = decay**B
     s = 1
     while s < nb:
-        np.multiply(factor**s, ends[:-s], out=tmp[:nb - s])
-        ends[s:] += tmp[:nb - s]
+        np.multiply(factor**s, ends[:-s], out=etmp[:nb - s])
+        ends[s:] += etmp[:nb - s]
         s *= 2
-    np.multiply(decay ** np.arange(1.0, B + 1.0)[:, None], ends[:-1, None, :],
-                out=blocks[:nb - 1])
-    y[1:] += blocks[:nb - 1]
+    powers = decay ** np.arange(1.0, B + 1.0)[:, None]
+    for b in range(1, nb, g):
+        rows = y[b * B:(b + g) * B]
+        part = tmp[:len(rows)]
+        k = len(rows) // B
+        np.multiply(powers, ends[b - 1:b - 1 + k, None, :], out=part.reshape(k, B, n))
+        rows += part
     return out[:T + 1]
 
 
@@ -372,49 +397,59 @@ def _excitation_beta_series_np(counts, beta, G, work=None):
 
 
 def _loglik_np(counts, G, gamma, mu, A, b0, b1, buf):
-    """The log likelihood of bins [b0, b1), or None where it is -inf.
+    """The log likelihood of bins [b0, b1), or None where it is -inf, and
+    whether every rate is positive and finite.
 
-    Leaves base = mu + G A^T in ``buf.base``, lam in ``buf.lam``, lam > 0 in
-    ``buf.pos`` and lam where positive, else 1, in ``buf.r``.
+    Leaves base = mu + G A^T in ``buf.base`` and lam in ``buf.lam``; unless
+    every rate is positive and finite, also lam > 0 in ``buf.pos`` and lam
+    where positive, else 1, in ``buf.r``.
     """
     Y = counts[b0:b1]
     base, lam, safe, tmp = buf.base, buf.lam, buf.r, buf.tmp
     np.matmul(G[b0:b1], A.T, out=base)
     np.add(mu[None, :], base, out=base)
     np.multiply(gamma[b0:b1, None], base, out=lam)
-    np.less_equal(lam, 0.0, out=buf.flag)
-    np.logical_and(buf.flag, buf.ypos, out=buf.flag)
-    if buf.flag.any():
-        return None
-    np.greater(lam, 0.0, out=buf.pos)
-    np.copyto(safe, 1.0)
-    np.copyto(safe, lam, where=buf.pos)
-    np.log(safe, out=tmp)
+    positive = 0.0 < lam.min(initial=np.inf) and lam.max(initial=0.0) < np.inf
+    src = lam
+    if not positive:
+        np.less_equal(lam, 0.0, out=buf.flag)
+        np.logical_and(buf.flag, buf.ypos, out=buf.flag)
+        if buf.flag.any():
+            return None, False
+        np.greater(lam, 0.0, out=buf.pos)
+        np.copyto(safe, 1.0)
+        np.copyto(safe, lam, where=buf.pos)
+        src = safe
+    np.log(src, out=tmp)
     np.multiply(Y, tmp, out=tmp)
-    np.copyto(tmp, 0.0, where=buf.yzero)
+    if not positive:
+        np.copyto(tmp, 0.0, where=buf.yzero)
+    # where every rate is positive and finite, log lam is finite, so Y log lam
+    # is +-0 where Y = 0 and +-0 - lam is -lam: the zeroed terms, bit for bit
     np.subtract(tmp, lam, out=tmp)
-    return float(np.sum(tmp))
+    return float(np.sum(tmp)), positive
 
 
 def _loglik_value_np(counts, G, gamma, mu, A, b0, b1):
-    ll = _loglik_np(counts, G, gamma, mu, A, b0, b1, _LoglikBuffers(counts, b0, b1))
+    ll, _ = _loglik_np(counts, G, gamma, mu, A, b0, b1, _LoglikBuffers(counts, b0, b1))
     return -np.inf if ll is None else ll
 
 
 def _loglik_grads_np(counts, G, H, gamma, dgam, mu, A, b0, b1, work=None):
     n = counts.shape[1]
     buf = _LoglikBuffers(counts, b0, b1) if work is None else work.ll
-    ll = _loglik_np(counts, G, gamma, mu, A, b0, b1, buf)
+    ll, positive = _loglik_np(counts, G, gamma, mu, A, b0, b1, buf)
     if ll is None:
         return -np.inf, np.zeros(n), np.zeros((n, n)), 0.0, 0.0
     Y = counts[b0:b1]
     base, r, w, tmp = buf.base, buf.r, buf.lam, buf.tmp
-    # r = Y / lam - 1 where lam > 0, else -1, over the safe lam; w takes the
-    # buffer of lam, which the gradients do not read
-    np.divide(Y, r, out=r)
+    # r = Y / lam - 1 where lam > 0, else -1, over lam or the masked branch's
+    # safe lam; w takes the buffer of lam, which the gradients do not read
+    np.divide(Y, buf.lam if positive else r, out=r)
     np.subtract(r, 1.0, out=r)
-    np.logical_not(buf.pos, out=buf.flag)
-    np.copyto(r, -1.0, where=buf.flag)
+    if not positive:
+        np.logical_not(buf.pos, out=buf.flag)
+        np.copyto(r, -1.0, where=buf.flag)
     np.multiply(gamma[b0:b1, None], r, out=w)
     dmu = w.sum(axis=0)
     dA = np.matmul(w.T, G[b0:b1], out=buf.dA)

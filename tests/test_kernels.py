@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import subprocess
@@ -266,6 +267,59 @@ def test_pure_recursions_are_bitwise_prefix_consistent():
         assert np.array_equal(H_t[-1], H[t]), t
 
 
+def _scan_by_expressions(x, decay):
+    # the blocked doubling scan of x as whole-array expressions on (nb, B, n)
+    # blocks, each allocating its result: within-block doubling steps adding
+    # decay**s times the row s back, a doubling scan of the block-end rows by
+    # decay**B, then each block's carry by decay**(1..B); the float
+    # operations, in the order, that the pure recursions must make
+    T, n = x.shape
+    B = K._SCAN_BLOCK
+    nb = -(-T // B)
+    y = np.zeros((nb * B, n))
+    y[:T] = x * decay
+    y = y.reshape(nb, B, n)
+    s = 1
+    while s < B:
+        y = np.concatenate([y[:, :s], y[:, s:] + decay**s * y[:, :-s]], axis=1)
+        s *= 2
+    ends, factor = y[:, -1], decay**B
+    s = 1
+    while s < nb:
+        ends = np.concatenate([ends[:s], ends[s:] + factor**s * ends[:-s]])
+        s *= 2
+    carry = decay ** np.arange(1.0, B + 1.0)[:, None] * ends[:-1, None, :]
+    y = np.concatenate([y[:1], y[1:] + carry])
+    return np.concatenate([np.zeros((1, n)), y.reshape(nb * B, n)[:T]])
+
+
+def test_pure_recursions_repeat_the_blocked_scan_expressions():
+    # G and H bit for bit, the sign of zero included: with beta > 1 the H
+    # input (1 - beta) * 0 - 0 of an empty row is -0.0
+    rng = np.random.default_rng(16)
+    for T in (0, 1, 15, 16, 17, 70, 400):
+        for n in (0, 1, 3, 24, 200):
+            counts = rng.poisson(2.0, size=(T, n)).astype(np.float64)
+            counts[:T // 3] = 0.0
+            for beta in (1e-3, 0.5, 2.0, 30.0):
+                decay = np.exp(-beta)
+                G = K.PURE.excitation_series(counts, beta)
+                G_ref = _scan_by_expressions(beta * counts, decay)
+                x = (1.0 - beta) * counts - G_ref[:-1]
+                H = K.PURE.excitation_beta_series(counts, beta, G)
+                H_ref = _scan_by_expressions(x, decay)
+                assert G.tobytes() == G_ref.tobytes(), (T, n, beta)
+                assert H.tobytes() == H_ref.tobytes(), (T, n, beta)
+                if beta > 1.0 and T > 3 and n:
+                    assert np.signbit(x[0]).all() and not x[0].any()
+                work = K.PURE.workspace(counts, 0, T)
+                for _ in range(2):  # a reused workspace leaves no trace
+                    G = K.PURE.excitation_series(counts, beta, work=work)
+                    H = K.PURE.excitation_beta_series(counts, beta, G, work=work)
+                    assert G.tobytes() == G_ref.tobytes(), (T, n, beta)
+                    assert H.tobytes() == H_ref.tobytes(), (T, n, beta)
+
+
 def _loglik_grads_by_expressions(counts, G, H, gamma, dgam, mu, A, b0, b1):
     # the pure likelihood kernel as whole-array expressions, each allocating
     # its result: the float operations the buffered kernel must repeat
@@ -283,26 +337,54 @@ def _loglik_grads_by_expressions(counts, G, H, gamma, dgam, mu, A, b0, b1):
             float(np.sum(dgam[b0:b1, None] * r * base)))
 
 
+def _same_bits(x, y):
+    # equal as float64 bytes: nan equals its own bits, and -0.0 is not 0.0
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 def test_pure_loglik_kernels_repeat_the_whole_array_expressions():
+    # trials 0-39 zero the rates of some empty bins, about 4 in 5 of them,
+    # and every fifth puts a zero rate on a count (-inf): the masked branch;
+    # trials 40-59 zero no rate: the all-positive branch; trial 60 overflows
+    # one rate to inf on an empty cell (-inf as on the masked branch) and
+    # trial 61 makes the rates of one bin nan
     rng = np.random.default_rng(14)
-    for trial in range(40):
+    for trial in range(62):
         counts, beta, mu, A, gamma, dgam = _random_instance(rng, n_max=30, T_max=70)
         T, n = counts.shape
-        zero = rng.random(T) < 0.2  # zero rates on empty bins: the r = -1 branch
-        gamma[zero], counts[zero] = 0.0, 0.0
-        if trial % 5 == 4:
-            counts[-1, 0], gamma[-1] = 1.0, 0.0  # a zero rate on a count: -inf
-        G = K.PURE.excitation_series(counts, beta)
-        H = K.PURE.excitation_beta_series(counts, beta, G)
-        b0 = int(rng.integers(0, T))
-        ref = _loglik_grads_by_expressions(counts, G, H, gamma, dgam, mu, A, b0, T)
-        work = K.PURE.workspace(counts, b0, T)
-        for w in (None, work, work):
-            got = K.PURE.loglik_grads(counts, G, H, gamma, dgam, mu, A, b0, T, work=w)
-            assert got[0] == ref[0]
-            for x, y in zip(got[1:], ref[1:]):
-                assert np.array_equal(x, y)
-        assert K.PURE.loglik_value(counts, G, gamma, mu, A, b0, T) == ref[0]
+        if trial < 40:
+            zero = rng.random(T) < 0.2  # zero rates on empty bins: the r = -1 branch
+            gamma[zero], counts[zero] = 0.0, 0.0
+            if trial % 5 == 4:
+                counts[-1, 0], gamma[-1] = 1.0, 0.0  # a zero rate on a count: -inf
+        elif trial == 60:
+            mu[0], gamma[-1], counts[-1, 0] = 1e308, 2.0, 0.0
+        elif trial == 61:
+            gamma[-1] = np.nan
+        # the inf and nan trials overflow and make nan on purpose; the others
+        # fail on any numpy warning
+        with (np.errstate(over="ignore", invalid="ignore") if trial >= 60
+              else contextlib.nullcontext()):
+            G = K.PURE.excitation_series(counts, beta)
+            H = K.PURE.excitation_beta_series(counts, beta, G)
+            b0 = int(rng.integers(0, T))
+            lam = gamma[b0:, None] * (mu + G[b0:T] @ A.T)
+            ref = _loglik_grads_by_expressions(counts, G, H, gamma, dgam, mu, A, b0, T)
+            if 40 <= trial < 60:
+                assert (lam > 0.0).all() and (lam < np.inf).all()
+            elif trial == 60:
+                assert lam[-1, 0] == np.inf and ref[0] == -np.inf
+            elif trial == 61:
+                assert np.isnan(ref[0])
+            work = K.PURE.workspace(counts, b0, T)
+            for w in (None, work, work):
+                got = K.PURE.loglik_grads(counts, G, H, gamma, dgam, mu, A, b0, T, work=w)
+                assert _same_bits(got[0], ref[0]), trial
+                for x, y in zip(got[1:], ref[1:]):
+                    assert _same_bits(x, y), trial
+            value = K.PURE.loglik_value(counts, G, gamma, mu, A, b0, T)
+            assert _same_bits(value, ref[0]), trial
 
 
 @pytest.mark.parametrize("family", ["loop", "jit"])
