@@ -13,7 +13,13 @@ so it always has numbers; the simulation rows' max diffs must read 0, and
 the recursion rows' must be at most RECURSION_RTOL times the larger of 1
 and the reference's largest entry, the bound of the tier-1 recursion test.
 The simulation runs at ``--horizon`` steps, a forecast, and at one step, a
-calibration block of one bin; both tables have a row for each.
+calibration block of one bin; both tables have a row for each.  Their rates
+are all positive and below ``_PTRS_SWITCH``, so every step takes the
+unmasked Poisson branch; a check after the second table simulates with a
+zero-rate circuit and a circuit that the excitation lifts over the switch
+in some trajectories, so that steps take the masked branch and mix PTRS
+rows with inversion rows.  It prints how many trajectories' draws or final
+stream states differ from the loop reference's, which must be 0.
 
 A third table times the per-trajectory streams and their first uniforms:
 the scalar loop ``[rng.generator(s, k).random(24) for s in seeds for k in
@@ -67,9 +73,9 @@ Usage:
 Each timing is the best of ``--repeats`` calls, or of as many as fit in
 TIME_BUDGET_S seconds (at least one).  Without numba (not importable, or
 HSTCONFORMAL_NO_NUMBA set) the jit, speedup and diff columns of the first
-table read "jit unavailable".  The script exits with status 1 when a stream
-or calibration mismatch count or a simulation max diff is not 0, or when a
-recursion max diff exceeds its bound.
+table read "jit unavailable".  The script exits with status 1 when a stream,
+masked-step or calibration mismatch count or a simulation max diff is not 0,
+or when a recursion max diff exceeds its bound.
 """
 
 from __future__ import annotations
@@ -88,7 +94,7 @@ import numpy as np
 
 from hstconformal import (FitConfig, calibrate, fit, generate_synthetic, rng, score_bin,
                           simulate_bin, training_scale)
-from hstconformal._kernels import _LOOP_PURE, ACTIVE, JIT, PURE, USING_NUMBA
+from hstconformal._kernels import _LOOP_PURE, _PTRS_SWITCH, ACTIVE, JIT, PURE, USING_NUMBA
 
 TIME_BUDGET_S = 2.0
 K = 200  # simulated scenarios per simulate_counts call, as in a forecast
@@ -207,6 +213,34 @@ def build_cases(T: int, n: int, horizon: int):
             )
         )
     return cases
+
+
+def masked_mismatches(n: int, horizon: int) -> tuple:
+    # the pure simulation where steps take the masked Poisson branch: circuit
+    # 0 has rate 0 and circuit 1 starts just below _PTRS_SWITCH, which the
+    # excitation from circuit 2 lifts it over in some trajectories and steps;
+    # returns the trajectories whose draws or final stream state differ from
+    # the loop reference's, and the steps with a row of each kind
+    n = max(n, 3)
+    mu = 0.5 + np.random.default_rng(1).random(n)
+    mu[:3] = 0.0, _PTRS_SWITCH - 0.5, 3.0
+    A = np.zeros((n, n))
+    A[1, 2] = 0.4
+    streams = [rng.streams(7, K) for _ in range(2)]
+    ref, got = (impl.simulate_counts(s, mu, A, 1.0, np.inf, 0.0, np.zeros((1, n)), np.zeros(1),
+                                     max(horizon, 5))
+                for impl, s in zip((_LOOP_PURE, PURE), streams))
+    bad = int(((ref != got).any(axis=(1, 2)) | (streams[0].words != streams[1].words).any(axis=1))
+              .sum())
+    # replay the rates (gamma is 1 at an infinite cap): steps mixing PTRS rows
+    # with inversion rows
+    g = np.zeros((K, n))
+    mixed = 0
+    for h in range(ref.shape[1]):
+        ptrs = (mu[1] + g[:, 2] * A[1, 2]) >= _PTRS_SWITCH
+        mixed += bool(ptrs.any() and not ptrs.all())
+        g = math.exp(-1.0) * (g + ref[:, h])
+    return bad, mixed
 
 
 def print_table(cases, base, new, labels, repeats) -> list:
@@ -412,6 +446,9 @@ def main(argv=None) -> int:
     print()
     looped = [c for c in cases if not c[0].startswith("loglik")]
     loop_rows = print_table(looped, _LOOP_PURE, PURE, ("loop ref", "pure"), args.repeats)
+    masked_bad, mixed = masked_mismatches(args.n, args.horizon)
+    print(f"masked simulation steps (a zero rate, PTRS rows in {mixed} steps): "
+          f"{masked_bad} of {K} trajectories differ from the loop reference")
     print()
     stream_rows = print_stream_table(args.repeats)
     print()
@@ -428,11 +465,11 @@ def main(argv=None) -> int:
     # the bound of the tier-1 recursion test, relative to the loop reference
     rec_over = [r["kernel"] for r in rec_rows
                 if not r["max_diff"] <= RECURSION_RTOL * max(1.0, r["max_abs_ref"])]
-    if mismatches or cal_mismatches or any(sim_diffs) or rec_over:
+    if mismatches or cal_mismatches or any(sim_diffs) or masked_bad or rec_over:
         print(f"FAILED: {mismatches} stream mismatches, {cal_mismatches} calibration "
-              f"mismatches, simulation max diffs {sim_diffs}, recursions off the loop "
-              f"reference by more than {RECURSION_RTOL:g} relative: {rec_over}",
-              file=sys.stderr)
+              f"mismatches, simulation max diffs {sim_diffs}, {masked_bad} masked-step "
+              f"mismatches, recursions off the loop reference by more than "
+              f"{RECURSION_RTOL:g} relative: {rec_over}", file=sys.stderr)
         return 1
     return 0
 

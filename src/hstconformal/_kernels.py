@@ -27,7 +27,9 @@ Guarantees relied on by the rest of the package:
 * The pure likelihood takes log lambda directly when every rate is
   positive and finite, which leaves every term as the masked form has it;
   otherwise it masks the rates <= 0, which add no log term and have the
-  gradient's -1, and a zero rate on a count makes the value -inf.
+  gradient's -1, and a zero rate on a count makes the value -inf, as does
+  an infinite rate on an empty cell, with no numpy warning; a value of
+  -inf comes with zero gradients, which the fit does not read.
 * ``workspace(counts, b0, b1)`` builds the arrays that the dense kernels
   ``excitation_series``, ``excitation_beta_series`` and ``loglik_grads``
   write on that panel and bin range; each family builds its own.  Passed
@@ -77,8 +79,14 @@ Guarantees relied on by the rest of the package:
   - a row with a rate >= ``_PTRS_SWITCH`` is drawn by the scalar
     ``poisson_draw`` on a ``Generator`` at its stream's state, which is
     written back, because PTRS consumes a variable number of uniforms;
+  - a step whose every rate is positive and below ``_PTRS_SWITCH``
+    (``_every_rate_by_inversion``, which nan fails) builds no mask: it
+    calls ``streams.random(n)`` with one count, and searches every cell in
+    row order; only the other steps mask their rows and cells as above;
   - the state update and running totals make the loop's float operations
-    in its order.
+    in its order, but none follows the last step, whose update the loop
+    makes and nothing reads: a one-step call, a calibration block, makes
+    none.
 
 Poisson draws use inversion by sequential search below ``_PTRS_SWITCH`` and
 Hörmann's PTRS transformed rejection above it, built only on
@@ -397,12 +405,15 @@ def _excitation_beta_series_np(counts, beta, G, work=None):
 
 
 def _loglik_np(counts, G, gamma, mu, A, b0, b1, buf):
-    """The log likelihood of bins [b0, b1), or None where it is -inf, and
-    whether every rate is positive and finite.
+    """The log likelihood of bins [b0, b1), and whether every rate is
+    positive and finite.
 
     Leaves base = mu + G A^T in ``buf.base`` and lam in ``buf.lam``; unless
     every rate is positive and finite, also lam > 0 in ``buf.pos`` and lam
-    where positive, else 1, in ``buf.r``.
+    where positive, else 1, in ``buf.r``.  A zero rate on a count returns
+    -inf at once; an infinite rate on an empty cell makes the sum -inf by
+    its term -lam, as the masked form takes no Y log lam term where Y = 0,
+    and so makes no 0 * log(inf).
     """
     Y = counts[b0:b1]
     base, lam, safe, tmp = buf.base, buf.lam, buf.r, buf.tmp
@@ -415,13 +426,13 @@ def _loglik_np(counts, G, gamma, mu, A, b0, b1, buf):
         np.less_equal(lam, 0.0, out=buf.flag)
         np.logical_and(buf.flag, buf.ypos, out=buf.flag)
         if buf.flag.any():
-            return None, False
+            return -np.inf, False
         np.greater(lam, 0.0, out=buf.pos)
         np.copyto(safe, 1.0)
         np.copyto(safe, lam, where=buf.pos)
         src = safe
     np.log(src, out=tmp)
-    np.multiply(Y, tmp, out=tmp)
+    np.multiply(Y, tmp, out=tmp, where=True if positive else buf.ypos)
     if not positive:
         np.copyto(tmp, 0.0, where=buf.yzero)
     # where every rate is positive and finite, log lam is finite, so Y log lam
@@ -431,15 +442,16 @@ def _loglik_np(counts, G, gamma, mu, A, b0, b1, buf):
 
 
 def _loglik_value_np(counts, G, gamma, mu, A, b0, b1):
-    ll, _ = _loglik_np(counts, G, gamma, mu, A, b0, b1, _LoglikBuffers(counts, b0, b1))
-    return -np.inf if ll is None else ll
+    return _loglik_np(counts, G, gamma, mu, A, b0, b1, _LoglikBuffers(counts, b0, b1))[0]
 
 
 def _loglik_grads_np(counts, G, H, gamma, dgam, mu, A, b0, b1, work=None):
     n = counts.shape[1]
     buf = _LoglikBuffers(counts, b0, b1) if work is None else work.ll
     ll, positive = _loglik_np(counts, G, gamma, mu, A, b0, b1, buf)
-    if ll is None:
+    if ll == -np.inf:
+        # no gradient, which the fit does not read at a likelihood that is not
+        # finite: an infinite base would make 0 * inf in dcap where dgam is 0
         return -np.inf, np.zeros(n), np.zeros((n, n)), 0.0, 0.0
     Y = counts[b0:b1]
     base, r, w, tmp = buf.base, buf.r, buf.lam, buf.tmp
@@ -520,58 +532,85 @@ def _inversion(rate, p, u):
     return found
 
 
+def _every_rate_by_inversion(lam):
+    """Whether every rate is positive and below ``_PTRS_SWITCH``, so that
+    each takes one uniform and the inversion; nan fails both tests."""
+    return 0.0 < lam.min(initial=np.inf) and lam.max(initial=0.0) < _PTRS_SWITCH
+
+
+def _inversion_draws(streams, m, rate, p):
+    """``_inversion`` on the next m_k uniforms of each stream k, ``m`` one
+    count or one per stream: ``rate`` and ``p`` hold row k's m_k cells, row
+    after row."""
+    u = streams.random(m)
+    # row k's first m[k] uniforms, row after row: the order of the cells
+    u = u[np.arange(u.shape[1]) < m[:, None]] if u.size > rate.size else u.ravel()
+    return _inversion(rate, p, u)
+
+
 def _poisson_step(streams, lam):
     """One draw per rate for each stream: row k equals calling
     ``poisson_draw`` along row k of ``lam`` left to right on a Generator at
     stream k's state, in the integers drawn and in the uniforms consumed.
     ``lam`` is (R, n) with R dividing the stream count: rate row r is shared
-    by the K = len(streams) / R streams r*K .. r*K + K-1."""
+    by the K = len(streams) / R streams r*K .. r*K + K-1.
+
+    When every rate takes the inversion (``_every_rate_by_inversion``), each
+    stream hands over n uniforms and every cell is searched, with no mask;
+    otherwise the rows with a PTRS (or nan) rate are drawn by the scalar
+    ``poisson_draw``, and the positive rates of the other rows by the
+    inversion, a rate <= 0 drawing 0 from no uniform.
+    """
+    K = len(streams) // lam.shape[0]
+
+    def per_stream(*arrays):  # each shared row repeated for its K streams
+        return arrays if K == 1 else (np.repeat(a, K, axis=0) for a in arrays)
+
+    # e^-rate before the repeat: a shared row takes n exps, not K*n
+    if _every_rate_by_inversion(lam):
+        lam, exp = per_stream(lam, np.exp(-lam))
+        return _inversion_draws(streams, lam.shape[1], lam.ravel(),
+                                exp.ravel()).reshape(lam.shape)
     by_scalar = ~(lam < _PTRS_SWITCH).all(axis=1)  # a PTRS (or nan) rate in the row
     pos = (lam > 0.0) & ~by_scalar[:, None]
-    # e^-rate before the repeat: a shared row takes n exps, not K*n
     exp = np.zeros(lam.shape)
     exp[pos] = np.exp(-lam[pos])
-    if lam.shape[0] < len(streams):
-        K = len(streams) // lam.shape[0]
-        lam, by_scalar, pos, exp = (np.repeat(a, K, axis=0)
-                                    for a in (lam, by_scalar, pos, exp))
-    rate = lam[pos]
+    lam, by_scalar, pos, exp = per_stream(lam, by_scalar, pos, exp)
     draws = np.zeros(lam.shape, dtype=np.int64)
     for k in np.flatnonzero(by_scalar).tolist():
         gen = streams.generator(k)
         draws[k] = [_LOOP_PURE.poisson_draw(gen, x) for x in lam[k].tolist()]
         streams.set_state(k, gen)
-    if not rate.size:
-        return draws
-    m = pos.sum(axis=1)
-    u = streams.random(m)
-    # row k's first m[k] uniforms, row after row: the order of lam[pos]
-    u = u[np.arange(u.shape[1]) < m[:, None]] if u.size > rate.size else u.ravel()
-    draws[pos] = _inversion(rate, exp[pos], u)
+    if pos.any():
+        draws[pos] = _inversion_draws(streams, pos.sum(axis=1), lam[pos], exp[pos])
     return draws
 
 
 def _simulate_counts_np(streams, mu, A, beta, cap, floor, g0, n0, horizon):
     """The loop ``simulate_counts`` with all trajectories advanced together,
-    one numpy step per bin; every row makes the loop's float operations."""
+    one numpy step per bin; every row makes the loop's float operations.
+    The loop also updates the state after the last step, which nothing
+    reads: here no update follows the last step, so a one-step call, a
+    calibration block, makes none."""
     out = np.empty((len(streams), horizon, mu.shape[0]), dtype=np.int64)
     # one state row per start until the first draws, then one per trajectory
     g = g0
     tot = np.asarray(n0, dtype=np.float64)
     decay = np.exp(-beta)
     for h in range(horizon):
+        if h:  # the update after the previous step's draws
+            if h == 1:
+                K = len(streams) // g0.shape[0]
+                g, tot = np.repeat(g, K, axis=0), np.repeat(tot, K)
+            g = decay * (g + beta * draws)
+            # running totals add the draws one circuit at a time, as the loop does
+            tot = np.add.accumulate(np.column_stack((tot, draws)), axis=1)[:, -1]
         gamma = 1.0 - tot / cap
         gamma = np.where(gamma < floor, floor, gamma)
         # stacked matmul runs one BLAS gemv per row: the loop's np.dot(A, g)
         excit = np.matmul(A, g[:, :, None])[:, :, 0]
         draws = _poisson_step(streams, gamma[:, None] * (mu + excit))
         out[:, h] = draws
-        if h == 0:
-            K = len(streams) // g0.shape[0]
-            g, tot = np.repeat(g, K, axis=0), np.repeat(tot, K)
-        g = decay * (g + beta * draws)
-        # running totals add the draws one circuit at a time, as the loop does
-        tot = np.add.accumulate(np.column_stack((tot, draws)), axis=1)[:, -1]
     return out
 
 

@@ -172,18 +172,33 @@ def _scale_vector(scale, n: int | None = None) -> np.ndarray:
     return s
 
 
-def _group_scores(y, samples, groups, scale, n: int) -> np.ndarray:
-    """Per bin and group of circuit indices: the smallest, over the bin's K
-    scenarios, of the group's largest standardized absolute error.  The one
-    scoring reduction, over a leading bin axis: ``y`` holds R count rows
-    (R, n), ``samples`` their draws (R, K, n) and ``scale`` one entry per
-    circuit; returns (R, groups)."""
+def _members(groups, scale):
+    """The arguments of ``_group_scores`` after the bins: the circuit indices
+    of every group, one group after another, where each group starts in
+    them, and the read (n,) ``scale`` of each of them."""
     idx = np.concatenate(groups)
-    y = _hawkes._panel_counts(y, n)[:, idx]
-    s = _scale_vector(scale, n)[idx]
-    errs = np.abs(y[:, None, :] - samples[:, :, idx]) / s
-    starts = np.cumsum([0] + [g.size for g in groups[:-1]])
-    return np.maximum.reduceat(errs, starts, axis=2).min(axis=1)
+    return idx, np.cumsum([0] + [g.size for g in groups[:-1]]), scale[idx]
+
+
+def _group_scores(y, samples, idx, starts, scale) -> np.ndarray:
+    """Per group and bin: the smallest, over the bin's K scenarios, of the
+    group's largest standardized absolute error.  The one scoring reduction,
+    for R bins at once, on read inputs, which it does not check: ``y`` holds
+    R count rows (R, n), ``samples`` their draws (R, K, n), and the rest is
+    ``_members`` of the groups; returns (groups, R).  The errors lie
+    with circuits on the leading axis, (members, R, K), so that each group's
+    maximum runs over contiguous rows; max and min are exact, so the scores
+    do not depend on the layout."""
+    errs = np.abs(y.T[idx, :, None] - samples.transpose(2, 0, 1)[idx])
+    errs /= scale[:, None, None]
+    return np.maximum.reduceat(errs, starts, axis=0).min(axis=2)
+
+
+def _one_bin_scores(y_t, scenarios, groups, scale, n: int) -> np.ndarray:
+    """``_group_scores`` of one bin, each input read by its checked reader."""
+    samples = _scenario_matrix(scenarios, n)[None]
+    y = _hawkes._panel_counts(np.asarray(y_t)[None], n)
+    return _group_scores(y, samples, *_members(groups, _scale_vector(scale, n)))[:, 0]
 
 
 def nonconformity_score(y_t, scenarios, S_row, scale) -> float:
@@ -200,15 +215,13 @@ def nonconformity_score(y_t, scenarios, S_row, scale) -> float:
     if bad.size:
         raise PreconditionError(
             f"S_row indices {bad.tolist()} are out of range for {n} circuits")
-    return float(_group_scores(np.asarray(y_t)[None], _scenario_matrix(scenarios, n)[None],
-                               [idx], scale, n)[0, 0])
+    return float(_one_bin_scores(y_t, scenarios, [idx], scale, n)[0])
 
 
 def score_bin(y_t, scenarios, topo: NetworkTopology, scale) -> np.ndarray:
     """One bin's (m,) scores, one per substation in ``topo.substation_ids`` order:
     ``nonconformity_score`` of every substation's members at once."""
-    return _group_scores(np.asarray(y_t)[None], _scenario_matrix(scenarios, topo.n)[None],
-                         topo.members, scale, topo.n)[0]
+    return _one_bin_scores(y_t, scenarios, topo.members, scale, topo.n)
 
 
 def _bin_scenarios(model: _hawkes.HawkesModel, Y, b0: int, b1: int, K: int, seed: int):
@@ -226,8 +239,10 @@ def calibrate(panel, model: _hawkes.HawkesModel, topo: NetworkTopology, cal_bins
     Bin t's scenarios come from ``_bin_scenarios`` on a stream derived from
     seed and t, so any suffix of bins scores identically whether done here
     or incrementally, and each block of bins is scored by one
-    ``_group_scores`` call, bit for bit ``score_bin`` on each of its bins.
-    A model that names its circuits must name the topology's, in its order.
+    ``_group_scores`` call, bit for bit ``score_bin`` on each of its bins;
+    the counts and the scale are read, and the members laid out, once per
+    call.  A model that names its circuits must name the topology's, in its
+    order.
     """
     Y = _hawkes._topology_counts(panel, topo)
     check_circuits(model.n, topo.n, "model rate")
@@ -240,11 +255,11 @@ def calibrate(panel, model: _hawkes.HawkesModel, topo: NetworkTopology, cal_bins
             "training bins"
         )
     scale = training_scale(Y[:b0])
+    members = _members(topo.members, scale)
     scores = np.empty((topo.m, b1 - b0))
     for t, scen in _bin_scenarios(model, Y, b0, b1, K, seed):
         stop = t + scen.shape[0]
-        scores[:, t - b0:stop - b0] = _group_scores(Y[t:stop], scen, topo.members, scale,
-                                                    topo.n).T
+        scores[:, t - b0:stop - b0] = _group_scores(Y[t:stop], scen, *members)
     return ScoreSet(scores=scores, scale=scale, alpha=alpha)
 
 

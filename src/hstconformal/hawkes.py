@@ -492,8 +492,10 @@ def simulate_trajectory(model: HawkesModel, history, horizon: int, K: int = 10,
 # the most draw cells (trajectories x steps x circuits) that one block of a
 # walk simulates at once: the larger the block, the fewer kernel calls, and
 # the more memory the block's temporaries take.  Streams.random peaks at
-# 40-48 bytes per uniform (tracemalloc, 200 to 20,000 rows of 24), and
-# 24,576 cells still raise run-fit's peak RSS by 1.1-1.3 MiB (3%)
+# 40-48 bytes per uniform (tracemalloc, 200 to 20,000 rows of 24); a K = 10
+# calibrate of 100 bins at n = 24 peaks at 0.91 MiB here, 1.78 MiB at
+# 20,000 cells and 2.10 MiB at 24,576 (tracemalloc), and 24,576 cells raise
+# run-fit's peak RSS by 1.2-1.5 MiB (3-4%, seeds 1-3)
 _BLOCK_CELLS = 8192
 
 

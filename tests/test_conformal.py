@@ -600,6 +600,30 @@ def test_calibrate_matches_the_recount_across_blocks(monkeypatch, small_triple):
     assert lengths == [per_block, per_block, 1]
 
 
+def test_calibrate_matches_the_recount_with_unequal_interleaved_groups(monkeypatch,
+                                                                         small_triple):
+    # substations of 3, 2 and 1 circuits whose members interleave in the
+    # circuit order, scored in blocks of many bins: a reduction that assumed
+    # equal or contiguous groups would score some bin wrong
+    panel, _, _ = small_triple
+    topo = _topo([1, 0, 2, 1, 0, 1])
+    assert [g.tolist() for g in topo.members] == [[0, 3, 5], [1, 4], [2]]
+    model = HawkesModel(mu=np.full(6, 0.3), A=np.full((6, 6), 0.12), beta=0.8)
+    K = 40
+    per_block = _hawkes._BLOCK_CELLS // (K * 6)
+    bins = (20, 20 + per_block + 5)
+    lengths = _assert_calibrate_matches_recount(monkeypatch, panel.Y, model, topo, bins, K, 9)
+    assert lengths == [per_block, 5]
+    # and each score is the definition's, group by group and scenario by scenario
+    Y, scale = panel.Y, training_scale(panel.Y[:bins[0]])
+    ss = calibrate(Y, model, topo, bins, K=K, seed=9)
+    for t in range(*bins):
+        scen = simulate_bin(model, Y[:t], K=K, seed=_rng.derive(9, "cal", t))
+        want = [min(max(abs(Y[t, i] - x[i]) / scale[i] for i in g) for x in scen)
+                for g in topo.members]
+        assert ss.scores[:, t - bins[0]].tolist() == want, t
+
+
 def test_calibrate_matches_the_recount_when_saturation_reaches_its_floor(monkeypatch,
                                                                         small_triple):
     # a finite cap: gamma is 1 - N/cap at the first bins of the block and

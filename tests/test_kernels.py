@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -322,15 +323,22 @@ def test_pure_recursions_repeat_the_blocked_scan_expressions():
 
 def _loglik_grads_by_expressions(counts, G, H, gamma, dgam, mu, A, b0, b1):
     # the pure likelihood kernel as whole-array expressions, each allocating
-    # its result: the float operations the buffered kernel must repeat
+    # its result: the float operations the buffered kernel must repeat; a
+    # value of -inf has zero gradients
     Y = counts[b0:b1]
+    n = Y.shape[1]
+    none = (-np.inf, np.zeros(n), np.zeros((n, n)), 0.0, 0.0)
     base = mu[None, :] + G[b0:b1] @ A.T
     lam = gamma[b0:b1, None] * base
     if np.any((lam <= 0.0) & (Y > 0.0)):
-        return (-np.inf,)
+        return none
     pos = lam > 0.0
     safe = np.where(pos, lam, 1.0)
-    ll = float(np.sum(np.where(Y > 0.0, Y * np.log(safe), 0.0) - lam))
+    # no Y log lam term where Y = 0, but +0.0, and so no 0 * log(inf)
+    ylog = np.multiply(Y, np.log(safe), out=np.zeros_like(lam), where=Y > 0.0)
+    ll = float(np.sum(ylog - lam))
+    if ll == -np.inf:
+        return none
     r = np.where(pos, Y / safe - 1.0, -1.0)
     w = gamma[b0:b1, None] * r
     return (ll, w.sum(axis=0), w.T @ G[b0:b1], float(np.sum(w * (H[b0:b1] @ A.T))),
@@ -362,10 +370,9 @@ def test_pure_loglik_kernels_repeat_the_whole_array_expressions():
             mu[0], gamma[-1], counts[-1, 0] = 1e308, 2.0, 0.0
         elif trial == 61:
             gamma[-1] = np.nan
-        # the inf and nan trials overflow and make nan on purpose; the others
-        # fail on any numpy warning
-        with (np.errstate(over="ignore", invalid="ignore") if trial >= 60
-              else contextlib.nullcontext()):
+        # trial 60 overflows on purpose; every trial fails on any other numpy
+        # warning, trial 60's invalid 0 * log(inf) too
+        with np.errstate(over="ignore") if trial == 60 else contextlib.nullcontext():
             G = K.PURE.excitation_series(counts, beta)
             H = K.PURE.excitation_beta_series(counts, beta, G)
             b0 = int(rng.integers(0, T))
@@ -385,6 +392,25 @@ def test_pure_loglik_kernels_repeat_the_whole_array_expressions():
                     assert _same_bits(x, y), trial
             value = K.PURE.loglik_value(counts, G, gamma, mu, A, b0, T)
             assert _same_bits(value, ref[0]), trial
+
+
+def test_pure_loglik_kernels_take_an_infinite_rate_on_an_empty_cell_silently():
+    # mu = [inf, 1] with no count at the infinite cell: the value is -inf,
+    # as the loop kernel's, with no numpy warning, from the masked branch's
+    # log lam (no 0 * log(inf)) or from the gradients (no 0 * inf in dcap,
+    # whose dgam is 0 at an infinite cap)
+    counts = np.array([[0.0, 2.0], [0.0, 1.0], [0.0, 0.0]])
+    mu, A = np.array([np.inf, 1.0]), np.zeros((2, 2))
+    gamma, G = np.ones(3), np.zeros((4, 2))
+    assert K._LOOP_PURE.loglik_value(counts, G, gamma, mu, A, 0, 3) == -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert K.PURE.loglik_value(counts, G, gamma, mu, A, 0, 3) == -np.inf
+        for dgam in (np.zeros(3), np.full(3, 0.01)):
+            ll, dmu, dA, dbeta, dcap = K.PURE.loglik_grads(counts, G, G, gamma, dgam, mu, A,
+                                                           0, 3)
+            assert ll == -np.inf
+            assert not dmu.any() and not dA.any() and dbeta == 0.0 and dcap == 0.0
 
 
 @pytest.mark.parametrize("family", ["loop", "jit"])
@@ -409,7 +435,18 @@ def test_loop_kernels_on_a_reused_workspace_match_their_allocating_calls(family)
             assert np.array_equal(x, y)
 
 
-def test_pure_simulate_counts_matches_the_loop_kernel(generator_streams):
+@pytest.fixture
+def branches(monkeypatch):
+    """The outcome of ``_poisson_step``'s guard at every pure step, in order:
+    True where the step took the all-positive branch, False the masked one."""
+    seen = []
+    guard = K._every_rate_by_inversion
+    monkeypatch.setattr(K, "_every_rate_by_inversion",
+                        lambda lam: seen.append(guard(lam)) or seen[-1])
+    return seen
+
+
+def test_pure_simulate_counts_matches_the_loop_kernel(generator_streams, branches):
     rng = np.random.default_rng(13)
     for K_ in (1, 3, 200):
         for horizon in (1, 7, 52):
@@ -417,14 +454,17 @@ def test_pure_simulate_counts_matches_the_loop_kernel(generator_streams):
                 mu = rng.uniform(0.05, 1.5, size=n)
                 A = rng.uniform(0.0, 0.6 / n, size=(n, n))
                 g0 = rng.uniform(0.0, 2.0, size=n)
+                branches.clear()
                 _assert_simulations_identical(
                     generator_streams, mu, A, 0.8, np.inf, 0.0, g0, 0.0, horizon, K_,
                     seed=K_ * horizon * n,
                 )
+                # every rate is positive and below the switch: no step is masked
+                assert branches == [True] * horizon
 
 
 def test_pure_simulate_counts_matches_the_loop_kernel_across_the_ptrs_switch(
-        generator_streams):
+        generator_streams, branches):
     # only circuit 0 can reach _PTRS_SWITCH: it starts just below it and the
     # excitation from circuits 1 and 3 lifts it over in some trajectories and
     # steps only, so one step mixes rows drawn by the scalar fallback with
@@ -437,6 +477,7 @@ def test_pure_simulate_counts_matches_the_loop_kernel_across_the_ptrs_switch(
     ref = _assert_simulations_identical(generator_streams, mu, A, beta, np.inf, 0.0, g0, 0.0,
                                        12, K_, seed=5)
     assert (ref[:, :, 4] == 0).all()
+    assert branches == [False] * 12  # the zero rate masks every step
     # replay the rates of the reference draws (gamma is 1 with an infinite
     # cap) and count the rows of each step that hold a PTRS rate
     g = np.tile(g0, (K_, 1))
@@ -450,14 +491,24 @@ def test_pure_simulate_counts_matches_the_loop_kernel_across_the_ptrs_switch(
     assert mixed >= 3
     # a rate exactly at the switch takes PTRS: every row falls back
     mu_at = np.array([S, 0.4, 3.0, 0.0])
+    branches.clear()
     ref = _assert_simulations_identical(
         generator_streams, mu_at, np.zeros((4, 4)), 1.0, np.inf, 0.0, np.zeros(4), 0.0, 3, 20,
         seed=6,
     )
     assert (ref[:, :, 3] == 0).all()
+    assert branches == [False] * 3
+    # and without the zero rate, the rate at the switch alone masks every step
+    branches.clear()
+    _assert_simulations_identical(
+        generator_streams, mu_at[:3], np.zeros((3, 3)), 1.0, np.inf, 0.0, np.zeros(3), 0.0, 3,
+        20, seed=7,
+    )
+    assert branches == [False] * 3
 
 
-def test_pure_simulate_counts_matches_the_loop_kernel_under_saturation(generator_streams):
+def test_pure_simulate_counts_matches_the_loop_kernel_under_saturation(generator_streams,
+                                                                        branches):
     rng = np.random.default_rng(14)
     n = 24
     mu = rng.uniform(0.5, 2.0, size=n)
@@ -470,13 +521,20 @@ def test_pure_simulate_counts_matches_the_loop_kernel_under_saturation(generator
                                        seed=1)
     capped = ref[:, :-1].sum(axis=(1, 2)) + 0.1 >= 60.0
     assert capped.any() and not ref[capped, -1].any()
+    # the steps after the first trajectory reaches the cap hold its zero rates:
+    # masked, after all-positive steps
+    first = int(np.argmax(ref.sum(axis=2).cumsum(axis=1).max(axis=0) + 0.1 >= 60.0)) + 1
+    assert 0 < first < 12 and branches == [True] * first + [False] * (12 - first)
+    branches.clear()
     ref = _assert_simulations_identical(generator_streams, mu, A, 0.8, 60.0, 0.25, g0, 0.1, 12, 40,
                                        seed=2)
     assert (ref[:, -1] > 0).any()
     # a cap already exceeded by the history: every rate is 0 from the start
+    branches.clear()
     ref = _assert_simulations_identical(generator_streams, mu, A, 0.8, 30.0, 0.0, g0, 31.0, 3, 5,
                                        seed=3)
     assert not ref.any()
+    assert branches == [False] * 3
 
 
 def test_simulate_counts_from_start_rows_matches_separate_calls(generator_streams):
