@@ -27,9 +27,10 @@ Guarantees relied on by the rest of the package:
 * The pure likelihood takes log lambda directly when every rate is
   positive and finite, which leaves every term as the masked form has it;
   otherwise it masks the rates <= 0, which add no log term and have the
-  gradient's -1, and a zero rate on a count makes the value -inf, as does
-  an infinite rate on an empty cell, with no numpy warning; a value of
-  -inf comes with zero gradients, which the fit does not read.
+  gradient's -1.  On both families a zero rate on a count, or an infinite
+  rate on any cell, makes the value -inf with no numpy warning; a value of
+  -inf comes with gradients that the fit does not read (zeros on the pure
+  path).  A nan rate makes the value nan.
 * ``workspace(counts, b0, b1)`` builds the arrays that the dense kernels
   ``excitation_series``, ``excitation_beta_series`` and ``loglik_grads``
   write on that panel and bin range; each family builds its own.  Passed
@@ -83,10 +84,17 @@ Guarantees relied on by the rest of the package:
     (``_every_rate_by_inversion``, which nan fails) builds no mask: it
     calls ``streams.random(n)`` with one count, and searches every cell in
     row order; only the other steps mask their rows and cells as above;
-  - the state update and running totals make the loop's float operations
-    in its order, but none follows the last step, whose update the loop
-    makes and nothing reads: a one-step call, a calibration block, makes
-    none.
+  - the state update makes the loop's float operations in its order; a
+    running total is the start total plus the whole number of events drawn
+    since, which both families sum exactly, each in its own order, while
+    it stays below 2**53; neither family updates after the last step, so a
+    one-step call, a calibration block, makes no update.
+
+  Both families raise ``NumericalError`` when a simulated rate is not
+  below 2**53 (nan included), as a draw from it could not be held exactly,
+  and when a running total reaches 2**53 after a state update.  The pure
+  path tests rates only on a step that masks, as a step with every rate
+  below ``_PTRS_SWITCH`` needs no test.
 
 Poisson draws use inversion by sequential search below ``_PTRS_SWITCH`` and
 Hörmann's PTRS transformed rejection above it, built only on
@@ -99,8 +107,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .errors import NumericalError
+
 _PTRS_SWITCH = 30.0
 _INVERSION_MAX = 2000  # cap on the sequential search's count
+# float64 holds every whole number below it exactly: a simulated rate must lie
+# below it, so that a draw does, and so must a running total
+_EXACT = 2.0**53
 
 
 def build_loop_kernels(jit):
@@ -178,9 +191,9 @@ def build_loop_kernels(jit):
             for i in range(n):
                 lam = gt * base[i]
                 y = counts[t, i]
+                if lam == np.inf or (y > 0.0 and lam <= 0.0):
+                    return -np.inf
                 if lam <= 0.0:
-                    if y > 0.0:
-                        return -np.inf
                     continue
                 if y > 0.0:
                     ll += y * np.log(lam) - lam
@@ -206,7 +219,8 @@ def build_loop_kernels(jit):
             for i in range(n):
                 lam = gt * base[i]
                 y = counts[t, i]
-                if lam <= 0.0 and y > 0.0:
+                # an infinite rate would make 0 * inf in dcap where dgam is 0
+                if lam == np.inf or (y > 0.0 and lam <= 0.0):
                     return -np.inf, dmu, dA, dbeta, dcap
                 if lam > 0.0:
                     r = y / lam - 1.0
@@ -214,8 +228,10 @@ def build_loop_kernels(jit):
                         ll += y * np.log(lam) - lam
                     else:
                         ll -= lam
-                else:
+                elif lam <= 0.0:
                     r = -1.0  # smooth limit of d(-lam), value term is 0
+                else:  # a nan rate makes a nan value, as loglik_value's
+                    return lam, dmu, dA, dbeta, dcap
                 w = gt * r
                 dmu[i] += w
                 for j in range(n):
@@ -253,18 +269,25 @@ def build_loop_kernels(jit):
         out = np.empty((horizon, n), dtype=np.int64)
         g = g0.copy()
         tot = n0
+        drawn = 0.0  # the whole number of events drawn so far
         decay = np.exp(-beta)
         for h in range(horizon):
+            if h > 0:  # the update after the previous step's draws
+                for i in range(n):
+                    g[i] = decay * (g[i] + beta * out[h - 1, i])
+                    drawn += out[h - 1, i]
+                tot = n0 + drawn
+                if tot >= _EXACT:
+                    raise NumericalError("a simulated running total reached 2**53")
             gamma = 1.0 - tot / cap  # cap=inf -> gamma=1
             if gamma < floor:
                 gamma = floor
             excit = np.dot(A, g)
             for i in range(n):
                 lam = gamma * (mu[i] + excit[i])
+                if not lam < _EXACT:
+                    raise NumericalError("a simulated rate is not below 2**53")
                 out[h, i] = poisson_draw(gen, lam)
-            for i in range(n):
-                g[i] = decay * (g[i] + beta * out[h, i])
-                tot += out[h, i]
         return out
 
     def simulate_counts(streams, mu, A, beta, cap, floor, g0, n0, horizon):
@@ -410,10 +433,11 @@ def _loglik_np(counts, G, gamma, mu, A, b0, b1, buf):
 
     Leaves base = mu + G A^T in ``buf.base`` and lam in ``buf.lam``; unless
     every rate is positive and finite, also lam > 0 in ``buf.pos`` and lam
-    where positive, else 1, in ``buf.r``.  A zero rate on a count returns
-    -inf at once; an infinite rate on an empty cell makes the sum -inf by
-    its term -lam, as the masked form takes no Y log lam term where Y = 0,
-    and so makes no 0 * log(inf).
+    where positive, else 1, in ``buf.r``.  A zero or infinite rate on a count
+    returns -inf at once, with no inf - inf; an infinite rate on an empty
+    cell makes the sum -inf by its term -lam, as the masked form takes no
+    Y log lam term where Y = 0, and so makes no 0 * log(inf).  A nan rate
+    makes the sum nan.
     """
     Y = counts[b0:b1]
     base, lam, safe, tmp = buf.base, buf.lam, buf.r, buf.tmp
@@ -423,7 +447,10 @@ def _loglik_np(counts, G, gamma, mu, A, b0, b1, buf):
     positive = 0.0 < lam.min(initial=np.inf) and lam.max(initial=0.0) < np.inf
     src = lam
     if not positive:
+        # a count where the rate is 0 or +inf: -inf, as Y log lam - lam tends there
         np.less_equal(lam, 0.0, out=buf.flag)
+        np.equal(lam, np.inf, out=buf.pos)
+        np.logical_or(buf.flag, buf.pos, out=buf.flag)
         np.logical_and(buf.flag, buf.ypos, out=buf.flag)
         if buf.flag.any():
             return -np.inf, False
@@ -557,9 +584,10 @@ def _poisson_step(streams, lam):
 
     When every rate takes the inversion (``_every_rate_by_inversion``), each
     stream hands over n uniforms and every cell is searched, with no mask;
-    otherwise the rows with a PTRS (or nan) rate are drawn by the scalar
-    ``poisson_draw``, and the positive rates of the other rows by the
-    inversion, a rate <= 0 drawing 0 from no uniform.
+    otherwise a rate that is not below 2**53 (nan included) raises
+    NumericalError before any draw, the rows with a PTRS rate are drawn by
+    the scalar ``poisson_draw``, and the positive rates of the other rows by
+    the inversion, a rate <= 0 drawing 0 from no uniform.
     """
     K = len(streams) // lam.shape[0]
 
@@ -571,7 +599,9 @@ def _poisson_step(streams, lam):
         lam, exp = per_stream(lam, np.exp(-lam))
         return _inversion_draws(streams, lam.shape[1], lam.ravel(),
                                 exp.ravel()).reshape(lam.shape)
-    by_scalar = ~(lam < _PTRS_SWITCH).all(axis=1)  # a PTRS (or nan) rate in the row
+    if not (lam < _EXACT).all():  # nan fails this test too
+        raise NumericalError("a simulated rate is not below 2**53")
+    by_scalar = ~(lam < _PTRS_SWITCH).all(axis=1)  # a PTRS rate in the row
     pos = (lam > 0.0) & ~by_scalar[:, None]
     exp = np.zeros(lam.shape)
     exp[pos] = np.exp(-lam[pos])
@@ -589,22 +619,26 @@ def _poisson_step(streams, lam):
 def _simulate_counts_np(streams, mu, A, beta, cap, floor, g0, n0, horizon):
     """The loop ``simulate_counts`` with all trajectories advanced together,
     one numpy step per bin; every row makes the loop's float operations.
-    The loop also updates the state after the last step, which nothing
-    reads: here no update follows the last step, so a one-step call, a
-    calibration block, makes none."""
+    No update follows the last step, so a one-step call, a calibration
+    block, makes none."""
     out = np.empty((len(streams), horizon, mu.shape[0]), dtype=np.int64)
     # one state row per start until the first draws, then one per trajectory
     g = g0
-    tot = np.asarray(n0, dtype=np.float64)
+    tot = start = np.asarray(n0, dtype=np.float64)
     decay = np.exp(-beta)
     for h in range(horizon):
         if h:  # the update after the previous step's draws
             if h == 1:
                 K = len(streams) // g0.shape[0]
-                g, tot = np.repeat(g, K, axis=0), np.repeat(tot, K)
+                g, start, drawn = np.repeat(g, K, axis=0), np.repeat(start, K), 0.0
             g = decay * (g + beta * draws)
-            # running totals add the draws one circuit at a time, as the loop does
-            tot = np.add.accumulate(np.column_stack((tot, draws)), axis=1)[:, -1]
+            # below 2**53 whole numbers add exactly in any order, so ``drawn``
+            # is the loop's; summed as floats, a sum that reaches 2**53 stays
+            # at or above it rather than wrapping
+            drawn = drawn + draws.sum(axis=1, dtype=np.float64)
+            tot = start + drawn
+            if (tot >= _EXACT).any():
+                raise NumericalError("a simulated running total reached 2**53")
         gamma = 1.0 - tot / cap
         gamma = np.where(gamma < floor, floor, gamma)
         # stacked matmul runs one BLAS gemv per row: the loop's np.dot(A, g)

@@ -14,19 +14,16 @@ Exit codes: 0 success, 2 usage/precondition, 3 data validation, 4 numerical.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from . import conformal as _conformal
 from . import data as _data
 from . import evaluation as _evaluation
 from .errors import (DataValidationError, HstcError, NumericalError, PreconditionError,
-                     check_circuits, read_text)
+                     check_circuits, read_config, write_csv)
 from .topology import NetworkTopology
 
 
@@ -100,27 +97,10 @@ def _config_value(key, value):
     return conv(value)
 
 
-def _load_config_file(path) -> dict:
-    import yaml  # here, not at module level: it costs every command's start-up
-
-    try:
-        doc = yaml.safe_load(read_text(path))
-    except OSError as exc:
-        raise PreconditionError(f"cannot read config {path}: {exc}") from None
-    except yaml.YAMLError as exc:
-        raise DataValidationError(f"malformed config {path}: {exc}") from None
-    if doc is None:
-        return {}
-    if not isinstance(doc, dict):
-        raise DataValidationError(f"config {path} must be a flat key/value mapping")
-    return doc
-
-
 def _build_config(args, keys) -> RunConfig:
     values = {}
     if args.config:
-        raw = _load_config_file(args.config)
-        for key, value in raw.items():
+        for key, value in read_config(args.config).items():
             if key not in _FIELD_TYPES:
                 raise PreconditionError(f"unknown config key {key!r}")
             if key not in keys:
@@ -194,10 +174,6 @@ def _staged(stage: str, fn, *args, **kwargs):
         raise type(exc)(f"[{stage}] {exc}") from exc
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 # ---------------------------------------------------------------------------
 # Commands.
 
@@ -219,13 +195,11 @@ def _write_interval_tables(cfg: RunConfig, forecast, topo):
     rows = {"circuit": [], "substation": []}
     for kind, uid, _, lo, lo_c, up in forecast.unit_bounds(topo.circuit_ids,
                                                            topo.substation_ids):
-        rows[kind].append([uid, forecast.t, _fmt(lo), _fmt(lo_c), _fmt(up), _fmt(up - lo)])
+        rows[kind].append([uid, forecast.t, lo, lo_c, up, up - lo])
     for kind, table in rows.items():
-        with open(_outpath(cfg, f"{kind}_intervals.csv"), "w", encoding="utf-8",
-                  newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["id", "bin", "lower_raw", "lower_clamped", "upper", "width"])
-            writer.writerows(table)
+        write_csv(_outpath(cfg, f"{kind}_intervals.csv"),
+                  ["id", "bin", "lower_raw", "lower_clamped", "upper", "width"], table,
+                  line_end="\n")
 
 
 def cmd_run(cfg: RunConfig) -> int:
@@ -238,7 +212,7 @@ def cmd_run(cfg: RunConfig) -> int:
     _staged("write outputs", _write_interval_tables, cfg, forecast, topo)
     _staged("write outputs", audit.save, _outpath(cfg, "audit.json"))
     print(f"run: target_bin={forecast.t} alpha={cfg.settings.alpha} "
-          f"mean_width={_fmt(np.mean(forecast.width))}")
+          f"mean_width={float(forecast.width.mean())!r}")
     return 0
 
 

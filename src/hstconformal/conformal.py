@@ -35,7 +35,7 @@ from . import hawkes as _hawkes
 from . import rng as _rng
 from .data import SplitSpec
 from .errors import (DataValidationError, PreconditionError, check_circuits, check_integer,
-                     write_json)
+                     freeze, write_json)
 from .topology import NetworkTopology
 
 _QUANTILE_METHODS = ("empirical", "qr")
@@ -50,19 +50,14 @@ class ScoreSet:
     alpha: float
 
     def __post_init__(self):
-        # copies, so that freezing them leaves the caller's arrays writable
-        s = np.array(self.scores, dtype=np.float64, order="C")
-        sc = np.array(_scale_vector(self.scale), order="C")
+        s, _ = freeze(self, "scores", "scale", dtype=np.float64)
+        _scale_vector(self.scale)  # the check of every scale
         if s.ndim != 2:
             raise PreconditionError("scores must be (substations, calibration bins)")
         if not np.isfinite(s).all() or (s < 0).any():
             raise PreconditionError("scores must be finite and nonnegative")
         if not (0.0 < self.alpha < 1.0):
             raise PreconditionError(f"alpha must lie in (0, 1), got {self.alpha}")
-        s.flags.writeable = False
-        sc.flags.writeable = False
-        object.__setattr__(self, "scores", s)
-        object.__setattr__(self, "scale", sc)
 
     @property
     def n(self) -> int:
@@ -92,11 +87,9 @@ class QuantileEstimate:
     q: np.ndarray  # (m,)
 
     def __post_init__(self):
-        q = np.array(self.q, dtype=np.float64, order="C")  # a copy, as ScoreSet's
+        (q,) = freeze(self, "q", dtype=np.float64)
         if q.ndim != 1 or not (np.isfinite(q) & (q >= 0)).all():
             raise PreconditionError("quantiles must be a finite nonnegative vector")
-        q.flags.writeable = False
-        object.__setattr__(self, "q", q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,16 +103,12 @@ class IntervalForecast:
     t: int
 
     def __post_init__(self):
-        names = ("lower", "upper", "sub_lower", "sub_upper")
-        # copies, as ScoreSet's
-        lo, up, slo, sup = (np.array(getattr(self, k), dtype=np.float64, order="C") for k in names)
+        lo, up, slo, sup = freeze(self, "lower", "upper", "sub_lower", "sub_upper",
+                                  dtype=np.float64)
         if lo.shape != up.shape or slo.shape != sup.shape:
             raise PreconditionError("bound shape mismatch")
         if (lo > up).any() or (slo > sup).any():
             raise PreconditionError("lower bounds must not exceed upper bounds")
-        for name, a in zip(names, (lo, up, slo, sup)):
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
 
     @property
     def width(self) -> np.ndarray:
@@ -477,6 +466,9 @@ class AuditRecord:
     target_bin: int
     target_scenarios: np.ndarray
     model_meta: dict | None
+
+    def __post_init__(self):
+        freeze(self, "scale", "scores", "quantiles", "target_scenarios")
 
     def to_dict(self) -> dict:
         """Every field, arrays and tuples as lists, plus the format tag."""

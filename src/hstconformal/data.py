@@ -9,7 +9,6 @@ substation has a circuit.
 
 from __future__ import annotations
 
-import csv
 import re
 import warnings
 from dataclasses import dataclass, replace
@@ -20,7 +19,7 @@ import numpy as np
 from . import hawkes as _hawkes
 from . import rng as _rng
 from .errors import (DataValidationError, PreconditionError, check_integer, document_numbers,
-                     read_csv_pairs, read_json, write_json)
+                     freeze, read_csv_pairs, read_json, write_csv, write_json)
 from .topology import NetworkTopology
 
 _PANEL_FORMAT = "hstconformal-panel-v1"
@@ -76,7 +75,8 @@ class CountPanel:
     def __post_init__(self):
         if np.ndim(self.Y) != 2:
             raise DataValidationError("counts must be a (bins, circuits) matrix")
-        Y = _hawkes._panel_counts(self.Y).astype(np.int64)
+        _hawkes._panel_counts(self.Y)  # the check of every count
+        (Y,) = freeze(self, "Y", dtype=np.int64)
         T, n = Y.shape
         times = tuple(_parse_date(t, "bin start") for t in self.bin_start_times)
         if len(times) != T:
@@ -91,8 +91,6 @@ class CountPanel:
                 )
         if self.circuit_ids is not None and len(self.circuit_ids) != n:
             raise DataValidationError("circuit_ids length must match circuit count")
-        Y.flags.writeable = False
-        object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "bin_start_times", times)
         if self.circuit_ids is not None:
             object.__setattr__(self, "circuit_ids", tuple(self.circuit_ids))
@@ -264,14 +262,10 @@ def write_events(panel: CountPanel, path):
     """
     if panel.circuit_ids is None:
         raise PreconditionError("panel carries no circuit ids to write events with")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["circuit_id", "timestamp"])
-        for t in range(panel.T):
-            stamp = panel.bin_start_times[t].isoformat()
-            for i, cid in enumerate(panel.circuit_ids):
-                for _ in range(panel.Y[t, i]):
-                    writer.writerow([cid, stamp])
+    rows = ([cid, stamp.isoformat()]
+            for stamp, counts in zip(panel.bin_start_times, panel.Y.tolist())
+            for cid, count in zip(panel.circuit_ids, counts) for _ in range(count))
+    write_csv(path, ["circuit_id", "timestamp"], rows, line_end="\r\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
-"""Exception hierarchy, mapped to CLI exit codes by cli.main.
+"""Exception hierarchy, mapped to CLI exit codes by cli.main, shared checks,
+and the reader and writer of every file format.
 
-``check_circuits`` is the one circuit-count check and ``check_integer`` the
-one check that a count setting is an integer.  Every input file is read
-here, through ``read_text``, so undecodable bytes are a data error: CSV inputs
-by ``read_csv_pairs``, JSON documents by ``read_json``, and the numbers in
-those documents by ``document_numbers``.  ``write_json`` is the one JSON output
-format of every document the package saves.
-"""
+``check_circuits`` checks circuit counts, ``check_integer`` count settings,
+and ``freeze`` gives a record read-only copies of its arrays.  Every input
+file is read through ``read_text``, so undecodable bytes are a data error: CSV
+by ``read_csv_pairs``, JSON by ``read_json`` and ``document_numbers``, the YAML
+config by ``read_config``.  Every output is written by ``write_json``,
+``write_csv`` or ``write_lines``."""
 
 import csv
 import io
@@ -41,6 +41,16 @@ def check_integer(value, name: str):
     """Raise PreconditionError unless ``value`` is a Python or numpy integer, not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise PreconditionError(f"{name} must be an integer, got {value!r}")
+
+
+def freeze(record, *names, dtype=None) -> list:
+    """Set each named field of the frozen dataclass ``record`` to a read-only
+    C-ordered copy of its value, of ``dtype`` when given; return the copies."""
+    copies = [np.array(getattr(record, name), dtype=dtype, order="C") for name in names]
+    for name, copy in zip(names, copies):
+        copy.flags.writeable = False
+        object.__setattr__(record, name, copy)
+    return copies
 
 
 def read_text(path) -> str:
@@ -92,6 +102,23 @@ def read_json(path, parse):
         raise DataValidationError(f"{path}: {exc}") from None
 
 
+def read_config(path) -> dict:
+    """The flat key/value mapping of the YAML document at ``path``, empty for an
+    empty document.  A file that cannot be read is a PreconditionError; malformed
+    YAML, or a document that is not a mapping, is a DataValidationError."""
+    import yaml  # here, not at module level: it costs every command's start-up
+
+    try:
+        doc = yaml.safe_load(read_text(path))
+    except OSError as exc:
+        raise PreconditionError(f"cannot read config {path}: {exc}") from None
+    except yaml.YAMLError as exc:
+        raise DataValidationError(f"malformed config {path}: {exc}") from None
+    if not isinstance(doc, (dict, type(None))):
+        raise DataValidationError(f"config {path} must be a flat key/value mapping")
+    return doc or {}
+
+
 def document_numbers(value, message: str, ndim: int | None = None) -> np.ndarray:
     """``value`` of a parsed document as an array of numbers, of ``ndim``
     dimensions when given: ragged rows, another shape, or a string, null or
@@ -105,8 +132,24 @@ def document_numbers(value, message: str, ndim: int | None = None) -> np.ndarray
     return array
 
 
+def write_lines(path, lines):
+    """Write each of ``lines`` as UTF-8 text ending in LF."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
+
+
 def write_json(path, doc):
     """Write ``doc`` as indented JSON with sorted keys and a final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)  # in chunks, not one string
         fh.write("\n")
+
+
+def write_csv(path, header, rows, line_end: str):
+    """Write the ``header`` row, then ``rows``, as CSV with ``line_end`` after each
+    row.  The csv module writes a float as its repr and any other cell as its str,
+    so cells are str, int or float: the repr of a numpy float names its type."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator=line_end)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -16,7 +16,6 @@ forecast core ``conformal._forecast``, whose horizon-1 case is
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,7 @@ from .conformal import (
     score_bin,
 )
 from .data import SplitSpec
-from .errors import PreconditionError, check_integer
+from .errors import PreconditionError, check_integer, freeze, write_csv, write_lines
 from .topology import NetworkTopology
 
 
@@ -56,6 +55,9 @@ class EvalReport:
     sub_hits: np.ndarray  # (n_test, m) bool
     widths_std: np.ndarray  # (n_test, n)
     forecasts: tuple  # per-bin IntervalForecast
+
+    def __post_init__(self):
+        freeze(self, "truth", "sub_truth", "circuit_hits", "sub_hits", "widths_std")
 
     @property
     def val(self) -> float:
@@ -158,6 +160,10 @@ class HorizonForecast:
     cum_sub_upper: np.ndarray
     start_bin: int
 
+    def __post_init__(self):
+        freeze(self, "cum_lower", "cum_upper", "cum_sub_lower", "cum_sub_upper",
+               dtype=np.float64)
+
     @property
     def horizon(self) -> int:
         return len(self.steps)
@@ -196,53 +202,38 @@ def write_metrics(report: EvalReport, path):
         f"cells_circuit={report.circuit_hits.size}",
         f"cells_substation={report.sub_hits.size}",
     ]
-    for key in sorted(report.config):
-        lines.append(f"config.{key}={report.config[key]!r}")
-    for step, t in enumerate(report.bins):
-        lines.append(
-            f"bin={t} val={float(report.circuit_hits[step].mean())!r} "
-            f"agg_val={float(report.sub_hits[step].mean())!r} "
-            f"size={float(report.widths_std[step].mean())!r}"
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines += (f"config.{key}={report.config[key]!r}" for key in sorted(report.config))
+    lines += (f"bin={t} val={float(report.circuit_hits[step].mean())!r} "
+              f"agg_val={float(report.sub_hits[step].mean())!r} "
+              f"size={float(report.widths_std[step].mean())!r}"
+              for step, t in enumerate(report.bins))
+    write_lines(path, lines)
 
 
 def write_cells_csv(report: EvalReport, path):
     """Flat per-(unit, bin) rows: bounds, truth, coverage indicator."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["kind", "id", "bin", "truth", "lower_raw", "lower_clamped", "upper",
-             "width", "covered"]
-        )
+    def rows():  # one bin at a time, not the whole table at once
         for step, t in enumerate(report.bins):
-            truth = {"circuit": report.truth[step], "substation": report.sub_truth[step]}
-            hits = {"circuit": report.circuit_hits[step],
-                    "substation": report.sub_hits[step]}
-            rows = report.forecasts[step].unit_bounds(report.circuit_ids,
-                                                      report.substation_ids)
-            for kind, uid, j, lo, lo_c, up in rows:
-                writer.writerow([
-                    kind, uid, t, int(truth[kind][j]), repr(lo), repr(lo_c),
-                    repr(up), repr(up - lo), int(hits[kind][j]),
-                ])
+            # one entry per row of unit_bounds: every circuit, then every substation
+            truth = np.concatenate([report.truth[step], report.sub_truth[step]]).tolist()
+            hits = np.concatenate([report.circuit_hits[step], report.sub_hits[step]]).tolist()
+            bounds = report.forecasts[step].unit_bounds(report.circuit_ids,
+                                                        report.substation_ids)
+            for (kind, uid, _, lo, lo_c, up), y, hit in zip(bounds, truth, hits):
+                yield [kind, uid, t, int(y), lo, lo_c, up, up - lo, int(hit)]
+    write_csv(path, ["kind", "id", "bin", "truth", "lower_raw", "lower_clamped", "upper",
+                     "width", "covered"], rows(), line_end="\r\n")
 
 
 def write_forecast_csv(hf: HorizonForecast, topo: NetworkTopology, path):
     """Per-step interval rows plus cumulative envelopes for plotting."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["kind", "id", "step", "bin", "lower_raw", "lower_clamped", "upper",
-             "cum_lower", "cum_upper"]
-        )
+    def rows():  # one step at a time, as write_cells_csv's
         for h, f in enumerate(hf.steps):
-            cum_lower = {"circuit": hf.cum_lower[h], "substation": hf.cum_sub_lower[h]}
-            cum_upper = {"circuit": hf.cum_upper[h], "substation": hf.cum_sub_upper[h]}
-            rows = f.unit_bounds(topo.circuit_ids, topo.substation_ids)
-            for kind, uid, j, lo, lo_c, up in rows:
-                writer.writerow([
-                    kind, uid, h, hf.start_bin + h, repr(lo), repr(lo_c), repr(up),
-                    repr(float(cum_lower[kind][j])), repr(float(cum_upper[kind][j])),
-                ])
+            cum_lower = np.concatenate([hf.cum_lower[h], hf.cum_sub_lower[h]]).tolist()
+            cum_upper = np.concatenate([hf.cum_upper[h], hf.cum_sub_upper[h]]).tolist()
+            bounds = f.unit_bounds(topo.circuit_ids, topo.substation_ids)
+            for (kind, uid, _, lo, lo_c, up), cum_lo, cum_up in zip(bounds, cum_lower,
+                                                                    cum_upper):
+                yield [kind, uid, h, hf.start_bin + h, lo, lo_c, up, cum_lo, cum_up]
+    write_csv(path, ["kind", "id", "step", "bin", "lower_raw", "lower_clamped", "upper",
+                     "cum_lower", "cum_upper"], rows(), line_end="\r\n")

@@ -37,7 +37,7 @@ import numpy as np
 from . import rng as _rng
 from ._kernels import ACTIVE
 from .errors import (DataValidationError, NumericalError, PreconditionError, check_circuits,
-                     check_integer, document_numbers, read_json, write_json)
+                     check_integer, document_numbers, freeze, read_json, write_json)
 
 _MODEL_FORMAT = "hstconformal-model-v1"
 _GAMMA_FORM = "linear_saturation_v1"
@@ -99,9 +99,7 @@ class HawkesModel:
     def __post_init__(self):
         for k in ("beta", "cap", "floor"):
             object.__setattr__(self, k, float(getattr(self, k)))
-        # copies, so that freezing them leaves the caller's arrays writable
-        mu = np.array(self.mu, dtype=np.float64, order="C")
-        A = np.array(self.A, dtype=np.float64, order="C")
+        mu, A = freeze(self, "mu", "A", dtype=np.float64)
         if mu.ndim != 1:
             raise PreconditionError("mu must be a vector")
         n = mu.shape[0]
@@ -133,10 +131,6 @@ class HawkesModel:
                 UserWarning,
                 stacklevel=3,
             )
-        mu.flags.writeable = False
-        A.flags.writeable = False
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "A", A)
 
     @property
     def n(self) -> int:
@@ -193,8 +187,8 @@ def _panel_counts(panel, n: int | None = None) -> np.ndarray:
     """The nonnegative whole (bins, circuits) counts of a ``CountPanel`` or an
     array as floats, in ``n`` columns when ``n`` is given, which makes a None or
     empty history the (0, n) panel: the one reader of counts and histories.
-    Counts from 2**53 on are rejected: float64 holds whole numbers exactly
-    only below it."""
+    Counts and panel totals from 2**53 on are rejected: float64 holds whole
+    numbers exactly only below it, so every running total is exact."""
     Y = np.asarray([] if panel is None else getattr(panel, "Y", panel))
     if Y.dtype.kind not in "biuf":  # float64 would parse numeric strings
         raise DataValidationError("counts must be numbers")
@@ -209,6 +203,9 @@ def _panel_counts(panel, n: int | None = None) -> np.ndarray:
         raise DataValidationError("counts must be nonnegative")
     if not ((Y < 2.0**53) & (Y == np.floor(Y))).all():  # inf fails the bound
         raise DataValidationError("counts must be whole numbers below 2**53")
+    # a float sum of whole numbers that reaches 2**53 stays at or above it
+    if not Y.sum() < 2.0**53:
+        raise DataValidationError("counts must total below 2**53")
     return Y
 
 def _topology_counts(panel, topo) -> np.ndarray:
@@ -288,6 +285,9 @@ class GradientResult:
     d_A: np.ndarray
     d_beta: float
     d_cap: float
+
+    def __post_init__(self):
+        freeze(self, "d_mu", "d_A")
 
 
 def _objective(counts: np.ndarray, before: np.ndarray, mu, A, beta: float,

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DataValidationError, check_circuits, read_csv_pairs
+from .errors import DataValidationError, check_circuits, freeze, read_csv_pairs, write_csv
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,12 +27,12 @@ class NetworkTopology:
 
     def __post_init__(self):
         cids, sids = tuple(self.circuit_ids), tuple(self.substation_ids)
-        sub = np.array(self.substation_of)
+        sub = np.asarray(self.substation_of)
         if sub.shape != (len(cids),) or sub.dtype.kind not in "iu":
             raise DataValidationError(
                 f"need one integer substation index per circuit: {sub.dtype} array of "
                 f"shape {sub.shape} for {len(cids)} circuits")
-        sub = sub.astype(np.int64, copy=False)
+        (sub,) = freeze(self, "substation_of", dtype=np.int64)
         outside = (sub < 0) | (sub >= len(sids))
         if outside.any():
             raise DataValidationError(
@@ -46,10 +45,8 @@ class NetworkTopology:
         empty = [sids[j] for j in np.flatnonzero(np.bincount(sub, minlength=len(sids)) == 0)]
         if empty:
             raise DataValidationError(f"substations with no circuits: {empty}")
-        sub.flags.writeable = False
         object.__setattr__(self, "circuit_ids", cids)
         object.__setattr__(self, "substation_ids", sids)
-        object.__setattr__(self, "substation_of", sub)
 
     @property
     def n(self) -> int:
@@ -106,9 +103,8 @@ class NetworkTopology:
             raise DataValidationError(f"{path}: {exc}") from None
 
     def to_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["circuit_id", "substation_id"])
-            writer.writerows([cid, self.substation_ids[j]]
-                             for cid, j in zip(self.circuit_ids, self.substation_of))
+        write_csv(path, ["circuit_id", "substation_id"],
+                  ([cid, self.substation_ids[j]]
+                   for cid, j in zip(self.circuit_ids, self.substation_of)),
+                  line_end="\r\n")
 

@@ -868,6 +868,18 @@ def test_counts_from_2_53_on_are_data_errors():
         training_scale([[1.0, 2.0**60]])
 
 
+def test_a_panel_total_from_2_53_on_is_a_data_error():
+    # every count is below 2**53, but a running total of the panel would not be
+    times = ("2020-01-01", "2020-07-01")
+    below = [[2**52, 0], [2**52 - 1, 0]]
+    assert CountPanel(Y=below, bin_start_times=times).Y.sum() == 2**53 - 1
+    for Y in ([[2**52, 0], [2**52, 0]], [[2**52, 2**52], [0, 0]], [[2**52 + 1, 0], [2**52, 0]]):
+        with pytest.raises(DataValidationError, match="total below 2\\*\\*53"):
+            CountPanel(Y=Y, bin_start_times=times)
+    with pytest.raises(DataValidationError, match="total below 2\\*\\*53"):
+        training_scale([[2.0**52], [2.0**52]])
+
+
 _COUNT_ARGUMENTS = [  # the argument named, and a call on the panel, topology and truth
     pytest.param("K", lambda p, t, m: simulate_trajectory(m, p.Y[:10], 3, K=2.5),
                  id="simulate_trajectory-K"),

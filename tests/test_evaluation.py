@@ -25,7 +25,7 @@ from hstconformal import conformal as _conformal
 from hstconformal import evaluation as _evaluation
 from hstconformal import rng as _rng
 from hstconformal.conformal import build_interval, score_bin
-from hstconformal.hawkes import fit, simulate_bin, simulate_trajectory
+from hstconformal.hawkes import fit, log_likelihood_gradient, simulate_bin, simulate_trajectory
 
 
 def _interval(lower, upper, topo, t=0):
@@ -91,6 +91,28 @@ def test_coverage_counts_aggregate_before_comparing():
 
 
 # -- rolling evaluation -----------------------------------------------------------
+
+def test_result_records_hold_read_only_copies(small_triple, fast_settings):
+    # as the model and interval records do: a later write to the caller's
+    # array reaches no record, and no record's array can be written
+    panel, topo, truth = small_triple
+    Y = np.array(panel.Y, dtype=np.float64)
+    report = rolling_evaluate(Y, topo, SplitSpec(t0=41, test=3), fast_settings, seed=1)
+    assert not np.shares_memory(report.truth, Y)
+    hf = horizon_forecast(Y, topo, 41, fast_settings, horizon=2, seed=1)
+    _, audit = hst_conformal_pipeline(Y, topo, t0=41, settings=fast_settings, seed=1)
+    grad = log_likelihood_gradient(truth, Y)
+    arrays = {
+        "EvalReport": [report.truth, report.sub_truth, report.circuit_hits, report.sub_hits,
+                       report.widths_std],
+        "HorizonForecast": [hf.cum_lower, hf.cum_upper, hf.cum_sub_lower, hf.cum_sub_upper],
+        "AuditRecord": [audit.scale, audit.scores, audit.quantiles, audit.target_scenarios],
+        "GradientResult": [grad.d_mu, grad.d_A],
+    }
+    assert {name: [a.flags.writeable for a in group] for name, group in arrays.items()} == {
+        name: [False] * len(group) for name, group in arrays.items()}
+    Y[-1] += 1.0
+    assert np.array_equal(report.truth, panel.Y[-3:])
 
 def test_rolling_report_internally_consistent(tmp_path, small_triple, fast_settings):
     panel, topo, _ = small_triple

@@ -663,3 +663,11 @@ def test_simulate_bin_reads_its_history_once(monkeypatch):
     for empty in ([], np.zeros((0, 2))):
         assert np.array_equal(simulate_bin(m, empty, K=4, seed=2),
                               simulate_bin(m, None, K=4, seed=2))
+
+
+def test_a_runaway_simulation_is_a_numerical_error():
+    # rates that grow past 2**53 used to end in an OverflowError from the draw
+    with pytest.warns(UserWarning, match="branching ratio"):
+        model = HawkesModel(mu=np.ones(4), A=np.full((4, 4), 3.0), beta=1.0)
+    with pytest.raises(NumericalError, match="2\\*\\*53"):
+        simulate_trajectory(model, None, horizon=30, K=2, seed=1)

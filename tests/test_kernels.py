@@ -11,6 +11,7 @@ import pytest
 
 from hstconformal import _kernels as K
 from hstconformal import rng
+from hstconformal.errors import NumericalError
 
 needs_jit = pytest.mark.skipif(not K.USING_NUMBA, reason="numba path not active")
 
@@ -413,6 +414,58 @@ def test_pure_loglik_kernels_take_an_infinite_rate_on_an_empty_cell_silently():
             assert not dmu.any() and not dA.any() and dbeta == 0.0 and dcap == 0.0
 
 
+def _family(name):
+    kernels = {"pure": K.PURE, "loop": K._LOOP_PURE, "jit": K.JIT}[name]
+    if kernels is None:
+        pytest.skip("numba path not active")
+    return kernels
+
+
+@pytest.mark.parametrize("family", ["pure", "loop", "jit"])
+def test_loglik_kernels_take_an_infinite_rate_on_a_count_as_minus_infinity(family):
+    # y log lam - lam tends to -inf as lam grows: as a zero rate on a count,
+    # an infinite one makes the value -inf, with no inf - inf and no numpy
+    # warning, in the value and the gradient kernel, and so it does on an
+    # empty cell (no 0 * inf where dgam is 0); a nan rate stays nan
+    kernels = _family(family)
+    counts = np.array([[1.0, 2.0]])
+    A, gamma, G = np.zeros((2, 2)), np.ones(1), np.zeros((2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y, mu in (([1.0, 2.0], [np.inf, 1.0]), ([1.0, 2.0], [1.0, np.inf]),
+                      ([0.0, 2.0], [np.inf, 1.0])):
+            y, mu = np.array([y]), np.array(mu)
+            assert kernels.loglik_value(y, G, gamma, mu, A, 0, 1) == -np.inf
+            assert kernels.loglik_grads(y, G, G, gamma, np.zeros(1), mu, A, 0, 1)[0] == -np.inf
+        nan = np.array([np.nan, 1.0])
+        assert math.isnan(kernels.loglik_value(counts, G, gamma, nan, A, 0, 1))
+        assert math.isnan(kernels.loglik_grads(counts, G, G, gamma, np.zeros(1), nan, A,
+                                               0, 1)[0])
+
+
+@pytest.mark.parametrize("family", ["pure", "loop", "jit"])
+def test_simulation_rejects_a_rate_or_total_it_cannot_hold_exactly(family):
+    # a rate from 2**53 on (nan included) could give a draw float64 does not
+    # hold exactly, and so could a running total: both are NumericalErrors
+    kernels = _family(family)
+    A, g0, n0 = np.zeros((2, 2)), np.zeros((1, 2)), np.zeros(1)
+    for rate in (2.0**53, np.inf, np.nan):
+        with pytest.raises(NumericalError, match="rate is not below 2\\*\\*53"):
+            kernels.simulate_counts(rng.streams([1], 2), np.array([1.0, rate]), A, 1.0,
+                                    np.inf, 0.0, g0, n0, 1)
+    # a runaway model: the excitation grows without bound
+    with pytest.raises(NumericalError, match="2\\*\\*53"):
+        kernels.simulate_counts(rng.streams([1], 2), np.ones(4), np.full((4, 4), 3.0), 1.0,
+                                np.inf, 0.0, np.zeros((1, 4)), n0, 30)
+    # the first step's draws lift a total of 2**53 - 1 to 2**53 or more; the
+    # check follows the state update, so a one-step call makes none
+    mu, start = np.full(2, 20.0), np.array([2.0**53 - 1])
+    assert kernels.simulate_counts(rng.streams([1], 2), mu, A, 1.0, np.inf, 0.0, g0, start,
+                                   1).sum() > 0
+    with pytest.raises(NumericalError, match="total reached 2\\*\\*53"):
+        kernels.simulate_counts(rng.streams([1], 2), mu, A, 1.0, np.inf, 0.0, g0, start, 2)
+
+
 @pytest.mark.parametrize("family", ["loop", "jit"])
 def test_loop_kernels_on_a_reused_workspace_match_their_allocating_calls(family):
     kernels = K._LOOP_PURE if family == "loop" else K.JIT
@@ -515,8 +568,8 @@ def test_pure_simulate_counts_matches_the_loop_kernel_under_saturation(generator
     A = rng.uniform(0.0, 0.5 / n, size=(n, n))
     g0 = rng.uniform(0.0, 1.0, size=n)
     # floor 0: gamma reaches 0 once the total passes the cap, and a zero rate
-    # must draw 0 without consuming a uniform; n0 is fractional so the
-    # running total must add the draws in the loop's order
+    # must draw 0 without consuming a uniform; n0 is fractional, so the
+    # running total is a fraction plus the whole number drawn since
     ref = _assert_simulations_identical(generator_streams, mu, A, 0.8, 60.0, 0.0, g0, 0.1, 12, 40,
                                        seed=1)
     capped = ref[:, :-1].sum(axis=(1, 2)) + 0.1 >= 60.0
@@ -565,6 +618,9 @@ def test_simulate_counts_from_start_rows_matches_separate_calls(generator_stream
         ref = _assert_simulations_identical(generator_streams, mu, A, 0.8, 60.0, floor, g0,
                                             n0, 6, 30, [1, 2, 3, 4])
         assert (ref[90:] > 0).any() == (floor > 0)
+    # whole start totals just below 2**53, which the rates read through the cap
+    _assert_simulations_identical(generator_streams, mu, A, 0.8, 2.0**54, 0.0, g0[:2],
+                                  np.array([2.0**53 - 2**12, 2.0**52 + 1]), 6, 5, [4, 5])
 
 
 def test_excitation_series_matches_closed_form_single_pulse():

@@ -1,7 +1,7 @@
 """Source hygiene that a linter would check, with the standard library's ast:
 no module-level private name is left unused, no import is unused, every
 name in the package's ``__all__`` is bound there and listed once, and only
-``errors.py`` parses input files."""
+``errors.py`` parses input files or touches files at all."""
 
 import ast
 from collections import Counter
@@ -113,4 +113,36 @@ def test_only_the_errors_module_parses_input():
     found = [f"{fname}:{node.lineno}" for fname, tree in _modules().items()
              if fname != "errors.py" for node in ast.walk(tree)
              if isinstance(node, ast.Call) and _parses_input(node)]
+    assert not found, found
+
+
+# the modules of a file format, and calls that read or write a file by themselves
+_FORMAT_MODULES = {"csv", "json", "yaml", "pickle"}
+_FILE_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes", "tofile"}
+_NUMPY_FILE_CALLS = {"load", "save", "savez", "savez_compressed", "loadtxt", "savetxt",
+                     "genfromtxt", "fromfile"}
+
+
+def _touches_files(node):
+    """Whether ``node`` imports a file-format module or opens, reads or writes a file."""
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] in _FORMAT_MODULES for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] in _FORMAT_MODULES
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id == "open"
+    return isinstance(func, ast.Attribute) and (
+        func.attr in _FILE_METHODS
+        or (isinstance(func.value, ast.Name) and func.value.id == "np"
+            and func.attr in _NUMPY_FILE_CALLS))
+
+
+def test_only_the_errors_module_touches_files():
+    # one writer per output format as well: every file the package writes, and
+    # every CSV, JSON or YAML it reads or writes, goes through errors.py
+    found = [f"{fname}:{node.lineno}" for fname, tree in _modules().items()
+             if fname != "errors.py" for node in ast.walk(tree) if _touches_files(node)]
     assert not found, found
