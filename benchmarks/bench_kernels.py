@@ -52,14 +52,14 @@ fits fault about 100 times each, while the 1000-epoch (301, 24) fit of a
 ``run-fit`` command faulted 95,000-108,000 times.  So compare the two
 columns of one run, and measure a command with ``getrusage`` around it.
 
-A fifth table times the calibration walk: the per-bin walk, one
-``simulate_bin`` and one ``score_bin`` per bin, against ``calibrate``,
+A fifth table times the calibration walk: the per-bin walk, one one-step
+``simulate_trajectory`` and one ``score_bin`` per bin, against ``calibrate``,
 which simulates and scores blocks of consecutive bins with one kernel call
 and one scoring reduction each.  It runs on a synthetic panel and its
 truth model, scoring the last quarter of the bins, at (n, K) = (24, 10),
 (96, 10) and (24, 200) for --n 24, n scaled with --n; the default --T
 gives 100 calibration bins.  The per-bin walk rescans each bin's history,
-as ``simulate_bin`` does, where ``calibrate`` scans the panel once.  Its
+as ``simulate_trajectory`` does, where ``calibrate`` scans the panel once.  Its
 mismatch column counts bins whose scores differ from the per-bin walk's;
 it must read 0.  ``--json PATH`` writes the second table's recursion and
 simulation rows, the stream table, the fit table and this table to PATH,
@@ -93,7 +93,7 @@ import warnings
 import numpy as np
 
 from hstconformal import (FitConfig, calibrate, fit, generate_synthetic, rng, score_bin,
-                          simulate_bin, training_scale)
+                          simulate_trajectory, training_scale)
 from hstconformal._kernels import _LOOP_PURE, _PTRS_SWITCH, ACTIVE, JIT, PURE, USING_NUMBA
 
 TIME_BUDGET_S = 2.0
@@ -365,11 +365,12 @@ def print_fit_table(T, n, repeats) -> list:
 
 
 def per_bin_walk(Y, topo, model, b0, b1, k_count):
-    # the (m, bins) scores of one simulate_bin and one score_bin per bin
+    # the (m, bins) scores of one one-step simulate_trajectory and one score_bin per bin
     scale = training_scale(Y[:b0])
     return np.column_stack([
-        score_bin(Y[t], simulate_bin(model, Y[:t], K=k_count,
-                                     seed=rng.derive(CAL_SEED, "cal", t)), topo, scale)
+        score_bin(Y[t], simulate_trajectory(model, Y[:t], horizon=1, K=k_count,
+                                            seed=rng.derive(CAL_SEED, "cal", t))[:, 0],
+                  topo, scale)
         for t in range(b0, b1)])
 
 
@@ -406,7 +407,8 @@ def write_json(path, recursion_rows, simulate_rows, stream_rows, fit_rows, calib
         "benchmark": ("pure excitation recursions and scenario simulation against the "
                       "loop reference, PCG64 streams against numpy Generators, whole "
                       "fits allocating and on one workspace, and the calibration walk: "
-                      "per-bin simulate_bin + score_bin against calibrate"),
+                      "per-bin one-step simulate_trajectory + score_bin against "
+                      "calibrate"),
         "command": (f"python3 benchmarks/bench_kernels.py --T {args.T} --n {args.n} "
                     f"--horizon {args.horizon} --repeats {args.repeats} --json {path}"),
         "timing": f"best of --repeats calls or of {TIME_BUDGET_S} s of calls",

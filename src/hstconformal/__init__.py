@@ -45,7 +45,6 @@ from .hawkes import (
     intensity,
     log_likelihood,
     log_likelihood_gradient,
-    simulate_bin,
     simulate_trajectory,
 )
 from .topology import NetworkTopology
@@ -88,7 +87,6 @@ __all__ = [
     "qr_quantile",
     "rolling_evaluate",
     "score_bin",
-    "simulate_bin",
     "simulate_trajectory",
     "split",
     "training_scale",

@@ -30,7 +30,8 @@ Guarantees relied on by the rest of the package:
   gradient's -1.  On both families a zero rate on a count, or an infinite
   rate on any cell, makes the value -inf with no numpy warning; a value of
   -inf comes with gradients that the fit does not read (zeros on the pure
-  path).  A nan rate makes the value nan.
+  path).  A nan rate makes the value nan.  ``loglik_value`` is the value of
+  ``loglik_grads`` on both families (``_value_of``): one sum of the terms.
 * ``workspace(counts, b0, b1)`` builds the arrays that the dense kernels
   ``excitation_series``, ``excitation_beta_series`` and ``loglik_grads``
   write on that panel and bin range; each family builds its own.  Passed
@@ -116,6 +117,17 @@ _INVERSION_MAX = 2000  # cap on the sequential search's count
 _EXACT = 2.0**53
 
 
+def _value_of(loglik_grads):
+    """A family's ``loglik_value``: the value of its ``loglik_grads``, which
+    sums the likelihood's terms in their one order.  H = G and dgam = 0 feed
+    only the gradients, which are dropped."""
+
+    def loglik_value(counts, G, gamma, mu, A, b0, b1):
+        return loglik_grads(counts, G, G, gamma, np.zeros(gamma.shape[0]), mu, A, b0, b1)[0]
+
+    return loglik_value
+
+
 def build_loop_kernels(jit):
     """Build the scalar-loop kernel family, wrapped by ``jit``.
 
@@ -182,26 +194,6 @@ def build_loop_kernels(jit):
         return H
 
     @jit
-    def loglik_value(counts, G, gamma, mu, A, b0, b1):
-        n = counts.shape[1]
-        ll = 0.0
-        for t in range(b0, b1):
-            gt = gamma[t]
-            base = mu + np.dot(A, G[t])
-            for i in range(n):
-                lam = gt * base[i]
-                y = counts[t, i]
-                if lam == np.inf or (y > 0.0 and lam <= 0.0):
-                    return -np.inf
-                if lam <= 0.0:
-                    continue
-                if y > 0.0:
-                    ll += y * np.log(lam) - lam
-                else:
-                    ll -= lam
-        return ll
-
-    @jit
     def loglik_grads_into(dA, counts, G, H, gamma, dgam, mu, A, b0, b1):
         # Partials of the Poisson log likelihood in constrained coordinates
         # (mu, A, beta, cap); the chain rule to unconstrained space is applied
@@ -230,7 +222,7 @@ def build_loop_kernels(jit):
                         ll -= lam
                 elif lam <= 0.0:
                     r = -1.0  # smooth limit of d(-lam), value term is 0
-                else:  # a nan rate makes a nan value, as loglik_value's
+                else:  # a nan rate makes a nan value
                     return lam, dmu, dA, dbeta, dcap
                 w = gt * r
                 dmu[i] += w
@@ -308,7 +300,7 @@ def build_loop_kernels(jit):
         workspace=workspace,
         excitation_series=excitation_series,
         excitation_beta_series=excitation_beta_series,
-        loglik_value=loglik_value,
+        loglik_value=_value_of(loglik_grads),
         loglik_grads=loglik_grads,
         simulate_counts=simulate_counts,
     )
@@ -466,10 +458,6 @@ def _loglik_np(counts, G, gamma, mu, A, b0, b1, buf):
     # is +-0 where Y = 0 and +-0 - lam is -lam: the zeroed terms, bit for bit
     np.subtract(tmp, lam, out=tmp)
     return float(np.sum(tmp)), positive
-
-
-def _loglik_value_np(counts, G, gamma, mu, A, b0, b1):
-    return _loglik_np(counts, G, gamma, mu, A, b0, b1, _LoglikBuffers(counts, b0, b1))[0]
 
 
 def _loglik_grads_np(counts, G, H, gamma, dgam, mu, A, b0, b1, work=None):
@@ -666,7 +654,7 @@ PURE = SimpleNamespace(
     workspace=_workspace_np,
     excitation_series=_excitation_series_np,
     excitation_beta_series=_excitation_beta_series_np,
-    loglik_value=_loglik_value_np,
+    loglik_value=_value_of(_loglik_grads_np),
     loglik_grads=_loglik_grads_np,
     simulate_counts=_simulate_counts_np,
 )

@@ -193,8 +193,8 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 def _write_interval_tables(cfg: RunConfig, forecast, topo):
     rows = {"circuit": [], "substation": []}
-    for kind, uid, _, lo, lo_c, up in forecast.unit_bounds(topo.circuit_ids,
-                                                           topo.substation_ids):
+    for kind, uid, lo, lo_c, up in forecast.unit_bounds(topo.circuit_ids,
+                                                        topo.substation_ids):
         rows[kind].append([uid, forecast.t, lo, lo_c, up, up - lo])
     for kind, table in rows.items():
         write_csv(_outpath(cfg, f"{kind}_intervals.csv"),

@@ -115,7 +115,7 @@ class IntervalForecast:
         return self.upper - self.lower
 
     def unit_bounds(self, circuit_ids, substation_ids):
-        """Yield (kind, id, index, lower_raw, lower_clamped, upper) floats.
+        """Yield (kind, id, lower_raw, lower_clamped, upper) rows.
 
         One row per circuit, then one per substation: the reported view that
         every interval table writer prints, with lower bounds clamped at 0.
@@ -126,7 +126,7 @@ class IntervalForecast:
         ):
             for j, uid in enumerate(ids):
                 lo = float(lower[j])
-                yield kind, uid, j, lo, max(lo, 0.0), float(upper[j])
+                yield kind, uid, lo, max(lo, 0.0), float(upper[j])
 
 
 def training_scale(train_counts) -> np.ndarray:

@@ -18,11 +18,14 @@ import numpy as np
 
 from . import hawkes as _hawkes
 from . import rng as _rng
-from .errors import (DataValidationError, PreconditionError, check_integer, document_numbers,
-                     freeze, read_csv_pairs, read_json, write_csv, write_json)
+from .errors import (DataValidationError, PreconditionError, check_integer, document_keys,
+                     document_numbers, freeze, read_csv_pairs, read_json, write_csv,
+                     write_json)
 from .topology import NetworkTopology
 
 _PANEL_FORMAT = "hstconformal-panel-v1"
+# every key a panel document may hold; a null covariates is read as absent
+_PANEL_KEYS = ("format", "bin_length", "bin_start_times", "circuit_ids", "counts", "covariates")
 
 
 def _parse_bin_length(bin_length: str) -> int:
@@ -125,8 +128,7 @@ class CountPanel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CountPanel":
-        if not isinstance(doc, dict):
-            raise DataValidationError("panel document must be a JSON object")
+        document_keys(doc, _PANEL_KEYS, "panel")
         if doc.get("format") != _PANEL_FORMAT:
             raise DataValidationError(f"unsupported panel format {doc.get('format')!r}")
         if doc.get("covariates") is not None:

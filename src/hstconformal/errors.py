@@ -4,9 +4,9 @@ and the reader and writer of every file format.
 ``check_circuits`` checks circuit counts, ``check_integer`` count settings,
 and ``freeze`` gives a record read-only copies of its arrays.  Every input
 file is read through ``read_text``, so undecodable bytes are a data error: CSV
-by ``read_csv_pairs``, JSON by ``read_json`` and ``document_numbers``, the YAML
-config by ``read_config``.  Every output is written by ``write_json``,
-``write_csv`` or ``write_lines``."""
+by ``read_csv_pairs``, JSON by ``read_json``, ``document_keys`` and
+``document_numbers``, the YAML config by ``read_config``.  Every output is
+written by ``write_json``, ``write_csv`` or ``write_lines``."""
 
 import csv
 import io
@@ -117,6 +117,16 @@ def read_config(path) -> dict:
     if not isinstance(doc, (dict, type(None))):
         raise DataValidationError(f"config {path} must be a flat key/value mapping")
     return doc or {}
+
+
+def document_keys(doc, keys, what: str):
+    """Raise DataValidationError unless the parsed ``what`` document ``doc`` is
+    a JSON object whose every key is one of ``keys``, the keys its reader reads."""
+    if not isinstance(doc, dict):
+        raise DataValidationError(f"{what} document must be a JSON object")
+    unknown = [key for key in doc if key not in keys]
+    if unknown:
+        raise DataValidationError(f"{what} document has unknown keys {unknown}")
 
 
 def document_numbers(value, message: str, ndim: int | None = None) -> np.ndarray:

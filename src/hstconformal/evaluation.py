@@ -219,7 +219,7 @@ def write_cells_csv(report: EvalReport, path):
             hits = np.concatenate([report.circuit_hits[step], report.sub_hits[step]]).tolist()
             bounds = report.forecasts[step].unit_bounds(report.circuit_ids,
                                                         report.substation_ids)
-            for (kind, uid, _, lo, lo_c, up), y, hit in zip(bounds, truth, hits):
+            for (kind, uid, lo, lo_c, up), y, hit in zip(bounds, truth, hits):
                 yield [kind, uid, t, int(y), lo, lo_c, up, up - lo, int(hit)]
     write_csv(path, ["kind", "id", "bin", "truth", "lower_raw", "lower_clamped", "upper",
                      "width", "covered"], rows(), line_end="\r\n")
@@ -232,8 +232,8 @@ def write_forecast_csv(hf: HorizonForecast, topo: NetworkTopology, path):
             cum_lower = np.concatenate([hf.cum_lower[h], hf.cum_sub_lower[h]]).tolist()
             cum_upper = np.concatenate([hf.cum_upper[h], hf.cum_sub_upper[h]]).tolist()
             bounds = f.unit_bounds(topo.circuit_ids, topo.substation_ids)
-            for (kind, uid, _, lo, lo_c, up), cum_lo, cum_up in zip(bounds, cum_lower,
-                                                                    cum_upper):
+            for (kind, uid, lo, lo_c, up), cum_lo, cum_up in zip(bounds, cum_lower,
+                                                                 cum_upper):
                 yield [kind, uid, h, hf.start_bin + h, lo, lo_c, up, cum_lo, cum_up]
     write_csv(path, ["kind", "id", "step", "bin", "lower_raw", "lower_clamped", "upper",
                      "cum_lower", "cum_upper"], rows(), line_end="\r\n")

@@ -19,9 +19,9 @@ parameters, so fitting and model comparison are unaffected.
 Every entry reads its counts or history through one checked reader,
 ``_panel_counts``; where a panel meets a topology, ``_topology_counts`` also
 holds it to the topology's circuit order.  Simulations return plain int64
-arrays: (K, horizon, n) trajectories, or (K, n) draws of one bin.  Every
-scenario, calibration's too, comes from one walk (``_walk``), whose one-row
-case is ``simulate_trajectory``.  The intensity, the likelihood and the walk
+arrays of (K, horizon, n) trajectories.  Every scenario, calibration's too,
+comes from one walk (``_walk``), whose one-row case is
+``simulate_trajectory``.  The intensity, the likelihood and the walk
 read their states off one scan (``_start_states``), and ``fit`` optimizes
 one layout (``_pack``).
 """
@@ -37,7 +37,8 @@ import numpy as np
 from . import rng as _rng
 from ._kernels import ACTIVE
 from .errors import (DataValidationError, NumericalError, PreconditionError, check_circuits,
-                     check_integer, document_numbers, freeze, read_json, write_json)
+                     check_integer, document_keys, document_numbers, freeze, read_json,
+                     write_json)
 
 _MODEL_FORMAT = "hstconformal-model-v1"
 _GAMMA_FORM = "linear_saturation_v1"
@@ -45,6 +46,9 @@ _GAMMA_FORM = "linear_saturation_v1"
 _MODEL_NUMBERS = (("mu", 1, "a list of numbers"), ("A", 2, "a matrix of numbers"),
                   ("beta", 0, "a number"), ("cap", 0, "a number"), ("floor", 0, "a number"))
 _INF = "inf"  # the document's spelling of an infinite cap
+# every key a model document may hold; a null cov_coef is read as absent
+_MODEL_KEYS = ("format", "gamma_form", "n", "circuit_ids", *(k for k, _, _ in _MODEL_NUMBERS),
+               "meta", "cov_coef")
 
 _ADAM_B1 = 0.9
 _ADAM_B2 = 0.999
@@ -66,8 +70,8 @@ class FitConfig:
         check_integer(self.epochs, "epochs")
         if self.epochs < 1:
             raise PreconditionError("epochs must be >= 1")
-        if not self.learning_rate > 0:
-            raise PreconditionError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise PreconditionError("learning_rate must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -151,8 +155,7 @@ class HawkesModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "HawkesModel":
-        if not isinstance(doc, dict):
-            raise DataValidationError("model document must be a JSON object")
+        document_keys(doc, _MODEL_KEYS, "model")
         if doc.get("format") != _MODEL_FORMAT:
             raise DataValidationError(f"unsupported model format {doc.get('format')!r}")
         if doc.get("gamma_form") != _GAMMA_FORM:
@@ -169,7 +172,12 @@ class HawkesModel:
         numbers = {k: document_numbers(math.inf if doc[k] == _INF else doc[k],
                                        f"model {k} must be {what}", ndim)
                    for k, ndim, what in _MODEL_NUMBERS}
+        if "n" in doc and doc["n"] != len(numbers["mu"]):
+            raise DataValidationError(f"model n = {doc['n']!r} but mu has "
+                                      f"{len(numbers['mu'])} entries")
         cids = doc.get("circuit_ids")
+        if cids is not None and not isinstance(cids, list):
+            raise DataValidationError("model circuit_ids must be a list")
         return cls(**numbers, circuit_ids=None if cids is None else tuple(cids), meta=meta)
 
     def save(self, path):
@@ -267,7 +275,9 @@ def log_likelihood(model: HawkesModel, panel, bins=None) -> float:
     """Poisson log likelihood of the selected bins given prior history.
 
     The log(y!) term is omitted (constant in parameters).  Returns -inf when
-    any selected cell has positive count but zero intensity.
+    any selected cell has a positive count and a zero intensity, or any
+    selected cell an infinite one.  The value of the gradient kernel, so the
+    value that ``fit`` maximizes, bit for bit.
     """
     counts = _panel_counts(panel, model.n)
     b0, b1 = _normalize_bins(bins, counts.shape[0])
@@ -351,6 +361,11 @@ def _unpack(u: np.ndarray, n: int):
             _softplus(float(u[n + n * n])), math.exp(float(u[-1])))
 
 
+# a trial whose mu, A or cap leaves float range has no finite likelihood (an
+# infinite or nan rate, or a nan saturation factor where the cap is 0) and is
+# halved, and a gradient whose square overflows stops its coordinate's steps:
+# numpy's float warnings on the way say no more
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit(panel, topo, cfg: FitConfig = FitConfig(), seed: int = 0) -> HawkesModel:
     """Maximize the likelihood by adaptive-moment gradient ascent.
 
@@ -361,7 +376,8 @@ def fit(panel, topo, cfg: FitConfig = FitConfig(), seed: int = 0) -> HawkesModel
     ``seed`` (recorded in ``FitMeta.seed``); ``cfg`` may be ``PipelineSettings``.
     The returned model is the best point seen, so its likelihood never
     falls below the initialization value.  Steps that land on a non-finite
-    likelihood are retried with halved length.
+    likelihood, or on a point whose mu, A or cap overflows, are retried with
+    halved length; when no halving is finite, NumericalError.
     Each trial point costs one objective evaluation: its gradient is taken
     together with its likelihood and drives the next step once accepted.
     All evaluations write into one kernel workspace (``ACTIVE.workspace``),
@@ -394,7 +410,11 @@ def fit(panel, topo, cfg: FitConfig = FitConfig(), seed: int = 0) -> HawkesModel
     work = ACTIVE.workspace(counts, 0, T)
 
     def evaluate(uvec):
-        ll, grad = _objective(counts, before, *_unpack(uvec, n), 0.0, 0, T, work=work)
+        try:
+            params = _unpack(uvec, n)
+        except OverflowError:  # math.exp of the cap coordinate
+            return -math.inf, None
+        ll, grad = _objective(counts, before, *params, 0.0, 0, T, work=work)
         return ll, None if grad is None else _pack(*grad)
 
     ll, grads = evaluate(u)
@@ -468,7 +488,8 @@ def _start_states(model: HawkesModel, counts: np.ndarray):
     return ACTIVE.excitation_series(counts, model.beta), _count_before(counts)
 
 
-# kept only because perfbench/tracing.py and tests/test_tracing.py bind the name
+# not exported and called by no command: kept only because perfbench/tracing.py
+# and tests/test_tracing.py bind the name
 def simulate_bin(model: HawkesModel, history, K: int = 10, seed: int = 0) -> np.ndarray:
     """K independent (K, n) joint count draws for the bin after ``history``:
     the first step of ``simulate_trajectory`` with the same seed."""

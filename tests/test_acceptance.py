@@ -31,7 +31,6 @@ from hstconformal import (
     nonconformity_score,
     qr_quantile,
     rolling_evaluate,
-    simulate_bin,
     simulate_trajectory,
 )
 from hstconformal.hawkes import _softplus, _softplus_inv
@@ -186,7 +185,7 @@ def test_criterion_4_gradient_vs_finite_differences():
 
 def test_criterion_5_sampler_moments_and_saturation():
     flat = HawkesModel(mu=np.array([4.0]), A=np.zeros((1, 1)), beta=1.0)
-    s = simulate_bin(flat, None, K=100_000, seed=0)
+    s = simulate_trajectory(flat, None, horizon=1, K=100_000, seed=0)[:, 0]
     mean = float(s.mean())
 
     capped = HawkesModel(

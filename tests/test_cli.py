@@ -349,6 +349,59 @@ def test_panel_file_in_another_circuit_order_is_a_data_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_panel_file_with_a_misspelled_key_is_a_data_error(tmp_path, capsys):
+    # "circuit_id" for "circuit_ids", with the ids reversed: read as a panel
+    # without ids, it would skip the ordering check and the run would exit 0
+    _synth(tmp_path, capsys)
+    path = tmp_path / "panel.json"
+    doc = json.loads(path.read_text())
+    doc["circuit_id"] = doc.pop("circuit_ids")[::-1]
+    path.write_text(json.dumps(doc))
+    code, _, err = _run(["run", "--panel", str(path), "--topology", str(tmp_path / "topology.csv"),
+                         "--t0", "31", "--out", str(tmp_path / "o")], capsys)
+    assert code == 3 and "panel document has unknown keys ['circuit_id']" in err, err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_fit_step_past_float_range_is_halved(tmp_path, capsys):
+    # the README quick-start panel: a step of 10000 sends mu, A and the cap
+    # coordinate past float range, and the fit halves it like any trial with
+    # no finite likelihood, with no numpy warning; an infinite step is a
+    # usage error, not a numerical one after numpy warnings
+    _synth(tmp_path, capsys, n=8, m=3, T=120, seed=7)
+    argv = ["run", "--panel", str(tmp_path / "panel.json"),
+            "--topology", str(tmp_path / "topology.csv"),
+            "--t0", "91", "--alpha", "0.1", "--seed", "7"]
+    code, _, err = _run([*argv, "--learning_rate", "10000", "--out", str(tmp_path / "big")],
+                        capsys)
+    assert code == 0 and "Warning" not in err, err
+    code, _, err = _run([*argv, "--learning_rate", "inf", "--out", str(tmp_path / "inf")],
+                        capsys)
+    assert code == 2 and "learning_rate must be positive and finite" in err, err
+    assert not (tmp_path / "inf").exists()
+
+
+def test_commands_reach_no_tooling_only_name(tmp_path, capsys, monkeypatch):
+    # hawkes.simulate_bin and _kernels.ACTIVE.loglik_value stay only because
+    # the benchmark tracer binds them: no command may call either
+    from hstconformal import _kernels, hawkes
+
+    def tooling_only(*args, **kwargs):
+        raise AssertionError("a command called a name kept for the benchmark tracer")
+
+    monkeypatch.setattr(hawkes, "simulate_bin", tooling_only)
+    monkeypatch.setattr(_kernels.ACTIVE, "loglik_value", tooling_only)
+    _synth(tmp_path, capsys, n=4, m=2, T=30)
+    files = ["--panel", str(tmp_path / "panel.json"),
+             "--topology", str(tmp_path / "topology.csv"), "--t0", "21", "--epochs", "20",
+             "--alpha", "0.2"]
+    for command, extra in (("run", []), ("evaluate", ["--test_len", "3"]),
+                           ("forecast", ["--horizon", "3"])):
+        code, _, err = _run([command, *files, *extra, "--out", str(tmp_path / command)],
+                            capsys)
+        assert code == 0, (command, err)
+
+
 def test_covariates_and_threads_are_rejected(tmp_path, capsys):
     # the model has no covariate term, the package runs on one thread and the
     # synthetic generator has one truth model, not a choice of presets

@@ -32,7 +32,6 @@ from hstconformal import (
     qr_quantile,
     rolling_evaluate,
     score_bin,
-    simulate_bin,
     simulate_trajectory,
     training_scale,
 )
@@ -510,8 +509,8 @@ def test_interval_clamp_is_reporting_only():
     f = build_interval(scen, q, np.ones(1), topo, t=0)
     assert f.lower[0] == -2.0
     rows = list(f.unit_bounds(("c0",), ("s0",)))
-    assert rows == [("circuit", "c0", 0, -2.0, 0.0, 3.0),
-                    ("substation", "s0", 0, -2.0, 0.0, 3.0)]
+    assert rows == [("circuit", "c0", -2.0, 0.0, 3.0),
+                    ("substation", "s0", -2.0, 0.0, 3.0)]
 
 
 def test_interval_rejects_inverted_bounds():
@@ -551,7 +550,8 @@ def test_calibrate_matches_manual_recount(small_triple):
     scale = training_scale(panel.Y[:40])
     assert np.array_equal(ss.scale, scale)
     for t in range(40, 44):
-        scen = simulate_bin(model, panel.Y[:t], K=5, seed=_rng.derive(3, "cal", t))
+        scen = simulate_trajectory(model, panel.Y[:t], horizon=1, K=5,
+                                   seed=_rng.derive(3, "cal", t))[:, 0]
         expect = score_bin(panel.Y[t], scen, topo, scale)
         assert np.array_equal(ss.scores[:, t - 40], expect)
 
@@ -573,7 +573,8 @@ def _assert_calibrate_matches_recount(monkeypatch, Y, model, topo, bins, K, seed
     scored = np.concatenate([b for _, b in blocks])
     assert len(scored) == bins[1] - bins[0]
     for t, samples in zip(range(*bins), scored):
-        scen = simulate_bin(model, Y[:t], K=K, seed=_rng.derive(seed, "cal", t))
+        scen = simulate_trajectory(model, Y[:t], horizon=1, K=K,
+                                   seed=_rng.derive(seed, "cal", t))[:, 0]
         assert np.array_equal(samples, scen), t
         assert np.array_equal(ss.scores[:, t - bins[0]], score_bin(Y[t], scen, topo, scale)), t
     return [len(b) for _, b in blocks]
@@ -618,7 +619,8 @@ def test_calibrate_matches_the_recount_with_unequal_interleaved_groups(monkeypat
     Y, scale = panel.Y, training_scale(panel.Y[:bins[0]])
     ss = calibrate(Y, model, topo, bins, K=K, seed=9)
     for t in range(*bins):
-        scen = simulate_bin(model, Y[:t], K=K, seed=_rng.derive(9, "cal", t))
+        scen = simulate_trajectory(model, Y[:t], horizon=1, K=K,
+                                   seed=_rng.derive(9, "cal", t))[:, 0]
         want = [min(max(abs(Y[t, i] - x[i]) / scale[i] for i in g) for x in scen)
                 for g in topo.members]
         assert ss.scores[:, t - bins[0]].tolist() == want, t
@@ -662,7 +664,6 @@ def test_calibrate_scans_the_panel_once(monkeypatch, small_triple):
     monkeypatch.setattr(_kernels.ACTIVE, "excitation_series",
                         lambda counts, *a, **k: scanned.append(counts.shape[0])
                         or scan(counts, *a, **k))
-    monkeypatch.setattr(_hawkes, "simulate_bin", None)
     calibrate(panel, model, topo, (40, 70), K=3, seed=0)
     assert scanned == [70]
 
@@ -845,7 +846,7 @@ def test_counts_must_be_whole_numbers(small_triple, fast_settings):
     with pytest.raises(DataValidationError, match="whole numbers"):
         hst_conformal_pipeline(panel.Y + 0.5, topo, 21, settings=fast_settings)
     with pytest.raises(DataValidationError, match="whole numbers"):
-        simulate_bin(model, np.full((2, topo.n), 0.5))
+        simulate_trajectory(model, np.full((2, topo.n), 0.5), horizon=1)
     with pytest.raises(DataValidationError, match="whole numbers"):
         fit(np.full((3, topo.n), math.inf), topo)
     with pytest.raises(DataValidationError, match="whole numbers"):

@@ -25,7 +25,7 @@ from hstconformal import conformal as _conformal
 from hstconformal import evaluation as _evaluation
 from hstconformal import rng as _rng
 from hstconformal.conformal import build_interval, score_bin
-from hstconformal.hawkes import fit, log_likelihood_gradient, simulate_bin, simulate_trajectory
+from hstconformal.hawkes import fit, log_likelihood_gradient, simulate_trajectory
 
 
 def _interval(lower, upper, topo, t=0):
@@ -214,7 +214,8 @@ def test_rolling_matches_the_per_bin_recount(monkeypatch, small_triple, refit):
     for t, forecast, samples in zip(report.bins, report.forecasts, scored):
         if refit:
             model = fit(panel.rows(0, t), topo, settings, _rng.derive(seed, "fit", t))
-        scen = simulate_bin(model, Y[:t], K=settings.K, seed=_rng.derive(seed, "cal", t))
+        scen = simulate_trajectory(model, Y[:t], horizon=1, K=settings.K,
+                                   seed=_rng.derive(seed, "cal", t))[:, 0]
         assert np.array_equal(samples, scen), t
         expect = build_interval(scen, _conformal._quantile_for(scores, settings),
                                 scores.scale, topo, t=t)

@@ -16,7 +16,6 @@ from hstconformal import (
     intensity,
     log_likelihood,
     log_likelihood_gradient,
-    simulate_bin,
     simulate_trajectory,
 )
 from hstconformal import _kernels
@@ -407,29 +406,47 @@ def test_fit_rejects_tiny_panels():
         fit(np.zeros((1, 2), dtype=int), None, FitConfig(epochs=5))
 
 
+def test_a_fit_step_past_float_range_is_halved_without_numpy_warnings():
+    # a step of 1e4 sends log mu, log A and log cap past float range: the math
+    # range error of the cap, or with no cap fitted numpy's overflow of mu and
+    # A, makes a trial with no finite likelihood, which is halved; a step of
+    # 1e300 stays past float range through every halving
+    panel, topo, _ = generate_synthetic(8, 3, 90, seed=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fit_cap in (True, False):
+            model = fit(panel, topo, FitConfig(learning_rate=1e4, fit_cap=fit_cap), seed=7)
+            assert math.isfinite(model.meta.loglik_final)
+        with pytest.raises(NumericalError, match="no finite likelihood"):
+            fit(panel, topo, FitConfig(learning_rate=1e300), seed=7)
+    for rate in (math.inf, math.nan, 0.0):
+        with pytest.raises(PreconditionError, match="learning_rate must be positive and finite"):
+            FitConfig(learning_rate=rate)
+
+
 # -- simulation --------------------------------------------------------------
 
-def test_simulate_bin_zero_model_draws_zero():
+def test_one_step_simulation_zero_model_draws_zero():
     m = _model([0.0, 0.0], np.zeros((2, 2)))
-    s = simulate_bin(m, np.zeros((3, 2), dtype=int), K=50, seed=1)
+    s = simulate_trajectory(m, np.zeros((3, 2), dtype=int), horizon=1, K=50, seed=1)[:, 0]
     assert s.shape == (50, 2) and s.dtype == np.int64
     assert np.all(s == 0)
 
 
-def test_simulate_bin_moments_match_poisson():
+def test_one_step_simulation_moments_match_poisson():
     m = _model([4.0], [[0.0]])
-    s = simulate_bin(m, None, K=20_000, seed=0)
+    s = simulate_trajectory(m, None, horizon=1, K=20_000, seed=0)[:, 0]
     mean = s.mean()
     assert abs(mean - 4.0) < 0.05
     assert abs(s.var() - 4.0) < 0.15
 
 
-def test_simulate_bin_deterministic_per_seed():
+def test_one_step_simulation_deterministic_per_seed():
     m = _model([1.5, 0.5], np.full((2, 2), 0.1))
     h = np.array([[1, 0], [2, 1]])
-    a = simulate_bin(m, h, K=40, seed=9)
-    b = simulate_bin(m, h, K=40, seed=9)
-    c = simulate_bin(m, h, K=40, seed=10)
+    a = simulate_trajectory(m, h, horizon=1, K=40, seed=9)[:, 0]
+    b = simulate_trajectory(m, h, horizon=1, K=40, seed=9)[:, 0]
+    c = simulate_trajectory(m, h, horizon=1, K=40, seed=10)[:, 0]
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -438,7 +455,7 @@ def test_trajectory_first_step_equals_single_bin_simulation():
     m = _model([1.0, 2.0], np.full((2, 2), 0.15))
     h = np.array([[0, 1], [3, 0]])
     traj = simulate_trajectory(m, h, horizon=4, K=25, seed=7)
-    s = simulate_bin(m, h, K=25, seed=7)
+    s = simulate_trajectory(m, h, horizon=1, K=25, seed=7)[:, 0]
     assert traj.shape == (25, 4, 2)
     assert np.array_equal(traj[:, 0, :], s)
 
@@ -510,7 +527,7 @@ def test_walk_draws_each_start_bin_as_its_own_trajectory(monkeypatch):
 def test_simulation_argument_validation():
     m = _model([1.0], [[0.0]])
     with pytest.raises(PreconditionError):
-        simulate_bin(m, None, K=0)
+        simulate_trajectory(m, None, horizon=1, K=0)
     with pytest.raises(PreconditionError):
         simulate_trajectory(m, None, horizon=0, K=5)
 
@@ -567,6 +584,11 @@ _MALFORMED_MODELS = {
     "zero beta": (_with(beta=0), "beta must be positive and finite"),
     "negative mu": (_with(mu=[1.0, -2.0]), "mu and A must be nonnegative"),
     "short circuit_ids": (_with(circuit_ids=["c0"]), "circuit_ids length must match mu"),
+    # keys the reader would not read, or would read wrongly
+    "unknown key": (_with(circuit_id=["c1", "c0"]),
+                    "model document has unknown keys ['circuit_id']"),
+    "n disagrees": (_with(n=99), "model n = 99 but mu has 2 entries"),
+    "text circuit_ids": (_with(circuit_ids="ab"), "model circuit_ids must be a list"),
     "not a mapping": (lambda doc: b"[1, 2]", "model document must be a JSON object"),
     "not UTF-8": (lambda doc: b'{"mu": "\xff"}', ":1: not UTF-8 text"),
     "truncated": (lambda doc: json.dumps(doc, indent=2).encode()[:-20], ": not a JSON document"),
@@ -638,31 +660,31 @@ def test_history_counts_are_checked():
         with pytest.raises(DataValidationError, match="nonnegative"):
             intensity(m, bad)
         with pytest.raises(DataValidationError, match="nonnegative"):
-            simulate_bin(m, bad, K=3)
+            simulate_trajectory(m, bad, horizon=1, K=3)
         with pytest.raises(DataValidationError, match="nonnegative"):
             simulate_trajectory(m, bad, horizon=2, K=3)
     with pytest.raises(PreconditionError, match="matrix"):
         intensity(m, [[[1]]])
     with pytest.raises(PreconditionError, match="columns"):
-        simulate_bin(m, [[1, 2]], K=3)
+        simulate_trajectory(m, [[1, 2]], horizon=1, K=3)
     # None and an empty array stay the empty history of the first bin
     for empty in (None, [], np.zeros((0, 1))):
         assert np.array_equal(intensity(m, empty), m.mu)
 
 
-def test_simulate_bin_reads_its_history_once(monkeypatch):
+def test_one_step_simulation_reads_its_history_once(monkeypatch):
     m = _model([1.0, 0.5], [[0.2, 0.0], [0.1, 0.3]])
     history = np.array([[1, 0], [2, 3], [0, 1]])
     read = []
     reader = _hawkes._panel_counts
     monkeypatch.setattr(_hawkes, "_panel_counts",
                         lambda panel, *a: read.append(np.shape(panel)) or reader(panel, *a))
-    s = simulate_bin(m, history, K=4, seed=2)
-    assert read.count(history.shape) == 1  # the (4, 2) draws are not a history
+    s = simulate_trajectory(m, history, horizon=1, K=4, seed=2)[:, 0]
+    assert read.count(history.shape) == 1  # the (4, 1, 2) draws are not a history
     assert s.shape == (4, 2)
     for empty in ([], np.zeros((0, 2))):
-        assert np.array_equal(simulate_bin(m, empty, K=4, seed=2),
-                              simulate_bin(m, None, K=4, seed=2))
+        assert np.array_equal(simulate_trajectory(m, empty, horizon=1, K=4, seed=2),
+                              simulate_trajectory(m, None, horizon=1, K=4, seed=2))
 
 
 def test_a_runaway_simulation_is_a_numerical_error():
