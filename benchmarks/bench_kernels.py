@@ -12,14 +12,17 @@ row, trajectory by trajectory and circuit by circuit.  It needs no numba,
 so it always has numbers; the simulation rows' max diffs must read 0, and
 the recursion rows' must be at most RECURSION_RTOL times the larger of 1
 and the reference's largest entry, the bound of the tier-1 recursion test.
-The simulation runs at ``--horizon`` steps, a forecast, and at one step, a
-calibration block of one bin; both tables have a row for each.  Their rates
-are all positive and below ``_PTRS_SWITCH``, so every step takes the
-unmasked Poisson branch; a check after the second table simulates with a
-zero-rate circuit and a circuit that the excitation lifts over the switch
-in some trajectories, so that steps take the masked branch and mix PTRS
-rows with inversion rows.  It prints how many trajectories' draws or final
-stream states differ from the loop reference's, which must be 0.
+The simulation runs at ``--horizon`` steps, a forecast, and at one step,
+calibration blocks of one bin and of BLOCK_ROWS bins; both tables have a
+row for each.  Their rates are all positive and below ``_PTRS_SWITCH``, so
+every step takes the unmasked Poisson branch, and a one-step call searches
+each start row's rates once for its K streams.  A check after the second
+table simulates with a zero-rate circuit and a circuit that the excitation
+lifts over the switch in some trajectories, so that steps take the masked
+branch and mix PTRS rows with inversion rows, and another takes one step
+from BLOCK_ROWS distinct start rows shared by K streams each.  Each prints
+how many trajectories' draws or final stream states differ from the loop
+reference's, which must be 0.
 
 A third table times the per-trajectory streams and their first uniforms:
 the scalar loop ``[rng.generator(s, k).random(24) for s in seeds for k in
@@ -74,8 +77,8 @@ Each timing is the best of ``--repeats`` calls, or of as many as fit in
 TIME_BUDGET_S seconds (at least one).  Without numba (not importable, or
 HSTCONFORMAL_NO_NUMBA set) the jit, speedup and diff columns of the first
 table read "jit unavailable".  The script exits with status 1 when a stream,
-masked-step or calibration mismatch count or a simulation max diff is not 0,
-or when a recursion max diff exceeds its bound.
+masked-step, shared-row or calibration mismatch count or a simulation max
+diff is not 0, or when a recursion max diff exceeds its bound.
 """
 
 from __future__ import annotations
@@ -98,6 +101,7 @@ from hstconformal._kernels import _LOOP_PURE, _PTRS_SWITCH, ACTIVE, JIT, PURE, U
 
 TIME_BUDGET_S = 2.0
 K = 200  # simulated scenarios per simulate_counts call, as in a forecast
+BLOCK_ROWS = 4  # start rows of a calibration block at K = 200 and n = 24
 # (seeds, K): a synthetic panel, a calibration bin and a forecast, then the
 # calibration bins of a command at its default and forecast scenario counts
 STREAM_SIZES = ((1, 1), (1, 10), (1, 200), (100, 10), (100, 200))
@@ -155,10 +159,12 @@ def build_cases(T: int, n: int, horizon: int):
     H = PURE.excitation_beta_series(counts, beta, G)
     g0 = np.zeros((1, n))  # one start row for all K trajectories
     n0 = np.zeros(1)
+    # the start rows of a calibration block: the states before the last bins
+    starts = G[T + 1 - BLOCK_ROWS:]
 
-    def fresh_streams():
-        # one stream per scenario, consumed by the call
-        return rng.streams(7, K)
+    def fresh_streams(rows=1):
+        # one stream per scenario, K per start row, consumed by the call
+        return rng.streams(7 if rows == 1 else list(range(7, 7 + rows)), K)
 
     cases = []
 
@@ -198,21 +204,43 @@ def build_cases(T: int, n: int, horizon: int):
     dense("loglik_grads", f"T={T} n={n}", grads)
 
     def sim(impl, streams, steps):
-        return impl.simulate_counts(streams, mu, A, beta, np.inf, 0.0, g0, n0, steps)
+        rows = len(streams) // K
+        return impl.simulate_counts(streams, mu, A, beta, np.inf, 0.0,
+                                    g0 if rows == 1 else starts, np.zeros(rows), steps)
 
-    # a forecast, and a calibration block of one bin
-    for steps in dict.fromkeys((horizon, 1)):
+    # a forecast, and calibration blocks of one bin and of BLOCK_ROWS bins
+    for steps, rows in dict.fromkeys(((horizon, 1), (1, 1), (1, BLOCK_ROWS))):
         cases.append(
             (
                 "simulate_counts",
-                f"K={K} h={steps} n={n}",
+                f"K={K} h={steps} n={n}" + (f" R={rows}" if rows > 1 else ""),
                 lambda impl, steps=steps: (lambda streams: sim(impl, streams, steps)),
-                lambda a, b, steps=steps: compare(sim(a, fresh_streams(), steps),
-                                                  sim(b, fresh_streams(), steps)),
-                lambda: (fresh_streams(),),
+                lambda a, b, steps=steps, rows=rows: compare(
+                    sim(a, fresh_streams(rows), steps), sim(b, fresh_streams(rows), steps)),
+                lambda rows=rows: (fresh_streams(rows),),
             )
         )
     return cases
+
+
+def loop_mismatches(seeds, k_count, *args) -> int:
+    # the trajectories of simulate_counts(streams, *args) on rng.streams(seeds,
+    # k_count) whose draws or final stream state differ from the loop reference's
+    streams = [rng.streams(seeds, k_count) for _ in range(2)]
+    ref, got = (impl.simulate_counts(s, *args) for impl, s in zip((_LOOP_PURE, PURE), streams))
+    return int(((ref != got).any(axis=(1, 2)) | (streams[0].words != streams[1].words).any(axis=1))
+               .sum())
+
+
+def shared_rows_mismatches(n: int) -> int:
+    # one step from BLOCK_ROWS start rows, each shared by K streams, every
+    # rate positive: the step that builds each shared row's thresholds once
+    gen = np.random.default_rng(2)
+    mu = 0.5 + gen.random(n)
+    A = gen.random((n, n)) * (0.5 / n)
+    g0 = gen.uniform(0.0, 3.0, (BLOCK_ROWS, n))
+    return loop_mismatches(list(range(11, 11 + BLOCK_ROWS)), K, mu, A, 0.8, 100.0, 0.0, g0,
+                           np.linspace(0.0, 50.0, BLOCK_ROWS), 1)
 
 
 def masked_mismatches(n: int, horizon: int) -> tuple:
@@ -226,12 +254,9 @@ def masked_mismatches(n: int, horizon: int) -> tuple:
     mu[:3] = 0.0, _PTRS_SWITCH - 0.5, 3.0
     A = np.zeros((n, n))
     A[1, 2] = 0.4
-    streams = [rng.streams(7, K) for _ in range(2)]
-    ref, got = (impl.simulate_counts(s, mu, A, 1.0, np.inf, 0.0, np.zeros((1, n)), np.zeros(1),
-                                     max(horizon, 5))
-                for impl, s in zip((_LOOP_PURE, PURE), streams))
-    bad = int(((ref != got).any(axis=(1, 2)) | (streams[0].words != streams[1].words).any(axis=1))
-              .sum())
+    args = (mu, A, 1.0, np.inf, 0.0, np.zeros((1, n)), np.zeros(1), max(horizon, 5))
+    bad = loop_mismatches(7, K, *args)
+    ref = _LOOP_PURE.simulate_counts(rng.streams(7, K), *args)
     # replay the rates (gamma is 1 at an infinite cap): steps mixing PTRS rows
     # with inversion rows
     g = np.zeros((K, n))
@@ -451,6 +476,9 @@ def main(argv=None) -> int:
     masked_bad, mixed = masked_mismatches(args.n, args.horizon)
     print(f"masked simulation steps (a zero rate, PTRS rows in {mixed} steps): "
           f"{masked_bad} of {K} trajectories differ from the loop reference")
+    shared_bad = shared_rows_mismatches(args.n)
+    print(f"one step from {BLOCK_ROWS} start rows shared by {K} streams each: "
+          f"{shared_bad} of {BLOCK_ROWS * K} trajectories differ from the loop reference")
     print()
     stream_rows = print_stream_table(args.repeats)
     print()
@@ -467,11 +495,12 @@ def main(argv=None) -> int:
     # the bound of the tier-1 recursion test, relative to the loop reference
     rec_over = [r["kernel"] for r in rec_rows
                 if not r["max_diff"] <= RECURSION_RTOL * max(1.0, r["max_abs_ref"])]
-    if mismatches or cal_mismatches or any(sim_diffs) or masked_bad or rec_over:
+    if mismatches or cal_mismatches or any(sim_diffs) or masked_bad or shared_bad or rec_over:
         print(f"FAILED: {mismatches} stream mismatches, {cal_mismatches} calibration "
               f"mismatches, simulation max diffs {sim_diffs}, {masked_bad} masked-step "
-              f"mismatches, recursions off the loop reference by more than "
-              f"{RECURSION_RTOL:g} relative: {rec_over}", file=sys.stderr)
+              f"mismatches, {shared_bad} shared-row mismatches, recursions off the loop "
+              f"reference by more than {RECURSION_RTOL:g} relative: {rec_over}",
+              file=sys.stderr)
         return 1
     return 0
 

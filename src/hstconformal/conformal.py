@@ -216,8 +216,8 @@ def score_bin(y_t, scenarios, topo: NetworkTopology, scale) -> np.ndarray:
 def _bin_scenarios(model: _hawkes.HawkesModel, Y, b0: int, b1: int, K: int, seed: int):
     """The walk (``hawkes._walk``) of calibration bins b0, ..., b1-1, one step
     from each: (t, (R, K, n) draws of bins t, ..., t+R-1) blocks, where bin t
-    draws from the seed ``rng.derive(seed, "cal", t)``."""
-    seeds = [_rng.derive(seed, "cal", t) for t in range(b0, b1)]
+    draws from the seed ``rng.derive(seed, "cal", t)``, all hashed at once."""
+    seeds = _rng.derive_range(seed, "cal", b0, b1)
     return ((t, block[:, :, 0]) for t, block in _hawkes._walk(model, Y, b0, b1, seeds, K, 1))
 
 

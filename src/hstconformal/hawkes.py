@@ -84,6 +84,33 @@ class FitMeta:
     n_train_bins: int
 
 
+def _whole(least: int):
+    return lambda v: type(v) is int and v >= least  # not a bool, whose type is bool
+
+
+_FINITE = (lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number")
+# each FitMeta field of a model document: its test and what it must be
+_META_FIELDS = {
+    "epochs_run": (_whole(0), "a whole number >= 0"),
+    "loglik_init": _FINITE,
+    "loglik_final": _FINITE,
+    "converged": (lambda v: type(v) is bool, "true or false"),
+    "seed": (_whole(0), "a whole number >= 0"),
+    "n_train_bins": (_whole(2), "a whole number >= 2"),
+}
+
+
+def _fit_meta(doc) -> FitMeta:
+    """The FitMeta of a model document's ``meta``, whose every field must pass
+    its test in ``_META_FIELDS``; DataValidationError otherwise."""
+    if not isinstance(doc, dict) or set(doc) != set(_META_FIELDS):
+        raise DataValidationError("meta must hold the FitMeta fields")
+    for key, (ok, what) in _META_FIELDS.items():
+        if not ok(doc[key]):
+            raise DataValidationError(f"model meta {key} must be {what}, got {doc[key]!r}")
+    return FitMeta(**doc)
+
+
 @dataclass(frozen=True, eq=False)
 class HawkesModel:
     """Immutable parameter set; see the module docstring for the intensity.
@@ -162,10 +189,7 @@ class HawkesModel:
             raise DataValidationError(f"unsupported saturation form {doc.get('gamma_form')!r}")
         if doc.get("cov_coef") is not None:
             raise DataValidationError("model has cov_coef; the model has no covariate term")
-        try:
-            meta = None if doc.get("meta") is None else FitMeta(**doc["meta"])
-        except TypeError:
-            raise DataValidationError("meta must hold the FitMeta fields") from None
+        meta = None if doc.get("meta") is None else _fit_meta(doc["meta"])
         missing = [k for k, _, _ in _MODEL_NUMBERS if k not in doc]
         if missing:
             raise DataValidationError(f"model document has no {missing}")
@@ -363,8 +387,8 @@ def _unpack(u: np.ndarray, n: int):
 
 # a trial whose mu, A or cap leaves float range has no finite likelihood (an
 # infinite or nan rate, or a nan saturation factor where the cap is 0) and is
-# halved, and a gradient whose square overflows stops its coordinate's steps:
-# numpy's float warnings on the way say no more
+# halved, and a gradient whose square overflows stops the fit (a warning of
+# its own): numpy's float warnings on the way say no more
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit(panel, topo, cfg: FitConfig = FitConfig(), seed: int = 0) -> HawkesModel:
     """Maximize the likelihood by adaptive-moment gradient ascent.
@@ -385,7 +409,11 @@ def fit(panel, topo, cfg: FitConfig = FitConfig(), seed: int = 0) -> HawkesModel
     factor, so an epoch allocates no (T, n) array; the results are bit for
     bit those of the allocating kernels.
     The fit stops early once the likelihood changes by at most
-    ``_CONVERGENCE_TOL`` relative to the previous epoch.
+    ``_CONVERGENCE_TOL`` relative to the previous epoch, and stops without
+    converging, with a UserWarning naming the epoch, at an epoch whose
+    gradient's square overflows Adam's second moment in some coordinate:
+    that coordinate's step is zero or not finite from then on, and the
+    likelihood that it holds would read as converged.
     """
     counts = _panel_counts(panel) if topo is None else _topology_counts(panel, topo)
     T, n = counts.shape
@@ -431,6 +459,15 @@ def fit(panel, topo, cfg: FitConfig = FitConfig(), seed: int = 0) -> HawkesModel
     for k in range(1, cfg.epochs + 1):
         m = _ADAM_B1 * m + (1.0 - _ADAM_B1) * grads
         v = _ADAM_B2 * v + (1.0 - _ADAM_B2) * grads * grads
+        if not v.max() < math.inf:  # nan fails too; v >= 0, and max makes no temporary
+            # an overflowed second moment stays inf, so its coordinate's step
+            # is zero, or nan, at this epoch and every later one
+            warnings.warn(f"the fit stalled at epoch {k}: Adam's second moment "
+                          f"overflowed in {int((~np.isfinite(v)).sum())} of {v.size} "
+                          "coordinates, which no later step can move; the best point "
+                          "seen is returned, not converged", UserWarning,
+                          stacklevel=3)  # past np.errstate's wrapper
+            break
         mhat = m / (1.0 - _ADAM_B1**k)
         vhat = v / (1.0 - _ADAM_B2**k)
         delta = cfg.learning_rate * mhat / (np.sqrt(vhat) + _ADAM_EPS)
@@ -512,12 +549,14 @@ def simulate_trajectory(model: HawkesModel, history, horizon: int, K: int = 10,
 
 # the most draw cells (trajectories x steps x circuits) that one block of a
 # walk simulates at once: the larger the block, the fewer kernel calls, and
-# the more memory the block's temporaries take.  Streams.random peaks at
-# 40-48 bytes per uniform (tracemalloc, 200 to 20,000 rows of 24); a K = 10
-# calibrate of 100 bins at n = 24 peaks at 0.91 MiB here, 1.78 MiB at
-# 20,000 cells and 2.10 MiB at 24,576 (tracemalloc), and 24,576 cells raise
-# run-fit's peak RSS by 1.2-1.5 MiB (3-4%, seeds 1-3)
-_BLOCK_CELLS = 8192
+# the more memory the block's temporaries take.  A one-step block peaks at
+# about 52 bytes a cell at K = 10 and 48 at K = 200 (tracemalloc; 82 before
+# shared rate rows were searched once), Streams.random's 40 a uniform among
+# them.  9,600 cells, two bins of a K = 200 calibration at n = 24, cut a
+# 100-bin one from 30.8 ms at 8,192 cells to 24.7 ms (37.6 before the shared
+# rows); run-fit's peak RSS read as at 8,192 before the shared rows (seeds 5,
+# 13, 17), and 11,264 to 14,400 cells raised it by up to 0.1-0.3 MiB
+_BLOCK_CELLS = 9600
 
 
 def _walk(model: HawkesModel, counts: np.ndarray, b0: int, b1: int, seeds, K: int,

@@ -28,7 +28,9 @@ partial sum is an integer below 2**52, and three uint64 carries; seeding is
 the same jump with its own constants.  No numpy ``Generator`` is built per
 stream; ``Streams.generator`` makes one for a row whose draws consume a
 variable number of uniforms, and ``Streams.set_state`` takes its state back.  ``derive`` and ``generator``
-stay for the scalar streams and are the tests' oracle for ``streams``.
+stay for the scalar streams and are the tests' oracle for ``streams``;
+``derive_range(seed, name, start, stop)`` hashes the child seeds
+``derive(seed, name, t)`` of a range of t in the same way, one column each.
 """
 
 import zlib
@@ -121,18 +123,30 @@ def _words(x: int) -> list:
     return [x >> s & 0xFFFFFFFF for s in range(0, max(x.bit_length(), 1), 32)]
 
 
-def _children(seeds: list, K: int) -> np.ndarray:
-    """``derive(seeds[r], k)`` at entry r*K + k, (R*K,) uint64, one hash per word count."""
-    k = np.arange(K, dtype=np.uint32)
-    words = [_words(s) for s in seeds]
-    child = np.empty(len(seeds) * K, dtype=np.uint64)
-    for size in set(map(len, words)):
-        rows = [r for r, w in enumerate(words) if len(w) == size]
-        cols = (np.array(rows)[:, None] * K + k).ravel()
-        entropy = [np.repeat(np.array([words[r][i] for r in rows], dtype=np.uint32), K)
+def _children(prefixes: list, last: np.ndarray) -> np.ndarray:
+    """The seed that ``derive`` hashes from the entropy words ``prefixes[r]``
+    and then ``last[k]`` at entry r*K + k, K = len(last): ``derive(s, k)``
+    when ``prefixes[r]`` is ``_words(s)``.  (R*K,) uint64, one hash per
+    prefix length."""
+    K = len(last)
+    child = np.empty(len(prefixes) * K, dtype=np.uint64)
+    for size in set(map(len, prefixes)):
+        rows = [r for r, w in enumerate(prefixes) if len(w) == size]
+        cols = (np.array(rows)[:, None] * K + np.arange(K)).ravel()
+        entropy = [np.repeat(np.array([prefixes[r][i] for r in rows], dtype=np.uint32), K)
                    for i in range(size)]
-        child[cols] = _generate_state(entropy + [np.tile(k, len(rows))], 1)[:, 0]
+        child[cols] = _generate_state(entropy + [np.tile(last, len(rows))], 1)[:, 0]
     return child
+
+
+def derive_range(seed: int, name, start: int, stop: int) -> list:
+    """``[derive(seed, name, t) for t in range(start, stop)]``, bit for bit,
+    from one hash pass: each t is one entropy word, so 0 <= start <= stop
+    <= 2**32."""
+    if not 0 <= start <= stop <= 2**32:
+        raise PreconditionError(f"need 0 <= start <= stop <= 2**32, got {start}, {stop}")
+    prefix = _words(_checked(seed)) + _words(_as_int(name))
+    return _children([prefix], np.arange(start, stop, dtype=np.uint32)).tolist()
 
 
 # numpy's PCG64 (numpy/random/src/pcg64/pcg64.h): the 128-bit LCG
@@ -268,7 +282,11 @@ class Streams:
         out = np.left_shift(x, rot, out=hi)
         out |= lo
         out >>= _U11
-        return np.multiply(out.T, _TO_UNIT, out=np.empty((len(self), M)))
+        # cast, then scale in place: a multiply that casts the strided words
+        # would copy them whole first
+        u = out.T.astype(np.float64, order="C")
+        u *= _TO_UNIT
+        return u
 
     def generator(self, k: int) -> np.random.Generator:
         """A ``Generator`` at row k's state; ``set_state(k, gen)`` takes it back."""
@@ -297,7 +315,7 @@ def streams(seeds, K: int) -> Streams:
     check_integer(K, "K")
     if not 0 <= K <= 2**32:
         raise PreconditionError(f"need 0 <= K <= 2**32 (k is one entropy word), got {K}")
-    child = _children(seeds, K)
+    child = _children([_words(s) for s in seeds], np.arange(K, dtype=np.uint32))
     # the words PCG64 asks of SeedSequence(d) for each child d: d's entropy
     # words are (low, high), or (low,) below 2**32; the pool pads with zeros,
     # so both hash as (low, high)

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -366,15 +367,21 @@ def test_panel_file_with_a_misspelled_key_is_a_data_error(tmp_path, capsys):
 def test_a_fit_step_past_float_range_is_halved(tmp_path, capsys):
     # the README quick-start panel: a step of 10000 sends mu, A and the cap
     # coordinate past float range, and the fit halves it like any trial with
-    # no finite likelihood, with no numpy warning; an infinite step is a
-    # usage error, not a numerical one after numpy warnings
+    # no finite likelihood, with no numpy warning, and then stalls, which it
+    # says; an infinite step is a usage error, not a numerical one after
+    # numpy warnings
     _synth(tmp_path, capsys, n=8, m=3, T=120, seed=7)
     argv = ["run", "--panel", str(tmp_path / "panel.json"),
             "--topology", str(tmp_path / "topology.csv"),
             "--t0", "91", "--alpha", "0.1", "--seed", "7"]
-    code, _, err = _run([*argv, "--learning_rate", "10000", "--out", str(tmp_path / "big")],
-                        capsys)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, _, err = _run([*argv, "--learning_rate", "10000", "--out",
+                             str(tmp_path / "big")], capsys)
     assert code == 0 and "Warning" not in err, err
+    assert [str(w.message).split(":")[0] for w in seen] == ["the fit stalled at epoch 2"]
+    audit = json.loads((tmp_path / "big" / "audit.json").read_text())
+    assert audit["model_meta"]["converged"] is False
     code, _, err = _run([*argv, "--learning_rate", "inf", "--out", str(tmp_path / "inf")],
                         capsys)
     assert code == 2 and "learning_rate must be positive and finite" in err, err

@@ -412,16 +412,39 @@ def test_a_fit_step_past_float_range_is_halved_without_numpy_warnings():
     # A, makes a trial with no finite likelihood, which is halved; a step of
     # 1e300 stays past float range through every halving
     panel, topo, _ = generate_synthetic(8, 3, 90, seed=7)
+    for fit_cap in (True, False):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            model = fit(panel, topo, FitConfig(learning_rate=1e4, fit_cap=fit_cap), seed=7)
+        assert math.isfinite(model.meta.loglik_final)
+        # the one warning is the stall's (test_a_fit_that_stalls_is_not_converged)
+        assert [w.category for w in seen] == [UserWarning]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for fit_cap in (True, False):
-            model = fit(panel, topo, FitConfig(learning_rate=1e4, fit_cap=fit_cap), seed=7)
-            assert math.isfinite(model.meta.loglik_final)
         with pytest.raises(NumericalError, match="no finite likelihood"):
             fit(panel, topo, FitConfig(learning_rate=1e300), seed=7)
     for rate in (math.inf, math.nan, 0.0):
         with pytest.raises(PreconditionError, match="learning_rate must be positive and finite"):
             FitConfig(learning_rate=rate)
+
+
+def test_a_fit_that_stalls_is_not_converged():
+    # the README quick-start panel at a step of 1e4: the first step lands
+    # near e^600, the next gradient's square overflows Adam's second moment
+    # in 8 coordinates (3 without the cap), which then never move, and the
+    # likelihood they hold would read as converged at epoch 2
+    panel, topo, _ = generate_synthetic(8, 3, 90, seed=7)
+    for fit_cap in (True, False):
+        with pytest.warns(UserWarning, match="the fit stalled at epoch 2: ") as caught:
+            model = fit(panel, topo, FitConfig(learning_rate=1e4, fit_cap=fit_cap), seed=7)
+        assert caught[0].filename == __file__
+        meta = model.meta
+        assert not meta.converged and meta.epochs_run == 1
+        assert meta.loglik_final == meta.loglik_init
+    # at the default step the moments stay finite: every epoch runs, unwarned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fit(panel, topo, FitConfig(epochs=50), seed=7).meta.epochs_run == 50
 
 
 # -- simulation --------------------------------------------------------------
@@ -569,6 +592,11 @@ def _with(**changes):
     return lambda doc: json.dumps(dict(doc, **changes)).encode()
 
 
+# a fit's meta as a model document holds it
+_META = {"epochs_run": 40, "loglik_init": -120.5, "loglik_final": -80.25, "converged": True,
+         "seed": 7, "n_train_bins": 90}
+
+
 # edit of a saved model document's bytes -> what the error says besides the file
 _MALFORMED_MODELS = {
     **{f"no {key}": (_without(key), f"model document has no ['{key}']")
@@ -589,6 +617,27 @@ _MALFORMED_MODELS = {
                     "model document has unknown keys ['circuit_id']"),
     "n disagrees": (_with(n=99), "model n = 99 but mu has 2 entries"),
     "text circuit_ids": (_with(circuit_ids="ab"), "model circuit_ids must be a list"),
+    # a fit's meta: every field of its type and in its range
+    **{f"meta {key} {value!r}": (_with(meta={**_META, key: value}),
+                                  f"model meta {key} must be {what}, got {value!r}")
+       for key, value, what in (
+           ("epochs_run", "x", "a whole number >= 0"),
+           ("epochs_run", -1, "a whole number >= 0"),
+           ("epochs_run", 2.0, "a whole number >= 0"),
+           ("epochs_run", True, "a whole number >= 0"),
+           ("loglik_init", None, "a finite number"),
+           ("loglik_final", "-3.5", "a finite number"),
+           ("loglik_final", False, "a finite number"),
+           ("converged", 1, "true or false"),
+           ("converged", "true", "true or false"),
+           ("seed", -7, "a whole number >= 0"),
+           ("seed", 7.5, "a whole number >= 0"),
+           ("n_train_bins", 1, "a whole number >= 2"),
+           ("n_train_bins", [90], "a whole number >= 2"))},
+    "meta without seed": (_with(meta={k: v for k, v in _META.items() if k != "seed"}),
+                          "meta must hold the FitMeta fields"),
+    "meta with extra": (_with(meta={**_META, "lr": 0.01}), "meta must hold the FitMeta fields"),
+    "listed meta": (_with(meta=[1, 2]), "meta must hold the FitMeta fields"),
     "not a mapping": (lambda doc: b"[1, 2]", "model document must be a JSON object"),
     "not UTF-8": (lambda doc: b'{"mu": "\xff"}', ":1: not UTF-8 text"),
     "truncated": (lambda doc: json.dumps(doc, indent=2).encode()[:-20], ": not a JSON document"),
@@ -605,6 +654,8 @@ def test_model_load_rejects_a_malformed_document_naming_the_file(tmp_path, case)
     path = tmp_path / "model.json"
     path.write_bytes(_with()(doc))  # the unedited document loads
     assert HawkesModel.load(path).cap == 50.0
+    path.write_bytes(_with(meta=_META)(doc))  # and so does one with a fit's meta
+    assert vars(HawkesModel.load(path).meta) == _META
     path.write_bytes(edit(doc))
     with pytest.raises(DataValidationError) as caught:
         HawkesModel.load(path)

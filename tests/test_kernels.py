@@ -186,6 +186,53 @@ def test_guarded_inversion_redoes_cells_on_a_threshold():
     assert K._inversion(rate, np.exp(-rate), np.array(u)).tolist() == want
 
 
+def _loop_thresholds(lam, count):
+    # the loop's thresholds c_0, ..., c_count at rate lam, from math.exp
+    p = c = math.exp(-lam)
+    out = [c]
+    for j in range(1, count + 1):
+        p *= lam / j
+        c += p
+        out.append(c)
+    return out
+
+
+def test_shared_search_counts_as_the_search_on_repeated_cells():
+    # thresholds built once per rate cell count and flag its K uniforms as
+    # _search does the cell repeated K times, at margin 0 and _GUARD; some
+    # uniforms sit on a loop threshold, which the guard flags and _inversion
+    # redoes from math.exp, and u = 1 - 2**-53 at rate 29.99 runs past every
+    # threshold to _INVERSION_MAX
+    gen = np.random.default_rng(28)
+    top = 1.0 - 2.0**-53
+    assert K._LOOP_PURE.poisson_draw(_Uniforms([top]), 29.99) == K._INVERSION_MAX
+    flagged_seen = capped_seen = 0
+    for trial in range(400):
+        R, n = (int(x) for x in gen.integers(1, 4, size=2))
+        K_ = int(gen.integers(2, 9))
+        rate = np.exp(gen.uniform(math.log(1e-3), math.log(29.99), size=(R, 1, n)))
+        u = gen.random((R, K_, n))
+        r, k, i = (int(gen.integers(0, d)) for d in (R, K_, n))
+        lam = float(rate[r, 0, i])
+        u[r, k, i] = gen.choice(_loop_thresholds(lam, 5 + int(lam)))
+        if trial % 10 == 0:
+            rate[0, 0, 0], u[0, -1, 0] = 29.99, top
+        p = np.exp(-rate)
+        flat_rate, flat_p = (np.broadcast_to(a, u.shape).ravel() for a in (rate, p))
+        for margin in (0.0, K._GUARD):
+            found, flagged = K._shared_search(rate, p, u, margin)
+            want, want_flagged = K._search(flat_rate, flat_p, u.ravel(), margin)
+            assert found.dtype == np.int64 and found.shape == u.shape
+            assert np.array_equal(found.ravel(), want)
+            assert np.array_equal(flagged, want_flagged)
+            capped_seen += bool((found == K._INVERSION_MAX).any())
+        flagged_seen += flagged.size > 0
+        loop = [K._LOOP_PURE.poisson_draw(_Uniforms([x]), y)
+                for x, y in zip(u.ravel().tolist(), flat_rate.tolist())]
+        assert K._inversion(rate, p, u).ravel().tolist() == loop
+    assert flagged_seen >= 300 and capped_seen == 40
+
+
 def test_poisson_moments_small_rate():
     gen = np.random.Generator(np.random.PCG64(99))
     lam = 4.0
@@ -514,6 +561,23 @@ def test_pure_simulate_counts_matches_the_loop_kernel(generator_streams, branche
                 )
                 # every rate is positive and below the switch: no step is masked
                 assert branches == [True] * horizon
+
+
+def test_one_step_calls_from_shared_start_rows_match_the_loop_kernel(generator_streams,
+                                                                       branches):
+    # a calibration block: R = 3 start rows, each shared by K streams, one
+    # step, every rate positive; the shared rows' thresholds are built once,
+    # and the draws and stream words are the loop's
+    gen = np.random.default_rng(29)
+    n = 24
+    for K_ in (2, 200):
+        mu = gen.uniform(0.05, 3.0, size=n)
+        A = gen.uniform(0.0, 0.6 / n, size=(n, n))
+        g0 = gen.uniform(0.0, 2.0, size=(3, n))
+        branches.clear()
+        _assert_simulations_identical(generator_streams, mu, A, 0.8, 80.0, 0.0, g0,
+                                      np.array([0.0, 5.5, 40.0]), 1, K_, [K_, 2**40 + K_, 7])
+        assert branches == [True]
 
 
 def test_pure_simulate_counts_matches_the_loop_kernel_across_the_ptrs_switch(

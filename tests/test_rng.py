@@ -111,10 +111,25 @@ def test_generators_edge_counts():
     _assert_rows_match(streams, gens)
 
 
+@pytest.mark.parametrize("seed", (5, 2**32 + 7, 2**64 + 3))
+def test_derive_range_hashes_derive_per_index(seed):
+    # seeds of one, two and three 32-bit words: with the name and the index,
+    # the last fills SeedSequence's 4-word pool and the others overflow it
+    for name in ("cal", 9):
+        for start, stop in ((0, 1), (300, 400), (2**32 - 3, 2**32)):
+            assert _rng.derive_range(seed, name, start, stop) == [
+                _rng.derive(seed, name, t) for t in range(start, stop)]
+    assert _rng.derive_range(seed, "cal", 4, 4) == []
+    for start, stop in ((5, 4), (-1, 3), (0, 2**32 + 1)):
+        with pytest.raises(PreconditionError, match="start <= stop"):
+            _rng.derive_range(seed, "cal", start, stop)
+
+
 @pytest.mark.parametrize("make", [lambda s: _rng.derive(s, "fit"),
                                   lambda s: _rng.generator(s),
                                   lambda s: _rng.generator(s, "synth", "topo"),
-                                  lambda s: _rng.streams(s, 3)])
+                                  lambda s: _rng.streams(s, 3),
+                                  lambda s: _rng.derive_range(s, "cal", 0, 3)])
 def test_negative_seeds_are_precondition_errors(make):
     with pytest.raises(PreconditionError, match="-3"):
         make(-3)
