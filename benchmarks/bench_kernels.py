@@ -16,13 +16,20 @@ The simulation runs at ``--horizon`` steps, a forecast, and at one step,
 calibration blocks of one bin and of BLOCK_ROWS bins; both tables have a
 row for each.  Their rates are all positive and below ``_PTRS_SWITCH``, so
 every step takes the unmasked Poisson branch, and a one-step call searches
-each start row's rates once for its K streams.  A check after the second
-table simulates with a zero-rate circuit and a circuit that the excitation
-lifts over the switch in some trajectories, so that steps take the masked
-branch and mix PTRS rows with inversion rows, and another takes one step
-from BLOCK_ROWS distinct start rows shared by K streams each.  Each prints
+each start row's rates once for its K streams, from ``math.exp``'s e^-rate
+with no guard; later steps search each trajectory's cells under the guard,
+from ``np.exp``'s.  A check after the second table simulates with a
+zero-rate circuit and a circuit that the excitation lifts over the switch
+in some trajectories, so that steps take the masked branch and mix PTRS
+rows with inversion rows, and another takes one step from BLOCK_ROWS
+distinct start rows shared by K streams each.  Each prints
 how many trajectories' draws or final stream states differ from the loop
-reference's, which must be 0.
+reference's, which must be 0.  Random uniforms almost never land on a
+threshold, so these checks cannot tell whether the shared step takes
+e^-rate from ``math.exp`` or from ``np.exp``, which differ in the last ulp
+at about 5% of rates; the tier-1 test
+``test_shared_search_counts_as_the_search_on_repeated_cells`` places
+uniforms on such thresholds.
 
 A third table times the per-trajectory streams and their first uniforms:
 the scalar loop ``[rng.generator(s, k).random(24) for s in seeds for k in
@@ -430,8 +437,10 @@ def write_json(path, recursion_rows, simulate_rows, stream_rows, fit_rows, calib
                args):
     doc = {
         "benchmark": ("pure excitation recursions and scenario simulation against the "
-                      "loop reference, PCG64 streams against numpy Generators, whole "
-                      "fits allocating and on one workspace, and the calibration walk: "
+                      "loop reference (shared rate rows of one-step calls searched from "
+                      "math.exp, diverged rows under the np.exp guard), PCG64 streams "
+                      "against numpy Generators, whole fits allocating and on one "
+                      "workspace, and the calibration walk: "
                       "per-bin one-step simulate_trajectory + score_bin against "
                       "calibrate"),
         "command": (f"python3 benchmarks/bench_kernels.py --T {args.T} --n {args.n} "

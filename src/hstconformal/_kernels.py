@@ -67,12 +67,14 @@ Guarantees relied on by the rest of the package:
     ``np.dot(A, g)``: each step makes them with one stacked
     ``np.matmul(A, g[:, :, None])``, which runs one gemv per row, not one
     gemm over the rows, which BLAS may round differently;
-  - e^-lambda is ``np.exp``, taken once per rate cell, so on step 0's R
-    shared rate rows, which differs from ``math.exp`` in the last ulp on
-    some inputs, and a guarded search (``_inversion``) redoes from
-    ``math.exp`` each cell whose uniform lies within a relative 2**-30 of a
-    threshold it is compared with, so every cell makes the loop's
-    comparisons;
+  - e^-lambda of a rate row shared by K > 1 streams (below) is
+    ``math.exp``'s, the loop's own, one call per rate cell (``_exp_each``),
+    so those cells need no guard; on rows that have diverged (later steps,
+    or K = 1) and on masked steps it is ``np.exp``, one call over the
+    R*K*n cells, which differs from ``math.exp`` in the last ulp on some
+    inputs, and a guarded search (``_inversion``) redoes from ``math.exp``
+    each cell whose uniform lies within a relative 2**-30 of a threshold it
+    is compared with, so every cell makes the loop's comparisons;
   - one ``streams.random(m)`` call hands every row its uniforms, m_k being
     row k's count of positive rates: the values of m_k scalar
     ``Generator.random()`` calls, and a rate <= 0 consumes none;
@@ -87,12 +89,12 @@ Guarantees relied on by the rest of the package:
     row order; only the other steps mask their rows and cells as above;
   - on such a step, a rate row shared by K > 1 streams (step 0, so every
     one-step call and calibration block) builds each rate cell's
-    thresholds once, as the loop builds them, up to the largest of the
-    cell's K uniforms (``_shared_search``): the thresholds only grow, so a
-    uniform's count is the number of them it exceeds, the loop's, and no
-    rate or e^-lambda is repeated per stream; the rows of later steps, and
-    of K = 1, each hold their own rates and are searched cell by cell
-    (``_search``);
+    thresholds once from ``math.exp``'s e^-lambda, as the loop builds
+    them, up to the largest of the cell's K uniforms (``_shared_search``):
+    the thresholds only grow, so a uniform's count is the number of them
+    it exceeds, the loop's, and no rate or e^-lambda is repeated per
+    stream; the rows of later steps, and of K = 1, each hold their own
+    rates and take the guarded search cell by cell (``_inversion``);
   - the state update makes the loop's float operations in its order; a
     running total is the start total plus the whole number of events drawn
     since, which both families sum exactly, each in its own order, while
@@ -107,7 +109,15 @@ Guarantees relied on by the rest of the package:
 
 Poisson draws use inversion by sequential search below ``_PTRS_SWITCH`` and
 Hörmann's PTRS transformed rejection above it, built only on
-``Generator.random()`` so the stream is platform-stable.
+``Generator.random()`` so the stream is platform-stable.  The search stops
+at ``_INVERSION_MAX`` terms.  For the largest uniforms, 1 - 2**-53 and at
+some rates 1 - 2**-52, about a quarter of the rates below the switch have
+float64 thresholds that never exceed the uniform, so the search returns
+``_INVERSION_MAX``, which is not a draw of the Poisson law.  Every search
+(``poisson_draw``, ``_search``, ``_shared_search``) stops there alike, so
+the draws stay bit-identical across paths.  A fix would change every
+search, the JIT build among them, for an event of probability at most
+2**-52 per uniform, and is not made.
 """
 
 import math
@@ -503,8 +513,10 @@ _GUARD = 2.0**-30
 
 
 def _exp_each(rate):
-    """e^-rate by ``math.exp``, as ``poisson_draw`` takes it, one call per rate."""
-    return np.fromiter(map(math.exp, (-rate).tolist()), np.float64, rate.size)
+    """e^-rate by ``math.exp``, as ``poisson_draw`` takes it, one call per
+    rate, in the shape of ``rate``."""
+    return np.fromiter(map(math.exp, (-rate).ravel().tolist()), np.float64,
+                       rate.size).reshape(rate.shape)
 
 
 def _search(rate, p, u, margin):
@@ -541,62 +553,41 @@ def _search(rate, p, u, margin):
     return found, np.flatnonzero(u * (1.0 + margin) > last)
 
 
-def _shared_search(rate, p, u, margin):
-    """``_search`` on R*K*n cells whose rates repeat along K: rate cell
-    (r, 0, i) of the (R, 1, n) ``rate`` and ``p`` draws on the K uniforms
-    u[r, :, i] of the (R, K, n) ``u``.  A cell's thresholds c_0, c_1, ...
-    do not depend on its uniform, so they are built once per rate cell, as
-    the loop builds them, up to c_J, J the first j at which no uniform
-    exceeds c_j by the margin, or ``_INVERSION_MAX``.  As they only grow, a
-    uniform's count is the number of c_0, ..., c_(J-1) that it exceeds by
-    the margin, and its last threshold is c_count.  Returns the (R, K, n)
-    counts and the flat indices of the cells the margin flags: those of
-    ``_search`` on the cells with each rate repeated K times.
+def _shared_search(rate, p, u):
+    """``poisson_draw``'s counts on R*K*n cells whose rates repeat along K:
+    rate cell (r, 0, i) of the (R, 1, n) ``rate`` and ``p``, ``math.exp``'s
+    e^-rate, draws on the K uniforms u[r, :, i] of the (R, K, n) ``u``.  A
+    cell's thresholds c_0, c_1, ... do not depend on its uniform, so they
+    are built once per rate cell, as the loop builds them, until no uniform
+    exceeds one or ``_INVERSION_MAX`` are counted.  As they only grow, a
+    uniform's count is the number of c_0, ..., c_(_INVERSION_MAX - 1) that
+    it exceeds, the loop's.  Returns the (R, K, n) counts.
     """
-    above = u * (1.0 - margin)
-    top = above.max(axis=1, keepdims=True, initial=0.0)
-    c = [p]
+    top = u.max(axis=1, keepdims=True)
+    found = np.zeros(u.shape, dtype=np.int16)  # holds _INVERSION_MAX, and adds faster
+    c = p
     j = 0
-    while j < _INVERSION_MAX and (top > c[-1]).any():
+    while j < _INVERSION_MAX and (top > c).any():
+        found += u > c
         j += 1
         p = p * (rate / j)
-        c.append(c[-1] + p)
-    c = np.stack(c, axis=-1)  # (R, 1, n, J+1)
-    found = np.zeros(u.shape, dtype=np.int16)  # holds _INVERSION_MAX, and adds faster
-    for j in range(c.shape[-1] - 1):
-        found += above > c[..., j]
-    # c_count of each cell, entry (r*n + i)*(J+1) + count of c, into the
-    # buffer of ``above``, which is read no more
-    R, K, n = u.shape
-    cell = np.arange(R * n).reshape(R, 1, n) * c.shape[-1]
-    found = found.astype(np.int64)
-    found += cell
-    last = c.take(found, out=above)
-    found -= cell
-    return found, np.flatnonzero(u * (1.0 + margin) > last)
+        c = c + p
+    return found.astype(np.int64)
 
 
 def _inversion(rate, p, u):
     """``poisson_draw``'s counts for positive rates below ``_PTRS_SWITCH``
-    on the uniforms u, from p, ``np.exp``'s e^-rate, which differs from
-    ``math.exp``'s in the last ulp on some inputs: a search with margin
-    ``_GUARD`` flags the cells whose comparisons could differ (a uniform
-    lands within 2**-30 of a threshold about once in 2**29 comparisons at
-    most), and they are redone from ``math.exp`` with margin 0.  The cells
-    are flat, one rate each (``_search``), or ``rate`` and ``p`` are (R, 1,
-    n) and ``u`` is (R, K, n), rate cell (r, i) drawing on the K uniforms
-    u[r, :, i] (``_shared_search``).
+    on the flat cells of ``rate``, one uniform each in ``u``, from p,
+    ``np.exp``'s e^-rate, which differs from ``math.exp``'s in the last ulp
+    on some inputs: a search with margin ``_GUARD`` flags the cells whose
+    comparisons could differ (a uniform lands within 2**-30 of a threshold
+    about once in 2**29 comparisons at most), and they are redone from
+    ``math.exp`` with margin 0.
     """
-    if u.ndim == 1:
-        found, flagged = _search(rate, p, u, _GUARD)
-        cells = flagged
-    else:
-        found, flagged = _shared_search(rate, p, u, _GUARD)
-        R, K, n = u.shape
-        cells = flagged // (K * n) * n + flagged % n
+    found, flagged = _search(rate, p, u, _GUARD)
     if flagged.size:
-        rate = rate.ravel()[cells]
-        found.flat[flagged] = _search(rate, _exp_each(rate), u.ravel()[flagged], 0.0)[0]
+        rate = rate[flagged]
+        found[flagged] = _search(rate, _exp_each(rate), u[flagged], 0.0)[0]
     return found
 
 
@@ -625,13 +616,14 @@ def _poisson_step(streams, lam):
 
     When every rate takes the inversion (``_every_rate_by_inversion``), each
     stream hands over n uniforms and every cell is searched, with no mask:
-    a shared rate row takes its n exps and builds its thresholds once, for
-    all K of its streams' uniforms (``_shared_search``), and unshared rows
-    are searched cell by cell.  Otherwise a rate that is not below 2**53
-    (nan included) raises NumericalError before any draw, the rows with a
-    PTRS rate are drawn by the scalar ``poisson_draw``, and the positive
-    rates of the other rows by the inversion, a rate <= 0 drawing 0 from no
-    uniform.
+    a shared rate row takes its n exps from ``math.exp`` and builds its
+    thresholds once, for all K of its streams' uniforms
+    (``_shared_search``), and unshared rows take ``np.exp`` and the guarded
+    search cell by cell (``_inversion``).  Otherwise a rate that is not
+    below 2**53 (nan included) raises NumericalError before any draw, the
+    rows with a PTRS rate are drawn by the scalar ``poisson_draw``, and the
+    positive rates of the other rows by the inversion, a rate <= 0 drawing
+    0 from no uniform.
     """
     R, n = lam.shape
     K = len(streams) // R
@@ -643,8 +635,8 @@ def _poisson_step(streams, lam):
         u = streams.random(n)
         if K == 1:
             return _inversion(lam.ravel(), np.exp(-lam).ravel(), u.ravel()).reshape(R, n)
-        return _inversion(lam[:, None], np.exp(-lam)[:, None],
-                          u.reshape(R, K, n)).reshape(R * K, n)
+        lam = lam[:, None]
+        return _shared_search(lam, _exp_each(lam), u.reshape(R, K, n)).reshape(R * K, n)
     if not (lam < _EXACT).all():  # nan fails this test too
         raise NumericalError("a simulated rate is not below 2**53")
     by_scalar = ~(lam < _PTRS_SWITCH).all(axis=1)  # a PTRS rate in the row

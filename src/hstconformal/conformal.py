@@ -513,8 +513,13 @@ def _forecast(Y, topo, t0: int, settings: PipelineSettings, seed: int, horizon: 
     Returns (model, scores, quantiles, (K, horizon, n) trajectories, steps,
     cumulative), steps holding one ``IntervalForecast`` per step and
     cumulative the (horizon, n) and (horizon, m) bounds of the observed
-    totals plus the cumulative trajectories.
+    totals plus the cumulative trajectories.  A forecast fits once, so
+    ``refit_each_step``, which only ``rolling_evaluate`` reads, is a
+    ``PreconditionError``.
     """
+    if settings.refit_each_step:
+        raise PreconditionError(
+            "refit_each_step is read only by rolling_evaluate: a forecast fits once")
     model, scores = _prepare(Y, topo, t0, settings, seed)
     qest = _quantile_for(scores, settings)
     traj = _hawkes.simulate_trajectory(model, Y, horizon=horizon, K=settings.K,

@@ -549,13 +549,13 @@ def simulate_trajectory(model: HawkesModel, history, horizon: int, K: int = 10,
 
 # the most draw cells (trajectories x steps x circuits) that one block of a
 # walk simulates at once: the larger the block, the fewer kernel calls, and
-# the more memory the block's temporaries take.  A one-step block peaks at
-# about 52 bytes a cell at K = 10 and 48 at K = 200 (tracemalloc; 82 before
-# shared rate rows were searched once), Streams.random's 40 a uniform among
-# them.  9,600 cells, two bins of a K = 200 calibration at n = 24, cut a
-# 100-bin one from 30.8 ms at 8,192 cells to 24.7 ms (37.6 before the shared
-# rows); run-fit's peak RSS read as at 8,192 before the shared rows (seeds 5,
-# 13, 17), and 11,264 to 14,400 cells raised it by up to 0.1-0.3 MiB
+# the more memory the block's temporaries take.  A one-step block of 9,600
+# cells peaks at about 50 bytes a cell at K = 10 and 48 at K = 200
+# (tracemalloc), Streams.random's 40 a uniform among them.  9,600 cells, two
+# bins of a K = 200 calibration at n = 24, cut a 100-bin one from 30.8 ms at
+# 8,192 cells to 24.7 ms (37.6 before the shared rows); run-fit's peak RSS
+# read as at 8,192 before the shared rows (seeds 5, 13, 17), and 11,264 to
+# 14,400 cells raised it by up to 0.1-0.3 MiB
 _BLOCK_CELLS = 9600
 
 

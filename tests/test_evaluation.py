@@ -192,6 +192,17 @@ def test_refit_each_step_changes_later_bins(small_triple):
     assert any(diffs)
 
 
+def test_forecasts_reject_refit_each_step(small_triple):
+    # only the rolling evaluation refits; a forecast that took the setting
+    # would return the bounds of one fit as if it had refit
+    panel, topo, _ = small_triple
+    refit = PipelineSettings(epochs=5, refit_each_step=True)
+    with pytest.raises(PreconditionError, match="refit_each_step"):
+        hst_conformal_pipeline(panel, topo, 41, refit, seed=0)
+    with pytest.raises(PreconditionError, match="refit_each_step"):
+        horizon_forecast(panel, topo, 41, refit, horizon=3, seed=0)
+
+
 @pytest.mark.parametrize("refit", [False, True])
 def test_rolling_matches_the_per_bin_recount(monkeypatch, small_triple, refit):
     # every test bin's scenarios, interval and score equal those of

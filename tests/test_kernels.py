@@ -197,40 +197,59 @@ def _loop_thresholds(lam, count):
     return out
 
 
+class _FixedStreams:
+    """A stand-in for ``rng.Streams`` whose ``random(n)`` hands out the given
+    (R*K, n) uniforms, one row per stream."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def __len__(self):
+        return len(self.u)
+
+    def random(self, m):
+        assert m == self.u.shape[1]
+        return self.u
+
+
 def test_shared_search_counts_as_the_search_on_repeated_cells():
-    # thresholds built once per rate cell count and flag its K uniforms as
-    # _search does the cell repeated K times, at margin 0 and _GUARD; some
-    # uniforms sit on a loop threshold, which the guard flags and _inversion
-    # redoes from math.exp, and u = 1 - 2**-53 at rate 29.99 runs past every
-    # threshold to _INVERSION_MAX
+    # thresholds built once per rate cell from math.exp's e^-rate count each
+    # of its K uniforms as the loop's poisson_draw does, both in
+    # _shared_search and in the all-positive shared step of _poisson_step;
+    # some uniforms sit on a loop threshold, u = 1 - 2**-53 at rate 29.99
+    # runs past every threshold to _INVERSION_MAX, and every trial puts a
+    # uniform on c_0 of a rate whose np.exp(-rate) is below math.exp's, so a
+    # shared step that took e^-rate from np.exp would count it 1, not 0
     gen = np.random.default_rng(28)
     top = 1.0 - 2.0**-53
     assert K._LOOP_PURE.poisson_draw(_Uniforms([top]), 29.99) == K._INVERSION_MAX
-    flagged_seen = capped_seen = 0
+    scan = np.exp(gen.uniform(math.log(1e-3), math.log(K._PTRS_SWITCH), 4000))
+    low = scan[np.exp(-scan) < K._exp_each(scan)]
+    if not low.size:
+        pytest.skip("np.exp(-x) is not below math.exp(-x) at any scanned rate")
+    capped_seen = 0
     for trial in range(400):
-        R, n = (int(x) for x in gen.integers(1, 4, size=2))
-        K_ = int(gen.integers(2, 9))
+        R, n = int(gen.integers(1, 4)), int(gen.integers(2, 5))
+        K_ = int(gen.integers(3, 9))
         rate = np.exp(gen.uniform(math.log(1e-3), math.log(29.99), size=(R, 1, n)))
         u = gen.random((R, K_, n))
-        r, k, i = (int(gen.integers(0, d)) for d in (R, K_, n))
+        rate[-1, 0, -1] = lam = float(gen.choice(low))
+        u[-1, 0, -1] = math.exp(-lam)  # on c_0, where the loop draws 0
+        r, i = int(gen.integers(0, R)), int(gen.integers(0, n))
         lam = float(rate[r, 0, i])
-        u[r, k, i] = gen.choice(_loop_thresholds(lam, 5 + int(lam)))
+        u[r, gen.integers(1, K_ - 1), i] = gen.choice(_loop_thresholds(lam, 5 + int(lam)))
         if trial % 10 == 0:
             rate[0, 0, 0], u[0, -1, 0] = 29.99, top
-        p = np.exp(-rate)
-        flat_rate, flat_p = (np.broadcast_to(a, u.shape).ravel() for a in (rate, p))
-        for margin in (0.0, K._GUARD):
-            found, flagged = K._shared_search(rate, p, u, margin)
-            want, want_flagged = K._search(flat_rate, flat_p, u.ravel(), margin)
-            assert found.dtype == np.int64 and found.shape == u.shape
-            assert np.array_equal(found.ravel(), want)
-            assert np.array_equal(flagged, want_flagged)
-            capped_seen += bool((found == K._INVERSION_MAX).any())
-        flagged_seen += flagged.size > 0
+        flat_rate = np.broadcast_to(rate, u.shape).ravel()
         loop = [K._LOOP_PURE.poisson_draw(_Uniforms([x]), y)
                 for x, y in zip(u.ravel().tolist(), flat_rate.tolist())]
-        assert K._inversion(rate, p, u).ravel().tolist() == loop
-    assert flagged_seen >= 300 and capped_seen == 40
+        found = K._shared_search(rate, K._exp_each(rate), u)
+        assert found.dtype == np.int64 and found.shape == u.shape
+        assert found.ravel().tolist() == loop and found[-1, 0, -1] == 0
+        step = K._poisson_step(_FixedStreams(u.reshape(R * K_, n)), rate[:, 0])
+        assert step.ravel().tolist() == loop
+        capped_seen += bool((found == K._INVERSION_MAX).any())
+    assert capped_seen == 40
 
 
 def test_poisson_moments_small_rate():
