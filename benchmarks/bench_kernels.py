@@ -39,7 +39,14 @@ and the 100 seeds that ``calibrate`` derives for 100 calibration bins at
 K = 10 and 200, as the ``calibrate`` calls of the CLI commands seed them.
 Its mismatch column counts rows whose uniforms or final state differ from
 the loop's, over five seeds of one to four 32-bit words in the one-seed
-rows; it must read 0.
+rows; it must read 0.  Its peak column is the seeding's tracemalloc peak
+per stream, and the 100-seed K = 200 row must read at most
+SEED_BYTES_BOUND bytes: ``rng.streams`` seeds in passes of at most
+``rng._SEED_ROWS`` rows.  A line after the table gives the tracemalloc
+peaks of the cumulative min and max of K trajectories of ``--horizon``
+steps, as the forecast core takes them one step at a time
+(``conformal._cumulative_extremes``) and from the whole (K, horizon, n)
+cumulative sum, and whether the two agree; they must.
 
 A fourth table times whole ``fit`` calls at the sizes of the ``run-fit``
 and ``evaluate-qr`` fits, (300, 24) and (300, 96) at the default ``--T``
@@ -72,8 +79,8 @@ gives 100 calibration bins.  The per-bin walk rescans each bin's history,
 as ``simulate_trajectory`` does, where ``calibrate`` scans the panel once.  Its
 mismatch column counts bins whose scores differ from the per-bin walk's;
 it must read 0.  ``--json PATH`` writes the second table's recursion and
-simulation rows, the stream table, the fit table and this table to PATH,
-with the versions and kernel path they ran on
+simulation rows, the stream table, the cumulative-envelope line, the fit
+table and this table to PATH, with the versions and kernel path they ran on
 (``benchmarks/BENCH_simulate.json``).
 
 Usage:
@@ -85,7 +92,9 @@ TIME_BUDGET_S seconds (at least one).  Without numba (not importable, or
 HSTCONFORMAL_NO_NUMBA set) the jit, speedup and diff columns of the first
 table read "jit unavailable".  The script exits with status 1 when a stream,
 masked-step, shared-row or calibration mismatch count or a simulation max
-diff is not 0, or when a recursion max diff exceeds its bound.
+diff is not 0, when a recursion max diff exceeds its bound, when the
+100-seed K = 200 seeding peaks above SEED_BYTES_BOUND bytes per stream, or
+when the step-by-step cumulative extremes differ from the whole-array ones.
 """
 
 from __future__ import annotations
@@ -98,6 +107,7 @@ import platform
 import resource
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -105,6 +115,7 @@ import numpy as np
 from hstconformal import (FitConfig, calibrate, fit, generate_synthetic, rng, score_bin,
                           simulate_trajectory, training_scale)
 from hstconformal._kernels import _LOOP_PURE, _PTRS_SWITCH, ACTIVE, JIT, PURE, USING_NUMBA
+from hstconformal.conformal import _cumulative_extremes
 
 TIME_BUDGET_S = 2.0
 K = 200  # simulated scenarios per simulate_counts call, as in a forecast
@@ -115,6 +126,9 @@ STREAM_SIZES = ((1, 1), (1, 10), (1, 200), (100, 10), (100, 200))
 STREAM_DRAWS = 24  # uniforms per row: one per circuit of a 24-circuit panel
 # small, one-word, two-word and post-pool (four-word) seeds
 STREAM_SEEDS = (0, 5, 2**32 + 1, 2**64 - 1, 2**100 + 3)
+# the most tracemalloc bytes per stream that seeding the 100 x 200 streams
+# may peak at: 80 with bounded seeding passes, 232 in one pass
+SEED_BYTES_BOUND = 128
 FIT_SIZES = ((300, 24), (300, 96))  # (T, n) at --T 400 --n 24
 FIT_EPOCHS = 100
 FIT_RUNS = 3  # fits per cell, fewer when --repeats is smaller
@@ -316,11 +330,22 @@ def stream_mismatches(seeds, k_count) -> int:
     return bad
 
 
+def traced_peak(fn, *args) -> int:
+    # the tracemalloc peak of one call after a warm-up call, in bytes
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def print_stream_table(repeats) -> list:
     # speedup is the loop time over the streams time, both for base seed 5;
-    # returns the rows
+    # peak B/str is the seeding's tracemalloc peak per stream; returns the rows
     header = (f"{'seeds':<7}{'K':<6}{'scalar loop':>14}{'seeding':>12}{'streams':>12}"
-              f"{'speedup':>9}{'mismatches':>12}")
+              f"{'speedup':>9}{'peak B/str':>12}{'mismatches':>12}")
     print(header)
     print("-" * len(header))
     rows = []
@@ -330,15 +355,37 @@ def print_stream_table(repeats) -> list:
                                     for s in seeds for k in range(k_count)], repeats)
         t_seed = best_time(lambda: rng.streams(seeds, k_count), repeats)
         t_streams = best_time(lambda: rng.streams(seeds, k_count).random(STREAM_DRAWS), repeats)
+        peak = traced_peak(rng.streams, seeds, k_count) / (count * k_count)
         checked = [[s] for s in STREAM_SEEDS] if count == 1 else [seeds]
         bad = sum(stream_mismatches(s, k_count) for s in checked)
         rows.append({"seeds": count, "K": k_count, "draws": STREAM_DRAWS,
                      "scalar_loop_ms": round(t_loop * 1e3, 3),
                      "seeding_ms": round(t_seed * 1e3, 3),
-                     "streams_ms": round(t_streams * 1e3, 3), "mismatches": bad})
+                     "streams_ms": round(t_streams * 1e3, 3),
+                     "seeding_peak_bytes_per_stream": round(peak, 1), "mismatches": bad})
         print(f"{count:<7}{k_count:<6}{t_loop * 1e3:>12.3f}ms{t_seed * 1e3:>10.3f}ms"
-              f"{t_streams * 1e3:>10.3f}ms{t_loop / t_streams:>8.1f}x{bad:>12}")
+              f"{t_streams * 1e3:>10.3f}ms{t_loop / t_streams:>8.1f}x{peak:>12.1f}{bad:>12}")
     return rows
+
+
+def print_envelope_row(n, horizon) -> dict:
+    # tracemalloc peaks of the cumulative min and max over K trajectories:
+    # step by step, as the forecast core takes them, and from the whole
+    # (K, horizon, n) cumulative sum; returns the row
+    traj = np.random.default_rng(3).poisson(2.0, (K, horizon, n))
+    observed = np.full(n, 100.0)
+
+    def whole():
+        cumulative = observed + np.cumsum(traj, axis=1)
+        return np.stack([cumulative.min(axis=0), cumulative.max(axis=0)])
+
+    same = np.array_equal(_cumulative_extremes(observed, traj), whole())
+    step = traced_peak(_cumulative_extremes, observed, traj)
+    full = traced_peak(whole)
+    print(f"cumulative envelope K={K} h={horizon} n={n}: peak {step / 1024:.1f} KiB step by "
+          f"step, {full / 1024:.1f} KiB from the whole cumulative sum; extremes equal: {same}")
+    return {"K": K, "horizon": horizon, "n": n, "stepwise_peak_kib": round(step / 1024, 1),
+            "whole_array_peak_kib": round(full / 1024, 1), "equal": bool(same)}
 
 
 @contextlib.contextmanager
@@ -433,13 +480,15 @@ def print_calibrate_table(T, n, repeats) -> list:
     return rows
 
 
-def write_json(path, recursion_rows, simulate_rows, stream_rows, fit_rows, calibrate_rows,
-               args):
+def write_json(path, recursion_rows, simulate_rows, stream_rows, envelope_row, fit_rows,
+               calibrate_rows, args):
     doc = {
         "benchmark": ("pure excitation recursions and scenario simulation against the "
                       "loop reference (shared rate rows of one-step calls searched from "
                       "math.exp, diverged rows under the np.exp guard), PCG64 streams "
-                      "against numpy Generators, whole fits allocating and on one "
+                      "against numpy Generators with the seeding's tracemalloc peak, "
+                      "the cumulative envelope's peak step by step and from the whole "
+                      "cumulative sum, whole fits allocating and on one "
                       "workspace, and the calibration walk: "
                       "per-bin one-step simulate_trajectory + score_bin against "
                       "calibrate"),
@@ -453,6 +502,7 @@ def write_json(path, recursion_rows, simulate_rows, stream_rows, fit_rows, calib
         "recursion_rows": recursion_rows,
         "simulate_rows": simulate_rows,
         "stream_rows": stream_rows,
+        "envelope_rows": [envelope_row],
         "fit_rows": fit_rows,
         "calibrate_rows": calibrate_rows,
     }
@@ -467,8 +517,8 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, default=24, help="circuit count")
     parser.add_argument("--horizon", type=int, default=52, help="simulation bins")
     parser.add_argument("--repeats", type=int, default=200, help="timing repeats")
-    parser.add_argument("--json", help="write the recursion, simulation, stream, fit and "
-                        "calibration tables to this file")
+    parser.add_argument("--json", help="write the recursion, simulation, stream, "
+                        "cumulative-envelope, fit and calibration tables to this file")
     args = parser.parse_args(argv)
 
     cases = build_cases(args.T, args.n, args.horizon)
@@ -490,6 +540,7 @@ def main(argv=None) -> int:
           f"{shared_bad} of {BLOCK_ROWS * K} trajectories differ from the loop reference")
     print()
     stream_rows = print_stream_table(args.repeats)
+    envelope_row = print_envelope_row(args.n, args.horizon)
     print()
     fit_rows = print_fit_table(args.T, args.n, args.repeats)
     print()
@@ -497,18 +548,24 @@ def main(argv=None) -> int:
     rec_rows = [r for r in loop_rows if r["kernel"].startswith("excitation")]
     sim_rows = [r for r in loop_rows if r["kernel"] == "simulate_counts"]
     if args.json:
-        write_json(args.json, rec_rows, sim_rows, stream_rows, fit_rows, cal_rows, args)
+        write_json(args.json, rec_rows, sim_rows, stream_rows, envelope_row, fit_rows, cal_rows,
+                   args)
     mismatches = sum(r["mismatches"] for r in stream_rows)
+    seed_peak = max(r["seeding_peak_bytes_per_stream"] for r in stream_rows
+                    if (r["seeds"], r["K"]) == (100, 200))
     cal_mismatches = sum(r["mismatches"] for r in cal_rows)
     sim_diffs = [r["max_diff"] for r in jit_rows + loop_rows if r["kernel"] == "simulate_counts"]
     # the bound of the tier-1 recursion test, relative to the loop reference
     rec_over = [r["kernel"] for r in rec_rows
                 if not r["max_diff"] <= RECURSION_RTOL * max(1.0, r["max_abs_ref"])]
-    if mismatches or cal_mismatches or any(sim_diffs) or masked_bad or shared_bad or rec_over:
+    if (mismatches or cal_mismatches or any(sim_diffs) or masked_bad or shared_bad or rec_over
+            or seed_peak > SEED_BYTES_BOUND or not envelope_row["equal"]):
         print(f"FAILED: {mismatches} stream mismatches, {cal_mismatches} calibration "
               f"mismatches, simulation max diffs {sim_diffs}, {masked_bad} masked-step "
               f"mismatches, {shared_bad} shared-row mismatches, recursions off the loop "
-              f"reference by more than {RECURSION_RTOL:g} relative: {rec_over}",
+              f"reference by more than {RECURSION_RTOL:g} relative: {rec_over}, 100 x 200 "
+              f"seeding peak {seed_peak} bytes per stream (bound {SEED_BYTES_BOUND}), "
+              f"cumulative extremes equal: {envelope_row['equal']}",
               file=sys.stderr)
         return 1
     return 0

@@ -19,7 +19,9 @@ Every bound comes from `_envelope`: the scenario min/max widened by each
 substation quantile de-standardized by the circuit's own scale, with
 substation bounds that aggregate the RAW circuit bounds so the Cᵀ
 relationship is exact.  `build_interval` is its checked one-bin case, and
-`_forecast` widens every step and cumulative count by one margin.  The
+`_forecast` widens every step and cumulative count by one margin, taking
+the cumulative counts' min and max one step at a time
+(`_cumulative_extremes`).  The
 nonnegativity clamp on lower bounds exists only in the reported view.
 """
 
@@ -505,6 +507,25 @@ def _prepare(Y, topo, t0: int, settings: PipelineSettings, seed: int, cal_stop=N
     return model, scores
 
 
+def _cumulative_extremes(observed, traj) -> np.ndarray:
+    """The (2, horizon, n) min and max over the K trajectories of the (n,)
+    ``observed`` totals plus each step's cumulative (K, horizon, n) ``traj``
+    counts: the bounds ``_envelope`` takes of the cumulative counts.
+
+    One step at a time, from a running (K, n) total: the same sums as
+    ``observed + np.cumsum(traj, axis=1)``, bit for bit, without its two
+    (K, horizon, n) arrays.
+    """
+    K, horizon, n = traj.shape
+    running, extremes = np.zeros((K, n), dtype=traj.dtype), np.empty((2, horizon, n))
+    for h in range(horizon):
+        running += traj[:, h]
+        total = observed + running
+        total.min(axis=0, out=extremes[0, h])
+        total.max(axis=0, out=extremes[1, h])
+    return extremes
+
+
 def _forecast(Y, topo, t0: int, settings: PipelineSettings, seed: int, horizon: int):
     """fit -> calibrate -> quantile -> K "target" trajectories of ``horizon``
     steps after the read counts ``Y`` -> the ``_envelope`` of every step and
@@ -528,7 +549,7 @@ def _forecast(Y, topo, t0: int, settings: PipelineSettings, seed: int, horizon: 
     bounds = _envelope(traj, margin, topo)
     steps = tuple(IntervalForecast(*(b[h] for b in bounds), t=Y.shape[0] + h)
                   for h in range(horizon))
-    cumulative = _envelope(Y.sum(axis=0) + np.cumsum(traj, axis=1), margin, topo)
+    cumulative = _envelope(_cumulative_extremes(Y.sum(axis=0), traj), margin, topo)
     return model, scores, qest, traj, steps, cumulative
 
 

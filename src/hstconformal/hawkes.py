@@ -570,7 +570,8 @@ def _walk(model: HawkesModel, counts: np.ndarray, b0: int, b1: int, seeds, K: in
     the state after ``counts[:t]``, so b1 may be one past the last bin.  Its
     trajectory k draws from the generator (``seeds[t - b0]``, k), as
     ``simulate_trajectory`` on ``counts[:t]`` with that seed does, bit for
-    bit.  One ``rng.streams`` hash seeds every stream.
+    bit.  One ``rng.streams`` call seeds every stream: one hash of the child
+    seeds, then the states in passes of at most ``rng._SEED_ROWS`` rows.
     """
     check_integer(K, "K")
     if K < 1:

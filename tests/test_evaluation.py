@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,7 +26,8 @@ from hstconformal import conformal as _conformal
 from hstconformal import evaluation as _evaluation
 from hstconformal import rng as _rng
 from hstconformal.conformal import build_interval, score_bin
-from hstconformal.hawkes import fit, log_likelihood_gradient, simulate_trajectory
+from hstconformal.hawkes import (_topology_counts, fit, log_likelihood_gradient,
+                                simulate_trajectory)
 
 
 def _interval(lower, upper, topo, t=0):
@@ -314,6 +316,49 @@ def test_horizon_forecast_matches_the_per_step_recount(small_triple, fast_settin
     for j, idx in enumerate(topo.members):
         assert np.array_equal(hf.cum_sub_lower[:, j], lower[:, idx].sum(axis=1)), j
         assert np.array_equal(hf.cum_sub_upper[:, j], upper[:, idx].sum(axis=1)), j
+
+
+@pytest.fixture(scope="module")
+def forecast_sim_panel():
+    # the panel size, split and scenario count of a 200-scenario forecast,
+    # with a short fit
+    panel, topo, _ = generate_synthetic(24, 6, 400, seed=1)
+    return panel, topo, PipelineSettings(epochs=5, K=200, alpha=0.1)
+
+
+@pytest.mark.parametrize("horizon", [1, 52])
+def test_stepwise_cumulative_envelope_matches_the_whole_array_one(forecast_sim_panel,
+                                                                   horizon):
+    # the cumulative bounds built one step at a time equal, byte for byte,
+    # the envelope of the observed totals plus the cumulative sum of all steps
+    panel, topo, settings = forecast_sim_panel
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        _, scores, qest, traj, _, cumulative = _conformal._forecast(
+            _topology_counts(panel, topo), topo, 301, settings, 3, horizon)
+    assert traj.shape == (200, horizon, 24)
+    margin = _conformal.to_circuits(qest.q, topo, scores.scale)
+    whole = _conformal._envelope(panel.Y.sum(axis=0) + np.cumsum(traj, axis=1), margin, topo)
+    for name, got, want in zip(("lower", "upper", "sub_lower", "sub_upper"), cumulative, whole):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+def test_horizon_forecast_holds_no_scenario_cube_of_cumulative_counts(forecast_sim_panel):
+    # the cumulative envelope keeps (2, horizon, n) extremes, not the (K,
+    # horizon, n) cumulative counts, and the calibration walk seeds its
+    # 20,000 streams in bounded passes: a peak of 2.5 MiB, against 6.0 MiB
+    # with two whole (200, 52, 24) arrays and one seeding pass
+    panel, topo, settings = forecast_sim_panel
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        horizon_forecast(panel, topo, 301, settings, horizon=52, seed=1)
+        tracemalloc.start()
+        try:
+            horizon_forecast(panel, topo, 301, settings, horizon=52, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 * 2**20, peak / 2**20
 
 
 def test_horizon_cumulative_envelopes_are_monotone(small_triple, fast_settings):

@@ -738,6 +738,7 @@ def test_kernel_benchmark_script_runs():
     assert proc.returncode == 0, proc.stderr
     assert "excitation_beta_series" in proc.stdout
     assert "fit size" in proc.stdout and "faults" in proc.stdout
+    assert "peak B/str" in proc.stdout and "cumulative envelope" in proc.stdout
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hstconformal import PreconditionError
+from hstconformal import (PipelineSettings, PreconditionError, generate_synthetic,
+                          hst_conformal_pipeline)
 from hstconformal import rng as _rng
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**200 + 3,
@@ -62,6 +63,39 @@ def test_streams_of_many_seeds_match_the_scalar_streams(K):
     assert np.array_equal(block.random(4), np.reshape([g.random(4) for g in gens[K:3 * K]],
                                                       (-1, 4)))
     _assert_rows_match(streams, gens)
+
+
+def _assert_first_uniforms_match(streams, gens):
+    # every row's state, then its first uniforms and the state after them
+    _assert_rows_match(streams, gens)
+    assert np.array_equal(streams.random(3), [gen.random(3) for gen in gens])
+    _assert_rows_match(streams, gens)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_seeding_passes_end_at_any_row(extra):
+    # one seed per row, the call one row short of, at and one past a pass
+    seeds = list(range(_rng._SEED_ROWS + extra))
+    _assert_first_uniforms_match(_rng.streams(seeds, 1), [_rng.generator(s, 0) for s in seeds])
+
+
+def test_one_seed_seeds_over_several_passes():
+    K = 2 * _rng._SEED_ROWS + 1
+    _assert_first_uniforms_match(_rng.streams(2**32 + 9, K),
+                                 [_rng.generator(2**32 + 9, k) for k in range(K)])
+
+
+def test_seeds_of_mixed_word_counts_seed_across_passes(monkeypatch):
+    # seeds of one, two and three 32-bit words in one call, each hashed with
+    # its own prefix length; the passes end inside a seed's rows
+    seeds, K = [5, 2**32 + 7, 2**64 + 3, 11], _rng._SEED_ROWS // 2 + 1
+    words = _rng.streams(seeds, K).words
+    _assert_first_uniforms_match(_rng.streams(seeds, K),
+                                 [_rng.generator(s, k) for s in seeds for k in range(K)])
+    # the pass size moves no bit
+    for rows in (1, 3, 4 * K):
+        monkeypatch.setattr(_rng, "_SEED_ROWS", rows)
+        assert np.array_equal(_rng.streams(seeds, K).words, words), rows
 
 
 def test_stream_rows_move_through_a_generator_and_back():
@@ -135,6 +169,32 @@ def test_negative_seeds_are_precondition_errors(make):
         make(-3)
 
 
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, "7", None])
+@pytest.mark.parametrize("make", [lambda s: _rng.derive(s, "fit"),
+                                  lambda s: _rng.generator(s),
+                                  lambda s: _rng.generator(s, "synth", "topo"),
+                                  lambda s: _rng.streams(s, 3),
+                                  lambda s: _rng.streams([2, s], 3),
+                                  lambda s: _rng.derive_range(s, "cal", 0, 3)],
+                         ids=["derive", "generator", "generator_path", "streams",
+                              "streams_of_seeds", "derive_range"])
+def test_non_integer_seeds_are_precondition_errors(make, seed):
+    # int() would take 1.5 as seed 1, True as 1 and "7" as 7
+    with pytest.raises(PreconditionError, match="seed must be an integer"):
+        make(seed)
+
+
+def test_numpy_integer_seeds_are_their_python_values():
+    assert _rng.derive(np.uint64(5), "x") == _rng.derive(np.int64(5), "x") == _rng.derive(5, "x")
+    assert np.array_equal(_rng.streams(np.int32(5), 2).words, _rng.streams(5, 2).words)
+
+
+def test_pipeline_rejects_a_non_integer_seed():
+    panel, topo, _ = generate_synthetic(8, 3, 60, seed=1)
+    with pytest.raises(PreconditionError, match="seed must be an integer"):
+        hst_conformal_pipeline(panel, topo, 31, PipelineSettings(epochs=5), seed=1.9)
+
+
 def _pcg64(state: int, inc: int) -> np.random.Generator:
     bits = np.random.PCG64(0)
     bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
@@ -180,3 +240,19 @@ def test_stream_uniforms_take_little_memory():
     finally:
         tracemalloc.stop()
     assert peak / u.size <= 44, peak / u.size
+
+
+def test_seeding_takes_little_memory():
+    # the 20,000 streams of a 100-bin calibration walk at K = 200: the child
+    # seeds take one hash pass and the rows are seeded in bounded passes,
+    # 1.6 MiB against 4.4 MiB (232 bytes a stream) in one pass
+    seeds = [_rng.derive(5, "cal", t) for t in range(100)]
+    _rng.streams(seeds, 200)
+    tracemalloc.start()
+    try:
+        streams = _rng.streams(seeds, 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(streams) == 20000
+    assert peak < 2.5 * 2**20, peak / 2**20
