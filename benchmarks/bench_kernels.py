@@ -29,7 +29,12 @@ threshold, so these checks cannot tell whether the shared step takes
 e^-rate from ``math.exp`` or from ``np.exp``, which differ in the last ulp
 at about 5% of rates; the tier-1 test
 ``test_shared_search_counts_as_the_search_on_repeated_cells`` places
-uniforms on such thresholds.
+uniforms on such thresholds.  A last check runs ``loglik_grads`` as a tied
+fit calls it, on an (n, m) coupling with m = ceil(n / 4) and G and H
+scanned from the counts summed over m blocks: the loop reference's, and the
+jit build's when numba is importable, must lie within TIED_RTOL of the
+pure kernel's, relative to each output's largest entry.  The first table
+times that call too.
 
 A third table times the per-trajectory streams and their first uniforms:
 the scalar loop ``[rng.generator(s, k).random(24) for s in seeds for k in
@@ -92,7 +97,8 @@ TIME_BUDGET_S seconds (at least one).  Without numba (not importable, or
 HSTCONFORMAL_NO_NUMBA set) the jit, speedup and diff columns of the first
 table read "jit unavailable".  The script exits with status 1 when a stream,
 masked-step, shared-row or calibration mismatch count or a simulation max
-diff is not 0, when a recursion max diff exceeds its bound, when the
+diff is not 0, when a recursion max diff or the tied ``loglik_grads``
+difference exceeds its bound, when the
 100-seed K = 200 seeding peaks above SEED_BYTES_BOUND bytes per stream, or
 when the step-by-step cumulative extremes differ from the whole-array ones.
 """
@@ -137,6 +143,7 @@ FIT_RUNS = 3  # fits per cell, fewer when --repeats is smaller
 CAL_SIZES = ((24, 6, 10), (96, 12, 10), (24, 6, 200))
 CAL_SEED = 5
 RECURSION_RTOL = 1e-12  # pure G and H off the loop reference, times max(1, max|ref|)
+TIED_RTOL = 1e-12  # tied loglik_grads off the pure kernel, times each output's max|ref|
 
 
 def best_time(fn, repeats: int, inputs=tuple) -> float:
@@ -223,6 +230,8 @@ def build_cases(T: int, n: int, horizon: int):
         return np.concatenate([[ll], dmu, dA.ravel(), [dbeta, dcap]])
 
     dense("loglik_grads", f"T={T} n={n}", grads)
+    tied = tied_coupling(T, n)
+    dense("loglik_grads", f"T={T} n={n} m={tied[-1]}", lambda impl: tied_grads(impl, *tied))
 
     def sim(impl, streams, steps):
         rows = len(streams) // K
@@ -242,6 +251,39 @@ def build_cases(T: int, n: int, horizon: int):
             )
         )
     return cases
+
+
+def tied_coupling(T: int, n: int):
+    # a tied fit's inputs: the counts, their sums over m = ceil(n / 4) blocks
+    # of the assignment s, and the (n, m) coupling B[s]
+    m = -(-n // 4)
+    gen = np.random.default_rng(4)
+    s = np.arange(n) % m
+    counts = gen.poisson(2.0, (T, n)).astype(float)
+    summed = np.stack([counts[:, s == b].sum(axis=1) for b in range(m)], axis=1)
+    coupling = (gen.random((m, m)) * (0.5 / n))[s]
+    return counts, summed, 0.5 + gen.random(n), coupling, gen.uniform(0.5, 1.0, T), m
+
+
+def tied_grads(impl, counts, summed, mu, coupling, gamma, m):
+    # loglik_grads of a tied fit, on scans of the block sums of width m
+    G = impl.excitation_series(summed, 0.8)
+    H = impl.excitation_beta_series(summed, 0.8, G)
+    dgam = np.full(len(gamma), 1e-3)
+    ll, dmu, dA, dbeta, dcap = impl.loglik_grads(counts, G, H, gamma, dgam, mu, coupling,
+                                                 0, len(counts))
+    return [np.array([ll]), dmu, dA, np.array([dbeta]), np.array([dcap])]
+
+
+def tied_parity(T: int, n: int) -> float:
+    # the largest difference of the loop reference's and the jit build's
+    # tied loglik_grads from the pure kernel's, over the value and each
+    # gradient, relative to that output's largest entry
+    args = tied_coupling(T, n)
+    ref = tied_grads(PURE, *args)
+    diffs = [compare(r, g) for impl in (_LOOP_PURE, JIT) if impl is not None
+             for r, g in zip(ref, tied_grads(impl, *args))]
+    return max(diff / max(scale, np.finfo(float).tiny) for diff, scale in diffs)
 
 
 def loop_mismatches(seeds, k_count, *args) -> int:
@@ -538,6 +580,9 @@ def main(argv=None) -> int:
     shared_bad = shared_rows_mismatches(args.n)
     print(f"one step from {BLOCK_ROWS} start rows shared by {K} streams each: "
           f"{shared_bad} of {BLOCK_ROWS * K} trajectories differ from the loop reference")
+    tied_diff = tied_parity(args.T, args.n)
+    print(f"loglik_grads on an (n, m) coupling: loop reference{' and jit' if JIT else ''} "
+          f"off the pure kernel by {tied_diff:.3g} relative (bound {TIED_RTOL:g})")
     print()
     stream_rows = print_stream_table(args.repeats)
     envelope_row = print_envelope_row(args.n, args.horizon)
@@ -559,11 +604,13 @@ def main(argv=None) -> int:
     rec_over = [r["kernel"] for r in rec_rows
                 if not r["max_diff"] <= RECURSION_RTOL * max(1.0, r["max_abs_ref"])]
     if (mismatches or cal_mismatches or any(sim_diffs) or masked_bad or shared_bad or rec_over
-            or seed_peak > SEED_BYTES_BOUND or not envelope_row["equal"]):
+            or not tied_diff <= TIED_RTOL or seed_peak > SEED_BYTES_BOUND
+            or not envelope_row["equal"]):
         print(f"FAILED: {mismatches} stream mismatches, {cal_mismatches} calibration "
               f"mismatches, simulation max diffs {sim_diffs}, {masked_bad} masked-step "
               f"mismatches, {shared_bad} shared-row mismatches, recursions off the loop "
-              f"reference by more than {RECURSION_RTOL:g} relative: {rec_over}, 100 x 200 "
+              f"reference by more than {RECURSION_RTOL:g} relative: {rec_over}, tied "
+              f"loglik_grads off by {tied_diff:.3g} relative (bound {TIED_RTOL:g}), 100 x 200 "
               f"seeding peak {seed_peak} bytes per stream (bound {SEED_BYTES_BOUND}), "
               f"cumulative extremes equal: {envelope_row['equal']}",
               file=sys.stderr)

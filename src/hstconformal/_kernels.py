@@ -32,14 +32,21 @@ Guarantees relied on by the rest of the package:
   -inf comes with gradients that the fit does not read (zeros on the pure
   path).  A nan rate makes the value nan.  ``loglik_value`` is the value of
   ``loglik_grads`` on both families (``_value_of``): one sum of the terms.
-* ``workspace(counts, b0, b1)`` builds the arrays that the dense kernels
-  ``excitation_series``, ``excitation_beta_series`` and ``loglik_grads``
-  write on that panel and bin range; each family builds its own.  Passed
-  as the trailing keyword ``work``, it replaces every (T, n) and (n, n)
-  array those calls would allocate: the loop family writes G, H and dA
-  into it, the pure family also one scan group's temporary, the block-end
-  rows, and every likelihood and gradient intermediate, with the ``Y > 0``
-  masks computed once.  The returned G, H and dA are views into the
+* ``loglik_grads(counts, G, H, gamma, dgam, mu, A, b0, b1)`` takes a
+  coupling of any width m: A is (n, m), and G and H have m columns, so that
+  the rates are ``mu + G A^T`` and dA is (n, m).  The fit passes its block
+  matrix B gathered by rows, ``B[s]``, with the scans of the counts summed
+  by its coupling assignment s; at m = n and s the identity, A is the full
+  coupling and G and H the scans of the counts themselves.
+* ``workspace(counts, b0, b1, width)`` builds the arrays that the dense
+  kernels ``excitation_series``, ``excitation_beta_series`` and
+  ``loglik_grads`` write on that panel, bin range and coupling width
+  (n when not given); each family builds its own.  Passed as the trailing
+  keyword ``work``, it replaces every (T, m), (T, n) and (n, m) array those
+  calls would allocate: the loop family writes G, H and dA into it, the
+  pure family also one scan group's temporary, the block-end rows, and
+  every likelihood and gradient intermediate, with the ``Y > 0`` masks
+  computed once.  The returned G, H and dA are views into the
   workspace, valid until the next call with the same workspace.  The float
   operations, their operand order and the shapes of the reductions are
   those of the allocating call, so the results are bit-identical with or
@@ -216,6 +223,8 @@ def build_loop_kernels(jit):
         # Partials of the Poisson log likelihood in constrained coordinates
         # (mu, A, beta, cap); the chain rule to unconstrained space is applied
         # by the caller.  dgam[t] is d(gamma_t)/d(cap), zero where clamped.
+        # A is (n, m) and G and H have m columns: with the fit's coupling
+        # assignment, A is B's rows gathered and G and H scan the block sums
         n = counts.shape[1]
         dmu = np.zeros(n)
         dA[:, :] = 0.0
@@ -244,7 +253,7 @@ def build_loop_kernels(jit):
                     return lam, dmu, dA, dbeta, dcap
                 w = gt * r
                 dmu[i] += w
-                for j in range(n):
+                for j in range(G.shape[1]):
                     dA[i, j] += w * G[t, j]
                 dbeta += w * ah[i]
                 dcap += dgam[t] * r * base[i]
@@ -253,10 +262,11 @@ def build_loop_kernels(jit):
     # The dense entry points take an optional ``work`` from ``workspace``
     # and write G, H and dA into it instead of allocating them.
 
-    def workspace(counts, b0, b1):
+    def workspace(counts, b0, b1, width=None):
         T, n = counts.shape
-        return SimpleNamespace(G=np.zeros((T + 1, n)), H=np.zeros((T + 1, n)),
-                               dA=np.empty((n, n)))
+        m = n if width is None else width
+        return SimpleNamespace(G=np.zeros((T + 1, m)), H=np.zeros((T + 1, m)),
+                               dA=np.empty((n, m)))
 
     def excitation_series(counts, beta, work=None):
         G = np.zeros((counts.shape[0] + 1, counts.shape[1])) if work is None else work.G
@@ -267,8 +277,7 @@ def build_loop_kernels(jit):
         return excite_beta_into(H, counts, beta, G)
 
     def loglik_grads(counts, G, H, gamma, dgam, mu, A, b0, b1, work=None):
-        n = counts.shape[1]
-        dA = np.empty((n, n)) if work is None else work.dA
+        dA = np.empty(A.shape) if work is None else work.dA
         return loglik_grads_into(dA, counts, G, H, gamma, dgam, mu, A, b0, b1)
 
     @jit
@@ -403,22 +412,24 @@ def _decayed_scan(out, T, decay, scratch=None):
 
 class _LoglikBuffers:
     """The (b1-b0, n) arrays of one likelihood evaluation on bins [b0, b1),
-    with the counts-invariant masks ``Y > 0`` and its negation."""
+    with the counts-invariant masks ``Y > 0`` and its negation, and the
+    (n, width) gradient of the coupling."""
 
-    def __init__(self, counts, b0, b1):
+    def __init__(self, counts, b0, b1, width):
         Y = counts[b0:b1]
         self.ypos = Y > 0.0
         self.yzero = ~self.ypos
         self.base, self.lam, self.r, self.tmp = np.empty((4,) + Y.shape)
         self.pos, self.flag = np.empty((2,) + Y.shape, dtype=bool)
-        self.dA = np.empty((Y.shape[1], Y.shape[1]))
+        self.dA = np.empty((Y.shape[1], width))
 
 
-def _workspace_np(counts, b0, b1):
+def _workspace_np(counts, b0, b1, width=None):
     T, n = counts.shape
-    return SimpleNamespace(G=_scan_output(T, n), H=_scan_output(T, n),
-                           scratch=_scan_scratch(T, n),
-                           ll=_LoglikBuffers(counts, b0, b1))
+    m = n if width is None else width
+    return SimpleNamespace(G=_scan_output(T, m), H=_scan_output(T, m),
+                           scratch=_scan_scratch(T, m),
+                           ll=_LoglikBuffers(counts, b0, b1, m))
 
 
 def _excitation_series_np(counts, beta, work=None):
@@ -479,13 +490,12 @@ def _loglik_np(counts, G, gamma, mu, A, b0, b1, buf):
 
 
 def _loglik_grads_np(counts, G, H, gamma, dgam, mu, A, b0, b1, work=None):
-    n = counts.shape[1]
-    buf = _LoglikBuffers(counts, b0, b1) if work is None else work.ll
+    buf = _LoglikBuffers(counts, b0, b1, A.shape[1]) if work is None else work.ll
     ll, positive = _loglik_np(counts, G, gamma, mu, A, b0, b1, buf)
     if ll == -np.inf:
         # no gradient, which the fit does not read at a likelihood that is not
         # finite: an infinite base would make 0 * inf in dcap where dgam is 0
-        return -np.inf, np.zeros(n), np.zeros((n, n)), 0.0, 0.0
+        return -np.inf, np.zeros(counts.shape[1]), np.zeros(A.shape), 0.0, 0.0
     Y = counts[b0:b1]
     base, r, w, tmp = buf.base, buf.r, buf.lam, buf.tmp
     # r = Y / lam - 1 where lam > 0, else -1, over lam or the masked branch's

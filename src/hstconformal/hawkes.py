@@ -24,6 +24,14 @@ comes from one walk (``_walk``), whose one-row case is
 ``simulate_trajectory``.  The intensity, the likelihood and the walk
 read their states off one scan (``_start_states``), and ``fit`` optimizes
 one layout (``_pack``).
+
+``fit`` ties the coupling to the topology: circuit i's row and column of A
+are row and column ``topo.substation_of[i]`` of B, an (m, m) matrix over
+the substations, so A = ``B[np.ix_(s, s)]`` and every block of A is
+constant.  Without a topology the assignment is the identity and A is free.
+The fit runs at the assignment's width (``_Tied``): its excitation scans
+run on the counts summed by assignment, and the model it returns stores A
+in full.
 """
 
 from __future__ import annotations
@@ -312,7 +320,8 @@ def log_likelihood(model: HawkesModel, panel, bins=None) -> float:
 
 @dataclass(frozen=True, eq=False)
 class GradientResult:
-    """Gradient in the unconstrained parameterization (see ``fit``)."""
+    """Gradient in the unconstrained parameterization (see
+    ``log_likelihood_gradient``)."""
 
     loglik: float
     d_mu: np.ndarray
@@ -324,38 +333,66 @@ class GradientResult:
         freeze(self, "d_mu", "d_A")
 
 
-def _objective(counts: np.ndarray, before: np.ndarray, mu, A, beta: float,
-               cap: float, floor: float, b0: int, b1: int, work=None):
-    """Log likelihood of bins [b0, b1) and its unconstrained gradient.
+class _Tied:
+    """Read counts under a coupling assignment ``s``: circuit i's row and
+    column of the (n, n) coupling A are row and column s[i] of an (m, m)
+    block matrix B, so A = ``B[np.ix_(s, s)]``; s takes every value in
+    [0, m).  Holds the (T, m) counts summed by s, on which the excitation
+    scans run, and the network totals before each bin."""
 
-    ``before`` is ``_count_before(counts)``; ``work``, from
-    ``ACTIVE.workspace(counts, b0, b1)``, holds the kernels' arrays, which
-    they allocate when it is None.  Returns ``(ll, (g_mu, g_A, g_beta,
-    g_cap))``, or ``(ll, None)`` when ll is not finite.  The one objective
-    behind ``fit`` and ``log_likelihood_gradient``.
+    def __init__(self, counts: np.ndarray, s: np.ndarray):
+        self.counts, self.s = counts, s
+        self.order = np.argsort(s, kind="stable")
+        self.starts = np.flatnonzero(np.diff(s[self.order], prepend=-1))
+        self.m = len(self.starts)
+        self.summed = self.block_sums(counts, axis=1)
+        self.before = _count_before(counts)
+
+    def block_sums(self, x: np.ndarray, axis: int) -> np.ndarray:
+        """``x`` summed along ``axis`` by s, block 0 first; a block of one
+        circuit is its entry, bit for bit, so under the identity assignment
+        this is a copy of ``x``."""
+        return np.add.reduceat(x.take(self.order, axis=axis), self.starts, axis=axis)
+
+
+def _objective(tied: _Tied, mu, B, beta: float, cap: float, floor: float, b0: int, b1: int,
+               work=None):
+    """Log likelihood of bins [b0, b1) and its unconstrained gradient, with
+    the coupling A = ``B[np.ix_(tied.s, tied.s)]``.
+
+    The scans run on the (T, m) block sums of the counts, the rates take
+    them through the rows of B gathered by s, ``B[s]`` (n, m), and B's
+    gradient is the kernel's (n, m) dA summed by s.  ``work``, from
+    ``ACTIVE.workspace(tied.counts, b0, b1, tied.m)``, holds the kernels'
+    arrays, which they allocate when it is None.  Returns ``(ll, (g_mu,
+    g_B, g_beta, g_cap))``, or ``(ll, None)`` when ll is not finite.  The
+    one objective behind ``fit`` and, under the identity assignment with B
+    the full A, ``log_likelihood_gradient``.
     """
-    G = ACTIVE.excitation_series(counts, beta, work=work)
-    H = ACTIVE.excitation_beta_series(counts, beta, G, work=work)
-    gamma, dgam = _gamma_series(before, cap, floor)
-    ll, dmu, dA, dbeta, dcap = ACTIVE.loglik_grads(counts, G, H, gamma, dgam, mu, A,
-                                                   b0, b1, work=work)
+    G = ACTIVE.excitation_series(tied.summed, beta, work=work)
+    H = ACTIVE.excitation_beta_series(tied.summed, beta, G, work=work)
+    gamma, dgam = _gamma_series(tied.before, cap, floor)
+    ll, dmu, dA, dbeta, dcap = ACTIVE.loglik_grads(tied.counts, G, H, gamma, dgam, mu,
+                                                   B[tied.s], b0, b1, work=work)
     if not math.isfinite(ll):
         return float(ll), None
-    # mu, A, cap use an exponential map; beta a softplus map, whose derivative
+    # mu, B, cap use an exponential map; beta a softplus map, whose derivative
     # expressed through the constrained value is 1 - exp(-beta).
     g_cap = 0.0 if math.isinf(cap) else dcap * cap
-    return float(ll), (dmu * mu, dA * A, dbeta * (1.0 - math.exp(-beta)), g_cap)
+    return float(ll), (dmu * mu, tied.block_sums(dA, axis=0) * B,
+                       dbeta * (1.0 - math.exp(-beta)), g_cap)
 
 
 def log_likelihood_gradient(model: HawkesModel, panel, bins=None) -> GradientResult:
     """Exact gradient of ``log_likelihood`` in unconstrained coordinates.
 
-    Coordinates: log mu, log A (elementwise), inverse-softplus beta, log cap.
-    Raises NumericalError when the likelihood is not finite at the point.
+    Coordinates: log mu, log A (elementwise, every entry free),
+    inverse-softplus beta, log cap.  Raises NumericalError when the
+    likelihood is not finite at the point.
     """
     counts = _panel_counts(panel, model.n)
     b0, b1 = _normalize_bins(bins, counts.shape[0])
-    ll, grad = _objective(counts, _count_before(counts), model.mu, model.A, model.beta,
+    ll, grad = _objective(_Tied(counts, np.arange(model.n)), model.mu, model.A, model.beta,
                           model.cap, model.floor, b0, b1,
                           work=ACTIVE.workspace(counts, b0, b1))
     if grad is None:
@@ -375,17 +412,17 @@ def _softplus_inv(x: float) -> float:
     return x + math.log(-math.expm1(-x))
 
 
-def _pack(u_mu, u_A, u_beta, u_cap) -> np.ndarray:
-    """The optimizer's flat point: log mu, log A, inverse-softplus beta, log cap."""
-    return np.concatenate([u_mu, u_A.ravel(), [u_beta, u_cap]])
+def _pack(u_mu, u_B, u_beta, u_cap) -> np.ndarray:
+    """The optimizer's flat point: log mu, log B, inverse-softplus beta, log cap."""
+    return np.concatenate([u_mu, u_B.ravel(), [u_beta, u_cap]])
 
-def _unpack(u: np.ndarray, n: int):
-    """mu, A, beta and cap of a point from ``_pack``."""
-    return (np.exp(u[:n]), np.exp(u[n:n + n * n].reshape(n, n)),
-            _softplus(float(u[n + n * n])), math.exp(float(u[-1])))
+def _unpack(u: np.ndarray, n: int, m: int):
+    """mu, the (m, m) B, beta and cap of a point from ``_pack``."""
+    return (np.exp(u[:n]), np.exp(u[n:n + m * m].reshape(m, m)),
+            _softplus(float(u[n + m * m])), math.exp(float(u[-1])))
 
 
-# a trial whose mu, A or cap leaves float range has no finite likelihood (an
+# a trial whose mu, B or cap leaves float range has no finite likelihood (an
 # infinite or nan rate, or a nan saturation factor where the cap is 0) and is
 # halved, and a gradient whose square overflows stops the fit (a warning of
 # its own): numpy's float warnings on the way say no more
@@ -393,21 +430,29 @@ def _unpack(u: np.ndarray, n: int):
 def fit(panel, topo, cfg: FitConfig = FitConfig(), seed: int = 0) -> HawkesModel:
     """Maximize the likelihood by adaptive-moment gradient ascent.
 
-    Fits mu, the full coupling matrix A, beta and, with ``cfg.fit_cap``,
-    the cap; the saturation floor is 0.  Parameters are optimized in
-    unconstrained space (exponential map for mu, A, cap; softplus for beta)
-    from a scale-aware initialization with a +/-10% perturbation drawn from
+    Fits mu, the coupling, beta and, with ``cfg.fit_cap``, the cap; the
+    saturation floor is 0.  The coupling is tied to ``topo``: it is B, an
+    (m, m) matrix over the substations, and the returned model's A is
+    ``B[np.ix_(s, s)]`` with s = ``topo.substation_of``, constant on each
+    substation block.  With ``topo`` None, s is the identity and A is the
+    free (n, n) coupling, bit for bit the fit of a free A.  An epoch costs
+    scans of the (T, m) counts summed by s and products of (T, m) and
+    (m, n) arrays (``_objective``), so a tied epoch builds no (n, n)
+    array.  Parameters are optimized in unconstrained space
+    (exponential map for mu, B, cap; softplus for beta) from a scale-aware
+    initialization, B at 1e-2, with a +/-10% perturbation drawn from
     ``seed`` (recorded in ``FitMeta.seed``); ``cfg`` may be ``PipelineSettings``.
     The returned model is the best point seen, so its likelihood never
     falls below the initialization value.  Steps that land on a non-finite
-    likelihood, or on a point whose mu, A or cap overflows, are retried with
+    likelihood, or on a point whose mu, B or cap overflows, are retried with
     halved length; when no halving is finite, NumericalError.
     Each trial point costs one objective evaluation: its gradient is taken
     together with its likelihood and drives the next step once accepted.
     All evaluations write into one kernel workspace (``ACTIVE.workspace``),
-    built once per fit with the cumulative bin totals of the saturation
-    factor, so an epoch allocates no (T, n) array; the results are bit for
-    bit those of the allocating kernels.
+    built once per fit at width m, as are the block sums and the cumulative
+    bin totals of the saturation factor (``_Tied``), so an epoch allocates
+    no (T, n) array; the results are bit for bit those of the allocating
+    kernels.
     The fit stops early once the likelihood changes by at most
     ``_CONVERGENCE_TOL`` relative to the previous epoch, and stops without
     converging, with a UserWarning naming the epoch, at an epoch whose
@@ -420,29 +465,29 @@ def fit(panel, topo, cfg: FitConfig = FitConfig(), seed: int = 0) -> HawkesModel
     if T < 2:
         raise PreconditionError("need at least 2 training bins")
     total = float(counts.sum())
+    tied = _Tied(counts, np.arange(n) if topo is None else topo.substation_of)
 
     gen = _rng.generator(seed, "fit")
     def perturb(shape=None):
         return 1.0 + 0.1 * gen.uniform(-1.0, 1.0, shape)
 
     mu0 = np.maximum(counts.mean(axis=0), 1e-3) * perturb(n)
-    A0 = np.full((n, n), 1e-2) * perturb((n, n))
+    B0 = np.full((tied.m, tied.m), 1e-2) * perturb((tied.m, tied.m))
     beta0 = 1.0 * perturb()
     # when the cap is not optimized it stays switched off entirely; a frozen
     # finite cap would bake a spurious downward trend into every intensity.
     # Its coordinate is then log inf = inf with gradient 0, which Adam never moves.
     cap0 = max(2.0 * total, 1.0) * perturb() if cfg.fit_cap else math.inf
-    u = _pack(np.log(mu0), np.log(A0), _softplus_inv(float(beta0)), math.log(cap0))
+    u = _pack(np.log(mu0), np.log(B0), _softplus_inv(float(beta0)), math.log(cap0))
 
-    before = _count_before(counts)
-    work = ACTIVE.workspace(counts, 0, T)
+    work = ACTIVE.workspace(counts, 0, T, tied.m)
 
     def evaluate(uvec):
         try:
-            params = _unpack(uvec, n)
+            params = _unpack(uvec, n, tied.m)
         except OverflowError:  # math.exp of the cap coordinate
             return -math.inf, None
-        ll, grad = _objective(counts, before, *params, 0.0, 0, T, work=work)
+        ll, grad = _objective(tied, *params, 0.0, 0, T, work=work)
         return ll, None if grad is None else _pack(*grad)
 
     ll, grads = evaluate(u)
@@ -493,7 +538,7 @@ def fit(panel, topo, cfg: FitConfig = FitConfig(), seed: int = 0) -> HawkesModel
             break
         ll_prev = ll
 
-    mu, A, beta, cap = _unpack(best_u, n)
+    mu, B, beta, cap = _unpack(best_u, n, tied.m)
     meta = FitMeta(
         epochs_run=epochs_run,
         loglik_init=ll_init,
@@ -504,7 +549,7 @@ def fit(panel, topo, cfg: FitConfig = FitConfig(), seed: int = 0) -> HawkesModel
     )
     return HawkesModel(
         mu=mu,
-        A=A,
+        A=B[np.ix_(tied.s, tied.s)],
         beta=beta,
         cap=cap,
         circuit_ids=None if topo is None else tuple(topo.circuit_ids),

@@ -365,11 +365,11 @@ def test_panel_file_with_a_misspelled_key_is_a_data_error(tmp_path, capsys):
 
 
 def test_a_fit_step_past_float_range_is_halved(tmp_path, capsys):
-    # the README quick-start panel: a step of 10000 sends mu, A and the cap
-    # coordinate past float range, and the fit halves it like any trial with
-    # no finite likelihood, with no numpy warning, and then stalls, which it
-    # says; an infinite step is a usage error, not a numerical one after
-    # numpy warnings
+    # the README quick-start panel, fitted with the coupling tied to its
+    # topology: a step of 10000 sends mu, B and the cap coordinate past
+    # float range, and the fit halves it like any trial with no finite
+    # likelihood, with no numpy warning, and then stalls, which it says; an
+    # infinite step is a usage error, not a numerical one after numpy warnings
     _synth(tmp_path, capsys, n=8, m=3, T=120, seed=7)
     argv = ["run", "--panel", str(tmp_path / "panel.json"),
             "--topology", str(tmp_path / "topology.csv"),

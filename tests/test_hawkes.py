@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import math
 import warnings
@@ -8,7 +10,9 @@ import pytest
 from hstconformal import (
     DataValidationError,
     FitConfig,
+    FitMeta,
     HawkesModel,
+    NetworkTopology,
     NumericalError,
     PreconditionError,
     fit,
@@ -27,6 +31,7 @@ from hstconformal.hawkes import (
     _objective,
     _softplus,
     _softplus_inv,
+    _Tied,
 )
 
 
@@ -315,15 +320,18 @@ def _objective_points(rng, counts):
 def test_objective_on_a_reused_workspace_is_bit_identical():
     # the fit calls the kernels on one workspace for all its epochs; every
     # call must equal the kernels' allocating calls bit for bit, whatever
-    # the previous call on the same buffers left in them
+    # the previous call on the same buffers left in them, under the
+    # identity assignment (the free A) and a tied one (B of width 2)
     rng = np.random.default_rng(31)
     K = _kernels.ACTIVE
     for T, n in ((1, 2), (15, 3), (16, 3), (17, 3), (300, 24), (301, 96)):
         counts = rng.poisson(1.0, (T, n)).astype(np.float64)
         counts[:, 0] += 1.0  # a positive count in every bin, for the -inf point
         before = _count_before(counts)
+        tied = _Tied(counts, np.arange(n) % 2)
         for b0 in sorted({0, T // 3}):
             work = K.workspace(counts, b0, T)
+            tied_work = K.workspace(counts, b0, T, 2)
             points = _objective_points(rng, counts)
             lls = []
             for mu, A, beta, cap, floor in points:
@@ -340,7 +348,7 @@ def test_objective_on_a_reused_workspace_is_bit_identical():
                 if math.isfinite(ref[0]):
                     for x, y in zip(got[1:], ref[1:]):
                         assert np.array_equal(x, y)
-                args = (counts, before, mu, A, beta, cap, floor, b0, T)
+                args = (_Tied(counts, np.arange(n)), mu, A, beta, cap, floor, b0, T)
                 ll, grad = _objective(*args, work=work)
                 ll_ref, grad_ref = _objective(*args)
                 assert ll == ll_ref == ref[0]
@@ -349,6 +357,11 @@ def test_objective_on_a_reused_workspace_is_bit_identical():
                     for x, y in zip(grad, grad_ref):
                         assert np.array_equal(x, y)
                 lls.append(ll)
+                args = (tied, mu, A[:2, :2], beta, cap, floor, b0, T)
+                got, ref = _objective(*args, work=tied_work), _objective(*args)
+                assert got[0] == ref[0] and (got[1] is None) == (ref[1] is None)
+                for x, y in zip(got[1] or (), ref[1] or ()):
+                    assert np.array_equal(x, y)
             assert lls[3] == -np.inf and all(map(math.isfinite, lls[:3] + lls[4:]))
             if T > 1:  # the floor clamps somewhere
                 assert (_gamma_series(before, *points[2][3:])[0] == 0.3).any()
@@ -364,31 +377,33 @@ def _without_work(monkeypatch):
 
 @pytest.mark.parametrize("n, m, T, epochs", [(24, 6, 300, 50), (96, 12, 300, 20)])
 def test_fit_on_a_workspace_equals_the_allocating_fit(monkeypatch, n, m, T, epochs):
+    # the tied fit, at the topology's width, and the free one, at n
     panel, topo, _ = generate_synthetic(n, m, T, seed=4)
     cfg = FitConfig(epochs=epochs)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        a = fit(panel, topo, cfg, seed=2)
-        with monkeypatch.context() as mp:
-            _without_work(mp)
-            b = fit(panel, topo, cfg, seed=2)
-    assert np.array_equal(a.mu, b.mu) and np.array_equal(a.A, b.A)
-    assert a.beta == b.beta and a.cap == b.cap and a.meta == b.meta
-    assert a.meta.epochs_run == epochs
+    for coupling in (topo, None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            a = fit(panel, coupling, cfg, seed=2)
+            with monkeypatch.context() as mp:
+                _without_work(mp)
+                b = fit(panel, coupling, cfg, seed=2)
+        assert np.array_equal(a.mu, b.mu) and np.array_equal(a.A, b.A)
+        assert a.beta == b.beta and a.cap == b.cap and a.meta == b.meta
+        assert a.meta.epochs_run == epochs
 
 
 def test_objective_on_a_workspace_allocates_no_panel_arrays():
     # a warm call writes every (T, n) array into the workspace; what it still
-    # allocates is (n,) and (n, n) results, (T,) saturation factors and
-    # numpy's own iterator buffers.  With allocating kernels the peak is 7-10.
+    # allocates is (n,) and (n, n) results, B's gathered rows and dA's block
+    # sums, (T,) saturation factors and numpy's own iterator buffers.  With
+    # allocating kernels the peak is 7-10.
     import tracemalloc
 
     rng = np.random.default_rng(32)
     T, n = 300, 96
     counts = rng.poisson(1.0, (T, n)).astype(np.float64)
-    before = _count_before(counts)
-    args = (counts, before, rng.uniform(0.2, 1.0, n), rng.uniform(0.0, 0.5 / n, (n, n)),
-            0.9, 4.0 * counts.sum(), 0.0, 0, T)
+    args = (_Tied(counts, np.arange(n)), rng.uniform(0.2, 1.0, n),
+            rng.uniform(0.0, 0.5 / n, (n, n)), 0.9, 4.0 * counts.sum(), 0.0, 0, T)
     work = _kernels.ACTIVE.workspace(counts, 0, T)
     _objective(*args, work=work)
     tracemalloc.start()
@@ -407,22 +422,24 @@ def test_fit_rejects_tiny_panels():
 
 
 def test_a_fit_step_past_float_range_is_halved_without_numpy_warnings():
-    # a step of 1e4 sends log mu, log A and log cap past float range: the math
+    # a step of 1e4 sends log mu, log B and log cap past float range: the math
     # range error of the cap, or with no cap fitted numpy's overflow of mu and
-    # A, makes a trial with no finite likelihood, which is halved; a step of
-    # 1e300 stays past float range through every halving
+    # B, makes a trial with no finite likelihood, which is halved; a step of
+    # 1e300 stays past float range through every halving.  B is (3, 3) under
+    # the topology and the free (8, 8) A without it
     panel, topo, _ = generate_synthetic(8, 3, 90, seed=7)
-    for fit_cap in (True, False):
+    for coupling, fit_cap in itertools.product((topo, None), (True, False)):
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
-            model = fit(panel, topo, FitConfig(learning_rate=1e4, fit_cap=fit_cap), seed=7)
+            model = fit(panel, coupling, FitConfig(learning_rate=1e4, fit_cap=fit_cap), seed=7)
         assert math.isfinite(model.meta.loglik_final)
         # the one warning is the stall's (test_a_fit_that_stalls_is_not_converged)
         assert [w.category for w in seen] == [UserWarning]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match="no finite likelihood"):
-            fit(panel, topo, FitConfig(learning_rate=1e300), seed=7)
+    for coupling in (topo, None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="no finite likelihood"):
+                fit(panel, coupling, FitConfig(learning_rate=1e300), seed=7)
     for rate in (math.inf, math.nan, 0.0):
         with pytest.raises(PreconditionError, match="learning_rate must be positive and finite"):
             FitConfig(learning_rate=rate)
@@ -432,19 +449,94 @@ def test_a_fit_that_stalls_is_not_converged():
     # the README quick-start panel at a step of 1e4: the first step lands
     # near e^600, the next gradient's square overflows Adam's second moment
     # in 8 coordinates (3 without the cap), which then never move, and the
-    # likelihood they hold would read as converged at epoch 2
+    # likelihood they hold would read as converged at epoch 2; the point has
+    # 8 + 9 + 2 coordinates with B tied to the 3 substations, 8 + 64 + 2 free
     panel, topo, _ = generate_synthetic(8, 3, 90, seed=7)
-    for fit_cap in (True, False):
-        with pytest.warns(UserWarning, match="the fit stalled at epoch 2: ") as caught:
-            model = fit(panel, topo, FitConfig(learning_rate=1e4, fit_cap=fit_cap), seed=7)
+    for (coupling, size), (fit_cap, overflowed) in itertools.product(
+            ((topo, 19), (None, 74)), ((True, 8), (False, 3))):
+        with pytest.warns(UserWarning, match=f"the fit stalled at epoch 2: Adam's second "
+                          f"moment overflowed in {overflowed} of {size} coordinates") as caught:
+            model = fit(panel, coupling, FitConfig(learning_rate=1e4, fit_cap=fit_cap), seed=7)
         assert caught[0].filename == __file__
         meta = model.meta
         assert not meta.converged and meta.epochs_run == 1
         assert meta.loglik_final == meta.loglik_init
     # at the default step the moments stay finite: every epoch runs, unwarned
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert fit(panel, topo, FitConfig(epochs=50), seed=7).meta.epochs_run == 50
+    for coupling in (topo, None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fit(panel, coupling, FitConfig(epochs=50), seed=7).meta.epochs_run == 50
+
+
+# the sha256 of mu, A, beta and cap's bytes, and the meta, of free fits of the
+# README quick-start panel at 150 epochs, with and without the cap, as the
+# (n, n) free fit computed them before the coupling became a block matrix
+_FREE_FIT_PINS = {
+    True: ("d059b9b073bd6b0ac75dbbf39b885194469c71b585aad93f6d1494cc9b99a83e",
+           -715.9564976082224, -683.0996214362415),
+    False: ("f16a1a14e592ce76d75b637c9b8a46f0c6bfee72e1d4727e9d84f23a9d6afcb1",
+            -685.4697821266634, -677.9491581871828),
+}
+
+
+def test_a_fit_without_topology_is_the_free_fit_byte_for_byte():
+    # the identity assignment: every block sum has one term and every gather
+    # is a copy, so the fit makes the free fit's float operations
+    panel, _, _ = generate_synthetic(8, 3, 90, seed=7)
+    for fit_cap, (digest, ll_init, ll_final) in _FREE_FIT_PINS.items():
+        model = fit(panel.Y, None, FitConfig(epochs=150, fit_cap=fit_cap), seed=3)
+        h = hashlib.sha256()
+        for x in (model.mu, model.A, np.float64(model.beta), np.float64(model.cap)):
+            h.update(np.ascontiguousarray(x).tobytes())
+        assert h.hexdigest() == digest
+        assert model.meta == FitMeta(epochs_run=150, loglik_init=ll_init,
+                                     loglik_final=ll_final, converged=False, seed=3,
+                                     n_train_bins=90)
+
+
+def test_a_tied_fit_is_constant_on_each_substation_block():
+    panel, _, _ = generate_synthetic(7, 2, 80, seed=12)
+    topo = NetworkTopology.from_assignments(panel.circuit_ids, "aabbbab")
+    model = fit(panel, topo, FitConfig(epochs=80), seed=1)
+    s = topo.substation_of
+    first = [int(members[0]) for members in topo.members]  # a circuit of each block
+    B = model.A[np.ix_(first, first)]
+    assert np.array_equal(model.A, B[np.ix_(s, s)])
+    assert len(np.unique(model.A)) == 4
+
+
+def test_the_tied_gradient_is_the_block_sum_of_the_full_gradient():
+    # d ll / d log B[a, b] sums d ll / d log A[i, j] over the circuits of
+    # blocks a and b, as every such A[i, j] is B[a, b]
+    panel, topo, _ = generate_synthetic(12, 3, 60, seed=5)
+    Y = panel.Y.astype(np.float64)
+    rng = np.random.default_rng(6)
+    s = topo.substation_of
+    B = rng.uniform(0.01, 0.1, (3, 3))
+    mu = rng.uniform(0.2, 1.0, 12)
+    for cap in (math.inf, 3.0 * Y.sum()):
+        model = HawkesModel(mu=mu, A=B[np.ix_(s, s)], beta=0.8, cap=cap)
+        full = log_likelihood_gradient(model, Y)
+        tied = _Tied(Y, s)
+        ll, (g_mu, g_B, g_beta, g_cap) = _objective(tied, mu, B, 0.8, cap, 0.0, 0, len(Y))
+        want = tied.block_sums(tied.block_sums(full.d_A, axis=0), axis=1)
+        assert np.allclose(g_B, want, rtol=1e-12, atol=0.0)
+        assert np.allclose([ll, g_beta, g_cap], [full.loglik, full.d_beta, full.d_cap],
+                           rtol=1e-12, atol=0.0)
+        assert np.allclose(g_mu, full.d_mu, rtol=1e-12, atol=0.0)
+
+
+def test_a_tied_fit_forecasts_held_out_bins():
+    # one (24, 6, 400) panel, its seed fixed before the fit was looked at:
+    # fit bins 0-298 with the default settings, score bins 299-398
+    panel, topo, _ = generate_synthetic(24, 6, 400, seed=21)
+    Y = panel.Y[:399]
+    model = fit(Y[:299], topo, FitConfig(), seed=21)
+    mass = model.beta * math.exp(-model.beta) / -math.expm1(-model.beta)
+    assert model.A.sum(axis=1).max() * mass < 1.0
+    constant = _model(Y[:299].mean(axis=0), np.zeros((24, 24)))
+    held_out = log_likelihood(model, Y, (299, 399))
+    assert held_out > log_likelihood(constant, Y, (299, 399)) - 10.0
 
 
 # -- simulation --------------------------------------------------------------

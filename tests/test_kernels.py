@@ -1,4 +1,5 @@
 import contextlib
+import json
 import math
 import os
 import subprocess
@@ -554,6 +555,43 @@ def test_loop_kernels_on_a_reused_workspace_match_their_allocating_calls(family)
             assert np.array_equal(x, y)
 
 
+@pytest.mark.parametrize("family", ["loop", "jit"])
+def test_loglik_grads_agree_across_families_on_a_non_square_coupling(family):
+    # the fit's call: an (n, m) coupling B[s] with G and H scanned from the
+    # counts summed by an assignment s of width m; both families agree to
+    # rounding, with and without a workspace of width m, and both agree with
+    # the full-width call on A = B[s][:, s], whose dA summed by s is the (n, m) dA
+    kernels = _family(family)
+    rng = np.random.default_rng(16)
+    for n, m, T in ((5, 2, 30), (12, 3, 41), (24, 6, 60), (7, 7, 20)):
+        s = np.concatenate([np.arange(m), rng.integers(0, m, n - m)])
+        counts = rng.integers(0, 4, (T, n)).astype(np.float64)
+        summed = np.stack([counts[:, s == b].sum(axis=1) for b in range(m)], axis=1)
+        beta, mu = 0.8, rng.uniform(0.1, 1.0, n)
+        B = rng.uniform(0.0, 0.4 / n, (m, m))
+        gamma, dgam = rng.uniform(0.5, 1.0, T), rng.uniform(0.0, 0.01, T)
+        grads = {}
+        for name, fam in (("pure", K.PURE), (family, kernels)):
+            work = fam.workspace(counts, 2, T, m)
+            for w in (None, work):
+                G = fam.excitation_series(summed, beta, work=w)
+                H = fam.excitation_beta_series(summed, beta, G, work=w)
+                got = fam.loglik_grads(counts, G, H, gamma, dgam, mu, B[s], 2, T, work=w)
+                assert got[2].shape == (n, m)
+                grads.setdefault(name, got)
+                for x, y in zip(got, grads[name]):
+                    assert np.allclose(x, y, rtol=1e-12, atol=0.0)
+        for x, y in zip(grads["pure"], grads[family]):
+            assert np.allclose(x, y, rtol=1e-12, atol=0.0)
+        G = K.PURE.excitation_series(counts, beta)
+        H = K.PURE.excitation_beta_series(counts, beta, G)
+        full = K.PURE.loglik_grads(counts, G, H, gamma, dgam, mu, B[np.ix_(s, s)], 2, T)
+        by_block = np.stack([full[2][:, s == b].sum(axis=1) for b in range(m)], axis=1)
+        for got in grads.values():
+            for x, y in zip(got, (full[0], full[1], by_block, full[3], full[4])):
+                assert np.allclose(x, y, rtol=1e-12, atol=1e-300)
+
+
 @pytest.fixture
 def branches(monkeypatch):
     """The outcome of ``_poisson_step``'s guard at every pure step, in order:
@@ -739,6 +777,21 @@ def test_kernel_benchmark_script_runs():
     assert "excitation_beta_series" in proc.stdout
     assert "fit size" in proc.stdout and "faults" in proc.stdout
     assert "peak B/str" in proc.stdout and "cumulative envelope" in proc.stdout
+
+
+def test_fit_benchmark_script_runs(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_fit.py"
+    out = tmp_path / "bench_fit.json"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--shrink", "16", "--seeds", "1", "--json", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "fit size" in proc.stdout and "held-out" in proc.stdout
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert len(doc["timing_rows"]) == 3 and len(doc["heldout_rows"]) == 2
+    assert {"tied_ms_per_epoch", "free_ms_per_epoch"} <= set(doc["timing_rows"][0])
+    assert {"tied_heldout_minus_constant", "tied_branching_ratio"} <= set(doc["heldout_rows"][0])
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
