@@ -60,12 +60,6 @@ HELDOUT_SIZES = ((24, 6, 400, 1000), (96, 12, 400, 300))  # (n, m, T, epochs)
 TRAIN_SHARE = (299, 400)  # fit on the first 299 of 400 bins, score to bin 398
 
 
-def branching_ratio(model) -> float:
-    # the expression of HawkesModel's explosive-excitation warning
-    mass = model.beta * math.exp(-model.beta) / -math.expm1(-model.beta)
-    return float(model.A.sum(axis=1).max()) * mass
-
-
 def quiet_fit(panel, topo, epochs, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # supercritical free fits
@@ -123,7 +117,7 @@ def print_heldout_table(k, seeds) -> list:
                 model = quiet_fit(Y[:train], t, epochs, seed)
                 row[f"{side}_heldout_minus_constant"] = round(
                     log_likelihood(model, Y, (train, T - 1)) - base, 6)
-                row[f"{side}_branching_ratio"] = round(branching_ratio(model), 6)
+                row[f"{side}_branching_ratio"] = round(model.branching_ratio, 6)
             rows.append(row)
             print(f"{f'n={n} m={m} T={T}':<20}{seed:>5}{epochs:>7}"
                   f"{row['free_heldout_minus_constant']:>10.2f}"

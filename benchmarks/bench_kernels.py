@@ -33,8 +33,7 @@ uniforms on such thresholds.  A last check runs ``loglik_grads`` as a tied
 fit calls it, on an (n, m) coupling with m = ceil(n / 4) and G and H
 scanned from the counts summed over m blocks: the loop reference's, and the
 jit build's when numba is importable, must lie within TIED_RTOL of the
-pure kernel's, relative to each output's largest entry.  The first table
-times that call too.
+pure kernel's, relative to each output's largest entry.
 
 A third table times the per-trajectory streams and their first uniforms:
 the scalar loop ``[rng.generator(s, k).random(24) for s in seeds for k in
@@ -230,8 +229,6 @@ def build_cases(T: int, n: int, horizon: int):
         return np.concatenate([[ll], dmu, dA.ravel(), [dbeta, dcap]])
 
     dense("loglik_grads", f"T={T} n={n}", grads)
-    tied = tied_coupling(T, n)
-    dense("loglik_grads", f"T={T} n={n} m={tied[-1]}", lambda impl: tied_grads(impl, *tied))
 
     def sim(impl, streams, steps):
         rows = len(streams) // K

@@ -157,15 +157,12 @@ class HawkesModel:
             raise PreconditionError(f"floor must lie in [0, 1), got {self.floor}")
         if self.circuit_ids is not None and len(self.circuit_ids) != n:
             raise PreconditionError("circuit_ids length must match mu")
-        rowsum = float(A.sum(axis=1).max()) if n else 0.0
-        # an event adds beta * e^(-beta * d) to the excitation at lag d, so
-        # its expected offspring count is the row sum times the summed mass
-        mass = self.beta * math.exp(-self.beta) / -math.expm1(-self.beta)
-        if rowsum * mass > 1.0:
+        ratio = self.branching_ratio
+        if ratio > 1.0:
             # repr never rounds a ratio above 1 down to "1"; stacklevel 3
             # skips the dataclass __init__ and names the code that built the model
             warnings.warn(
-                f"largest branching ratio = {rowsum * mass!r} > 1: "
+                f"largest branching ratio = {ratio!r} > 1: "
                 "excitation may be explosive",
                 UserWarning,
                 stacklevel=3,
@@ -174,6 +171,15 @@ class HawkesModel:
     @property
     def n(self) -> int:
         return self.mu.shape[0]
+
+    @property
+    def branching_ratio(self) -> float:
+        """The largest expected offspring count of one event, over circuits."""
+        rowsum = float(self.A.sum(axis=1).max()) if self.n else 0.0
+        # an event adds beta * e^(-beta * d) to the excitation at lag d, so
+        # its expected offspring count is the row sum times the summed mass
+        mass = self.beta * math.exp(-self.beta) / -math.expm1(-self.beta)
+        return rowsum * mass
 
     # -- serialization ----------------------------------------------------
 

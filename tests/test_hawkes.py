@@ -10,7 +10,6 @@ import pytest
 from hstconformal import (
     DataValidationError,
     FitConfig,
-    FitMeta,
     HawkesModel,
     NetworkTopology,
     NumericalError,
@@ -470,7 +469,9 @@ def test_a_fit_that_stalls_is_not_converged():
 
 # the sha256 of mu, A, beta and cap's bytes, and the meta, of free fits of the
 # README quick-start panel at 150 epochs, with and without the cap, as the
-# (n, n) free fit computed them before the coupling became a block matrix
+# (n, n) free fit computed them on the pure kernels under numpy 2.4.6, before
+# the coupling became a block matrix
+_FREE_FIT_NUMPY = "2.4.6"
 _FREE_FIT_PINS = {
     True: ("d059b9b073bd6b0ac75dbbf39b885194469c71b585aad93f6d1494cc9b99a83e",
            -715.9564976082224, -683.0996214362415),
@@ -479,19 +480,30 @@ _FREE_FIT_PINS = {
 }
 
 
-def test_a_fit_without_topology_is_the_free_fit_byte_for_byte():
+def test_a_fit_without_topology_is_the_free_fit_byte_for_byte(monkeypatch):
     # the identity assignment: every block sum has one term and every gather
-    # is a copy, so the fit makes the free fit's float operations
+    # is a copy, so the fit makes the free fit's float operations.  The bytes
+    # hold only where they were computed: the loop family's recursion and
+    # numpy's exp, log and matmul on other builds agree to rounding, which
+    # 150 Adam epochs carry into the last bits (the test's own sequential
+    # kernels, run as plain Python, move the likelihoods by about 1e-15
+    # relative), so the pure kernels are forced, and on another numpy only
+    # the likelihoods are checked, to 1e-9 relative
+    monkeypatch.setattr(_hawkes, "ACTIVE", _kernels.PURE)
+    exact = np.__version__ == _FREE_FIT_NUMPY
     panel, _, _ = generate_synthetic(8, 3, 90, seed=7)
     for fit_cap, (digest, ll_init, ll_final) in _FREE_FIT_PINS.items():
         model = fit(panel.Y, None, FitConfig(epochs=150, fit_cap=fit_cap), seed=3)
-        h = hashlib.sha256()
-        for x in (model.mu, model.A, np.float64(model.beta), np.float64(model.cap)):
-            h.update(np.ascontiguousarray(x).tobytes())
-        assert h.hexdigest() == digest
-        assert model.meta == FitMeta(epochs_run=150, loglik_init=ll_init,
-                                     loglik_final=ll_final, converged=False, seed=3,
-                                     n_train_bins=90)
+        meta = model.meta
+        assert (meta.epochs_run, meta.converged, meta.seed, meta.n_train_bins) == (150, False, 3, 90)
+        assert meta.loglik_init == pytest.approx(ll_init, rel=1e-9, abs=0.0)
+        assert meta.loglik_final == pytest.approx(ll_final, rel=1e-9, abs=0.0)
+        if exact:
+            h = hashlib.sha256()
+            for x in (model.mu, model.A, np.float64(model.beta), np.float64(model.cap)):
+                h.update(np.ascontiguousarray(x).tobytes())
+            assert h.hexdigest() == digest
+            assert (meta.loglik_init, meta.loglik_final) == (ll_init, ll_final)
 
 
 def test_a_tied_fit_is_constant_on_each_substation_block():
@@ -532,8 +544,7 @@ def test_a_tied_fit_forecasts_held_out_bins():
     panel, topo, _ = generate_synthetic(24, 6, 400, seed=21)
     Y = panel.Y[:399]
     model = fit(Y[:299], topo, FitConfig(), seed=21)
-    mass = model.beta * math.exp(-model.beta) / -math.expm1(-model.beta)
-    assert model.A.sum(axis=1).max() * mass < 1.0
+    assert model.branching_ratio < 1.0
     constant = _model(Y[:299].mean(axis=0), np.zeros((24, 24)))
     held_out = log_likelihood(model, Y, (299, 399))
     assert held_out > log_likelihood(constant, Y, (299, 399)) - 10.0
