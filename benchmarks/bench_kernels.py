@@ -15,25 +15,27 @@ and the reference's largest entry, the bound of the tier-1 recursion test.
 The simulation runs at ``--horizon`` steps, a forecast, and at one step,
 calibration blocks of one bin and of BLOCK_ROWS bins; both tables have a
 row for each.  Their rates are all positive and below ``_PTRS_SWITCH``, so
-every step takes the unmasked Poisson branch, and a one-step call searches
-each start row's rates once for its K streams, from ``math.exp``'s e^-rate
-with no guard; later steps search each trajectory's cells under the guard,
-from ``np.exp``'s.  A check after the second table simulates with a
+every step takes the unmasked Poisson branch and one counting search
+(``_counts``): a one-step call builds each start row's thresholds once for
+its K streams, from ``math.exp``'s e^-rate, and later steps count each
+trajectory's own cells from ``np.exp``'s under a band of a relative 2**-30
+(``_inversion``).  A check after the second table simulates with a
 zero-rate circuit and a circuit that the excitation lifts over the switch
 in some trajectories, so that steps take the masked branch and mix PTRS
 rows with inversion rows, and another takes one step from BLOCK_ROWS
 distinct start rows shared by K streams each.  Each prints
 how many trajectories' draws or final stream states differ from the loop
 reference's, which must be 0.  Random uniforms almost never land on a
-threshold, so these checks cannot tell whether the shared step takes
-e^-rate from ``math.exp`` or from ``np.exp``, which differ in the last ulp
-at about 5% of rates; the tier-1 test
-``test_shared_search_counts_as_the_search_on_repeated_cells`` places
-uniforms on such thresholds.  A last check runs ``loglik_grads`` as a tied
-fit calls it, on an (n, m) coupling with m = ceil(n / 4) and G and H
-scanned from the counts summed over m blocks: the loop reference's, and the
-jit build's when numba is importable, must lie within TIED_RTOL of the
-pure kernel's, relative to each output's largest entry.
+threshold, so these checks cannot tell which e^-rate a step takes, nor
+whether the band catches every cell it must: ``math.exp`` and ``np.exp``
+differ in the last ulp at about 5% of rates.  The tier-1 test
+``test_both_exp_rules_count_as_the_loop_on_thresholds_and_at_the_cap``
+places uniforms on such thresholds and at the search's cap.  A last check
+runs ``loglik_grads`` as a tied fit calls it, on an (n, m) coupling with m
+= ceil(n / 4) and G and H scanned from the counts summed over m blocks:
+the loop reference's, and the jit build's when numba is importable, must
+lie within TIED_RTOL of the pure kernel's, relative to each output's
+largest entry.
 
 A third table times the per-trajectory streams and their first uniforms:
 the scalar loop ``[rng.generator(s, k).random(24) for s in seeds for k in
@@ -54,24 +56,29 @@ cumulative sum, and whether the two agree; they must.
 
 A fourth table times whole ``fit`` calls at the sizes of the ``run-fit``
 and ``evaluate-qr`` fits, (300, 24) and (300, 96) at the default ``--T``
-and ``--n`` and scaled with them, for FIT_EPOCHS epochs.  It reports wall
-time, system time (``ru_stime``) and minor page faults (``ru_minflt``)
-per fit from ``resource.getrusage``, once with the dense kernels called
-without the fit's workspace, allocating every array each epoch, and once
-as ``fit`` runs them, on one workspace.  The allocator's cost shows only
-here: glibc hands much of an epoch's freed memory back to the system,
-unmapping arrays above its mmap threshold and trimming the top of the
-heap, and the next epoch faults it in again, page by page, in system
-time.  The first two tables cannot see that: a best-of-N loop gets back
-the memory it just freed, and its best call is one that did not fault.
-At (300, 96), on a 2-vCPU VM, the two allocating scans and the gradient
-kernel summed to 1.5-1.9 ms best-of-1000, yet the allocating fit took
-3.3-5.9 ms per epoch, 0.6-0.8 ms of it system time; on the workspace it
-took 2.3-2.5 ms with no system time to speak of.  The fault count also
-depends on the state of the heap: at (300, 24) this script's allocating
-fits fault about 100 times each, while the 1000-epoch (301, 24) fit of a
-``run-fit`` command faulted 95,000-108,000 times.  So compare the two
-columns of one run, and measure a command with ``getrusage`` around it.
+and ``--n`` and scaled with them, for FIT_EPOCHS epochs, tied as those
+commands fit: to a round-robin assignment of the n circuits to m = max(1,
+n // 4) substations.  It reports wall time, system time (``ru_stime``)
+and minor page faults (``ru_minflt``) per fit from ``resource.getrusage``,
+once with the dense kernels called without the fit's workspace,
+allocating every array each epoch, and once as ``fit`` runs them, on one
+workspace.  The allocator's cost shows only here: glibc hands much of an
+epoch's freed memory back to the system, unmapping arrays above its mmap
+threshold and trimming the top of the heap, and the next epoch faults it
+in again, page by page, in system time.  The first two tables cannot see
+that: a best-of-N loop gets back the memory it just freed, and its best
+call is one that did not fault.  At (300, 96), m = 24, on a 2-vCPU VM,
+the two allocating scans and the gradient kernel summed to 0.50-0.70 ms
+best-of-1000 (0.48-0.65 ms on a workspace), and the allocating fit took
+0.96 ms per epoch and faulted 4 times a fit, against 0.89 ms and no fault
+on the workspace, with no system time to speak of on either; the free
+(300, 96) fit faulted 45 times a fit allocating.  The fault count also
+depends on the state of the heap: at (300, 24) this script's
+allocating fits fault about once each, while a whole ``run-fit`` command,
+whose 1000-epoch fit is (301, 24) at m = 6, faulted 321-336 times (seeds
+1 and 5, ``getrusage`` around its first ``cli.main`` call).  So compare
+the two columns of one run, and measure a command with ``getrusage``
+around it.
 
 A fifth table times the calibration walk: the per-bin walk, one one-step
 ``simulate_trajectory`` and one ``score_bin`` per bin, against ``calibrate``,
@@ -117,8 +124,8 @@ import warnings
 
 import numpy as np
 
-from hstconformal import (FitConfig, calibrate, fit, generate_synthetic, rng, score_bin,
-                          simulate_trajectory, training_scale)
+from hstconformal import (FitConfig, NetworkTopology, calibrate, fit, generate_synthetic, rng,
+                          score_bin, simulate_trajectory, training_scale)
 from hstconformal._kernels import _LOOP_PURE, _PTRS_SWITCH, ACTIVE, JIT, PURE, USING_NUMBA
 from hstconformal.conformal import _cumulative_extremes
 
@@ -132,7 +139,7 @@ STREAM_DRAWS = 24  # uniforms per row: one per circuit of a 24-circuit panel
 # small, one-word, two-word and post-pool (four-word) seeds
 STREAM_SEEDS = (0, 5, 2**32 + 1, 2**64 - 1, 2**100 + 3)
 # the most tracemalloc bytes per stream that seeding the 100 x 200 streams
-# may peak at: 80 with bounded seeding passes, 232 in one pass
+# may peak at: 79.5 with bounded seeding passes, 232 in one pass
 SEED_BYTES_BOUND = 128
 FIT_SIZES = ((300, 24), (300, 96))  # (T, n) at --T 400 --n 24
 FIT_EPOCHS = 100
@@ -441,14 +448,14 @@ def allocating_fit_kernels():
             setattr(ACTIVE, name, fn)
 
 
-def fit_usage(counts, runs):
+def fit_usage(counts, topo, runs):
     # per-fit means of wall seconds, system seconds and minor faults
     cfg = FitConfig(epochs=FIT_EPOCHS)
     before = resource.getrusage(resource.RUSAGE_SELF)
     t0 = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # supercritical fits
-        epochs = [fit(counts, None, cfg, seed=0).meta.epochs_run for _ in range(runs)]
+        epochs = [fit(counts, topo, cfg, seed=0).meta.epochs_run for _ in range(runs)]
     wall = time.perf_counter() - t0
     after = resource.getrusage(resource.RUSAGE_SELF)
     return (max(epochs), wall / runs, (after.ru_stime - before.ru_stime) / runs,
@@ -457,8 +464,8 @@ def fit_usage(counts, runs):
 
 def print_fit_table(T, n, repeats) -> list:
     # returns the rows
-    header = (f"{'fit size':<16}{'epochs':>7}{'allocating':>30}{'workspace':>30}")
-    sub = f"{'':<23}" + f"{'wall':>10}{'sys':>10}{'faults':>10}" * 2
+    header = (f"{'fit size':<21}{'epochs':>7}{'allocating':>30}{'workspace':>30}")
+    sub = f"{'':<28}" + f"{'wall':>10}{'sys':>10}{'faults':>10}" * 2
     print(header)
     print(sub)
     print("-" * len(sub))
@@ -467,14 +474,18 @@ def print_fit_table(T, n, repeats) -> list:
     for t_base, n_base in FIT_SIZES:
         size = (max(2, t_base * T // 400), max(1, n_base * n // 24))
         counts = np.random.default_rng(0).poisson(1.0, size).astype(float)
+        # tied as the CLI's fits are, at m = n / 4 substations, round robin
+        m = max(1, size[1] // 4)
+        topo = NetworkTopology.from_assignments([f"c{i}" for i in range(size[1])],
+                                                [i % m for i in range(size[1])])
         with allocating_fit_kernels():
-            epochs, *alloc = fit_usage(counts, runs)
-        _, *work = fit_usage(counts, runs)
-        row = f"T={size[0]} n={size[1]}"
+            epochs, *alloc = fit_usage(counts, topo, runs)
+        _, *work = fit_usage(counts, topo, runs)
+        row = f"T={size[0]} n={size[1]} m={m}"
         cells = "".join(f"{w * 1e3:>8.1f}ms{s * 1e3:>8.1f}ms{f:>10.0f}"
                         for w, s, f in (alloc, work))
-        print(f"{row:<16}{epochs:>7}{cells}")
-        record = {"T": size[0], "n": size[1], "epochs": epochs, "fits": runs}
+        print(f"{row:<21}{epochs:>7}{cells}")
+        record = {"T": size[0], "n": size[1], "m": m, "epochs": epochs, "fits": runs}
         for side, (w, s, f) in (("allocating", alloc), ("workspace", work)):
             record.update({f"{side}_wall_ms": round(w * 1e3, 3),
                            f"{side}_sys_ms": round(s * 1e3, 3), f"{side}_faults": round(f, 1)})
@@ -523,11 +534,12 @@ def write_json(path, recursion_rows, simulate_rows, stream_rows, envelope_row, f
                calibrate_rows, args):
     doc = {
         "benchmark": ("pure excitation recursions and scenario simulation against the "
-                      "loop reference (shared rate rows of one-step calls searched from "
-                      "math.exp, diverged rows under the np.exp guard), PCG64 streams "
+                      "loop reference (one counting search: shared rate rows of one-step "
+                      "calls from math.exp, rows with their own rates from np.exp under a "
+                      "band), PCG64 streams "
                       "against numpy Generators with the seeding's tracemalloc peak, "
                       "the cumulative envelope's peak step by step and from the whole "
-                      "cumulative sum, whole fits allocating and on one "
+                      "cumulative sum, whole tied fits allocating and on one "
                       "workspace, and the calibration walk: "
                       "per-bin one-step simulate_trajectory + score_bin against "
                       "calibrate"),

@@ -51,9 +51,12 @@ Guarantees relied on by the rest of the package:
   operations, their operand order and the shapes of the reductions are
   those of the allocating call, so the results are bit-identical with or
   without it.  ``fit`` holds one workspace for all its epochs: an
-  allocating epoch makes about 32 (T, n) temporaries, and glibc hands much
-  of that memory back to the system (by unmapping or trimming the heap), so
-  each epoch faults it in anew.
+  allocating epoch builds the two (T, m) scans with their scratch, and one
+  ``_LoglikBuffers``, four float and four bool (T, n) arrays in four
+  allocations and the (n, m) dA (a tracemalloc peak of 349 KiB against 64
+  KiB on a workspace, for a tied epoch at T = 300, n = 24, m = 6), and
+  glibc hands much of that memory back to the system (by unmapping or
+  trimming the heap), so each epoch faults it in anew.
 * ``simulate_counts(streams, mu, A, beta, cap, floor, g0, n0, horizon)``
   takes R start rows, the excitation states ``g0`` (R, n) and network
   totals ``n0`` (R,), and R*K streams (``rng.Streams``, one per
@@ -74,34 +77,31 @@ Guarantees relied on by the rest of the package:
     ``np.dot(A, g)``: each step makes them with one stacked
     ``np.matmul(A, g[:, :, None])``, which runs one gemv per row, not one
     gemm over the rows, which BLAS may round differently;
-  - e^-lambda of a rate row shared by K > 1 streams (below) is
-    ``math.exp``'s, the loop's own, one call per rate cell (``_exp_each``),
-    so those cells need no guard; on rows that have diverged (later steps,
-    or K = 1) and on masked steps it is ``np.exp``, one call over the
-    R*K*n cells, which differs from ``math.exp`` in the last ulp on some
-    inputs, and a guarded search (``_inversion``) redoes from ``math.exp``
-    each cell whose uniform lies within a relative 2**-30 of a threshold it
-    is compared with, so every cell makes the loop's comparisons;
+  - every inversion draw is one counting search (``_counts``): a rate
+    cell's thresholds c_0 <= c_1 <= ... are built once, with the loop's
+    float operations, for all the uniforms it draws on, and a uniform's
+    count is the number of them it exceeds, up to the loop's cap.  It
+    takes one of two e^-lambda rules.  On a step with no mask (below), a
+    rate row shared by K > 1 streams (step 0, so every one-step call and
+    calibration block) takes ``math.exp``'s, the loop's own, one call per
+    rate cell (``_exp_each``), with its K streams' uniforms broadcast
+    against it, so no rate or e^-lambda is repeated per stream.  Rows that
+    hold their own rates (later steps, or K = 1), and the rows of a masked
+    step, take ``np.exp``'s, one call over the cells, which differs from
+    ``math.exp``'s in the last ulp on some inputs: ``_inversion`` counts
+    each uniform shrunk and grown by a relative 2**-30 in one search and
+    redoes from ``math.exp`` each cell whose two counts differ, so every
+    cell makes the loop's comparisons;
   - one ``streams.random(m)`` call hands every row its uniforms, m_k being
     row k's count of positive rates: the values of m_k scalar
     ``Generator.random()`` calls, and a rate <= 0 consumes none;
-  - inversion by sequential search runs elementwise on the cells still
-    searching, with the loop's cap;
   - a row with a rate >= ``_PTRS_SWITCH`` is drawn by the scalar
     ``poisson_draw`` on a ``Generator`` at its stream's state, which is
     written back, because PTRS consumes a variable number of uniforms;
   - a step whose every rate is positive and below ``_PTRS_SWITCH``
     (``_every_rate_by_inversion``, which nan fails) builds no mask: it
-    calls ``streams.random(n)`` with one count, and searches every cell in
+    calls ``streams.random(n)`` with one count, and counts every cell in
     row order; only the other steps mask their rows and cells as above;
-  - on such a step, a rate row shared by K > 1 streams (step 0, so every
-    one-step call and calibration block) builds each rate cell's
-    thresholds once from ``math.exp``'s e^-lambda, as the loop builds
-    them, up to the largest of the cell's K uniforms (``_shared_search``):
-    the thresholds only grow, so a uniform's count is the number of them
-    it exceeds, the loop's, and no rate or e^-lambda is repeated per
-    stream; the rows of later steps, and of K = 1, each hold their own
-    rates and take the guarded search cell by cell (``_inversion``);
   - the state update makes the loop's float operations in its order; a
     running total is the start total plus the whole number of events drawn
     since, which both families sum exactly, each in its own order, while
@@ -120,11 +120,11 @@ Hörmann's PTRS transformed rejection above it, built only on
 at ``_INVERSION_MAX`` terms.  For the largest uniforms, 1 - 2**-53 and at
 some rates 1 - 2**-52, about a quarter of the rates below the switch have
 float64 thresholds that never exceed the uniform, so the search returns
-``_INVERSION_MAX``, which is not a draw of the Poisson law.  Every search
-(``poisson_draw``, ``_search``, ``_shared_search``) stops there alike, so
-the draws stay bit-identical across paths.  A fix would change every
-search, the JIT build among them, for an event of probability at most
-2**-52 per uniform, and is not made.
+``_INVERSION_MAX``, which is not a draw of the Poisson law.  Both searches
+(``poisson_draw`` and ``_counts``) stop there alike, so the draws stay
+bit-identical across paths.  A fix would change both, the JIT build among
+them, for an event of probability at most 2**-52 per uniform, and is not
+made.
 """
 
 import math
@@ -517,11 +517,6 @@ def _loglik_grads_np(counts, G, H, gamma, dgam, mu, A, b0, b1, work=None):
     return ll, dmu, dA, dbeta, dcap
 
 
-# a uniform within this relative distance of a threshold that the search
-# built from np.exp's e^-rate is redone from math.exp (_search, _inversion)
-_GUARD = 2.0**-30
-
-
 def _exp_each(rate):
     """e^-rate by ``math.exp``, as ``poisson_draw`` takes it, one call per
     rate, in the shape of ``rate``."""
@@ -529,76 +524,50 @@ def _exp_each(rate):
                        rate.size).reshape(rate.shape)
 
 
-def _search(rate, p, u, margin):
-    """Inversion by sequential search on every cell at once, making
-    ``poisson_draw``'s float operations for rate[i] on uniform u[i] from
-    p[i] as e^-rate: a cell goes on while its uniform exceeds the threshold
-    by a relative ``margin`` and leaves when it does not.  Returns the counts
-    and the indices of the cells whose uniform is not below their last
-    threshold by that margin, the cells the margin flags.
-
-    With margin 0 the search makes the loop's comparisons, and its counts
-    are the loop's when p is ``math.exp(-rate)``.  With ``_GUARD``, the
-    thresholds only grow, so an unflagged cell clears every one it meets by
-    the margin, and its count is the one from any p within 2**-40 of
-    ``math.exp``'s: thresholds from the two drift apart by at most about
-    2**-40 + 4j * 2**-53 relative, below the margin for every j up to
-    ``_INVERSION_MAX``.
+def _counts(rate, p, u):
+    """``poisson_draw``'s inversion counts from p as e^-rate: how many of
+    the loop's thresholds c_0 = p, c_j = c_(j-1) + p_j, p_j = p_(j-1) *
+    (rate / j), each uniform of ``u`` exceeds, ``u`` broadcast against
+    ``rate`` and ``p``.  A rate cell's thresholds do not depend on its
+    uniforms, so they are built once, with the loop's float operations,
+    until no uniform exceeds the current one or ``_INVERSION_MAX`` are
+    counted.  As they only grow, a uniform's count is the number of c_0,
+    ..., c_(_INVERSION_MAX - 1) that it exceeds: the loop's, when p is
+    ``math.exp``'s.
     """
-    found = np.zeros(rate.size, dtype=np.int64)
-    above = u * (1.0 - margin)
-    last = p.copy()  # the last threshold each cell is compared with
-    live = np.flatnonzero(above > p)
-    rate, p, above = rate[live], p[live], above[live]
+    shape = np.broadcast_shapes(rate.shape, u.shape)
+    found = np.zeros(shape, dtype=np.int16)  # holds _INVERSION_MAX, and adds faster
+    above = np.empty(shape, dtype=bool)
     c = p
     j = 0
-    while live.size and j < _INVERSION_MAX:
-        j += 1
-        p = p * (rate / j)
-        c = c + p
-        found[live] = j
-        last[live] = c
-        more = above > c
-        live, rate, p, c, above = live[more], rate[more], p[more], c[more], above[more]
-    return found, np.flatnonzero(u * (1.0 + margin) > last)
-
-
-def _shared_search(rate, p, u):
-    """``poisson_draw``'s counts on R*K*n cells whose rates repeat along K:
-    rate cell (r, 0, i) of the (R, 1, n) ``rate`` and ``p``, ``math.exp``'s
-    e^-rate, draws on the K uniforms u[r, :, i] of the (R, K, n) ``u``.  A
-    cell's thresholds c_0, c_1, ... do not depend on its uniform, so they
-    are built once per rate cell, as the loop builds them, until no uniform
-    exceeds one or ``_INVERSION_MAX`` are counted.  As they only grow, a
-    uniform's count is the number of c_0, ..., c_(_INVERSION_MAX - 1) that
-    it exceeds, the loop's.  Returns the (R, K, n) counts.
-    """
-    top = u.max(axis=1, keepdims=True)
-    found = np.zeros(u.shape, dtype=np.int16)  # holds _INVERSION_MAX, and adds faster
-    c = p
-    j = 0
-    while j < _INVERSION_MAX and (top > c).any():
-        found += u > c
+    while j < _INVERSION_MAX and np.greater(u, c, out=above).any():
+        found += above
         j += 1
         p = p * (rate / j)
         c = c + p
     return found.astype(np.int64)
 
 
-def _inversion(rate, p, u):
-    """``poisson_draw``'s counts for positive rates below ``_PTRS_SWITCH``
-    on the flat cells of ``rate``, one uniform each in ``u``, from p,
-    ``np.exp``'s e^-rate, which differs from ``math.exp``'s in the last ulp
-    on some inputs: a search with margin ``_GUARD`` flags the cells whose
-    comparisons could differ (a uniform lands within 2**-30 of a threshold
-    about once in 2**29 comparisons at most), and they are redone from
-    ``math.exp`` with margin 0.
+def _inversion(rate, u):
+    """``poisson_draw``'s counts for positive rates below ``_PTRS_SWITCH``,
+    one uniform each in ``u``, of the shape of ``rate``, from one ``np.exp``
+    call, which differs from ``math.exp`` in the last ulp on some inputs.
+    One ``_counts`` call counts each uniform shrunk and grown by a relative
+    2**-30.  Where the two counts agree, no threshold lies within 2**-30 of
+    the uniform, and the thresholds from ``math.exp``'s e^-rate, which
+    drift from these by at most about 2**-40 + 4j * 2**-53 relative after j
+    terms, below 2**-30 for every j up to ``_INVERSION_MAX``, give the same
+    count.  The cells whose counts differ (a uniform lands within 2**-30 of
+    a threshold about once in 2**29 comparisons at most) are counted again
+    from ``math.exp``.
     """
-    found, flagged = _search(rate, p, u, _GUARD)
-    if flagged.size:
-        rate = rate[flagged]
-        found[flagged] = _search(rate, _exp_each(rate), u[flagged], 0.0)[0]
-    return found
+    band = np.multiply.outer([1.0 - 2.0**-30, 1.0 + 2.0**-30], u)
+    low, high = _counts(rate, np.exp(-rate), band)
+    redo = low != high
+    if redo.any():
+        rate = rate[redo]
+        low[redo] = _counts(rate, _exp_each(rate), u[redo])
+    return low
 
 
 def _every_rate_by_inversion(lam):
@@ -607,14 +576,13 @@ def _every_rate_by_inversion(lam):
     return 0.0 < lam.min(initial=np.inf) and lam.max(initial=0.0) < _PTRS_SWITCH
 
 
-def _inversion_draws(streams, m, rate, p):
+def _inversion_draws(streams, m, rate):
     """``_inversion`` on the next m_k uniforms of each stream k, ``m`` one
-    count per stream: ``rate`` and ``p`` hold row k's m_k cells, row after
-    row."""
+    count per stream: ``rate`` holds row k's m_k cells, row after row."""
     u = streams.random(m)
     # row k's first m[k] uniforms, row after row: the order of the cells
     u = u[np.arange(u.shape[1]) < m[:, None]] if u.size > rate.size else u.ravel()
-    return _inversion(rate, p, u)
+    return _inversion(rate, u)
 
 
 def _poisson_step(streams, lam):
@@ -625,42 +593,37 @@ def _poisson_step(streams, lam):
     by the K = len(streams) / R streams r*K .. r*K + K-1.
 
     When every rate takes the inversion (``_every_rate_by_inversion``), each
-    stream hands over n uniforms and every cell is searched, with no mask:
-    a shared rate row takes its n exps from ``math.exp`` and builds its
-    thresholds once, for all K of its streams' uniforms
-    (``_shared_search``), and unshared rows take ``np.exp`` and the guarded
-    search cell by cell (``_inversion``).  Otherwise a rate that is not
-    below 2**53 (nan included) raises NumericalError before any draw, the
-    rows with a PTRS rate are drawn by the scalar ``poisson_draw``, and the
-    positive rates of the other rows by the inversion, a rate <= 0 drawing
-    0 from no uniform.
+    stream hands over n uniforms and every cell is counted, with no mask,
+    under one of two e^-lambda rules: a rate row shared by K > 1 streams
+    takes its n exps from ``math.exp`` and builds its thresholds once, for
+    all K of its streams' uniforms (``_counts``), and rows that hold their
+    own rates take ``np.exp`` under the band (``_inversion``).  Otherwise a
+    rate that is not below 2**53 (nan included) raises NumericalError
+    before any draw, the rows with a PTRS rate are drawn by the scalar
+    ``poisson_draw``, and the positive rates of the other rows by
+    ``_inversion``, a rate <= 0 drawing 0 from no uniform.
     """
     R, n = lam.shape
     K = len(streams) // R
-
-    def per_stream(*arrays):  # each shared row repeated for its K streams
-        return arrays if K == 1 else (np.repeat(a, K, axis=0) for a in arrays)
-
     if _every_rate_by_inversion(lam):
         u = streams.random(n)
         if K == 1:
-            return _inversion(lam.ravel(), np.exp(-lam).ravel(), u.ravel()).reshape(R, n)
+            return _inversion(lam, u)
         lam = lam[:, None]
-        return _shared_search(lam, _exp_each(lam), u.reshape(R, K, n)).reshape(R * K, n)
+        return _counts(lam, _exp_each(lam), u.reshape(R, K, n)).reshape(R * K, n)
     if not (lam < _EXACT).all():  # nan fails this test too
         raise NumericalError("a simulated rate is not below 2**53")
     by_scalar = ~(lam < _PTRS_SWITCH).all(axis=1)  # a PTRS rate in the row
     pos = (lam > 0.0) & ~by_scalar[:, None]
-    exp = np.zeros(lam.shape)
-    exp[pos] = np.exp(-lam[pos])
-    lam, by_scalar, pos, exp = per_stream(lam, by_scalar, pos, exp)
+    # each shared row repeated for its K streams
+    lam, by_scalar, pos = (np.repeat(a, K, axis=0) for a in (lam, by_scalar, pos))
     draws = np.zeros(lam.shape, dtype=np.int64)
     for k in np.flatnonzero(by_scalar).tolist():
         gen = streams.generator(k)
         draws[k] = [_LOOP_PURE.poisson_draw(gen, x) for x in lam[k].tolist()]
         streams.set_state(k, gen)
     if pos.any():
-        draws[pos] = _inversion_draws(streams, pos.sum(axis=1), lam[pos], exp[pos])
+        draws[pos] = _inversion_draws(streams, pos.sum(axis=1), lam[pos])
     return draws
 
 

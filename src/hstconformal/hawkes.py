@@ -370,10 +370,12 @@ def _objective(tied: _Tied, mu, B, beta: float, cap: float, floor: float, b0: in
     them through the rows of B gathered by s, ``B[s]`` (n, m), and B's
     gradient is the kernel's (n, m) dA summed by s.  ``work``, from
     ``ACTIVE.workspace(tied.counts, b0, b1, tied.m)``, holds the kernels'
-    arrays, which they allocate when it is None.  Returns ``(ll, (g_mu,
-    g_B, g_beta, g_cap))``, or ``(ll, None)`` when ll is not finite.  The
-    one objective behind ``fit`` and, under the identity assignment with B
-    the full A, ``log_likelihood_gradient``.
+    arrays, which they allocate when it is None, with the same bits; it
+    pays off only when reused, so ``fit`` passes one for all its epochs
+    and ``log_likelihood_gradient``, one call, passes none.  Returns
+    ``(ll, (g_mu, g_B, g_beta, g_cap))``, or ``(ll, None)`` when ll is not
+    finite.  The one objective behind ``fit`` and, under the identity
+    assignment with B the full A, ``log_likelihood_gradient``.
     """
     G = ACTIVE.excitation_series(tied.summed, beta, work=work)
     H = ACTIVE.excitation_beta_series(tied.summed, beta, G, work=work)
@@ -399,8 +401,7 @@ def log_likelihood_gradient(model: HawkesModel, panel, bins=None) -> GradientRes
     counts = _panel_counts(panel, model.n)
     b0, b1 = _normalize_bins(bins, counts.shape[0])
     ll, grad = _objective(_Tied(counts, np.arange(model.n)), model.mu, model.A, model.beta,
-                          model.cap, model.floor, b0, b1,
-                          work=ACTIVE.workspace(counts, b0, b1))
+                          model.cap, model.floor, b0, b1)
     if grad is None:
         raise NumericalError("log likelihood is not finite at this parameter point")
     g_mu, g_A, g_beta, g_cap = grad

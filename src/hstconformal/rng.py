@@ -17,7 +17,7 @@ of many rows at once: the child seeds ``derive(seed, k)`` of all rows in one
 pass, then, in passes of at most ``_SEED_ROWS`` rows, the four 64-bit words
 that PCG64 asks of ``SeedSequence(derive(seed, k))``, and each row's state
 from its words as numpy's ``pcg64_set_seed`` seeds it.  The passes bound
-the seeding's memory: 20,000 streams peak at 80 bytes a stream, against
+the seeding's memory: 20,000 streams peak at 79.5 bytes a stream, against
 232 in one pass.
 ``derive(seed, k)`` hashes the seed's 32-bit words and then k, so k is the
 second word of a seed below 2**32 and the third of one below 2**64: rows
@@ -94,10 +94,11 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _generate_state(entropy: list, n_words: int) -> np.ndarray:
     """SeedSequence(entropy).generate_state(n_words, np.uint64) for each column.
 
-    ``entropy`` lists the entropy words in order, each a (K,) uint32 array
-    with one word per column.  numpy's mix_entropy and generate_state loops
-    run word by word, each on whole columns.  Returns (K, n_words) uint64,
-    one C-contiguous row per column.
+    ``entropy`` lists the entropy words in order, each a uint32 array of
+    one word per column, the arrays broadcast against each other.  numpy's
+    mix_entropy and generate_state loops run word by word, each on whole
+    columns.  Returns the columns' shape plus (n_words,), uint64: (K,
+    n_words) for (K,) words, one C-contiguous row per column.
     """
     const, pool = _INIT_A, []
     for i in range(_POOL):  # past the entropy, the pool hashes zeros
@@ -119,7 +120,7 @@ def _generate_state(entropy: list, n_words: int) -> np.ndarray:
     for i in range(2 * n_words):  # uint32 words, low then high of each uint64
         word, const = _hashmix(pool[i % _POOL], const, _MULT_B)
         out.append(word.astype(np.uint64))
-    return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(out[0::2], out[1::2])], axis=1)
+    return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(out[0::2], out[1::2])], axis=-1)
 
 
 def _words(x: int) -> list:
@@ -129,17 +130,15 @@ def _words(x: int) -> list:
 
 def _children(prefixes: list, last: np.ndarray) -> np.ndarray:
     """The seed that ``derive`` hashes from the entropy words ``prefixes[r]``
-    and then ``last[k]`` at entry r*K + k, K = len(last): ``derive(s, k)``
-    when ``prefixes[r]`` is ``_words(s)``.  (R*K,) uint64, one hash per
-    prefix length."""
-    K = len(last)
-    child = np.empty(len(prefixes) * K, dtype=np.uint64)
+    and then ``last[k]`` at entry (r, k): ``derive(s, k)`` when
+    ``prefixes[r]`` is ``_words(s)``.  (R, len(last)) uint64, one hash per
+    prefix length, the prefix words of its rows as columns broadcast
+    against the last words as a row, so no entropy word is repeated."""
+    child = np.empty((len(prefixes), len(last)), dtype=np.uint64)
     for size in set(map(len, prefixes)):
         rows = [r for r, w in enumerate(prefixes) if len(w) == size]
-        cols = (np.array(rows)[:, None] * K + np.arange(K)).ravel()
-        entropy = [np.repeat(np.array([prefixes[r][i] for r in rows], dtype=np.uint32), K)
-                   for i in range(size)]
-        child[cols] = _generate_state(entropy + [np.tile(last, len(rows))], 1)[:, 0]
+        words = np.array([prefixes[r] for r in rows], dtype=np.uint32)
+        child[rows] = _generate_state(list(words.T[:, :, None]) + [last[None, :]], 1)[..., 0]
     return child
 
 
@@ -150,7 +149,7 @@ def derive_range(seed: int, name, start: int, stop: int) -> list:
     if not 0 <= start <= stop <= 2**32:
         raise PreconditionError(f"need 0 <= start <= stop <= 2**32, got {start}, {stop}")
     prefix = _words(_checked(seed)) + _words(_as_int(name))
-    return _children([prefix], np.arange(start, stop, dtype=np.uint32)).tolist()
+    return _children([prefix], np.arange(start, stop, dtype=np.uint32))[0].tolist()
 
 
 # numpy's PCG64 (numpy/random/src/pcg64/pcg64.h): the 128-bit LCG
@@ -328,13 +327,13 @@ def _seed_rows(child: np.ndarray, words: np.ndarray) -> None:
 
 # rows seeded per pass of ``streams``.  A pass's temporaries, the state
 # hash's words and the seeding jump's 16 float64 limbs a row, come to 192
-# bytes a row; the child seeds' one hash pass before them peaks at 80 bytes
+# bytes a row; the child seeds' one hash pass before them peaks at 60 bytes
 # a stream.  tracemalloc peaks of the 20,000 streams of a 100-bin
-# K = 200 calibration walk: 4,535 KiB in one pass, 1,580 KiB at 2,048 or
-# 4,096 rows (the child hash's peak), 1,745 at 5,120 and 2,321 at 8,192.
-# Each pass adds the call overhead of a few hundred numpy operations: seeding
-# those streams took 6.1 ms at 2,048 rows, 2.4 at 4,096 and 2.0 in one pass
-# (best of 50).
+# K = 200 calibration walk: 4,535 KiB in one pass, 1,190 KiB at 2,048 rows
+# (the child hash's peak), 1,553 at 4,096, 1,745 at 5,120 and 2,321 at
+# 8,192.  Each pass adds the call overhead of a few hundred numpy
+# operations: seeding those streams took 5.1-6.1 ms at 2,048 rows, 2.4-4.1
+# at 4,096 and 2.0-2.7 in one pass (best of 50, two runs).
 # Every row is computed on its own, so the bound moves no bit.
 _SEED_ROWS = 4096
 
@@ -348,7 +347,7 @@ def streams(seeds, K: int) -> Streams:
     check_integer(K, "K")
     if not 0 <= K <= 2**32:
         raise PreconditionError(f"need 0 <= K <= 2**32 (k is one entropy word), got {K}")
-    child = _children([_words(s) for s in seeds], np.arange(K, dtype=np.uint32))
+    child = _children([_words(s) for s in seeds], np.arange(K, dtype=np.uint32)).ravel()
     words = np.empty((len(child), 4), dtype=np.uint64)
     for start in range(0, len(child), _SEED_ROWS):
         _seed_rows(child[start:start + _SEED_ROWS], words[start:start + _SEED_ROWS])

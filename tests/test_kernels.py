@@ -163,30 +163,6 @@ class _Uniforms:
         return next(self.values)
 
 
-def test_guarded_inversion_redoes_cells_on_a_threshold():
-    # a rate whose np.exp(-rate) is below math.exp(-rate) (in [0.5, 1), so a
-    # multiple of 2**-53 that Generator.random() can return): the uniform
-    # equal to math.exp's threshold c_0, and one equal to the loop's c_2,
-    # fall on the loop's thresholds, and np.exp's thresholds sit on the
-    # other side of the first; the guard must flag both and redo them
-    grid = np.arange(1, 694) / 1000.0
-    lams = grid[np.exp(-grid) < K._exp_each(grid)]
-    if not lams.size:
-        pytest.skip("np.exp(-x) is math.exp(-x) on the grid")
-    lam = float(lams[0])
-    p = c = math.exp(-lam)
-    u = [c]
-    for j in (1, 2):
-        p *= lam / j
-        c += p
-    u.append(c)
-    rate = np.full(2, lam)
-    want = [K._LOOP_PURE.poisson_draw(_Uniforms([x]), lam) for x in u]
-    assert want == [0, 2]
-    assert K._search(rate, np.exp(-rate), np.array(u), K._GUARD)[1].tolist() == [0, 1]
-    assert K._inversion(rate, np.exp(-rate), np.array(u)).tolist() == want
-
-
 def _loop_thresholds(lam, count):
     # the loop's thresholds c_0, ..., c_count at rate lam, from math.exp
     p = c = math.exp(-lam)
@@ -213,14 +189,16 @@ class _FixedStreams:
         return self.u
 
 
-def test_shared_search_counts_as_the_search_on_repeated_cells():
-    # thresholds built once per rate cell from math.exp's e^-rate count each
-    # of its K uniforms as the loop's poisson_draw does, both in
-    # _shared_search and in the all-positive shared step of _poisson_step;
-    # some uniforms sit on a loop threshold, u = 1 - 2**-53 at rate 29.99
-    # runs past every threshold to _INVERSION_MAX, and every trial puts a
-    # uniform on c_0 of a rate whose np.exp(-rate) is below math.exp's, so a
-    # shared step that took e^-rate from np.exp would count it 1, not 0
+def test_both_exp_rules_count_as_the_loop_on_thresholds_and_at_the_cap(branches):
+    # both e^-rate rules count every uniform as the loop's poisson_draw does:
+    # _counts on math.exp's, as rows shared by K streams take it, and
+    # _inversion on np.exp's under the band, as rows with their own rates
+    # take it, directly and through _poisson_step's all-positive branch at
+    # K > 1 and at K = 1.  Some uniforms sit on a loop threshold, u = 1 -
+    # 2**-53 at rate 29.99 runs past every threshold to _INVERSION_MAX, and
+    # every trial puts a uniform on c_0 of a rate whose np.exp(-rate) is
+    # below math.exp's, which np.exp's thresholds alone count 1, not 0: the
+    # band must find that cell and count it again from math.exp
     gen = np.random.default_rng(28)
     top = 1.0 - 2.0**-53
     assert K._LOOP_PURE.poisson_draw(_Uniforms([top]), 29.99) == K._INVERSION_MAX
@@ -241,15 +219,19 @@ def test_shared_search_counts_as_the_search_on_repeated_cells():
         u[r, gen.integers(1, K_ - 1), i] = gen.choice(_loop_thresholds(lam, 5 + int(lam)))
         if trial % 10 == 0:
             rate[0, 0, 0], u[0, -1, 0] = 29.99, top
-        flat_rate = np.broadcast_to(rate, u.shape).ravel()
+        own = np.broadcast_to(rate, u.shape)
         loop = [K._LOOP_PURE.poisson_draw(_Uniforms([x]), y)
-                for x, y in zip(u.ravel().tolist(), flat_rate.tolist())]
-        found = K._shared_search(rate, K._exp_each(rate), u)
-        assert found.dtype == np.int64 and found.shape == u.shape
-        assert found.ravel().tolist() == loop and found[-1, 0, -1] == 0
-        step = K._poisson_step(_FixedStreams(u.reshape(R * K_, n)), rate[:, 0])
-        assert step.ravel().tolist() == loop
-        capped_seen += bool((found == K._INVERSION_MAX).any())
+                for x, y in zip(u.ravel().tolist(), own.ravel().tolist())]
+        assert K._counts(own, np.exp(-own), u)[-1, 0, -1] == 1
+        for found in (K._counts(rate, K._exp_each(rate), u), K._inversion(own, u)):
+            assert found.dtype == np.int64 and found.shape == u.shape
+            assert found.ravel().tolist() == loop
+        branches.clear()
+        for rows in (rate[:, 0], own.reshape(R * K_, n)):  # K = K_, then K = 1
+            step = K._poisson_step(_FixedStreams(u.reshape(R * K_, n)), rows)
+            assert step.ravel().tolist() == loop
+        assert branches == [True, True]
+        capped_seen += bool(loop.count(K._INVERSION_MAX))
     assert capped_seen == 40
 
 
