@@ -28,9 +28,10 @@ how many trajectories' draws or final stream states differ from the loop
 reference's, which must be 0.  Random uniforms almost never land on a
 threshold, so these checks cannot tell which e^-rate a step takes, nor
 whether the band catches every cell it must: ``math.exp`` and ``np.exp``
-differ in the last ulp at about 5% of rates.  The tier-1 test
-``test_both_exp_rules_count_as_the_loop_on_thresholds_and_at_the_cap``
-places uniforms on such thresholds and at the search's cap.  A last check
+differ in the last ulp at about 5% of rates.  The tier-1 tests
+``test_guarded_inversion_redoes_cells_on_a_threshold`` and
+``test_shared_search_counts_as_the_search_on_repeated_cells`` place
+uniforms on such thresholds and at the search's cap.  A last check
 runs ``loglik_grads`` as a tied fit calls it, on an (n, m) coupling with m
 = ceil(n / 4) and G and H scanned from the counts summed over m blocks:
 the loop reference's, and the jit build's when numba is importable, must

@@ -189,24 +189,23 @@ class _FixedStreams:
         return self.u
 
 
-def test_both_exp_rules_count_as_the_loop_on_thresholds_and_at_the_cap(branches):
-    # both e^-rate rules count every uniform as the loop's poisson_draw does:
-    # _counts on math.exp's, as rows shared by K streams take it, and
-    # _inversion on np.exp's under the band, as rows with their own rates
-    # take it, directly and through _poisson_step's all-positive branch at
-    # K > 1 and at K = 1.  Some uniforms sit on a loop threshold, u = 1 -
-    # 2**-53 at rate 29.99 runs past every threshold to _INVERSION_MAX, and
-    # every trial puts a uniform on c_0 of a rate whose np.exp(-rate) is
-    # below math.exp's, which np.exp's thresholds alone count 1, not 0: the
-    # band must find that cell and count it again from math.exp
+_TOP = 1.0 - 2.0**-53  # at rate 29.99 it runs past every threshold to the cap
+
+
+def _threshold_trials():
+    """400 trials of R rate rows shared by K streams, as (rate, u, loop):
+    rate is (R, 1, n), u is (R, K, n) and loop holds the loop's
+    ``poisson_draw`` of every cell of u, flattened.  One uniform of each
+    trial sits on a loop threshold, every tenth trial puts the cap uniform
+    _TOP at rate 29.99, and every trial puts a uniform on c_0 of a rate whose
+    np.exp(-rate) is below math.exp's, at rate[-1, 0, -1]: there the loop
+    draws 0, and np.exp's thresholds alone count 1."""
     gen = np.random.default_rng(28)
-    top = 1.0 - 2.0**-53
-    assert K._LOOP_PURE.poisson_draw(_Uniforms([top]), 29.99) == K._INVERSION_MAX
+    assert K._LOOP_PURE.poisson_draw(_Uniforms([_TOP]), 29.99) == K._INVERSION_MAX
     scan = np.exp(gen.uniform(math.log(1e-3), math.log(K._PTRS_SWITCH), 4000))
     low = scan[np.exp(-scan) < K._exp_each(scan)]
     if not low.size:
         pytest.skip("np.exp(-x) is not below math.exp(-x) at any scanned rate")
-    capped_seen = 0
     for trial in range(400):
         R, n = int(gen.integers(1, 4)), int(gen.integers(2, 5))
         K_ = int(gen.integers(3, 9))
@@ -218,19 +217,49 @@ def test_both_exp_rules_count_as_the_loop_on_thresholds_and_at_the_cap(branches)
         lam = float(rate[r, 0, i])
         u[r, gen.integers(1, K_ - 1), i] = gen.choice(_loop_thresholds(lam, 5 + int(lam)))
         if trial % 10 == 0:
-            rate[0, 0, 0], u[0, -1, 0] = 29.99, top
+            rate[0, 0, 0], u[0, -1, 0] = 29.99, _TOP
         own = np.broadcast_to(rate, u.shape)
         loop = [K._LOOP_PURE.poisson_draw(_Uniforms([x]), y)
                 for x, y in zip(u.ravel().tolist(), own.ravel().tolist())]
+        yield rate, u, loop
+
+
+def test_guarded_inversion_redoes_cells_on_a_threshold(branches):
+    # rows with their own rates take np.exp's e^-rate under the band:
+    # _inversion, directly and through _poisson_step's all-positive branch at
+    # K = 1, counts every uniform as the loop does, on thresholds, at the cap
+    # and on the c_0 cell that np.exp's thresholds alone miscount, which the
+    # band must find and count again from math.exp
+    capped_seen = 0
+    for rate, u, loop in _threshold_trials():
+        own = np.broadcast_to(rate, u.shape)
         assert K._counts(own, np.exp(-own), u)[-1, 0, -1] == 1
-        for found in (K._counts(rate, K._exp_each(rate), u), K._inversion(own, u)):
-            assert found.dtype == np.int64 and found.shape == u.shape
-            assert found.ravel().tolist() == loop
+        found = K._inversion(own, u)
+        assert found.dtype == np.int64 and found.shape == u.shape
+        assert found.ravel().tolist() == loop
         branches.clear()
-        for rows in (rate[:, 0], own.reshape(R * K_, n)):  # K = K_, then K = 1
-            step = K._poisson_step(_FixedStreams(u.reshape(R * K_, n)), rows)
-            assert step.ravel().tolist() == loop
-        assert branches == [True, True]
+        rows = own.reshape(-1, u.shape[-1])
+        step = K._poisson_step(_FixedStreams(u.reshape(rows.shape)), rows)
+        assert step.ravel().tolist() == loop
+        assert branches == [True]
+        capped_seen += bool(loop.count(K._INVERSION_MAX))
+    assert capped_seen == 40
+
+
+def test_shared_search_counts_as_the_search_on_repeated_cells(branches):
+    # a row shared by K streams takes math.exp's e^-rate: _counts with the
+    # (R, 1, n) rates broadcast against the (R, K, n) uniforms, directly and
+    # through _poisson_step's all-positive branch at K > 1, counts every
+    # uniform as the loop does, on thresholds and at the cap
+    capped_seen = 0
+    for rate, u, loop in _threshold_trials():
+        found = K._counts(rate, K._exp_each(rate), u)
+        assert found.dtype == np.int64 and found.shape == u.shape
+        assert found.ravel().tolist() == loop
+        branches.clear()
+        step = K._poisson_step(_FixedStreams(u.reshape(-1, u.shape[-1])), rate[:, 0])
+        assert step.ravel().tolist() == loop
+        assert branches == [True]
         capped_seen += bool(loop.count(K._INVERSION_MAX))
     assert capped_seen == 40
 
